@@ -178,6 +178,15 @@ def cmd_beta_table(cfg: RunConfig, count: int = 19) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1, so that no run can
+    pass with nothing checked."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbert-kp",
@@ -192,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-inequality", help="random-pair ratio sweep against pi/sin(pi/p)")
     common(sp)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=positive_int, default=100)
     sp.add_argument("--max-support", type=int, default=2000)
 
     sp = sub.add_parser("proof-check", help="certify the full inequality proof chain")
     common(sp)
-    sp.add_argument("--x-grid-size", type=int, default=300)
+    sp.add_argument("--x-grid-size", type=positive_int, default=300)
     sp.add_argument("--scalars-only", action="store_true")
 
     sp = sub.add_parser("norm-bounds", help="lower-bound ladders vs the theoretical norm")

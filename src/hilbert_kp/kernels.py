@@ -10,7 +10,10 @@ Variants:
   row summand of the interpolated one-row bound.
 
 All kernel values are strictly positive for m, n >= 1, and every weighted
-variant collapses to the classical kernel at p = 2.
+variant collapses to the classical kernel at p = 2. Each variant factors as
+w(m) v(n) h(m+n), a row weight, a column weight and a Hankel symbol; the
+form and the operator are computed from that factorisation, and the dense
+`kernel_matrix` serves as their reference and as the ascent's matrix.
 """
 
 from __future__ import annotations
@@ -91,38 +94,53 @@ def kernel_value(spec: KernelSpec, m: int, n: int) -> float:
     return float(kernel_matrix(spec, np.array([m]), np.array([n]))[0, 0])
 
 
-def _support(s: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.array([i for i, v in zip(s.indices(), s.values) if v != 0.0], dtype=float)
-    val = np.array([v for v in s.values if v != 0.0], dtype=float)
-    return idx, val
+def _hankel(spec: KernelSpec, m: np.ndarray, n: np.ndarray,
+            s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row weights w(m), column weights v(n) and Hankel symbol h(s) of the
+    kernel, k(m, n) = w(m) v(n) h(m + n), on float index arrays."""
+    if spec.variant is Variant.ALPHA_ROW:
+        r, alpha = 1.0 / spec.p, spec.alpha
+        return m ** r, n ** -r, 1.0 / (s ** (1.0 - alpha) * (s - 1.0) ** alpha)
+    e = 0.0 if spec.variant is Variant.CLASSICAL else spec.weight_exponent()
+    shift = 0.5 if spec.variant is Variant.YANG_HALF_SHIFT else 0.0
+    h_shift = 0.0 if spec.variant is Variant.YANG_SHIFT else 1.0
+    return (m - shift) ** -e, (n - shift) ** e, 1.0 / (s - h_shift)
 
 
 def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
-    """sum_{m,n} k(m,n) a_m b_n, exact over the finite supports."""
+    """sum_{m,n} k(m,n) a_m b_n, exact over the finite supports.
+
+    Evaluated as the Hankel sum  sum_s h(s) (wa * vb)(s)  with one direct
+    convolution. Every product in it is nonnegative, so each convolution entry
+    keeps a small relative error. The cost is one multiply-add per pair of
+    stored entries, zeros included, so it pays while the inputs are dense:
+    the CLI's random pairs are 70 % nonzero and the epsilon family 100 %.
+    `kernel_matrix` is the dense reference.
+    """
     if a.start_index != 1 or b.start_index != 1:
         raise InvalidInputError("bilinear form expects 1-based sequences")
-    a.require_nonnegative("a")
-    b.require_nonnegative("b")
-    mi, av = _support(a)
-    ni, bv = _support(b)
-    if len(mi) == 0 or len(ni) == 0:
+    av = a.require_nonnegative("a")
+    bv = b.require_nonnegative("b")
+    if not av.any() or not bv.any():
         return 0.0
-    rows = kernel_matrix(spec, mi, ni) @ bv
-    return math.fsum(av * rows)
+    w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, len(bv) + 1.0),
+                      np.arange(2.0, len(av) + len(bv) + 1.0))
+    return math.fsum((h * np.convolve(w * av, v * bv)).tolist())
 
 
 def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
-    """c_n = sum_m k(m,n) a_m for 1 <= n <= n_max."""
+    """c_n = sum_m k(m,n) a_m for 1 <= n <= n_max, as v(n) times the
+    correlation of the Hankel symbol with wa."""
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     if a.start_index != 1:
         raise InvalidInputError("apply_operator expects a 1-based sequence")
-    a.require_nonnegative("a")
-    mi, av = _support(a)
-    if len(mi) == 0:
+    av = a.require_nonnegative("a")
+    if not av.any():
         return Sequence(1, (0.0,) * n_max)
-    out = av @ kernel_matrix(spec, mi, np.arange(1, n_max + 1))
-    return Sequence(1, tuple(out))
+    w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, n_max + 1.0),
+                      np.arange(2.0, len(av) + n_max + 1.0))
+    return Sequence(1, tuple((v * np.correlate(h, w * av, "valid")).tolist()))
 
 
 def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9,

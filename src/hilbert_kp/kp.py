@@ -44,18 +44,17 @@ def kp_norm(f: TaylorFunction, p: float) -> float:
 
 def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
     """Coefficients c_n = sum_m a_m/(m+n+1) of the Hilbert matrix image,
-    0 <= n <= n_max."""
+    0 <= n <= n_max, as the correlation of the Hankel symbol 1/(s+1) with a
+    trimmed to its last nonzero coefficient."""
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     a = np.asarray(f.coeffs.values, dtype=float)
-    if len(a) == 0:
+    nz = np.flatnonzero(a)
+    if len(nz) == 0:
         return TaylorFunction(Sequence(0, (0.0,) * (n_max + 1)))
-    m = np.nonzero(a)[0]
-    if len(m) == 0:
-        return TaylorFunction(Sequence(0, (0.0,) * (n_max + 1)))
-    n = np.arange(n_max + 1)
-    c = a[m] @ (1.0 / (m[:, None] + n[None, :] + 1.0))
-    return TaylorFunction(Sequence(0, tuple(c)))
+    a = a[:nz[-1] + 1]
+    c = np.correlate(1.0 / np.arange(1.0, len(a) + n_max + 1.0), a, "valid")
+    return TaylorFunction(Sequence(0, tuple(c.tolist())))
 
 
 def k1_embedding_bound(f: TaylorFunction, p: float) -> tuple[float, float]:

@@ -113,13 +113,6 @@ def epsilon_family_ratio(eps: float, p: float, M: int | None = None,
     return SharpnessPoint(eps, eps_I_lower / denom, phi_upper, phi_upper)
 
 
-def epsilon_family_estimate(eps: float, p: float, M: int | None = None) -> NormEstimate:
-    point = epsilon_family_ratio(eps, p, M)
-    return NormEstimate(point.ratio, p, "EpsilonFamily",
-                        f"eps={eps}", (point.ratio,),
-                        tail_budget=1.0 - point.phi_bound if point.phi_bound < 1 else 0.0)
-
-
 def _dual_align_vec(c: np.ndarray, p: float) -> np.ndarray:
     """Vectorized Hölder alignment: the unit l^q vector pairing to ||c||_p."""
     norm = float(np.sum(c ** p)) ** (1.0 / p)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import F_of_y, QuadratureResult, adaptive_integrate
-from .sequences import ExponentPair  # noqa: F401  (re-exported context type)
 
 
 @dataclass(frozen=True)

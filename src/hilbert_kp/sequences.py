@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInputError, DivergentTailError, DomainError, InvalidInputError
 
 # Exponents of the form 1/q - 1/p or (p-2)/p are snapped to exactly 0 below
@@ -35,11 +37,15 @@ class Sequence:
     def __post_init__(self):
         if self.start_index not in (0, 1):
             raise InvalidInputError(f"start_index must be 0 or 1, got {self.start_index}")
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        for v in vals:
-            if not math.isfinite(v):
-                raise InvalidInputError(f"non-finite entry {v!r}")
+        x = np.asarray(self.values, dtype=float)
+        if x.ndim != 1:
+            raise InvalidInputError(f"values must be one-dimensional, got shape {x.shape}")
+        bad = np.flatnonzero(~np.isfinite(x))
+        if len(bad):
+            k = int(bad[0])
+            raise InvalidInputError(
+                f"non-finite entry {float(x[k])!r} at index {self.start_index + k}")
+        object.__setattr__(self, "values", tuple(x.tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -50,10 +56,16 @@ class Sequence:
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
 
-    def require_nonnegative(self, what: str = "sequence") -> None:
-        for i, v in zip(self.indices(), self.values):
-            if v < 0.0:
-                raise InvalidInputError(f"{what} has negative entry {v} at index {i}")
+    def require_nonnegative(self, what: str = "sequence") -> np.ndarray:
+        """Raise on a negative entry; otherwise return the values as a float
+        array."""
+        x = np.asarray(self.values, dtype=float)
+        neg = np.flatnonzero(x < 0.0)
+        if len(neg):
+            k = int(neg[0])
+            raise InvalidInputError(
+                f"{what} has negative entry {self.values[k]} at index {self.start_index + k}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ def lp_norm(s: Sequence, p: float) -> float:
     """(sum |s_m|^p)^(1/p); exact finite sum via compensated accumulation."""
     if not math.isfinite(p) or p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
-    total = math.fsum(abs(v) ** p for v in s.values)
+    total = math.fsum((np.abs(np.asarray(s.values, dtype=float)) ** p).tolist())
     return total ** (1.0 / p)
 
 
@@ -155,7 +167,10 @@ def read_sequence(path) -> Sequence:
                     start = int(body.split("=", 1)[1])
                 continue
             idx_text, val_text = line.split(",", 1)
-            entries[int(idx_text)] = float(val_text)
+            idx = int(idx_text)
+            if idx in entries:
+                raise InvalidInputError(f"{path}: index {idx} appears more than once")
+            entries[idx] = float(val_text)
     if start is None:
         raise InvalidInputError(f"{path}: missing '# start_index=' header")
     if not entries:

@@ -35,6 +35,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [["verify-inequality", "--trials", "0"],
+                                      ["verify-inequality", "--trials", "-3"],
+                                      ["proof-check", "--x-grid-size", "0"]])
+    def test_rejects_vacuous_counts(self, argv, capsys):
+        """A run that would check nothing is bad input, not a pass."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].endswith(f"must be >= 1, got {argv[-1]}")
+
 
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):

@@ -20,12 +20,20 @@ from hilbert_kp import (
     row_sum_alpha,
     theoretical_norm,
 )
-from hilbert_kp.kernels import kernel_matrix
+from hilbert_kp.kernels import _hankel, kernel_matrix
 
 ROW_SUM_M1_P2_A0 = 1.8600250792  # frozen independent evaluation
 
 nonneg_entry = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
 nonneg_values = st.lists(nonneg_entry, min_size=1, max_size=25)
+
+ONE_OF_EACH = [
+    KernelSpec(Variant.CLASSICAL),
+    KernelSpec(Variant.WEIGHTED_MAIN, p=1.3),
+    KernelSpec(Variant.YANG_SHIFT, p=3.0),
+    KernelSpec(Variant.YANG_HALF_SHIFT, p=6.0),
+    KernelSpec(Variant.ALPHA_ROW, p=2.5, alpha=0.4),
+]
 
 
 def seq(*values):
@@ -177,6 +185,106 @@ class TestApplyOperator:
     def test_bad_n_max(self):
         with pytest.raises(ParameterError):
             apply_operator(KernelSpec(Variant.CLASSICAL), seq(1), 0)
+
+
+def sparse_support(rng, size, lead=0, trail=0):
+    """Entries in [0, 1), about 70 % nonzero, with forced zero runs at both
+    ends."""
+    x = rng.random(size) * (rng.random(size) < 0.7)
+    x[:lead] = 0.0
+    x[size - trail:] = 0.0
+    return x
+
+
+def dense_form(spec, a, b):
+    """The form from the dense kernel grid, the independent reference."""
+    K = kernel_matrix(spec, np.arange(1, len(a) + 1), np.arange(1, len(b) + 1))
+    return math.fsum(np.asarray(a) * (K @ np.asarray(b)))
+
+
+def exact_kernel(spec, m, n):
+    """The kernel formula in mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m, n, p = mpmath.mpf(m), mpmath.mpf(n), mpmath.mpf(spec.p)
+        e = 1 - 2 / p                     # 1/q - 1/p
+        s = m + n
+        if spec.variant is Variant.CLASSICAL:
+            return 1 / (s - 1)
+        if spec.variant is Variant.WEIGHTED_MAIN:
+            return (n / m) ** e / (s - 1)
+        if spec.variant is Variant.YANG_SHIFT:
+            return (n / m) ** e / s
+        if spec.variant is Variant.YANG_HALF_SHIFT:
+            return ((2 * n - 1) / (2 * m - 1)) ** e / (s - 1)
+        alpha = mpmath.mpf(spec.alpha)
+        return (m / n) ** (1 / p) / (s ** (1 - alpha) * (s - 1) ** alpha)
+
+
+class TestHankelCore:
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    def test_factorisation(self, spec):
+        """k(m, n) = w(m) v(n) h(m+n) on a grid out to index 2000."""
+        idx = np.unique(np.geomspace(1, 2000, 60).round())
+        m, n = idx[:, None], idx[None, :]
+        w, v, h = _hankel(spec, m, n, m + n)
+        K = kernel_matrix(spec, idx, idx)
+        np.testing.assert_allclose(w * v * h, K, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("size_a,size_b,lead,trail", [
+        (2000, 2000, 0, 0),
+        (2000, 37, 0, 5),
+        (3, 1500, 1, 0),
+        (900, 2000, 100, 300),
+    ])
+    def test_form_matches_dense_grid(self, spec, size_a, size_b, lead, trail):
+        rng = np.random.default_rng([size_a, size_b, lead, trail])
+        a = sparse_support(rng, size_a, lead, trail)
+        b = sparse_support(rng, size_b, trail, lead)
+        a[lead] = b[-1 - lead] = 0.5            # never all zero
+        got = bilinear_form(spec, Sequence(1, tuple(a)), Sequence(1, tuple(b)))
+        ref = dense_form(spec, a, b)
+        assert abs(got - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH + [KernelSpec(Variant.WEIGHTED_MAIN, p=1.05)],
+                             ids=lambda s: f"{s.variant.value}-{s.p}")
+    def test_single_entries_and_far_spikes(self, spec):
+        """One or two products per form. Here the dense grid's own exp/log
+        rounding grows with |log(n/m)| (up to ~1.1e-15 at p = 1.05), so the
+        reference is the 40-digit kernel formula; a few roundings per factor
+        give the bound."""
+        cases = [({1: 1.0}, {1: 1.0}), ({2000: 0.3}, {1: 1.7}), ({1: 2.5}, {1999: 0.25}),
+                 ({1: 1.0, 2000: 2.0}, {1: 3.0, 2000: 0.5})]
+        for a_entries, b_entries in cases:
+            a = np.zeros(max(a_entries))
+            b = np.zeros(max(b_entries))
+            for m, x in a_entries.items():
+                a[m - 1] = x
+            for n, y in b_entries.items():
+                b[n - 1] = y
+            got = bilinear_form(spec, Sequence(1, tuple(a)), Sequence(1, tuple(b)))
+            ref = float(sum(exact_kernel(spec, m, n) * x * y
+                            for m, x in a_entries.items() for n, y in b_entries.items()))
+            assert abs(got - ref) <= 2e-15 * ref, (a_entries, b_entries)
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    def test_all_zero_inputs(self, spec):
+        zero, empty, one = seq(0, 0, 0), Sequence(1, ()), seq(0, 1)
+        for a, b in [(zero, one), (one, zero), (zero, zero), (empty, one), (one, empty)]:
+            assert bilinear_form(spec, a, b) == 0.0
+        assert apply_operator(spec, zero, 4).values == (0.0,) * 4
+        assert apply_operator(spec, empty, 2).values == (0.0,) * 2
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("size,n_max", [(1, 1), (500, 7), (300, 2000), (1200, 1200)])
+    def test_operator_matches_dense_grid(self, spec, size, n_max):
+        rng = np.random.default_rng([size, n_max])
+        a = sparse_support(rng, size, size // 10, size // 5)
+        a[-1] = 1.0
+        got = np.array(apply_operator(spec, Sequence(1, tuple(a)), n_max).values)
+        ref = a @ kernel_matrix(spec, np.arange(1, size + 1), np.arange(1, n_max + 1))
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 class TestRowSumAlpha:

@@ -75,6 +75,22 @@ class TestHilbertApply:
         with pytest.raises(ParameterError):
             hilbert_apply(tf(1), -1)
 
+    @pytest.mark.parametrize("values,n_max", [
+        ((0.5, 0.0, 2.0, 1.25), 0),
+        ((0.5, 0.0, 2.0, 1.25, 0.0, 3.0), 3),
+        ((0.5, 0.0, 2.0), 11),
+        ((1.0, 0.25, 0.0, 0.0, 0.0), 6),
+        ((0.0, 0.0, 0.75, 0.0), 2),
+    ])
+    def test_matches_direct_sum(self, values, n_max):
+        """Against sum_m a_m/(m+n+1) term by term: n_max = 0, below and
+        above the stored length, trailing zeros."""
+        out = hilbert_apply(tf(*values), n_max).coeffs.values
+        assert len(out) == n_max + 1
+        for n, c in enumerate(out):
+            direct = math.fsum(a / (m + n + 1) for m, a in enumerate(values))
+            assert c == pytest.approx(direct, rel=1e-15)
+
     @given(nonneg_values, st.floats(1.1, 8.0))
     @settings(max_examples=100, deadline=None)
     def test_image_norm_grows_with_truncation(self, vals, p):

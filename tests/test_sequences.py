@@ -49,10 +49,12 @@ class TestLpNorm:
         assert lp_norm(seq(0, 1e-100), 3.0) > 0.0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"non-finite entry inf at index 2$"):
             Sequence(1, (1.0, float("inf")))
-        with pytest.raises(InvalidInputError):
-            Sequence(1, (float("nan"),))
+        with pytest.raises(InvalidInputError, match=r"non-finite entry nan at index 0$"):
+            Sequence(0, (float("nan"),))
+        with pytest.raises(InvalidInputError, match=r"entry -inf at index 4$"):
+            Sequence(0, (0.0, 1.0, 2.0, 3.0, float("-inf"), float("nan")))
 
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
@@ -125,8 +127,11 @@ class TestDualAlign:
         assert pairing == pytest.approx(lp_norm(c, p), rel=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match=r"^dual_align input has negative entry -1.0 at index 2$"):
             dual_align(seq(1, -1), 2.0)
+        with pytest.raises(InvalidInputError, match=r"^b has negative entry -0.25 at index 1$"):
+            seq(0, -0.25, 3, -7, start=0).require_nonnegative("b")
 
 
 class TestIsometry:
@@ -207,4 +212,10 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text("1,1.0\n")
         with pytest.raises(InvalidInputError):
+            read_sequence(path)
+
+    def test_duplicate_index(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("# start_index=1\n1,1.0\n2,0.5\n1,3.0\n")
+        with pytest.raises(InvalidInputError, match=r"dup\.txt: index 1 appears more than once"):
             read_sequence(path)
