@@ -27,7 +27,6 @@ from .norms import (
     epsilon_family,
     epsilon_family_ratio,
     kp_ratio,
-    kp_sharpness_bound,
     pushed_epsilon_family,
     theoretical_norm,
 )

@@ -59,8 +59,11 @@ class KernelSpec:
 
 
 def _pow_ratio(num: np.ndarray, den: np.ndarray, e: float) -> np.ndarray:
-    """(num/den)^e as exp(e (log num - log den)); uniform relative error and
-    no overflow for large indices."""
+    """(num/den)^e as exp(e (log num - log den)), with no overflow for large
+    indices. The relative error is not uniform: it grows with
+    |e log(num/den)| and reaches 1.7e-15 against 40-digit mpmath at indices
+    up to 20000, where (num/den)**e stays within 2e-16. The ascent's
+    printed bounds are computed from these bits, so the form is kept."""
     if e == 0.0:
         return np.ones(np.broadcast_shapes(num.shape, den.shape))
     return np.exp(e * (np.log(num) - np.log(den)))

@@ -47,11 +47,10 @@ class SharpnessPoint:
     eps: float
     ratio: float
     phi_bound: float
-    psi_bound: float
 
     def __post_init__(self):
-        if not (0.0 <= self.phi_bound <= 1.0 and 0.0 <= self.psi_bound <= 1.0):
-            raise ParameterError("phi/psi bounds must lie in [0, 1]")
+        if not 0.0 <= self.phi_bound <= 1.0:
+            raise ParameterError(f"phi bound must lie in [0, 1], got {self.phi_bound}")
 
 
 def epsilon_family(eps: float, p: float, M: int) -> tuple[Sequence, Sequence]:
@@ -94,6 +93,9 @@ def epsilon_family_ratio(eps: float, p: float, M: int | None = None,
     estimate subtracted, and the denominators use tail-inflated upper bounds
     for the correction terms, so the reported ratio never overshoots the
     supremum it approaches.
+
+    The same value bounds the K^p operator norm from below: the K^p -> l^p
+    re-weighting preserves norms, so the bound carries over unchanged.
     """
     minimal = default_truncation(eps)
     if M is None:
@@ -102,15 +104,14 @@ def epsilon_family_ratio(eps: float, p: float, M: int | None = None,
         raise InsufficientTruncationError(
             f"M = {M} leaves a norm-sum bracket slack above 1e-6; "
             f"need at least {minimal}", minimal)
-    pq = conjugate(p)
+    conjugate(p)
     partial, tail = _norm_sum_bracket(eps, M)
-    # phi = sum m^(-1-eps) - 1/eps; same sum governs both norm corrections
+    # phi = sum m^(-1-eps) - 1/eps; the same sum governs both norm
+    # corrections, so their powers 1/p and 1/q multiply to 1 + eps*phi
     phi_upper = min(max(partial + tail - 1.0 / eps, 0.0), 1.0)
     res = I_of_epsilon(eps, p, tol)
     eps_I_lower = eps * res.value - eps * res.error_estimate
-    denom = ((1.0 + eps * phi_upper) ** (1.0 / pq.p)
-             * (1.0 + eps * phi_upper) ** (1.0 / pq.q))
-    return SharpnessPoint(eps, eps_I_lower / denom, phi_upper, phi_upper)
+    return SharpnessPoint(eps, eps_I_lower / (1.0 + eps * phi_upper), phi_upper)
 
 
 def _dual_align_vec(c: np.ndarray, p: float) -> np.ndarray:
@@ -168,9 +169,3 @@ def pushed_epsilon_family(eps: float, p: float, M: int) -> TaylorFunction:
     a, _ = epsilon_family(eps, p, M)
     return TaylorFunction(lp_to_kp_isometry(a, p))
 
-
-def kp_sharpness_bound(eps: float, p: float, M: int | None = None) -> SharpnessPoint:
-    """Certified lower bound for the K^p operator norm from the extremal
-    family; the norm-preserving re-weighting carries the sequence-space bound
-    over unchanged."""
-    return epsilon_family_ratio(eps, p, M)

@@ -9,7 +9,7 @@ clears the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -84,8 +84,7 @@ def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
         "logconvexity_f", f"m={m},p={p},alpha={alpha},grid={len(t)}",
         0.0, float(expr.min()), 0.0)
     if not fd_ok:
-        report = CheckReport(report.name, report.parameters, report.lhs,
-                             report.rhs, report.margin, report.error_budget, False)
+        report = replace(report, passed=False)
     return report
 
 
@@ -118,8 +117,7 @@ def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckRepor
         "logconvexity_g", f"t={t},p={p},alpha={alpha},grid={len(y)}",
         0.0, float(expr.min()), 0.0)
     if not fd_ok:
-        report = CheckReport(report.name, report.parameters, report.lhs,
-                             report.rhs, report.margin, report.error_budget, False)
+        report = replace(report, passed=False)
     return report
 
 
@@ -171,8 +169,7 @@ def check_F_convex_max(p: float, alpha: float, y_grid,
         "F_convex_max", f"p={p},alpha={alpha},grid={len(y)}",
         float(max(vals)), cap + budget, 0.0)
     if not convex_ok:
-        report = CheckReport(report.name, report.parameters, report.lhs,
-                             report.rhs, report.margin, report.error_budget, False)
+        report = replace(report, passed=False)
     return report
 
 
@@ -315,8 +312,7 @@ def check_scalar_constants() -> list[CheckReport]:
     rep = CheckReport.from_sides("scalar_sinc_2pi_5", "sin(2pi/5)/(2pi/5) vs 2^(-2/5)",
                                  sinc, rhs, 0.0)
     if not (sinc < taylor < rhs):
-        rep = CheckReport(rep.name, rep.parameters, rep.lhs, rep.rhs,
-                          rep.margin, rep.error_budget, False)
+        rep = replace(rep, passed=False)
     reports.append(rep)
     reports.append(CheckReport.from_sides(
         "scalar_alphahalf_x_2_5", "25/12 vs 2^(-3/5) pi/sin(3pi/5)",
@@ -331,25 +327,18 @@ _CONVEXITY_PA = [(1.25, 0.0), (2.0, 0.5), (4.0, 1.0), (10.0, 0.5)]
 
 
 def default_sweep(x_points: int = 300, grid_points: int = 100,
-                  tol: float = 1e-10, map_fn=map) -> list[CheckReport]:
+                  tol: float = 1e-10) -> list[CheckReport]:
     """The full certification run: scalar constants, both master inequalities
     along the alpha schedule (boundary points under both adjacent weights),
     convexity grids, midpoint bounds, F-maximum reductions, monotonicity and
     the power-majorization steps. Deterministic report order.
-
-    ``map_fn`` may be an order-preserving parallel map (the per-x checks are
-    independent); the report order is the same either way.
     """
     reports = list(check_scalar_constants())
-
-    def _pair(k: int) -> tuple[CheckReport, CheckReport]:
+    for k in range(1, x_points + 1):
         x = k / (2.0 * x_points)
         case = ProofCase(x, alpha_schedule(x))
-        return check_ineq_I(case, tol), check_ineq_II(case, tol)
-
-    for rep_i, rep_ii in map_fn(_pair, range(1, x_points + 1)):
-        reports.append(rep_i)
-        reports.append(rep_ii)
+        reports.append(check_ineq_I(case, tol))
+        reports.append(check_ineq_II(case, tol))
     for x, alphas in ((1.0 / 3.0, (0.0, 0.5)), (2.0 / 5.0, (0.5, 1.0))):
         for alpha in alphas:
             case = ProofCase(x, alpha)

@@ -157,20 +157,23 @@ def read_sequence(path) -> Sequence:
     start = None
     entries = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("start_index="):
-                    start = int(body.split("=", 1)[1])
-                continue
-            idx_text, val_text = line.split(",", 1)
-            idx = int(idx_text)
+            try:
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if body.startswith("start_index="):
+                        start = int(body.split("=", 1)[1])
+                    continue
+                idx_text, val_text = line.split(",", 1)
+                idx, value = int(idx_text), float(val_text)
+            except ValueError:
+                raise InvalidInputError(f"{path}: line {lineno}: cannot parse {line!r}") from None
             if idx in entries:
                 raise InvalidInputError(f"{path}: index {idx} appears more than once")
-            entries[idx] = float(val_text)
+            entries[idx] = value
     if start is None:
         raise InvalidInputError(f"{path}: missing '# start_index=' header")
     if not entries:

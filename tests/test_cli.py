@@ -1,12 +1,11 @@
 import csv
 import io
 import math
-import os
 
 import pytest
 
 from hilbert_kp import Sequence, write_sequence
-from hilbert_kp.cli import build_parser, main, random_pair, worker_count
+from hilbert_kp.cli import build_parser, main, random_pair
 
 import numpy as np
 
@@ -37,30 +36,70 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["verify-inequality", "--trials", "0"],
                                       ["verify-inequality", "--trials", "-3"],
-                                      ["proof-check", "--x-grid-size", "0"]])
+                                      ["proof-check", "--x-grid-size", "0"],
+                                      ["verify-inequality", "--max-support", "0"],
+                                      ["beta-table", "--points", "0"],
+                                      ["norm-bounds", "--iters", "0"],
+                                      ["norm-bounds", "--ascent-sizes", "0"],
+                                      ["norm-bounds", "--ascent-sizes", "16,-1"]])
     def test_rejects_vacuous_counts(self, argv, capsys):
         """A run that would check nothing is bad input, not a pass."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].endswith(f"must be >= 1, got {argv[-1]}")
+        assert err[-1].endswith(f"must be >= 1, got {argv[-1].split(',')[-1]}")
+
+    @pytest.mark.parametrize("argv", [["proof-check", "--p", "3"],
+                                      ["proof-check", "--tol", "1e-9"],
+                                      ["proof-check", "--seed", "1"],
+                                      ["norm-bounds", "--tol", "1e-9"],
+                                      ["kp-apply", "--input", "f.txt", "--tol", "1e-9"],
+                                      ["kp-apply", "--input", "f.txt", "--seed", "1"],
+                                      ["beta-table", "--p", "3"],
+                                      ["beta-table", "--seed", "1"]])
+    def test_rejects_flags_the_command_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HF_THREADS", "3")
-        assert worker_count() == 3
+class TestBadInput:
+    """Input errors exit 2 with a one-line message naming the subcommand;
+    exit 1 is kept for a failed check."""
 
-    def test_auto(self, monkeypatch):
-        monkeypatch.delenv("HF_THREADS", raising=False)
-        assert worker_count() >= 1
-        monkeypatch.setenv("HF_THREADS", "0")
-        assert worker_count() >= 1
+    @staticmethod
+    def write(path, text):
+        path.write_text(text)
+        return str(path)
 
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("HF_THREADS", "lots")
-        assert worker_count() >= 1
+    @pytest.mark.parametrize("argv, needle", [
+        (["kp-apply", "--input", "{missing}"], "No such file or directory"),
+        (["kp-apply", "--input", "{one_based}"], "Taylor coefficients must be 0-based"),
+        (["kp-apply", "--input", "{zero_based}", "--n-max", "-1"], "n_max must be >= 0, got -1"),
+        (["kp-apply", "--input", "{no_comma}"], "line 3: cannot parse '7'"),
+        (["kp-apply", "--input", "{not_a_number}"], "line 2: cannot parse '0,half'"),
+        (["verify-inequality", "--p", "0.5"], "p must lie in (1, inf), got 0.5"),
+    ])
+    def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
+        files = {
+            "missing": str(tmp_path / "missing.txt"),
+            "one_based": self.write(tmp_path / "one_based.txt", "# start_index=1\n1,1.0\n"),
+            "zero_based": self.write(tmp_path / "zero_based.txt", "# start_index=0\n0,1.0\n"),
+            "no_comma": self.write(tmp_path / "no_comma.txt", "# start_index=0\n0,1.0\n7\n"),
+            "not_a_number": self.write(tmp_path / "not_a_number.txt", "# start_index=0\n0,half\n"),
+        }
+        argv = [a.format(**files) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"hilbert-kp {argv[0]}: error: ")
+        assert needle in err[0]
 
 
 class TestRandomPair:
@@ -109,19 +148,11 @@ class TestProofCheck:
         assert len(rows) == 4
         assert all(r["passed"] == "1" for r in rows)
 
-    def test_small_sweep(self, capsys, monkeypatch):
-        monkeypatch.setenv("HF_THREADS", "2")
+    def test_small_sweep(self, capsys):
         code, out = run_cli(["proof-check", "--x-grid-size", "6"], capsys)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
         assert all(r["passed"] == "1" for r in rows)
-
-    def test_serial_parallel_identical_body(self, capsys, monkeypatch):
-        monkeypatch.setenv("HF_THREADS", "1")
-        _, serial = run_cli(["proof-check", "--x-grid-size", "5"], capsys)
-        monkeypatch.setenv("HF_THREADS", "4")
-        _, parallel = run_cli(["proof-check", "--x-grid-size", "5"], capsys)
-        assert csv_body(serial) == csv_body(parallel)
 
 
 class TestNormBounds:

@@ -19,7 +19,6 @@ from hilbert_kp import (
     epsilon_family,
     epsilon_family_ratio,
     kp_ratio,
-    kp_sharpness_bound,
     lp_norm,
     pushed_epsilon_family,
     theoretical_norm,
@@ -115,7 +114,6 @@ class TestEpsilonFamilyRatio:
     def test_bounds_fields(self):
         point = epsilon_family_ratio(0.1, 2.0)
         assert 0.0 <= point.phi_bound <= 1.0
-        assert 0.0 <= point.psi_bound <= 1.0
 
     def test_small_m_rejected(self):
         with pytest.raises(InsufficientTruncationError) as info:
@@ -124,7 +122,7 @@ class TestEpsilonFamilyRatio:
 
     def test_sharpness_point_validates(self):
         with pytest.raises(ParameterError):
-            SharpnessPoint(0.1, 3.0, 1.5, 0.5)
+            SharpnessPoint(0.1, 3.0, 1.5)
 
 
 class TestAscent:
@@ -204,13 +202,8 @@ class TestKpSide:
         f = pushed_epsilon_family(0.2, 3.0, 500)
         assert kp_norm(f, 3.0) == pytest.approx(lp_norm(a, 3.0), rel=1e-13)
 
-    def test_kp_sharpness_bound_matches_sequence_side(self):
-        b1 = kp_sharpness_bound(0.1, 2.0)
-        b2 = epsilon_family_ratio(0.1, 2.0)
-        assert b1.ratio == b2.ratio
-
     @given(st.floats(1.2, 6.0))
     @settings(max_examples=20, deadline=None)
     def test_sharpness_below_theory(self, p):
-        point = kp_sharpness_bound(0.1, p)
+        point = epsilon_family_ratio(0.1, p)
         assert point.ratio < theoretical_norm(p)

@@ -191,11 +191,3 @@ class TestDefaultSweep:
         assert len(reports) > 50
         failed = [r for r in reports if not r.passed]
         assert failed == []
-
-    def test_parallel_map_same_reports(self):
-        from concurrent.futures import ThreadPoolExecutor
-        serial = default_sweep(x_points=8, grid_points=10)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = default_sweep(x_points=8, grid_points=10, map_fn=pool.map)
-        assert [(r.name, r.parameters, r.lhs, r.rhs) for r in serial] == \
-            [(r.name, r.parameters, r.lhs, r.rhs) for r in parallel]
