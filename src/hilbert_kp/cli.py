@@ -83,8 +83,9 @@ def cmd_proof_check(args: argparse.Namespace) -> int:
     rows = [[r.name, r.parameters, f"{r.lhs:.15g}", f"{r.rhs:.15g}",
              f"{r.margin:.15g}", f"{r.error_budget:.3g}", int(r.passed)]
             for r in reports]
+    config = "scalars_only" if args.scalars_only else f"x_grid_size={args.x_grid_size}"
     _emit(args.out, ["name", "parameters", "lhs", "rhs", "margin", "error_budget", "passed"],
-          rows, [f"x_grid_size={args.x_grid_size}"])
+          rows, [config])
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -112,6 +113,7 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_kp_apply(args: argparse.Namespace) -> int:
+    conjugate(args.p)
     f = TaylorFunction(read_sequence(args.input))
     image = hilbert_apply(f, args.n_max)
     if args.image_out:
@@ -154,6 +156,17 @@ def floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand parser that rejects unknown arguments itself, so that
+    the error shows the subcommand's usage instead of the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand offers exactly the flags it reads; `--out` is the
     only one they all share. Abbreviated flags are not expanded, so that
@@ -161,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbert-kp",
         description="Weighted Hilbert-form verification suites and norm estimators")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     def command(name: str, func, summary: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=summary, allow_abbrev=False)

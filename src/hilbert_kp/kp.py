@@ -1,8 +1,8 @@
 """The coefficient space K^p: norms, the Hilbert matrix action on Taylor
 coefficients, and the embedding into K^1.
 
-Only coefficient magnitudes are modeled; every quantity in scope depends on
-|a_m| and nonnegative test sequences only.
+Only coefficient magnitudes are modeled: every quantity in scope depends on
+|a_m| only, so a `TaylorFunction` holds nonnegative coefficients.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ class TaylorFunction:
     def __post_init__(self):
         if self.coeffs.start_index != 0:
             raise DomainError("Taylor coefficients must be 0-based")
+        self.coeffs.require_nonnegative("Taylor coefficients")
 
     @staticmethod
     def from_values(values) -> "TaylorFunction":
@@ -34,10 +35,10 @@ class TaylorFunction:
 
 
 def kp_norm(f: TaylorFunction, p: float) -> float:
-    """(sum (m+1)^(p-2) |a_m|^p)^(1/p)."""
+    """(sum (m+1)^(p-2) a_m^p)^(1/p)."""
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    total = math.fsum((m + 1) ** (p - 2.0) * abs(v) ** p
+    total = math.fsum((m + 1) ** (p - 2.0) * v ** p
                       for m, v in enumerate(f.coeffs.values))
     return total ** (1.0 / p)
 
@@ -59,8 +60,8 @@ def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
 
 def k1_embedding_bound(f: TaylorFunction, p: float) -> tuple[float, float]:
     """Both sides of the K^p -> K^1 embedding estimate:
-    lhs = sum |a_m|/(m+1), rhs = zeta(2)^(1/q) * ||f||_{K^p}."""
+    lhs = sum a_m/(m+1), rhs = zeta(2)^(1/q) * ||f||_{K^p}."""
     pq = conjugate(p)
-    lhs = math.fsum(abs(v) / (m + 1) for m, v in enumerate(f.coeffs.values))
+    lhs = math.fsum(v / (m + 1) for m, v in enumerate(f.coeffs.values))
     rhs = ZETA_2 ** (1.0 / pq.q) * kp_norm(f, p)
     return lhs, rhs

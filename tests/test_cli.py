@@ -62,7 +62,9 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: hilbert-kp {argv[0]} ")
+        assert f"hilbert-kp {argv[0]}: error: unrecognized arguments: {argv[-2]}" in err
 
 
 class TestBadInput:
@@ -81,6 +83,8 @@ class TestBadInput:
         (["kp-apply", "--input", "{no_comma}"], "line 3: cannot parse '7'"),
         (["kp-apply", "--input", "{not_a_number}"], "line 2: cannot parse '0,half'"),
         (["verify-inequality", "--p", "0.5"], "p must lie in (1, inf), got 0.5"),
+        (["kp-apply", "--p", "0.5", "--input", "{zero_based}"], "p must lie in (1, inf), got 0.5"),
+        (["kp-apply", "--input", "{negative}"], "negative entry -2.0 at index 1"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {
@@ -89,6 +93,7 @@ class TestBadInput:
             "zero_based": self.write(tmp_path / "zero_based.txt", "# start_index=0\n0,1.0\n"),
             "no_comma": self.write(tmp_path / "no_comma.txt", "# start_index=0\n0,1.0\n7\n"),
             "not_a_number": self.write(tmp_path / "not_a_number.txt", "# start_index=0\n0,half\n"),
+            "negative": self.write(tmp_path / "negative.txt", "# start_index=0\n0,1.0\n1,-2.0\n"),
         }
         argv = [a.format(**files) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -147,6 +152,15 @@ class TestProofCheck:
         rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
         assert len(rows) == 4
         assert all(r["passed"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("argv, config", [
+        (["proof-check", "--scalars-only"], "# scalars_only"),
+        (["proof-check", "--x-grid-size", "6"], "# x_grid_size=6"),
+    ])
+    def test_header_records_the_configuration_used(self, argv, config, capsys):
+        _, out = run_cli(argv, capsys)
+        comments = [line for line in out.splitlines() if line.startswith("#")]
+        assert comments[1:] == [config]
 
     def test_small_sweep(self, capsys):
         code, out = run_cli(["proof-check", "--x-grid-size", "6"], capsys)

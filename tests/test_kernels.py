@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -287,6 +288,33 @@ class TestHankelCore:
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
+def row_sum_reference(m, p, alpha, N0=64):
+    """The row sum in mpmath at 30 digits: the head n < N0 summed directly,
+    the tail by mpmath's Euler-Maclaurin `sumem` with the integral over
+    [N0, inf) passed in. That integral is taken after t = N0 u^(-p), which
+    leaves a bounded integrand, split where t = m."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m, p, alpha = mpmath.mpf(m), mpmath.mpf(p), mpmath.mpf(alpha)
+
+        def f(n):
+            return (m / n) ** (1 / p) * (m + n) ** (alpha - 1) * (m + n - 1) ** -alpha
+
+        head = mpmath.fsum(f(mpmath.mpf(n)) for n in range(1, N0))
+        knee = (N0 / m) ** (1 / p)
+        integral = mpmath.quad(lambda u: f(N0 * u ** -p) * p * N0 * u ** (-p - 1),
+                               [0, knee, 1] if knee < 1 else [0, 1])
+        return head + mpmath.sumem(f, [N0, mpmath.inf], integral=integral)
+
+
+# p x m crossed, alpha and tol cycling through their values.
+ROW_SUM_ORACLE_CASES = [
+    (p, m, (0.0, 0.5, 1.0)[k % 3], (1e-8, 1e-10, 1e-12)[k % 3])
+    for k, (p, m) in enumerate(itertools.product((1.05, 2.0, 3.0, 10.0, 12.0),
+                                                 (1, 7, 1000, 10 ** 6)))
+]
+
+
 class TestRowSumAlpha:
     def test_frozen_value(self):
         res = row_sum_alpha(1, 2.0, 0.0)
@@ -320,3 +348,25 @@ class TestRowSumAlpha:
             row_sum_alpha(1, 2.0, 2.0)
         with pytest.raises(ParameterError):
             row_sum_alpha(1, 2.0, 0.0, tol=0.0)
+
+    @pytest.mark.parametrize("p,m,alpha,tol", ROW_SUM_ORACLE_CASES)
+    def test_bracket_holds_against_mpmath(self, p, m, alpha, tol):
+        res = row_sum_alpha(m, p, alpha, tol)
+        ref = float(row_sum_reference(m, p, alpha))
+        assert abs(res.value - ref) <= res.error_estimate <= tol
+
+    @pytest.mark.parametrize("p", [10.0, 12.0])
+    def test_large_p_below_constant(self, p):
+        """Summing until a summand drops below the default tol takes about
+        tol^(-p/(p+1)) summands, more than 2^26 from p near 7 on; the
+        Euler-Maclaurin head stays at most 16384 long here."""
+        res = row_sum_alpha(1, p, 0.0)
+        assert res.error_estimate <= 1e-9
+        assert res.value + res.error_estimate < theoretical_norm(p)
+
+    @pytest.mark.parametrize("tol", [1e-30, 1e-14])
+    def test_unreachable_tol_raises(self, tol):
+        # 1e-30 needs more than ROW_SUM_MAX_HEAD terms, 1e-14 is below the
+        # relative floor of a sum near 1.86
+        with pytest.raises(ParameterError, match=f"tol={tol}"):
+            row_sum_alpha(1, 2.0, 0.0, tol=tol)

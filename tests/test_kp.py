@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hilbert_kp import (
     DomainError,
+    InvalidInputError,
     ParameterError,
     Sequence,
     TaylorFunction,
@@ -48,6 +49,12 @@ class TestKpNorm:
             kp_norm(tf(1), 0.0)
         with pytest.raises(DomainError):
             TaylorFunction(Sequence(1, (1.0,)))
+
+    def test_rejects_negative_coefficients(self):
+        # only magnitudes are modelled: kp_norm would read |-2| while
+        # hilbert_apply would carry the sign
+        with pytest.raises(InvalidInputError, match="negative entry -2.0 at index 1"):
+            tf(1, -2)
 
 
 class TestHilbertApply:
