@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from . import kernels, norms, proof_checks, quadrature
+from .errors import AccuracyError
 from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .sequences import Sequence, conjugate, lp_norm, read_sequence, write_sequence
 
@@ -146,6 +147,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for tolerances, which must be finite and > 0: `--tol inf`
+    would pass every comparison, and `nan` would reach the quadrature."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def positive_ints(text: str) -> tuple[int, ...]:
     """argparse type for a comma-separated list of `positive_int`s."""
     return tuple(positive_int(v) for v in text.split(","))
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify-inequality", cmd_verify_inequality,
                  "random-pair ratio sweep against pi/sin(pi/p)")
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=positive_float, default=1e-12)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=positive_int, default=100)
     sp.add_argument("--max-support", type=positive_int, default=2000)
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--image-out", type=str, default=None)
 
     sp = command("beta-table", cmd_beta_table, "singular integral vs closed form on a grid")
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=positive_float, default=1e-12)
     sp.add_argument("--points", type=positive_int, default=19)
     return parser
 
@@ -216,11 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Exit status: 0 when every check passes, 1 when a
     check fails, 2 for bad input (argparse's usage errors, and any
-    `ValueError` or `OSError` a command raises, reported on one line)."""
+    `ValueError`, `OSError` or `AccuracyError` a command raises, reported on
+    one line)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AccuracyError) as exc:
         print(f"hilbert-kp {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

@@ -1,9 +1,9 @@
 """Numerical certification of the main-inequality proof chain.
 
 Every check evaluates both sides of one displayed inequality (or the sign of
-one displayed expression) in floating point, with quadrature error estimates
-folded into an explicit error budget. A check passes only when its margin
-clears the budget.
+one displayed expression) in floating point, with quadrature or series error
+estimates folded into an explicit error budget. A check passes only when its
+margin clears the budget.
 """
 
 from __future__ import annotations
@@ -176,62 +176,122 @@ def check_F_convex_max(p: float, alpha: float, y_grid,
 # ---------------------------------------------------------------------------
 # the two master integral inequalities, reduced to (0, 1] via t -> 1/t
 
-def _rhs_integral(c: float) -> "QuadratureResult":
-    """int_0^1 u^(c-1)/(2+u) du = (1/2) sum_k (-1/2)^k / (c+k).
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-    The geometric alternating series is summed far past double rounding; its
-    truncation remainder bounds the error estimate. Unlike the substitution
-    route, this stays stable for c arbitrarily close to 0, where the removal
-    exponent 1/c would over- and underflow inside the transformed integrand.
+
+def _power_integral(x: float, s: float, z: float) -> QuadratureResult:
+    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for x > 0, z > 0, x+1-s > 0.
+
+    P is (1/x) 2F1(s, x; x+1; -z), and Pfaff's transformation (DLMF 15.8.1)
+    turns it into a series of positive terms:
+
+        P = (1+z)^(-x) sum_k (a)_k / k! * w^k / (x+k),  a = x+1-s,  w = z/(1+z).
+
+    From term K on, every term ratio is at most r = max(1, (a+K)/(K+1)) w,
+    so once r < 1 the terms after t_K sum to at most t_K r/(1-r). The terms
+    are summed with `math.fsum` until that tail bound falls below double
+    rounding of the partial sum. The error estimate is the tail bound plus
+    the rounding term (6K + 8) u P, u = 2^-53: six roundings per recurrence
+    step (those of a and w included), two per term, and those of fsum, the
+    power and the product. It is always positive.
     """
-    if c <= 0.0:
-        raise DomainError(f"integral diverges for exponent {c}")
-    value = math.fsum(0.5 * (-0.5) ** k / (c + k) for k in range(120))
-    tail = 0.5 * 0.5 ** 120 / (c + 120.0)
-    return QuadratureResult(value, tail, 1)
+    a = (1.0 - s) + x
+    if x <= 0.0 or z <= 0.0 or a <= 0.0:
+        raise DomainError(f"need x > 0, z > 0 and x+1-s > 0, got x={x}, s={s}, z={z}")
+    w = z / (1.0 + z)
+    coeff, partial, k = 1.0, 0.0, 0
+    terms = []
+    while True:
+        term = coeff / (x + k)
+        terms.append(term)
+        partial += term
+        step = (a + k) / (k + 1.0)
+        ratio = w * step if step > 1.0 else w
+        if ratio < 1.0 and term * ratio <= (1.0 - ratio) * _UNIT_ROUNDOFF * partial:
+            break
+        coeff *= step * w
+        k += 1
+    value = (1.0 + z) ** -x * math.fsum(terms)
+    tail = term * ratio / (1.0 - ratio)
+    return QuadratureResult(value, tail + (6 * k + 8) * _UNIT_ROUNDOFF * value, k + 1)
 
 
-def ineq_I_lhs(x: float, alpha: float, tol: float = 1e-10):
+def _difference(hi: QuadratureResult, lo: QuadratureResult) -> QuadratureResult:
+    return QuadratureResult(hi.value - lo.value, hi.error_estimate + lo.error_estimate,
+                            hi.subdivisions + lo.subdivisions)
+
+
+def _half(res: QuadratureResult) -> QuadratureResult:
+    return QuadratureResult(0.5 * res.value, 0.5 * res.error_estimate, res.subdivisions)
+
+
+def ineq_I_lhs(x: float, alpha: float):
+    """int_0^1 ((1+2u)^alpha - 1) u^(x-1)/(1+2u) du = P(x, 1-alpha, 2) - P(x, 1, 2)."""
     if alpha == 0.0:
         return None  # identically zero
-    return adaptive_integrate(
-        lambda u: ((1.0 + 2.0 * u) ** alpha - 1.0) * u ** (x - 1.0) / (1.0 + 2.0 * u),
-        0.0, 1.0, tol)
+    return _difference(_power_integral(x, 1.0 - alpha, 2.0), _power_integral(x, 1.0, 2.0))
 
 
-def ineq_I_rhs(x: float, tol: float = 1e-10):
-    return _rhs_integral(1.0 - x)
+def ineq_I_rhs(x: float):
+    """int_0^1 u^(-x)/(2+u) du = P(1-x, 1, 1/2)/2."""
+    return _half(_power_integral(1.0 - x, 1.0, 0.5))
 
 
-def ineq_II_lhs(x: float, alpha: float, tol: float = 1e-10):
+def ineq_II_lhs(x: float, alpha: float):
+    """int_0^1 ((1+2u)^beta - 1) u^(-x)/(1+2u) du = P(1-x, 1-beta, 2) - P(1-x, 1, 2)."""
     beta = ProofCase(x, alpha).beta
-    return adaptive_integrate(
-        lambda u: ((1.0 + 2.0 * u) ** beta - 1.0) * u ** -x / (1.0 + 2.0 * u),
-        0.0, 1.0, tol)
+    return _difference(_power_integral(1.0 - x, 1.0 - beta, 2.0),
+                       _power_integral(1.0 - x, 1.0, 2.0))
 
 
-def ineq_II_rhs(x: float, tol: float = 1e-10):
-    return _rhs_integral(x)
+def ineq_II_rhs(x: float):
+    """int_0^1 u^(x-1)/(2+u) du = P(x, 1, 1/2)/2."""
+    return _half(_power_integral(x, 1.0, 0.5))
 
 
-def check_ineq_I(case: ProofCase, tol: float = 1e-10) -> CheckReport:
-    lhs = ineq_I_lhs(case.x, case.alpha, tol)
-    rhs = ineq_I_rhs(case.x, tol)
+def check_ineq_I(case: ProofCase) -> CheckReport:
+    """lhs_I < rhs_I at (x, alpha).
+
+    Each side is built from P(c, s, z) = int_0^1 u^(c-1) (1+zu)^(-s) du
+    = (1/c) 2F1(s, c; c+1; -z) = (1+z)^(-c)/c 2F1(c+1-s, c; c+1; z/(1+z))
+    (Pfaff), a series of positive terms (`_power_integral`). The budget is
+    the sum of the sides' error estimates, each a geometric tail bound plus
+    a rounding term; that term also covers the rounding of the input 1-x.
+    For fixed alpha, lhs_I does not increase with x (its integrand carries
+    u^(x-1), which falls) and rhs_I does not decrease (u^(-x) rises). So a
+    pass at x settles the inequality on [x, x'] for every larger x' under
+    the same alpha.
+    """
+    lhs = ineq_I_lhs(case.x, case.alpha)
+    rhs = ineq_I_rhs(case.x)
     lv, le = (0.0, 0.0) if lhs is None else (lhs.value, lhs.error_estimate)
     return CheckReport.from_sides(
         "ineq_I", f"x={case.x},alpha={case.alpha}",
         lv, rhs.value, le + rhs.error_estimate)
 
 
-def check_ineq_II(case: ProofCase, tol: float = 1e-10) -> CheckReport:
-    lhs = ineq_II_lhs(case.x, case.alpha, tol)
-    rhs = ineq_II_rhs(case.x, tol)
+def check_ineq_II(case: ProofCase) -> CheckReport:
+    """lhs_II < rhs_II at (x, alpha).
+
+    Each side is built from P(c, s, z) = int_0^1 u^(c-1) (1+zu)^(-s) du
+    = (1/c) 2F1(s, c; c+1; -z) = (1+z)^(-c)/c 2F1(c+1-s, c; c+1; z/(1+z))
+    (Pfaff), a series of positive terms (`_power_integral`). The budget is
+    the sum of the sides' error estimates, each a geometric tail bound plus
+    a rounding term; that term also covers the rounding of the inputs 1-x
+    and beta, which moves a side by at most about 10 u. For fixed alpha,
+    lhs_II does not decrease with x (u^(-x) rises, and beta' =
+    (1-alpha)/(1-x)^2 >= 0) and rhs_II does not increase (u^(x-1) falls).
+    So a pass at x settles the inequality on (x', x] for every smaller x'
+    under the same alpha.
+    """
+    lhs = ineq_II_lhs(case.x, case.alpha)
+    rhs = ineq_II_rhs(case.x)
     return CheckReport.from_sides(
         "ineq_II", f"x={case.x},alpha={case.alpha},beta={case.beta}",
         lhs.value, rhs.value, lhs.error_estimate + rhs.error_estimate)
 
 
-def check_monotone_in_x(alpha: float, x_grid, tol: float = 1e-10) -> CheckReport:
+def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
     """Directionality that lets one endpoint settle a whole subinterval:
     along increasing x, the left side of the first inequality does not
     increase and its right side does not decrease; mirrored for the second."""
@@ -241,10 +301,10 @@ def check_monotone_in_x(alpha: float, x_grid, tol: float = 1e-10) -> CheckReport
     rows = []
     budget = 0.0
     for x in xs:
-        l1 = ineq_I_lhs(x, alpha, tol)
-        r1 = ineq_I_rhs(x, tol)
-        l2 = ineq_II_lhs(x, alpha, tol)
-        r2 = ineq_II_rhs(x, tol)
+        l1 = ineq_I_lhs(x, alpha)
+        r1 = ineq_I_rhs(x)
+        l2 = ineq_II_lhs(x, alpha)
+        r2 = ineq_II_rhs(x)
         lv = 0.0 if l1 is None else l1.value
         budget = max(budget, 2.0 * sum(
             q.error_estimate for q in (r1, l2, r2) if q is not None)
@@ -326,24 +386,38 @@ def check_scalar_constants() -> list[CheckReport]:
 _CONVEXITY_PA = [(1.25, 0.0), (2.0, 0.5), (4.0, 1.0), (10.0, 0.5)]
 
 
-def default_sweep(x_points: int = 300, grid_points: int = 100,
-                  tol: float = 1e-10) -> list[CheckReport]:
+def default_sweep(x_points: int = 300, grid_points: int = 100) -> list[CheckReport]:
     """The full certification run: scalar constants, both master inequalities
     along the alpha schedule (boundary points under both adjacent weights),
     convexity grids, midpoint bounds, F-maximum reductions, monotonicity and
     the power-majorization steps. Deterministic report order.
+
+    Every side of the master inequalities is a Pfaff series:
+    int_0^1 u^(c-1) (1+zu)^(-s) du = (1/c) 2F1(s, c; c+1; -z)
+    = (1+z)^(-c)/c 2F1(c+1-s, c; c+1; z/(1+z)), whose terms are positive.
+    Each check's budget is its sides' geometric tail bounds plus their
+    rounding terms (`_power_integral`).
+
+    The grid x_k = k/(2 x_points), together with 1/3 and 2/5 under both
+    adjacent alpha, certifies both inequalities on all of (0, 1/2], not only
+    at its points. Under a fixed alpha the integrands are pointwise monotone
+    in x on u in (0, 1): u^(x-1) falls, u^(-x) rises, and beta' =
+    (1-alpha)/(1-x)^2 >= 0. So lhs_I falls and rhs_I rises with x, and a
+    pass at a cell's left end covers the cell; lhs_II rises and rhs_II
+    falls, and a pass at its right end covers it. Under alpha = 0, on
+    (0, 1/3], lhs_I is identically 0.
     """
     reports = list(check_scalar_constants())
     for k in range(1, x_points + 1):
         x = k / (2.0 * x_points)
         case = ProofCase(x, alpha_schedule(x))
-        reports.append(check_ineq_I(case, tol))
-        reports.append(check_ineq_II(case, tol))
+        reports.append(check_ineq_I(case))
+        reports.append(check_ineq_II(case))
     for x, alphas in ((1.0 / 3.0, (0.0, 0.5)), (2.0 / 5.0, (0.5, 1.0))):
         for alpha in alphas:
             case = ProofCase(x, alpha)
-            reports.append(check_ineq_I(case, tol))
-            reports.append(check_ineq_II(case, tol))
+            reports.append(check_ineq_I(case))
+            reports.append(check_ineq_II(case))
 
     t_grid = np.geomspace(1e-3, 1e3, grid_points)
     for m, (p, alpha) in product((1, 2, 10, 100, 1000), _CONVEXITY_PA):

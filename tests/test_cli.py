@@ -50,6 +50,21 @@ class TestParser:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].endswith(f"must be >= 1, got {argv[-1].split(',')[-1]}")
 
+    @pytest.mark.parametrize("argv", [["verify-inequality", "--tol", "inf"],
+                                      ["verify-inequality", "--tol", "0"],
+                                      ["verify-inequality", "--tol", "-0.5"],
+                                      ["beta-table", "--tol", "nan"],
+                                      ["beta-table", "--tol", "1e400"]])
+    def test_rejects_tolerances_that_are_not_finite_and_positive(self, argv, capsys):
+        """`--tol inf` would pass every comparison, and `nan` would reach the
+        quadrature."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == (f"hilbert-kp {argv[0]}: error: argument --tol: "
+                           f"must be finite and > 0, got {argv[-1]}")
+
     @pytest.mark.parametrize("argv", [["proof-check", "--p", "3"],
                                       ["proof-check", "--tol", "1e-9"],
                                       ["proof-check", "--seed", "1"],
@@ -85,6 +100,7 @@ class TestBadInput:
         (["verify-inequality", "--p", "0.5"], "p must lie in (1, inf), got 0.5"),
         (["kp-apply", "--p", "0.5", "--input", "{zero_based}"], "p must lie in (1, inf), got 0.5"),
         (["kp-apply", "--input", "{negative}"], "negative entry -2.0 at index 1"),
+        (["beta-table", "--tol", "1e-16"], "not reached after 4000 panels"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {

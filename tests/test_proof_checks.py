@@ -139,6 +139,43 @@ class TestMasterInequalities:
         assert rep.passed
 
 
+def _sides_reference(x: float, alpha: float) -> tuple:
+    """(lhs_I, rhs_I, lhs_II, rhs_II) from 40-digit `mpmath.hyp2f1`, with
+    int_0^1 u^(c-1) (1+zu)^(-s) du = (1/c) 2F1(s, c; c+1; -z) and 1-x and
+    beta taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, alpha = mpmath.mpf(x), mpmath.mpf(alpha)
+        c = 1 - x
+        beta = (1 - alpha * x) / (1 - x)
+
+        def power(c, s, z):
+            return mpmath.hyp2f1(s, c, c + 1, -z) / c
+
+        return (power(x, 1 - alpha, 2) - power(x, 1, 2), power(c, 1, 0.5) / 2,
+                power(c, 1 - beta, 2) - power(c, 1, 2), power(x, 1, 0.5) / 2)
+
+
+_ORACLE_CASES = [(x, alpha_schedule(x))
+                 for x in (1.0 / 6000.0, 1e-3, 0.1, 0.2, 0.35, 0.45, 0.5)]
+_ORACLE_CASES += [(1.0 / 3.0, 0.0), (1.0 / 3.0, 0.5), (0.4, 0.5), (0.4, 1.0)]
+
+
+class TestMasterInequalitySeries:
+    @pytest.mark.parametrize("x, alpha", _ORACLE_CASES)
+    def test_sides_within_their_estimates(self, x, alpha):
+        """Each side's error estimate bounds its actual error and is positive;
+        at x = 1/6000 the rhs of the second inequality is about 3000."""
+        refs = _sides_reference(x, alpha)
+        sides = (ineq_I_lhs(x, alpha), ineq_I_rhs(x), ineq_II_lhs(x, alpha), ineq_II_rhs(x))
+        for side, ref in zip(sides, refs):
+            if side is None:
+                assert alpha == 0.0 and ref == 0
+                continue
+            assert side.error_estimate > 0.0
+            assert abs(side.value - ref) <= side.error_estimate
+
+
 class TestMonotoneAndSchedule:
     def test_schedule_values(self):
         assert alpha_schedule(0.2) == 0.0
