@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--eps-grid", type=floats, default="0.5,0.1,0.05,0.01")
-    sp.add_argument("--ascent-sizes", type=positive_ints, default="16,64,256,1024")
+    sp.add_argument("--ascent-sizes", type=positive_ints, default="16,64,256,1024,4096,16384")
     sp.add_argument("--iters", type=positive_int, default=2000)
 
     sp = command("kp-apply", cmd_kp_apply, "apply the matrix to a coefficient file")

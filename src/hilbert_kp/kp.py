@@ -38,8 +38,8 @@ def kp_norm(f: TaylorFunction, p: float) -> float:
     """(sum (m+1)^(p-2) a_m^p)^(1/p)."""
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    total = math.fsum((m + 1) ** (p - 2.0) * v ** p
-                      for m, v in enumerate(f.coeffs.values))
+    a = np.asarray(f.coeffs.values, dtype=float)
+    total = math.fsum((np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p).tolist())
     return total ** (1.0 / p)
 
 
@@ -62,6 +62,7 @@ def k1_embedding_bound(f: TaylorFunction, p: float) -> tuple[float, float]:
     """Both sides of the K^p -> K^1 embedding estimate:
     lhs = sum a_m/(m+1), rhs = zeta(2)^(1/q) * ||f||_{K^p}."""
     pq = conjugate(p)
-    lhs = math.fsum(v / (m + 1) for m, v in enumerate(f.coeffs.values))
+    a = np.asarray(f.coeffs.values, dtype=float)
+    lhs = math.fsum((a / np.arange(1.0, len(a) + 1.0)).tolist())
     rhs = ZETA_2 ** (1.0 / pq.q) * kp_norm(f, p)
     return lhs, rhs

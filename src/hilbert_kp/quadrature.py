@@ -38,6 +38,9 @@ _GAUSS_WEIGHTS = np.array([
     0.129484966168870,
 ])
 
+# Panels after which `adaptive_integrate` gives up by default.
+MAX_PANELS = 4000
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -91,7 +94,7 @@ def _adaptive(f, lo: float, hi: float, tol: float, max_panels: int) -> Quadratur
 
 def adaptive_integrate(f, lo: float, hi: float, tol: float,
                        singularity: tuple[str, float] | None = None,
-                       max_panels: int = 4000) -> QuadratureResult:
+                       max_panels: int = MAX_PANELS) -> QuadratureResult:
     """Integrate f over (lo, hi) to absolute tolerance tol.
 
     ``singularity`` declares an algebraic endpoint singularity as
@@ -137,16 +140,24 @@ def beta_integral(x: float, tol: float = 1e-10) -> QuadratureResult:
     """int_0^inf t^(x-1)/(1+t) dt = pi/sin(pi x), 0 < x < 1.
 
     Split at t = 1; the upper half maps to (0, 1] via t -> 1/t, leaving two
-    endpoint singularities of exponents 1-x and x.
+    endpoint singularities of exponents 1-x and x. Each half gets tol/2; if
+    one misses it, the `AccuracyError` names tol and carries that half's best
+    estimate.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"beta integral diverges for x = {x}")
-    lower = adaptive_integrate(
-        lambda t: t ** (x - 1.0) / (1.0 + t), 0.0, 1.0, 0.5 * tol,
-        singularity=("lo", 1.0 - x))
-    upper = adaptive_integrate(
-        lambda u: u ** (-x) / (1.0 + u), 0.0, 1.0, 0.5 * tol,
-        singularity=("lo", x))
+    try:
+        lower = adaptive_integrate(
+            lambda t: t ** (x - 1.0) / (1.0 + t), 0.0, 1.0, 0.5 * tol,
+            singularity=("lo", 1.0 - x))
+        upper = adaptive_integrate(
+            lambda u: u ** (-x) / (1.0 + u), 0.0, 1.0, 0.5 * tol,
+            singularity=("lo", x))
+    except AccuracyError as exc:
+        raise AccuracyError(
+            f"beta integral at x={x}: tolerance {tol} not reached after {MAX_PANELS} "
+            f"panels on one half (best error {exc.error_estimate:.3e})",
+            exc.value, exc.error_estimate) from exc
     return _merge(lower, upper)
 
 

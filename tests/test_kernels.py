@@ -21,7 +21,7 @@ from hilbert_kp import (
     row_sum_alpha,
     theoretical_norm,
 )
-from hilbert_kp.kernels import _hankel, kernel_matrix
+from hilbert_kp.kernels import _correlate, _fft_rounding, _hankel, kernel_matrix
 
 ROW_SUM_M1_P2_A0 = 1.8600250792  # frozen independent evaluation
 
@@ -286,6 +286,33 @@ class TestHankelCore:
         got = np.array(apply_operator(spec, Sequence(1, tuple(a)), n_max).values)
         ref = a @ kernel_matrix(spec, np.arange(1, size + 1), np.arange(1, n_max + 1))
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+class TestFftCorrelation:
+    """The ascent's two products, K^T a = v (h corr wa) and K b = w (h corr vb),
+    by FFT against the dense grid accumulated in extended precision."""
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("N", [1, 2, 3, 17, 1000, 2048])
+    def test_matches_dense_grid(self, spec, N):
+        rng = np.random.default_rng([N, 11])
+        idx = np.arange(1.0, N + 1.0)
+        w, v, h = _hankel(spec, idx, idx, np.arange(2.0, 2.0 * N + 1.0))
+        L = 1 << max(1, (2 * N - 2).bit_length())
+        spectrum = np.fft.rfft(h, L)
+        K = kernel_matrix(spec, idx, idx).astype(np.longdouble)
+        a, b = rng.random(N) + 0.5, rng.random(N)
+        for x, outer, inner, dense in ((a, v, w, K.T @ a), (b, w, v, K @ b)):
+            y = inner * x
+            got = outer * _correlate(spectrum, y)
+            ref = dense.astype(float)
+            fft_bound = outer * _fft_rounding(L) * max(np.linalg.norm(h) * y.sum(),
+                                                       h.sum() * np.linalg.norm(y))
+            # the grid's exp/log (within 1.7e-15) and the factors w, v, h
+            # (within (10 + 2 ln 2N) u) differ from the exact kernel
+            err = np.abs(got - ref)
+            assert np.all(err <= fft_bound + 8e-15 * ref)
+            assert np.all(err <= 1e-13 * ref)
 
 
 def row_sum_reference(m, p, alpha, N0=64):

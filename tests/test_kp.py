@@ -57,6 +57,29 @@ class TestKpNorm:
             tf(1, -2)
 
 
+class TestAgainstCoefficientLoops:
+    """The array forms of `kp_norm` and the embedding's lhs against the sums
+    written one coefficient at a time. Only `**` may round differently in
+    numpy and in Python, by an ulp or two per term."""
+
+    @given(nonneg_values, st.floats(1.1, 8.0))
+    @settings(max_examples=100)
+    def test_kp_norm(self, vals, p):
+        loop = math.fsum((m + 1) ** (p - 2.0) * v ** p for m, v in enumerate(vals)) ** (1.0 / p)
+        assert kp_norm(tf(*vals), p) == pytest.approx(loop, rel=1e-15, abs=1e-300)
+
+    @given(nonneg_values, st.floats(1.1, 8.0))
+    @settings(max_examples=100)
+    def test_embedding_lhs(self, vals, p):
+        loop = math.fsum(v / (m + 1) for m, v in enumerate(vals))
+        assert k1_embedding_bound(tf(*vals), p)[0] == loop
+
+    def test_empty(self):
+        empty = TaylorFunction(Sequence(0, ()))
+        assert kp_norm(empty, 3.0) == 0.0
+        assert k1_embedding_bound(empty, 3.0) == (0.0, 0.0)
+
+
 class TestHilbertApply:
     def test_constant_term(self):
         # a = (1): c_n = 1/(n+1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from hilbert_kp import (
     InsufficientTruncationError,
     KernelSpec,
     ParameterError,
+    Sequence,
     SharpnessPoint,
     TaylorFunction,
     Variant,
     ascent_lower_bound,
+    bilinear_form,
     conjugate,
     epsilon_family,
     epsilon_family_ratio,
@@ -23,6 +26,7 @@ from hilbert_kp import (
     pushed_epsilon_family,
     theoretical_norm,
 )
+from hilbert_kp import norms
 from hilbert_kp.norms import default_truncation
 
 # Frozen chain-bound ratios from an independent high-precision evaluation.
@@ -172,6 +176,104 @@ class TestAscent:
             ascent_lower_bound(spec, 2.0, 0, 10)
         with pytest.raises(ParameterError):
             ascent_lower_bound(spec, 2.0, 4, 0)
+
+
+def ascent_with_final_pair(monkeypatch, *args, **kwargs):
+    """The ascent's estimate and its final unit vectors a and b, the last two
+    outputs of its alignment step."""
+    align = norms._dual_align_vec
+    seen = []
+
+    def recording(c, p):
+        seen.append(align(c, p))
+        return seen[-1]
+
+    monkeypatch.setattr(norms, "_dual_align_vec", recording)
+    est = ascent_lower_bound(*args, **kwargs)
+    return est, seen[-1], seen[-2]
+
+
+def exact_ratio(spec, p, a, b):
+    """B(a, b)/(||a||_p ||b||_q) for the exact kernel, in mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        P, r = mpmath.mpf(p), mpmath.mpf(spec.p)
+        e, alpha = 1 - 2 / r, mpmath.mpf(spec.alpha)     # e = 1/q - 1/p
+
+        def k(m, n):
+            s = m + n
+            if spec.variant is Variant.CLASSICAL:
+                return 1 / mpmath.mpf(s - 1)
+            if spec.variant is Variant.WEIGHTED_MAIN:
+                return mpmath.mpf(n) ** e / mpmath.mpf(m) ** e / (s - 1)
+            if spec.variant is Variant.YANG_SHIFT:
+                return mpmath.mpf(n) ** e / mpmath.mpf(m) ** e / s
+            if spec.variant is Variant.YANG_HALF_SHIFT:
+                return mpmath.mpf(2 * n - 1) ** e / mpmath.mpf(2 * m - 1) ** e / (s - 1)
+            return ((mpmath.mpf(m) / n) ** (1 / r)
+                    / (mpmath.mpf(s) ** (1 - alpha) * mpmath.mpf(s - 1) ** alpha))
+
+        A = [mpmath.mpf(float(x)) for x in a]
+        B = [mpmath.mpf(float(y)) for y in b]
+        form = mpmath.fsum(k(m, n) * A[m - 1] * B[n - 1]
+                           for m in range(1, len(A) + 1) for n in range(1, len(B) + 1))
+        norm_a = mpmath.fsum(x ** P for x in A) ** (1 / P)
+        Q = P / (P - 1)
+        norm_b = mpmath.fsum(y ** Q for y in B) ** (1 / Q)
+        return form / (norm_a * norm_b)
+
+
+class TestCertifiedAscent:
+    """`lower_bound` is the final form minus an explicit rounding budget for
+    the FFT correlations and every other rounding."""
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(Variant.CLASSICAL),
+        KernelSpec(Variant.WEIGHTED_MAIN, p=1.5),
+        KernelSpec(Variant.YANG_SHIFT, p=3.0),
+        KernelSpec(Variant.YANG_HALF_SHIFT, p=6.0),
+        KernelSpec(Variant.ALPHA_ROW, p=2.5, alpha=0.4),
+    ], ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("N,seed", [(1, None), (2, 3), (17, None), (64, 5)])
+    def test_below_exact_ratio_of_final_pair(self, monkeypatch, spec, N, seed):
+        p = 2.0 if spec.variant is Variant.CLASSICAL else spec.p
+        est, a, b = ascent_with_final_pair(monkeypatch, spec, p, N, 300, seed=seed)
+        exact = float(exact_ratio(spec, p, a, b))
+        assert est.lower_bound <= exact
+        assert exact - est.lower_bound <= 2.0 * est.rounding_budget
+        assert est.lower_bound <= est.trace[-1]
+
+    def test_below_direct_convolution_at_4096(self, monkeypatch):
+        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
+        est, a, b = ascent_with_final_pair(monkeypatch, spec, 1.5, 4096, 2000)
+        direct = (bilinear_form(spec, Sequence(1, tuple(a)), Sequence(1, tuple(b)))
+                  / (lp_norm(Sequence(1, tuple(a)), 1.5) * lp_norm(Sequence(1, tuple(b)), 3.0)))
+        assert est.lower_bound <= direct
+        assert direct - est.lower_bound <= 1e-9 * direct
+        assert est.lower_bound <= est.trace[-1]
+
+    def test_memory_linear_in_n(self):
+        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
+        tracemalloc.start()
+        try:
+            est = ascent_lower_bound(spec, 1.5, 1 << 16, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+        assert est.lower_bound < theoretical_norm(1.5)
+
+    def test_numpy_power_within_two_units(self):
+        """The budget takes each power to within 2u = 2^-52 relative."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        x = np.concatenate([np.arange(0.5, 2.0 ** 18, 997.0), rng.random(300) + 0.5])
+        for e in (-2.0 / 3.0, 1.0 / 3.0, 0.4, 1.5, 1.0 / 6.0, -0.6):
+            got = x ** e
+            with mpmath.workdps(30):
+                ref = [mpmath.mpf(float(t)) ** mpmath.mpf(e) for t in x]
+                worst = max(abs(mpmath.mpf(float(g)) / r - 1) for g, r in zip(got, ref))
+            assert worst <= 2.0 ** -52, e
 
 
 class TestKpSide:

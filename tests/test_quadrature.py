@@ -112,6 +112,14 @@ class TestBetaIntegral:
         with pytest.raises(DomainError):
             beta_integral(x)
 
+    def test_accuracy_error_names_the_requested_tol(self):
+        # each half is integrated to tol/2; the error still names tol
+        with pytest.raises(AccuracyError, match=r"x=0\.05: tolerance 1e-16 not reached") as info:
+            beta_integral(0.05, 1e-16)
+        assert "5e-17" not in str(info.value)
+        assert info.value.error_estimate > 5e-17
+        assert math.isfinite(info.value.value)
+
 
 class TestFofY:
     def test_alpha_half_endpoint_is_beta(self):
