@@ -46,7 +46,7 @@ def random_pair(rng: np.random.Generator, p: float, max_support: int) -> tuple[S
         vals = np.where(rng.random(size) < 0.7, u ** (-1.0 / (2.0 * expo)), 0.0)
         if not np.any(vals):
             vals[0] = 1.0
-        return Sequence(1, tuple(vals))
+        return Sequence(1, vals)
     q = conjugate(p).q
     return one(p), one(q)
 

@@ -185,10 +185,10 @@ def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
         raise InvalidInputError("apply_operator expects a 1-based sequence")
     av = a.require_nonnegative("a")
     if not av.any():
-        return Sequence(1, (0.0,) * n_max)
+        return Sequence(1, np.zeros(n_max))
     w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, n_max + 1.0),
                       np.arange(2.0, len(av) + n_max + 1.0))
-    return Sequence(1, tuple((v * np.correlate(h, w * av, "valid")).tolist()))
+    return Sequence(1, v * np.correlate(h, w * av, "valid"))
 
 
 # Largest head length N of `row_sum_alpha`; a tol that needs more is refused.

@@ -31,14 +31,14 @@ class TaylorFunction:
 
     @staticmethod
     def from_values(values) -> "TaylorFunction":
-        return TaylorFunction(Sequence(0, tuple(values)))
+        return TaylorFunction(Sequence(0, values))
 
 
 def kp_norm(f: TaylorFunction, p: float) -> float:
     """(sum (m+1)^(p-2) a_m^p)^(1/p)."""
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    a = np.asarray(f.coeffs.values, dtype=float)
+    a = f.coeffs.values
     total = math.fsum((np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p).tolist())
     return total ** (1.0 / p)
 
@@ -49,20 +49,20 @@ def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
     trimmed to its last nonzero coefficient."""
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    a = np.asarray(f.coeffs.values, dtype=float)
+    a = f.coeffs.values
     nz = np.flatnonzero(a)
     if len(nz) == 0:
-        return TaylorFunction(Sequence(0, (0.0,) * (n_max + 1)))
+        return TaylorFunction(Sequence(0, np.zeros(n_max + 1)))
     a = a[:nz[-1] + 1]
     c = np.correlate(1.0 / np.arange(1.0, len(a) + n_max + 1.0), a, "valid")
-    return TaylorFunction(Sequence(0, tuple(c.tolist())))
+    return TaylorFunction(Sequence(0, c))
 
 
 def k1_embedding_bound(f: TaylorFunction, p: float) -> tuple[float, float]:
     """Both sides of the K^p -> K^1 embedding estimate:
     lhs = sum a_m/(m+1), rhs = zeta(2)^(1/q) * ||f||_{K^p}."""
     pq = conjugate(p)
-    a = np.asarray(f.coeffs.values, dtype=float)
+    a = f.coeffs.values
     lhs = math.fsum((a / np.arange(1.0, len(a) + 1.0)).tolist())
     rhs = ZETA_2 ** (1.0 / pq.q) * kp_norm(f, p)
     return lhs, rhs

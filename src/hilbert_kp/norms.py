@@ -69,7 +69,7 @@ def epsilon_family(eps: float, p: float, M: int) -> tuple[Sequence, Sequence]:
     m = np.arange(1, M + 1, dtype=float)
     a = m ** (-(1.0 + eps) / pq.p)
     b = m ** (-(1.0 + eps) / pq.q)
-    return Sequence(1, tuple(a)), Sequence(1, tuple(b))
+    return Sequence(1, a), Sequence(1, b)
 
 
 def default_truncation(eps: float) -> int:

@@ -128,42 +128,41 @@ def adaptive_integrate(f, lo: float, hi: float, tol: float,
     return _adaptive(g, 0.0, span ** (1.0 - s), tol, max_panels)
 
 
-def _merge(*parts: QuadratureResult) -> QuadratureResult:
-    return QuadratureResult(
-        math.fsum(r.value for r in parts),
-        math.fsum(r.error_estimate for r in parts),
-        sum(r.subdivisions for r in parts),
-    )
+def _split_integral(what: str, tol: float, halves, divisor: float = 1.0) -> QuadratureResult:
+    """(sum of the integrals over (0, 1) of each (f, singularity) in halves)
+    / divisor, to tol. Each half gets tol/2 of the quotient; if one misses it,
+    the `AccuracyError` names `what` and tol, the tolerance the caller asked
+    for, and carries that half's best value and estimate over divisor."""
+    try:
+        parts = [adaptive_integrate(f, 0.0, 1.0, 0.5 * tol * divisor, singularity=sing)
+                 for f, sing in halves]
+    except AccuracyError as exc:
+        raise AccuracyError(
+            f"{what}: tolerance {tol} not reached after {MAX_PANELS} "
+            f"panels on one half (best error {exc.error_estimate / divisor:.3e})",
+            exc.value / divisor, exc.error_estimate / divisor) from exc
+    return QuadratureResult(math.fsum(r.value for r in parts) / divisor,
+                            math.fsum(r.error_estimate for r in parts) / divisor,
+                            sum(r.subdivisions for r in parts))
 
 
 def beta_integral(x: float, tol: float = 1e-10) -> QuadratureResult:
     """int_0^inf t^(x-1)/(1+t) dt = pi/sin(pi x), 0 < x < 1.
 
     Split at t = 1; the upper half maps to (0, 1] via t -> 1/t, leaving two
-    endpoint singularities of exponents 1-x and x. Each half gets tol/2; if
-    one misses it, the `AccuracyError` names tol and carries that half's best
-    estimate.
+    endpoint singularities of exponents 1-x and x.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"beta integral diverges for x = {x}")
-    try:
-        lower = adaptive_integrate(
-            lambda t: t ** (x - 1.0) / (1.0 + t), 0.0, 1.0, 0.5 * tol,
-            singularity=("lo", 1.0 - x))
-        upper = adaptive_integrate(
-            lambda u: u ** (-x) / (1.0 + u), 0.0, 1.0, 0.5 * tol,
-            singularity=("lo", x))
-    except AccuracyError as exc:
-        raise AccuracyError(
-            f"beta integral at x={x}: tolerance {tol} not reached after {MAX_PANELS} "
-            f"panels on one half (best error {exc.error_estimate:.3e})",
-            exc.value, exc.error_estimate) from exc
-    return _merge(lower, upper)
+    return _split_integral(f"beta integral at x={x}", tol, [
+        (lambda t: t ** (x - 1.0) / (1.0 + t), ("lo", 1.0 - x)),
+        (lambda u: u ** (-x) / (1.0 + u), ("lo", x)),
+    ])
 
 
 def F_of_y(y: float, p: float, alpha: float, tol: float = 1e-10) -> QuadratureResult:
     """F(y) = int_0^inf (t+y)^(-1/p) (t+1+y)^(alpha-1) (t+1-y)^(-alpha) dt
-    for 0 <= y <= 1/2.
+    for 0 <= y <= 1/2, split at t = 1.
 
     At y = 1/2 the raw integrand degenerates at the lower endpoint, so the
     closed reduction F(1/2) = int_0^2 (t+1)^(alpha-1) t^(1/p-1) dt is used
@@ -191,11 +190,10 @@ def F_of_y(y: float, p: float, alpha: float, tol: float = 1e-10) -> QuadratureRe
                 * (1.0 + (1.0 + y) * u) ** (alpha - 1.0)
                 * (1.0 + (1.0 - y) * u) ** (-alpha))
 
-    sing = ("lo", invp) if y == 0.0 else None
-    lower = adaptive_integrate(head, 0.0, 1.0, 0.5 * tol, singularity=sing)
-    upper = adaptive_integrate(tail, 0.0, 1.0, 0.5 * tol,
-                               singularity=("lo", 1.0 - invp))
-    return _merge(lower, upper)
+    return _split_integral(f"F(y) at y={y}, p={p}, alpha={alpha}", tol, [
+        (head, ("lo", invp) if y == 0.0 else None),
+        (tail, ("lo", 1.0 - invp)),
+    ])
 
 
 def I_of_epsilon(eps: float, p: float, tol: float = 1e-10) -> QuadratureResult:
@@ -212,14 +210,9 @@ def I_of_epsilon(eps: float, p: float, tol: float = 1e-10) -> QuadratureResult:
     if invp - eps * invp <= 0.0:
         raise DomainError(f"eps = {eps} makes the x-integral diverge at 0")
     c = invp + eps * invq
-    # [1, inf) mapped to (0, 1]: integrand u^(c-1)/(1+u).
-    upper = adaptive_integrate(
-        lambda u: u ** (c - 1.0) / (1.0 + u), 0.0, 1.0, 0.5 * tol * eps,
-        singularity=("lo", 1.0 - c) if c < 1.0 else None)
     s = invp * (1.0 - eps)
-    lower = adaptive_integrate(
-        lambda x: x ** (-s) / (1.0 + x), 0.0, 1.0, 0.5 * tol * eps,
-        singularity=("lo", s))
-    merged = _merge(lower, upper)
-    return QuadratureResult(merged.value / eps, merged.error_estimate / eps,
-                            merged.subdivisions)
+    return _split_integral(f"I(eps) at eps={eps}, p={p}", tol, [
+        # [1, inf) mapped to (0, 1]: integrand u^(c-1)/(1+u).
+        (lambda u: u ** (c - 1.0) / (1.0 + u), ("lo", 1.0 - c) if c < 1.0 else None),
+        (lambda x: x ** (-s) / (1.0 + x), ("lo", s)),
+    ], divisor=eps)

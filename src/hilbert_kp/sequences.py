@@ -3,6 +3,10 @@
 Two indexing conventions coexist: the bilinear-form world is 1-based and the
 Taylor-coefficient world is 0-based. A `Sequence` carries its start index
 explicitly; `kp_to_lp_isometry` is the only operation that re-indexes.
+
+`Sequence.values` is a read-only float64 array, copied from what the caller
+passed, so every layer computes on it without converting. Two sequences are
+equal when their start indices and values are; a `Sequence` is not hashable.
 """
 
 from __future__ import annotations
@@ -23,21 +27,22 @@ def snap_exponent(e: float) -> float:
     return 0.0 if abs(e) < EXPONENT_SNAP else e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sequence:
     """A finitely supported real sequence.
 
     ``values[k]`` is the entry at index ``start_index + k``; entries beyond
-    the stored block are zero.
+    the stored block are zero. ``values`` is a read-only float64 copy of the
+    values given; ``repr`` prints them in full, as a tuple of floats.
     """
 
     start_index: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.start_index not in (0, 1):
             raise InvalidInputError(f"start_index must be 0 or 1, got {self.start_index}")
-        x = np.asarray(self.values, dtype=float)
+        x = np.array(self.values, dtype=float)
         if x.ndim != 1:
             raise InvalidInputError(f"values must be one-dimensional, got shape {x.shape}")
         bad = np.flatnonzero(~np.isfinite(x))
@@ -45,7 +50,17 @@ class Sequence:
             k = int(bad[0])
             raise InvalidInputError(
                 f"non-finite entry {float(x[k])!r} at index {self.start_index + k}")
-        object.__setattr__(self, "values", tuple(x.tolist()))
+        x.setflags(write=False)
+        object.__setattr__(self, "values", x)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return (self.start_index == other.start_index
+                and np.array_equal(self.values, other.values))
+
+    def __repr__(self) -> str:
+        return f"Sequence(start_index={self.start_index}, values={tuple(self.values.tolist())!r})"
 
     def __len__(self) -> int:
         return len(self.values)
@@ -54,18 +69,17 @@ class Sequence:
         return range(self.start_index, self.start_index + len(self.values))
 
     def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
+        return not self.values.any()
 
     def require_nonnegative(self, what: str = "sequence") -> np.ndarray:
-        """Raise on a negative entry; otherwise return the values as a float
-        array."""
-        x = np.asarray(self.values, dtype=float)
-        neg = np.flatnonzero(x < 0.0)
+        """Raise on a negative entry; otherwise return the values."""
+        neg = np.flatnonzero(self.values < 0.0)
         if len(neg):
             k = int(neg[0])
             raise InvalidInputError(
-                f"{what} has negative entry {self.values[k]} at index {self.start_index + k}")
-        return x
+                f"{what} has negative entry {float(self.values[k])} "
+                f"at index {self.start_index + k}")
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -93,7 +107,7 @@ def lp_norm(s: Sequence, p: float) -> float:
     """(sum |s_m|^p)^(1/p); exact finite sum via compensated accumulation."""
     if not math.isfinite(p) or p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
-    total = math.fsum((np.abs(np.asarray(s.values, dtype=float)) ** p).tolist())
+    total = math.fsum((np.abs(s.values) ** p).tolist())
     return total ** (1.0 / p)
 
 
@@ -109,7 +123,7 @@ def dual_align(c: Sequence, p: float) -> Sequence:
         raise DegenerateInputError("cannot align against the zero sequence")
     norm = lp_norm(c, pq.p)
     scale = norm ** (pq.p - 1.0)
-    return Sequence(c.start_index, tuple(v ** (pq.p - 1.0) / scale for v in c.values))
+    return Sequence(c.start_index, c.values ** (pq.p - 1.0) / scale)
 
 
 def kp_to_lp_isometry(a: Sequence, p: float) -> Sequence:
@@ -120,7 +134,7 @@ def kp_to_lp_isometry(a: Sequence, p: float) -> Sequence:
     if a.start_index != 0:
         raise InvalidInputError("isometry input must be 0-based")
     e = snap_exponent((p - 2.0) / p)
-    return Sequence(1, tuple(v * (m + 1) ** e for m, v in enumerate(a.values)))
+    return Sequence(1, a.values * np.arange(1.0, len(a) + 1.0) ** e)
 
 
 def lp_to_kp_isometry(A: Sequence, p: float) -> Sequence:
@@ -130,7 +144,7 @@ def lp_to_kp_isometry(A: Sequence, p: float) -> Sequence:
     if A.start_index != 1:
         raise InvalidInputError("inverse isometry input must be 1-based")
     e = snap_exponent((p - 2.0) / p)
-    return Sequence(0, tuple(v / (m + 1) ** e for m, v in enumerate(A.values)))
+    return Sequence(0, A.values / np.arange(1.0, len(A) + 1.0) ** e)
 
 
 def power_tail_bound(M: int, s: float) -> float:
@@ -148,7 +162,7 @@ def write_sequence(path, s: Sequence) -> None:
     followed by `index,value` lines."""
     with open(path, "w") as fh:
         fh.write(f"# start_index={s.start_index}\n")
-        for i, v in zip(s.indices(), s.values):
+        for i, v in zip(s.indices(), s.values.tolist()):
             fh.write(f"{i},{v!r}\n")
 
 
@@ -182,4 +196,4 @@ def read_sequence(path) -> Sequence:
     if min(entries) < start:
         raise InvalidInputError(f"{path}: entry index below start_index {start}")
     values = [entries.get(i, 0.0) for i in range(start, top + 1)]
-    return Sequence(start, tuple(values))
+    return Sequence(start, values)

@@ -74,7 +74,7 @@ class TestEpsilonFamily:
         a, b = epsilon_family(1.0, 2.0, 4)
         assert a.values[0] == 1.0
         assert a.values[3] == pytest.approx(0.25, rel=1e-15)
-        assert a.values == b.values  # p = 2 is self-conjugate
+        assert a.values.tolist() == b.values.tolist()  # p = 2 is self-conjugate
 
     def test_conjugate_split(self):
         a, b = epsilon_family(0.5, 3.0, 10)

@@ -112,14 +112,6 @@ class TestBetaIntegral:
         with pytest.raises(DomainError):
             beta_integral(x)
 
-    def test_accuracy_error_names_the_requested_tol(self):
-        # each half is integrated to tol/2; the error still names tol
-        with pytest.raises(AccuracyError, match=r"x=0\.05: tolerance 1e-16 not reached") as info:
-            beta_integral(0.05, 1e-16)
-        assert "5e-17" not in str(info.value)
-        assert info.value.error_estimate > 5e-17
-        assert math.isfinite(info.value.value)
-
 
 class TestFofY:
     def test_alpha_half_endpoint_is_beta(self):
@@ -171,6 +163,20 @@ class TestIofEpsilon:
             I_of_epsilon(1.0, 2.0)    # x-integral diverges
         with pytest.raises(DomainError):
             I_of_epsilon(0.1, 1.0)
+
+
+@pytest.mark.parametrize("integral,args,where,share", [
+    (beta_integral, (0.05,), r"beta integral at x=0\.05", "5e-17"),
+    (F_of_y, (0.0, 2.0, 0.3), r"F\(y\) at y=0\.0, p=2\.0, alpha=0\.3", "5e-17"),
+    (I_of_epsilon, (0.1, 2.0), r"I\(eps\) at eps=0\.1, p=2\.0", "5e-18"),
+], ids=["beta_integral", "F_of_y", "I_of_epsilon"])
+def test_accuracy_error_names_the_requested_tol(integral, args, where, share):
+    # each half is integrated to a share of tol; the error still names tol
+    with pytest.raises(AccuracyError, match=rf"^{where}: tolerance 1e-16 not reached") as info:
+        integral(*args, 1e-16)
+    assert share not in str(info.value)
+    assert info.value.error_estimate > 0.5e-16
+    assert math.isfinite(info.value.value)
 
 
 mpmath = pytest.importorskip("mpmath")

@@ -11,12 +11,15 @@ from hilbert_kp import (
     DomainError,
     InvalidInputError,
     Sequence,
+    TaylorFunction,
     conjugate,
     dual_align,
+    epsilon_family,
     kp_to_lp_isometry,
     lp_norm,
     lp_to_kp_isometry,
     power_tail_bound,
+    pushed_epsilon_family,
     read_sequence,
     write_sequence,
 )
@@ -95,7 +98,7 @@ class TestHoelder:
 class TestDualAlign:
     def test_spike(self):
         b = dual_align(seq(1, 0, 0), 3.0)
-        assert b.values == (1.0, 0.0, 0.0)
+        assert b.values.tolist() == [1.0, 0.0, 0.0]
 
     def test_symmetric_p2(self):
         b = dual_align(seq(1, 1), 2.0)
@@ -132,6 +135,9 @@ class TestDualAlign:
             dual_align(seq(1, -1), 2.0)
         with pytest.raises(InvalidInputError, match=r"^b has negative entry -0.25 at index 1$"):
             seq(0, -0.25, 3, -7, start=0).require_nonnegative("b")
+        # an array entry is reported as a Python float, not as np.float64(...)
+        with pytest.raises(InvalidInputError, match=r"^c has negative entry -0.1 at index 3$"):
+            Sequence(1, np.array([0.5, 0.0, -0.1])).require_nonnegative("c")
 
 
 class TestIsometry:
@@ -144,7 +150,7 @@ class TestIsometry:
     def test_identity_at_p2(self):
         a = seq(0.3, 0.1, 2.5, start=0)
         A = kp_to_lp_isometry(a, 2.0)
-        assert A.values == a.values  # exponent snapped to exactly 0
+        assert A.values.tolist() == a.values.tolist()  # exponent snapped to exactly 0
 
     def test_single_term_p3(self):
         A = kp_to_lp_isometry(seq(0, 1, start=0), 3.0)
@@ -168,6 +174,89 @@ class TestIsometry:
     def test_wrong_start_index(self):
         with pytest.raises(InvalidInputError):
             kp_to_lp_isometry(seq(1.0, start=1), 2.0)
+
+
+class TestAgainstElementLoops:
+    """The array forms of the three helpers against the generator expressions
+    they replaced, which computed one entry at a time in Python floats. At
+    p = 2 every exponent is 0 or 1 and they agree exactly; elsewhere numpy's
+    `**` may round differently from Python's by an ulp or two per entry."""
+
+    M = 4000
+
+    @staticmethod
+    def assert_within_ulps(got: Sequence, ref: list, p: float):
+        if p == 2.0:
+            assert got.values.tolist() == ref
+        else:
+            ref = np.array(ref)
+            assert np.all(np.abs(got.values - ref) <= 2.0 * np.spacing(ref))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+    def test_dual_align(self, p):
+        c, _ = epsilon_family(0.05, p, self.M)
+        scale = lp_norm(c, p) ** (p - 1.0)
+        ref = [v ** (p - 1.0) / scale for v in c.values.tolist()]
+        self.assert_within_ulps(dual_align(c, p), ref, p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+    def test_kp_to_lp_isometry(self, p):
+        a = pushed_epsilon_family(0.05, p, self.M).coeffs
+        e = (p - 2.0) / p
+        ref = [v * (m + 1) ** e for m, v in enumerate(a.values.tolist())]
+        self.assert_within_ulps(kp_to_lp_isometry(a, p), ref, p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+    def test_lp_to_kp_isometry(self, p):
+        A, _ = epsilon_family(0.05, p, self.M)
+        e = (p - 2.0) / p
+        ref = [v / (m + 1) ** e for m, v in enumerate(A.values.tolist())]
+        self.assert_within_ulps(lp_to_kp_isometry(A, p), ref, p)
+
+
+class TestStorage:
+    def test_values_are_a_read_only_float64_copy(self):
+        given_ = np.array([1.0, 2.0, 3.0])
+        s = Sequence(1, given_)
+        assert s.values.dtype == np.float64
+        assert Sequence(0, [1, 2]).values.dtype == np.float64
+        assert not s.values.flags.writeable
+        with pytest.raises(ValueError):
+            s.values[0] = 5.0
+        given_[0] = 9.0
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_equality_compares_values(self):
+        vals = np.linspace(0.0, 1.0, 50)
+        bumped = vals.copy()
+        bumped[7] = np.nextafter(bumped[7], 2.0)
+        assert Sequence(1, vals) == Sequence(1, vals.tolist())
+        assert Sequence(1, vals) != Sequence(0, vals)
+        assert Sequence(1, vals) != Sequence(1, vals[:-1])
+        assert Sequence(1, vals) != Sequence(1, bumped)
+        assert Sequence(1, ()) == Sequence(1, [])
+        assert TaylorFunction.from_values(vals) == TaylorFunction(Sequence(0, tuple(vals)))
+        assert TaylorFunction.from_values(vals) != TaylorFunction.from_values(bumped)
+
+    def test_repr_is_exact_and_complete(self):
+        vals = [0.1 + 0.2] + [k / 7.0 for k in range(1200)]
+        text = repr(Sequence(0, vals))
+        assert text == f"Sequence(start_index=0, values={tuple(vals)!r})"
+        assert "0.30000000000000004" in text and "..." not in text
+        assert text.endswith(f", {1199 / 7.0!r}))")
+
+    def test_written_file_matches_the_python_float_format(self, tmp_path):
+        # the p = 2 pushed eps-family as epsilon_family and the tuple-valued
+        # inverse isometry wrote it: one `index,repr(float)` line per entry
+        eps, M = 0.05, 4000
+        a = (np.arange(1, M + 1, dtype=float) ** (-(1.0 + eps) / 2.0)).tolist()
+        expected = "# start_index=0\n" + "".join(
+            f"{m},{v / (m + 1) ** 0.0!r}\n" for m, v in enumerate(a))
+        path = tmp_path / "pushed.txt"
+        write_sequence(path, pushed_epsilon_family(eps, 2.0, M).coeffs)
+        body = path.read_text()
+        assert body == expected
+        assert "np.float64" not in body
 
 
 class TestPowerTailBound:
@@ -206,7 +295,7 @@ class TestFileFormat:
         path.write_text("# start_index=0\n0,1.0\n3,0.25\n")
         s = read_sequence(path)
         assert s.start_index == 0
-        assert s.values == (1.0, 0.0, 0.0, 0.25)
+        assert s.values.tolist() == [1.0, 0.0, 0.0, 0.25]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
