@@ -6,7 +6,8 @@ explicitly; `kp_to_lp_isometry` is the only operation that re-indexes.
 
 `Sequence.values` is a read-only float64 array, copied from what the caller
 passed, so every layer computes on it without converting. Two sequences are
-equal when their start indices and values are; a `Sequence` is not hashable.
+equal when their start indices and values are; a `Sequence`, and so a
+`TaylorFunction`, is not hashable.
 """
 
 from __future__ import annotations
@@ -27,13 +28,29 @@ def snap_exponent(e: float) -> float:
     return 0.0 if abs(e) < EXPONENT_SNAP else e
 
 
+class _Values(np.ndarray):
+    """The array type of `Sequence.values`. Iterating it yields Python
+    floats, as iterating the tuple it replaced did, so code that sums or
+    serialises what it iterates gets Python numbers (the benchmark's traced
+    nonzero count is written to JSON). Arithmetic on it returns plain arrays.
+    """
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        arr = arr.view(np.ndarray)
+        return arr[()] if return_scalar else arr
+
+
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """A finitely supported real sequence.
 
     ``values[k]`` is the entry at index ``start_index + k``; entries beyond
     the stored block are zero. ``values`` is a read-only float64 copy of the
-    values given; ``repr`` prints them in full, as a tuple of floats.
+    values given, which iterates as Python floats; ``repr`` prints them in
+    full, as a tuple of floats.
     """
 
     start_index: int
@@ -51,7 +68,7 @@ class Sequence:
             raise InvalidInputError(
                 f"non-finite entry {float(x[k])!r} at index {self.start_index + k}")
         x.setflags(write=False)
-        object.__setattr__(self, "values", x)
+        object.__setattr__(self, "values", x.view(_Values))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):

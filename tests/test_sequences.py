@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -226,6 +227,18 @@ class TestStorage:
         given_[0] = 9.0
         assert s.values.tolist() == [1.0, 2.0, 3.0]
 
+    def test_iterates_as_python_floats_and_computes_plain_arrays(self):
+        s = Sequence(0, [0.0, 0.5, 2.0, 0.0])
+        assert [type(v) for v in s.values] == [float] * 4
+        nnz = sum(v != 0.0 for v in s.values)
+        assert nnz == 2 and type(nnz) is int
+        assert json.dumps(nnz) == "2"
+        for derived in (s.values * 2.0, s.values ** 0.5, np.abs(s.values),
+                        np.ones(4) + s.values, s.values + np.ones(4)):
+            assert type(derived) is np.ndarray and derived.flags.writeable
+        assert type(s.values.sum()) is np.float64
+        assert not s.values[1:].flags.writeable
+
     def test_equality_compares_values(self):
         vals = np.linspace(0.0, 1.0, 50)
         bumped = vals.copy()
@@ -237,6 +250,9 @@ class TestStorage:
         assert Sequence(1, ()) == Sequence(1, [])
         assert TaylorFunction.from_values(vals) == TaylorFunction(Sequence(0, tuple(vals)))
         assert TaylorFunction.from_values(vals) != TaylorFunction.from_values(bumped)
+        for unhashable in (Sequence(1, vals), TaylorFunction.from_values(vals)):
+            with pytest.raises(TypeError):
+                hash(unhashable)
 
     def test_repr_is_exact_and_complete(self):
         vals = [0.1 + 0.2] + [k / 7.0 for k in range(1200)]
