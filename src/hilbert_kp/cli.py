@@ -37,6 +37,24 @@ def _emit(out: str | None, header: list[str], rows: list[list],
         sys.stdout.write(buf.getvalue())
 
 
+def _manifest(reports: list[proof_checks.CheckReport]) -> list[str]:
+    """One line per check family, in report order: checks passed and failed,
+    the worst margin less its error budget and, where the family sums series,
+    the most terms one series needed."""
+    families: dict[str, list[proof_checks.CheckReport]] = {}
+    for r in reports:
+        families.setdefault(r.name, []).append(r)
+    lines = []
+    for name, group in families.items():
+        passed = sum(r.passed for r in group)
+        worst = min(r.margin - r.error_budget for r in group)
+        line = (f"check {name} passed={passed} failed={len(group) - passed} "
+                f"worst_margin_minus_budget={worst:.6g}")
+        terms = max(r.terms for r in group)
+        lines.append(line + (f" max_series_terms={terms}" if terms else ""))
+    return lines
+
+
 def random_pair(rng: np.random.Generator, p: float, max_support: int) -> tuple[Sequence, Sequence]:
     """Heavy-tailed test pair stressing near-extremal decay: entries
     u^(-1/(2p)) kept with probability 0.7, u uniform on (0, 1]."""
@@ -72,7 +90,8 @@ def cmd_verify_inequality(args: argparse.Namespace) -> int:
             rows.append([trial, spec.variant.value, args.p, len(a), len(b),
                          f"{ratio:.15g}", f"{bound:.15g}", int(ok)])
     _emit(args.out, ["trial", "kernel", "p", "support_a", "support_b", "ratio", "bound", "ok"],
-          rows, [f"seed={args.seed} trials={args.trials} max_support={args.max_support}"])
+          rows, [f"p={args.p} tol={args.tol} seed={args.seed} trials={args.trials} "
+                 f"max_support={args.max_support}"])
     return 0 if failures == 0 else 1
 
 
@@ -86,7 +105,7 @@ def cmd_proof_check(args: argparse.Namespace) -> int:
             for r in reports]
     config = "scalars_only" if args.scalars_only else f"x_grid_size={args.x_grid_size}"
     _emit(args.out, ["name", "parameters", "lhs", "rhs", "margin", "error_budget", "passed"],
-          rows, [config])
+          rows, [config] + _manifest(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -109,7 +128,8 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
                      f"{est.lower_bound:.12g}", f"{theoretical:.12g}",
                      f"{theoretical - est.lower_bound:.12g}"])
     _emit(args.out, ["method", "p", "params", "lower_bound", "theoretical", "gap"], rows,
-          [f"p={args.p} seed={args.seed}"])
+          [f"p={args.p} seed={args.seed} eps_grid={_joined(args.eps_grid)} "
+           f"ascent_sizes={_joined(args.ascent_sizes)} iters={args.iters}"])
     return 0
 
 
@@ -134,7 +154,8 @@ def cmd_beta_table(args: argparse.Namespace) -> int:
         closed = math.pi / math.sin(math.pi * x)
         rows.append([f"{x:.12g}", f"{res.value:.15g}", f"{closed:.15g}",
                      f"{abs(res.value - closed):.3g}"])
-    _emit(args.out, ["x", "beta_integral", "closed_form", "abs_err"], rows)
+    _emit(args.out, ["x", "beta_integral", "closed_form", "abs_err"], rows,
+          [f"tol={args.tol} points={args.points}"])
     return 0
 
 
@@ -164,6 +185,11 @@ def positive_ints(text: str) -> tuple[int, ...]:
 def floats(text: str) -> tuple[float, ...]:
     """argparse type for a comma-separated list of floats."""
     return tuple(float(v) for v in text.split(","))
+
+
+def _joined(values) -> str:
+    """A list flag as it is written on the command line."""
+    return ",".join(str(v) for v in values)
 
 
 class _Command(argparse.ArgumentParser):

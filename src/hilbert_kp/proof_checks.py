@@ -38,6 +38,9 @@ class ProofCase:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """One check's sides, margin and budget. `terms` is the longest series
+    (`_power_integral`) the check summed, 0 if it summed none."""
+
     name: str
     parameters: str
     lhs: float
@@ -45,13 +48,14 @@ class CheckReport:
     margin: float
     error_budget: float
     passed: bool
+    terms: int = 0
 
     @staticmethod
     def from_sides(name: str, parameters: str, lhs: float, rhs: float,
-                   error_budget: float) -> "CheckReport":
+                   error_budget: float, terms: int = 0) -> "CheckReport":
         margin = rhs - lhs
         return CheckReport(name, parameters, lhs, rhs, margin, error_budget,
-                           margin > error_budget)
+                           margin > error_budget, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +181,21 @@ def check_F_convex_max(p: float, alpha: float, y_grid,
 # the two master integral inequalities, reduced to (0, 1] via t -> 1/t
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Terms per lane in a first pass (the sweep's series need at most 92); a lane
+# that has not stopped by then is summed again with twice as many.
+_WIDTH = 128
+# Lanes x terms of one pass. It bounds the memory a pass needs: each of its
+# arrays is 64 KB, small enough for the allocator to reuse from pass to pass.
+_CELLS = 64 * _WIDTH
+# No series with a finite value comes near this: its terms peak near k = 2a,
+# and (1+z)^a overflows for a above about 650 at z = 2.
+_MAX_TERMS = 2 ** 16
 
 
-def _power_integral(x: float, s: float, z: float) -> QuadratureResult:
-    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for x > 0, z > 0, x+1-s > 0.
+def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for x > 0, z > 0, x+1-s > 0,
+    lane-wise over 1-D arrays: returns value, error estimate and term count
+    arrays.
 
     P is (1/x) 2F1(s, x; x+1; -z), and Pfaff's transformation (DLMF 15.8.1)
     turns it into a series of positive terms:
@@ -188,65 +203,159 @@ def _power_integral(x: float, s: float, z: float) -> QuadratureResult:
         P = (1+z)^(-x) sum_k (a)_k / k! * w^k / (x+k),  a = x+1-s,  w = z/(1+z).
 
     From term K on, every term ratio is at most r = max(1, (a+K)/(K+1)) w,
-    so once r < 1 the terms after t_K sum to at most t_K r/(1-r). The terms
-    are summed with `math.fsum` until that tail bound falls below double
-    rounding of the partial sum. The error estimate is the tail bound plus
+    so once r < 1 the terms after t_K sum to at most t_K r/(1-r). Each lane
+    sums its terms with `math.fsum` until that tail bound falls below double
+    rounding of its partial sum. The error estimate is the tail bound plus
     the rounding term (6K + 8) u P, u = 2^-53: six roundings per recurrence
     step (those of a and w included), two per term, and those of fsum, the
     power and the product. It is always positive.
+
+    Lanes are summed together (`_sum_lanes`) with the operations of a scalar
+    loop in its order, so each lane's value, estimate and term count are
+    those of summing it alone.
     """
+    x, s, z = (np.asarray(v, dtype=float) for v in (x, s, z))
     a = (1.0 - s) + x
-    if x <= 0.0 or z <= 0.0 or a <= 0.0:
-        raise DomainError(f"need x > 0, z > 0 and x+1-s > 0, got x={x}, s={s}, z={z}")
+    bad = ~((x > 0.0) & (z > 0.0) & (a > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"need x > 0, z > 0 and x+1-s > 0, "
+                          f"got x={float(x[i])}, s={float(s[i])}, z={float(z[i])}")
     w = z / (1.0 + z)
-    coeff, partial, k = 1.0, 0.0, 0
-    terms = []
-    while True:
-        term = coeff / (x + k)
-        terms.append(term)
-        partial += term
-        step = (a + k) / (k + 1.0)
-        ratio = w * step if step > 1.0 else w
-        if ratio < 1.0 and term * ratio <= (1.0 - ratio) * _UNIT_ROUNDOFF * partial:
-            break
-        coeff *= step * w
-        k += 1
-    value = (1.0 + z) ** -x * math.fsum(terms)
-    tail = term * ratio / (1.0 - ratio)
-    return QuadratureResult(value, tail + (6 * k + 8) * _UNIT_ROUNDOFF * value, k + 1)
+    sums, tail = np.empty(len(x)), np.empty(len(x))
+    last = np.empty(len(x), dtype=int)
+    pending, width = np.arange(len(x)), _WIDTH
+    while len(pending):
+        if width > _MAX_TERMS:
+            i = pending[0]
+            raise DomainError(f"series at x={float(x[i])}, s={float(s[i])}, z={float(z[i])} "
+                              f"needs more than {_MAX_TERMS} terms")
+        short, rows = [], max(1, _CELLS // width)
+        for lo in range(0, len(pending), rows):
+            lanes = pending[lo:lo + rows]
+            stopped, *done = _sum_lanes(x[lanes], a[lanes], w[lanes], width)
+            sums[lanes[stopped]], tail[lanes[stopped]], last[lanes[stopped]] = done
+            short.append(lanes[~stopped])
+        pending, width = np.concatenate(short), 2 * width
+    power = np.array([(1.0 + zi) ** -xi for xi, zi in zip(x.tolist(), z.tolist())])
+    value = power * sums
+    return value, tail + (6 * last + 8) * _UNIT_ROUNDOFF * value, last + 1
 
 
-def _difference(hi: QuadratureResult, lo: QuadratureResult) -> QuadratureResult:
-    return QuadratureResult(hi.value - lo.value, hi.error_estimate + lo.error_estimate,
-                            hi.subdivisions + lo.subdivisions)
+def _sum_lanes(x, a, w, width: int):
+    """The first `width` terms of each lane, as a lanes x width matrix. Returns
+    which lanes meet the stopping rule among them and, for those, the fsum of
+    their terms, the tail bound and the last index K.
+
+    The scalar recurrence coeff *= ((a+k)/(k+1)) w is a running product and
+    the partial sums a running sum; `accumulate` evaluates both strictly left
+    to right, so every entry is rounded as in the loop."""
+    k = np.arange(width, dtype=float)
+    w = w[:, None]
+    step = (a[:, None] + k) / (k + 1.0)
+    ratio = w * np.maximum(step, 1.0)   # w*step where step > 1, else w, exactly
+    factors = np.empty_like(step)
+    factors[:, 0] = 1.0
+    np.multiply(step[:, :-1], w, out=factors[:, 1:])
+    terms = np.multiply.accumulate(factors, axis=1) / (x[:, None] + k)
+    partial = np.add.accumulate(terms, axis=1)
+    stops = (ratio < 1.0) & (terms * ratio <= (1.0 - ratio) * _UNIT_ROUNDOFF * partial)
+    first = stops.argmax(axis=1)
+    stopped = stops[np.arange(len(x)), first]
+    rows, last = np.flatnonzero(stopped), first[stopped]
+    term, r = terms[rows, last], ratio[rows, last]
+    sums = np.array([math.fsum(terms[i, :n + 1].tolist())
+                     for i, n in zip(rows.tolist(), last.tolist())])
+    return stopped, sums, term * r / (1.0 - r), last
 
 
-def _half(res: QuadratureResult) -> QuadratureResult:
-    return QuadratureResult(0.5 * res.value, 0.5 * res.error_estimate, res.subdivisions)
+# Lane triples (value, estimate, terms) of the sides below: `terms` is the
+# length of the longest series a side sums.
+
+def _P(c, s, z):
+    """P(c, s, z) by `_power_integral`, its arguments broadcast to 1-D lanes."""
+    return _power_integral(*np.broadcast_arrays(*np.atleast_1d(c, s, z)))
+
+
+def _difference(hi, lo):
+    return hi[0] - lo[0], hi[1] + lo[1], np.maximum(hi[2], lo[2])
+
+
+def _half(side):
+    return 0.5 * side[0], 0.5 * side[1], side[2]
+
+
+def _lhs_I(x, alpha):
+    return _difference(_P(x, 1.0 - alpha, 2.0), _P(x, 1.0, 2.0))
+
+
+def _rhs_I(x):
+    return _half(_P(1.0 - x, 1.0, 0.5))
+
+
+def _lhs_II(x, beta):
+    return _difference(_P(1.0 - x, 1.0 - beta, 2.0), _P(1.0 - x, 1.0, 2.0))
+
+
+def _rhs_II(x):
+    return _half(_P(x, 1.0, 0.5))
+
+
+def _result(side) -> QuadratureResult:
+    """The first lane as a `QuadratureResult`; `subdivisions` is the term
+    count of the side's longest series."""
+    return QuadratureResult(float(side[0][0]), float(side[1][0]), int(side[2][0]))
 
 
 def ineq_I_lhs(x: float, alpha: float):
     """int_0^1 ((1+2u)^alpha - 1) u^(x-1)/(1+2u) du = P(x, 1-alpha, 2) - P(x, 1, 2)."""
+    ProofCase(x, alpha)  # DomainError outside the proof's (x, alpha) domain
     if alpha == 0.0:
         return None  # identically zero
-    return _difference(_power_integral(x, 1.0 - alpha, 2.0), _power_integral(x, 1.0, 2.0))
+    return _result(_lhs_I(x, alpha))
 
 
 def ineq_I_rhs(x: float):
     """int_0^1 u^(-x)/(2+u) du = P(1-x, 1, 1/2)/2."""
-    return _half(_power_integral(1.0 - x, 1.0, 0.5))
+    return _result(_rhs_I(x))
 
 
 def ineq_II_lhs(x: float, alpha: float):
     """int_0^1 ((1+2u)^beta - 1) u^(-x)/(1+2u) du = P(1-x, 1-beta, 2) - P(1-x, 1, 2)."""
-    beta = ProofCase(x, alpha).beta
-    return _difference(_power_integral(1.0 - x, 1.0 - beta, 2.0),
-                       _power_integral(1.0 - x, 1.0, 2.0))
+    return _result(_lhs_II(x, ProofCase(x, alpha).beta))
 
 
 def ineq_II_rhs(x: float):
     """int_0^1 u^(x-1)/(2+u) du = P(x, 1, 1/2)/2."""
-    return _half(_power_integral(x, 1.0, 0.5))
+    return _result(_rhs_II(x))
+
+
+def _sides(x: np.ndarray, alpha: np.ndarray) -> tuple[list, np.ndarray]:
+    """Lane triples of lhs_I, rhs_I, lhs_II and rhs_II at the points (x, alpha),
+    the numbers `ineq_*_lhs/rhs` give one point at a time, and the betas.
+    lhs_I is 0, with estimate 0 and no terms, under alpha = 0."""
+    beta = (1.0 - alpha * x) / (1.0 - x)
+    live = alpha != 0.0
+    lhs_I = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x), dtype=int)
+    for full, part in zip(lhs_I, _lhs_I(x[live], alpha[live])):
+        full[live] = part
+    return [lhs_I, _rhs_I(x), _lhs_II(x, beta), _rhs_II(x)], beta
+
+
+def _master_reports(x, alpha) -> tuple[list[CheckReport], list[CheckReport]]:
+    """The `check_ineq_I` and `check_ineq_II` reports at the points (x, alpha)."""
+    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    ((l1, e1, k1), (r1, f1, m1), (l2, e2, k2), (r2, f2, m2)), beta = _sides(x, alpha)
+    points = list(zip(x.tolist(), alpha.tolist()))
+    first = zip(points, l1.tolist(), r1.tolist(), (e1 + f1).tolist(),
+                np.maximum(k1, m1).tolist())
+    second = zip(points, beta.tolist(), l2.tolist(), r2.tolist(), (e2 + f2).tolist(),
+                 np.maximum(k2, m2).tolist())
+    return ([CheckReport.from_sides("ineq_I", f"x={xi},alpha={ai}", lhs, rhs, budget, terms)
+             for (xi, ai), lhs, rhs, budget, terms in first],
+            [CheckReport.from_sides("ineq_II", f"x={xi},alpha={ai},beta={bi}",
+                                    lhs, rhs, budget, terms)
+             for (xi, ai), bi, lhs, rhs, budget, terms in second])
 
 
 def check_ineq_I(case: ProofCase) -> CheckReport:
@@ -262,12 +371,7 @@ def check_ineq_I(case: ProofCase) -> CheckReport:
     pass at x settles the inequality on [x, x'] for every larger x' under
     the same alpha.
     """
-    lhs = ineq_I_lhs(case.x, case.alpha)
-    rhs = ineq_I_rhs(case.x)
-    lv, le = (0.0, 0.0) if lhs is None else (lhs.value, lhs.error_estimate)
-    return CheckReport.from_sides(
-        "ineq_I", f"x={case.x},alpha={case.alpha}",
-        lv, rhs.value, le + rhs.error_estimate)
+    return _master_reports([case.x], [case.alpha])[0][0]
 
 
 def check_ineq_II(case: ProofCase) -> CheckReport:
@@ -284,11 +388,7 @@ def check_ineq_II(case: ProofCase) -> CheckReport:
     So a pass at x settles the inequality on (x', x] for every smaller x'
     under the same alpha.
     """
-    lhs = ineq_II_lhs(case.x, case.alpha)
-    rhs = ineq_II_rhs(case.x)
-    return CheckReport.from_sides(
-        "ineq_II", f"x={case.x},alpha={case.alpha},beta={case.beta}",
-        lhs.value, rhs.value, lhs.error_estimate + rhs.error_estimate)
+    return _master_reports([case.x], [case.alpha])[1][0]
 
 
 def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
@@ -298,27 +398,17 @@ def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
     xs = sorted(x_grid)
     if len(xs) < 2:
         raise DomainError("need at least two grid points")
-    rows = []
-    budget = 0.0
-    for x in xs:
-        l1 = ineq_I_lhs(x, alpha)
-        r1 = ineq_I_rhs(x)
-        l2 = ineq_II_lhs(x, alpha)
-        r2 = ineq_II_rhs(x)
-        lv = 0.0 if l1 is None else l1.value
-        budget = max(budget, 2.0 * sum(
-            q.error_estimate for q in (r1, l2, r2) if q is not None)
-            + (0.0 if l1 is None else 2.0 * l1.error_estimate))
-        rows.append((lv, r1.value, l2.value, r2.value))
-    steps = []
-    for prev, cur in zip(rows, rows[1:]):
-        steps.append(prev[0] - cur[0])   # lhs I nonincreasing
-        steps.append(cur[1] - prev[1])   # rhs I nondecreasing
-        steps.append(cur[2] - prev[2])   # lhs II nondecreasing
-        steps.append(prev[3] - cur[3])   # rhs II nonincreasing
+    cases = [ProofCase(float(x), alpha) for x in xs]
+    ((l1, e1, k1), (r1, f1, m1), (l2, e2, k2), (r2, f2, m2)), _ = _sides(
+        np.array([case.x for case in cases]), np.array([case.alpha for case in cases]))
+    budget = float(np.max(2.0 * (f1 + e2 + f2) + 2.0 * e1))
+    steps = np.concatenate([l1[:-1] - l1[1:],    # lhs I nonincreasing
+                            r1[1:] - r1[:-1],    # rhs I nondecreasing
+                            l2[1:] - l2[:-1],    # lhs II nondecreasing
+                            r2[:-1] - r2[1:]])   # rhs II nonincreasing
     return CheckReport.from_sides(
         "monotone_in_x", f"alpha={alpha},grid={len(xs)}",
-        -min(steps), 0.0, -budget)
+        -float(steps.min()), 0.0, -budget, int(max(k.max() for k in (k1, m1, k2, m2))))
 
 
 def alpha_schedule(x: float) -> float:
@@ -396,7 +486,9 @@ def default_sweep(x_points: int = 300, grid_points: int = 100) -> list[CheckRepo
     int_0^1 u^(c-1) (1+zu)^(-s) du = (1/c) 2F1(s, c; c+1; -z)
     = (1+z)^(-c)/c 2F1(c+1-s, c; c+1; z/(1+z)), whose terms are positive.
     Each check's budget is its sides' geometric tail bounds plus their
-    rounding terms (`_power_integral`).
+    rounding terms (`_power_integral`). The series of all grid points are
+    summed together, lane by lane, with the numbers `check_ineq_I` and
+    `check_ineq_II` give one point at a time.
 
     The grid x_k = k/(2 x_points), together with 1/3 and 2/5 under both
     adjacent alpha, certifies both inequalities on all of (0, 1/2], not only
@@ -408,16 +500,11 @@ def default_sweep(x_points: int = 300, grid_points: int = 100) -> list[CheckRepo
     (0, 1/3], lhs_I is identically 0.
     """
     reports = list(check_scalar_constants())
-    for k in range(1, x_points + 1):
-        x = k / (2.0 * x_points)
-        case = ProofCase(x, alpha_schedule(x))
-        reports.append(check_ineq_I(case))
-        reports.append(check_ineq_II(case))
-    for x, alphas in ((1.0 / 3.0, (0.0, 0.5)), (2.0 / 5.0, (0.5, 1.0))):
-        for alpha in alphas:
-            case = ProofCase(x, alpha)
-            reports.append(check_ineq_I(case))
-            reports.append(check_ineq_II(case))
+    x = [k / (2.0 * x_points) for k in range(1, x_points + 1)]
+    x += [1.0 / 3.0, 1.0 / 3.0, 2.0 / 5.0, 2.0 / 5.0]
+    alpha = [alpha_schedule(xi) for xi in x[:x_points]] + [0.0, 0.5, 0.5, 1.0]
+    for pair in zip(*_master_reports(x, alpha)):
+        reports.extend(pair)
 
     t_grid = np.geomspace(1e-3, 1e3, grid_points)
     for m, (p, alpha) in product((1, 2, 10, 100, 1000), _CONVEXITY_PA):

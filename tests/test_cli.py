@@ -1,10 +1,11 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
-from hilbert_kp import Sequence, write_sequence
+from hilbert_kp import Sequence, proof_checks, write_sequence
 from hilbert_kp.cli import build_parser, main, random_pair
 
 import numpy as np
@@ -161,6 +162,30 @@ class TestVerifyInequality:
         assert out1.splitlines()[0].startswith("# generated ")
 
 
+class TestConfigurationLine:
+    """Every report records the flags it ran with on the line after the
+    timestamp."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["beta-table", "--points", "2"], "# tol=1e-12 points=2"),
+        (["beta-table", "--tol", "1e-10", "--points", "1"], "# tol=1e-10 points=1"),
+        (["verify-inequality", "--trials", "1", "--p", "3", "--tol", "1e-9"],
+         "# p=3.0 tol=1e-09 seed=0 trials=1 max_support=2000"),
+        (["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "4,8", "--iters", "50"],
+         "# p=2.0 seed=0 eps_grid=0.5 ascent_sizes=4,8 iters=50"),
+    ])
+    def test_header_records_the_effective_flags(self, argv, config, capsys):
+        _, out = run_cli(argv, capsys)
+        comments = [line for line in out.splitlines() if line.startswith("#")]
+        assert comments[0].startswith("# generated ")
+        assert comments[1:] == [config]
+
+    def test_defaults_are_recorded_too(self, capsys):
+        _, out = run_cli(["norm-bounds", "--eps-grid", "0.5", "--iters", "20"], capsys)
+        assert out.splitlines()[1] == ("# p=2.0 seed=0 eps_grid=0.5 "
+                                       "ascent_sizes=16,64,256,1024,4096,16384 iters=20")
+
+
 class TestProofCheck:
     def test_scalars_only(self, capsys):
         code, out = run_cli(["proof-check", "--scalars-only"], capsys)
@@ -174,9 +199,58 @@ class TestProofCheck:
         (["proof-check", "--x-grid-size", "6"], "# x_grid_size=6"),
     ])
     def test_header_records_the_configuration_used(self, argv, config, capsys):
+        """The configuration line follows the timestamp; only the manifest's
+        `# check` lines come after it."""
         _, out = run_cli(argv, capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
-        assert comments[1:] == [config]
+        assert comments[1] == config
+        assert all(line.startswith("# check ") for line in comments[2:])
+
+    def test_manifest_summarises_each_family(self, capsys):
+        code, out = run_cli(["proof-check", "--x-grid-size", "6"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
+        families = {}
+        for r in rows:
+            families.setdefault(r["name"], []).append(r)
+        manifest = {}
+        for line in out.splitlines():
+            if line.startswith("# check "):
+                name, *fields = line[len("# check "):].split()
+                manifest[name] = dict(field.split("=") for field in fields)
+        assert list(manifest) == list(families)
+        for name, group in families.items():
+            entry = manifest[name]
+            assert int(entry["passed"]) == len(group) and entry["failed"] == "0"
+            worst = min(float(r["margin"]) - float(r["error_budget"]) for r in group)
+            assert float(entry["worst_margin_minus_budget"]) == pytest.approx(worst, rel=1e-2)
+        for name in ("ineq_I", "ineq_II", "monotone_in_x"):
+            assert 0 < int(manifest[name]["max_series_terms"]) < 100
+        assert "max_series_terms" not in manifest["logconvexity_f"]
+
+    def test_manifest_counts_a_failed_check(self, capsys, monkeypatch):
+        failed = proof_checks.CheckReport.from_sides("ineq_I", "x=0.1,alpha=0.0",
+                                                     1.0, 1.5, 1.0, terms=7)
+        monkeypatch.setattr(proof_checks, "check_scalar_constants",
+                            lambda: [failed, replace(failed, passed=True)])
+        code, out = run_cli(["proof-check", "--scalars-only"], capsys)
+        assert code == 1
+        assert out.splitlines()[2] == ("# check ineq_I passed=1 failed=1 "
+                                       "worst_margin_minus_budget=-0.5 max_series_terms=7")
+
+    def test_manifest_leaves_the_body_alone(self, capsys):
+        """Body rows are the sweep's reports, exactly as formatted without a
+        manifest."""
+        _, out = run_cli(["proof-check", "--x-grid-size", "4"], capsys)
+        expected = [",".join(["name", "parameters", "lhs", "rhs", "margin", "error_budget",
+                              "passed"])]
+        for r in proof_checks.default_sweep(x_points=4):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="").writerow(
+                [r.name, r.parameters, f"{r.lhs:.15g}", f"{r.rhs:.15g}",
+                 f"{r.margin:.15g}", f"{r.error_budget:.3g}", int(r.passed)])
+            expected.append(buf.getvalue())
+        assert csv_body(out) == expected
 
     def test_small_sweep(self, capsys):
         code, out = run_cli(["proof-check", "--x-grid-size", "6"], capsys)

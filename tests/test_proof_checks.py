@@ -20,6 +20,7 @@ from hilbert_kp import (
     default_sweep,
 )
 from hilbert_kp.proof_checks import (
+    _power_integral,
     ineq_I_lhs,
     ineq_I_rhs,
     ineq_II_lhs,
@@ -132,6 +133,14 @@ class TestMasterInequalities:
         assert check_ineq_I(case).passed
         assert check_ineq_II(case).passed
 
+    @pytest.mark.parametrize("side", [ineq_I_lhs, ineq_II_lhs])
+    @pytest.mark.parametrize("x, alpha", [(0.3, 1e3), (0.7, 0.0), (0.0, 1.0)])
+    def test_lhs_outside_the_domain(self, side, x, alpha):
+        """Both left sides take only points with 0 < x <= 1/2 and
+        0 <= alpha x <= 1, where their series stay short."""
+        with pytest.raises(DomainError):
+            side(x, alpha)
+
     def test_tightest_point_still_clears(self):
         # x = 0.4 under alpha = 1 has the smallest margin in the whole sweep
         rep = check_ineq_I(ProofCase(0.4, 1.0))
@@ -174,6 +183,91 @@ class TestMasterInequalitySeries:
                 continue
             assert side.error_estimate > 0.0
             assert abs(side.value - ref) <= side.error_estimate
+
+
+def _power_integral_reference(x: float, s: float, z: float) -> tuple[float, float, int]:
+    """The Pfaff series of `_power_integral` for one (x, s, z), summed by a
+    scalar loop: value, error estimate and term count."""
+    a = (1.0 - s) + x
+    if x <= 0.0 or z <= 0.0 or a <= 0.0:
+        raise DomainError(f"need x > 0, z > 0 and x+1-s > 0, got x={x}, s={s}, z={z}")
+    w = z / (1.0 + z)
+    coeff, partial, k = 1.0, 0.0, 0
+    terms = []
+    while True:
+        term = coeff / (x + k)
+        terms.append(term)
+        partial += term
+        step = (a + k) / (k + 1.0)
+        ratio = w * step if step > 1.0 else w
+        if ratio < 1.0 and term * ratio <= (1.0 - ratio) * 2.0 ** -53 * partial:
+            break
+        coeff *= step * w
+        k += 1
+    value = (1.0 + z) ** -x * math.fsum(terms)
+    tail = term * ratio / (1.0 - ratio)
+    return value, tail + (6 * k + 8) * 2.0 ** -53 * value, k + 1
+
+
+def _six_families(xs):
+    """The (c, s, z) lanes of every series behind the master inequalities at
+    the points xs under the alpha schedule, plus 1/3 and 2/5 under both
+    adjacent weights."""
+    points = [(x, alpha_schedule(x)) for x in xs]
+    points += [(1.0 / 3.0, 0.0), (1.0 / 3.0, 0.5), (0.4, 0.5), (0.4, 1.0)]
+    lanes = []
+    for x, alpha in points:
+        beta = ProofCase(x, alpha).beta
+        if alpha != 0.0:
+            lanes.append((x, 1.0 - alpha, 2.0))
+        lanes += [(x, 1.0, 2.0), (1.0 - x, 1.0, 0.5), (1.0 - x, 1.0 - beta, 2.0),
+                  (1.0 - x, 1.0, 2.0), (x, 1.0, 0.5)]
+    return lanes
+
+
+class TestBatchedSeries:
+    def test_lanes_equal_the_scalar_loop(self):
+        """Summed together, in passes that mix families, every lane has the
+        value, estimate and term count of its series summed alone; so do
+        lanes too long for the first pass (743 and 268 terms)."""
+        xs = [k / 6000.0 for k in range(1, 3001, 3)] + [0.5]
+        lanes = _six_families(xs) + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)]
+        assert xs[0] == 1.0 / 6000.0
+        value, estimate, terms = _power_integral(*np.array(lanes).T)
+        assert terms[-2:].tolist() == [743, 268]
+        for lane, v, e, k in zip(lanes, value.tolist(), estimate.tolist(), terms.tolist()):
+            assert (v, e, k) == _power_integral_reference(*lane), lane
+
+    def test_series_length_is_capped(self):
+        """A series that needs more than 2^16 terms (its value overflows long
+        before) raises instead of growing the term matrix without bound."""
+        with pytest.raises(DomainError, match=r"x=0\.5, s=-100000\.0, z=2\.0 needs more"), \
+                np.errstate(over="ignore"):
+            _power_integral([0.25, 0.5], [1.0, -1e5], [2.0, 2.0])
+
+    def test_sweep_equals_the_per_point_checks(self):
+        reports = [r for r in default_sweep(x_points=300)
+                   if r.name in ("ineq_I", "ineq_II")]
+        cases = [ProofCase(k / 600.0, alpha_schedule(k / 600.0)) for k in range(1, 301)]
+        cases += [ProofCase(1.0 / 3.0, 0.0), ProofCase(1.0 / 3.0, 0.5),
+                  ProofCase(0.4, 0.5), ProofCase(0.4, 1.0)]
+        expected = [r for case in cases for r in (check_ineq_I(case), check_ineq_II(case))]
+        assert reports == expected
+        assert max(r.terms for r in reports) > 0
+
+    @pytest.mark.parametrize("bad, lane", [(517, (-0.25, 1.0, 2.0)),
+                                           (3, (0.5, 1.75, 2.0)),
+                                           (600, (0.25, 1.25, 2.0))])
+    def test_one_bad_lane_is_named(self, bad, lane):
+        """x <= 0 or x+1-s <= 0 in any lane of a multi-block call raises
+        DomainError naming that lane."""
+        x = np.linspace(0.01, 0.5, 700)
+        s = np.ones(700)
+        z = np.full(700, 2.0)
+        x[bad], s[bad], z[bad] = lane
+        with pytest.raises(DomainError) as exc:
+            _power_integral(x, s, z)
+        assert str(exc.value).endswith(f"got x={lane[0]}, s={lane[1]}, z={lane[2]}")
 
 
 class TestMonotoneAndSchedule:
