@@ -16,7 +16,6 @@ from .kernels import (
     Variant,
     apply_operator,
     bilinear_form,
-    kernel_value,
     row_sum_alpha,
 )
 from .kp import TaylorFunction, hilbert_apply, k1_embedding_bound, kp_norm

@@ -150,12 +150,12 @@ def cmd_beta_table(args: argparse.Namespace) -> int:
     rows = []
     for k in range(1, args.points + 1):
         x = k / (args.points + 1.0)
-        res = quadrature.beta_integral(x, args.tol)
+        res = quadrature.beta_integral(x)
         closed = math.pi / math.sin(math.pi * x)
         rows.append([f"{x:.12g}", f"{res.value:.15g}", f"{closed:.15g}",
                      f"{abs(res.value - closed):.3g}"])
     _emit(args.out, ["x", "beta_integral", "closed_form", "abs_err"], rows,
-          [f"tol={args.tol} points={args.points}"])
+          [f"points={args.points}"])
     return 0
 
 
@@ -170,7 +170,7 @@ def positive_int(text: str) -> int:
 
 def positive_float(text: str) -> float:
     """argparse type for tolerances, which must be finite and > 0: `--tol inf`
-    would pass every comparison, and `nan` would reach the quadrature."""
+    would pass every comparison, and `nan` would fail every one."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--image-out", type=str, default=None)
 
     sp = command("beta-table", cmd_beta_table, "singular integral vs closed form on a grid")
-    sp.add_argument("--tol", type=positive_float, default=1e-12)
     sp.add_argument("--points", type=positive_int, default=19)
     return parser
 

@@ -94,13 +94,6 @@ def kernel_matrix(spec: KernelSpec, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     raise AssertionError(spec.variant)
 
 
-def kernel_value(spec: KernelSpec, m: int, n: int) -> float:
-    """The coefficient multiplying a_m b_n."""
-    if m < 1 or n < 1:
-        raise InvalidInputError(f"kernel indices must be >= 1, got ({m}, {n})")
-    return float(kernel_matrix(spec, np.array([m]), np.array([n]))[0, 0])
-
-
 def _hankel(spec: KernelSpec, m: np.ndarray, n: np.ndarray,
             s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row weights w(m), column weights v(n) and Hankel symbol h(s) of the

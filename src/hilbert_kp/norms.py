@@ -89,16 +89,15 @@ def _norm_sum_bracket(eps: float, M: int) -> tuple[float, float]:
     return partial, power_tail_bound(M, 1.0 + eps)
 
 
-def epsilon_family_ratio(eps: float, p: float, M: int | None = None,
-                         tol: float = 1e-10) -> SharpnessPoint:
+def epsilon_family_ratio(eps: float, p: float, M: int | None = None) -> SharpnessPoint:
     """Certified lower bound for the normalized form value of the extremal
     family, via the reduced integral I(eps) and upper brackets for the two
     power-sum corrections.
 
-    Every ingredient errs downward: the integral value has its quadrature
-    estimate subtracted, and the denominators use tail-inflated upper bounds
-    for the correction terms, so the reported ratio never overshoots the
-    supremum it approaches.
+    Every ingredient errs downward: the integral value has the error
+    estimate of its series (`I_of_epsilon`) subtracted, and the denominators
+    use tail-inflated upper bounds for the correction terms, so the reported
+    ratio never overshoots the supremum it approaches.
 
     The same value bounds the K^p operator norm from below: the K^p -> l^p
     re-weighting preserves norms, so the bound carries over unchanged.
@@ -115,7 +114,7 @@ def epsilon_family_ratio(eps: float, p: float, M: int | None = None,
     # phi = sum m^(-1-eps) - 1/eps; the same sum governs both norm
     # corrections, so their powers 1/p and 1/q multiply to 1 + eps*phi
     phi_upper = min(max(partial + tail - 1.0 / eps, 0.0), 1.0)
-    res = I_of_epsilon(eps, p, tol)
+    res = I_of_epsilon(eps, p)
     eps_I_lower = eps * res.value - eps * res.error_estimate
     return SharpnessPoint(eps, eps_I_lower / (1.0 + eps * phi_upper), phi_upper)
 

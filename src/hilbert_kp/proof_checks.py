@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import F_of_y, QuadratureResult, adaptive_integrate
+from .quadrature import F_of_y, QuadratureResult, _power_integral, adaptive_integrate
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ProofCase:
     def __post_init__(self):
         if not 0.0 < self.x <= 0.5:
             raise DomainError(f"x must lie in (0, 1/2], got {self.x}")
-        if self.alpha < 0.0 or self.alpha * self.x > 1.0:
+        if not (0.0 <= self.alpha and self.alpha * self.x <= 1.0):
             raise DomainError(f"need 0 <= alpha*x <= 1, got alpha={self.alpha}")
 
     @property
@@ -179,95 +179,6 @@ def check_F_convex_max(p: float, alpha: float, y_grid,
 
 # ---------------------------------------------------------------------------
 # the two master integral inequalities, reduced to (0, 1] via t -> 1/t
-
-_UNIT_ROUNDOFF = 2.0 ** -53
-# Terms per lane in a first pass (the sweep's series need at most 92); a lane
-# that has not stopped by then is summed again with twice as many.
-_WIDTH = 128
-# Lanes x terms of one pass. It bounds the memory a pass needs: each of its
-# arrays is 64 KB, small enough for the allocator to reuse from pass to pass.
-_CELLS = 64 * _WIDTH
-# No series with a finite value comes near this: its terms peak near k = 2a,
-# and (1+z)^a overflows for a above about 650 at z = 2.
-_MAX_TERMS = 2 ** 16
-
-
-def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for x > 0, z > 0, x+1-s > 0,
-    lane-wise over 1-D arrays: returns value, error estimate and term count
-    arrays.
-
-    P is (1/x) 2F1(s, x; x+1; -z), and Pfaff's transformation (DLMF 15.8.1)
-    turns it into a series of positive terms:
-
-        P = (1+z)^(-x) sum_k (a)_k / k! * w^k / (x+k),  a = x+1-s,  w = z/(1+z).
-
-    From term K on, every term ratio is at most r = max(1, (a+K)/(K+1)) w,
-    so once r < 1 the terms after t_K sum to at most t_K r/(1-r). Each lane
-    sums its terms with `math.fsum` until that tail bound falls below double
-    rounding of its partial sum. The error estimate is the tail bound plus
-    the rounding term (6K + 8) u P, u = 2^-53: six roundings per recurrence
-    step (those of a and w included), two per term, and those of fsum, the
-    power and the product. It is always positive.
-
-    Lanes are summed together (`_sum_lanes`) with the operations of a scalar
-    loop in its order, so each lane's value, estimate and term count are
-    those of summing it alone.
-    """
-    x, s, z = (np.asarray(v, dtype=float) for v in (x, s, z))
-    a = (1.0 - s) + x
-    bad = ~((x > 0.0) & (z > 0.0) & (a > 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"need x > 0, z > 0 and x+1-s > 0, "
-                          f"got x={float(x[i])}, s={float(s[i])}, z={float(z[i])}")
-    w = z / (1.0 + z)
-    sums, tail = np.empty(len(x)), np.empty(len(x))
-    last = np.empty(len(x), dtype=int)
-    pending, width = np.arange(len(x)), _WIDTH
-    while len(pending):
-        if width > _MAX_TERMS:
-            i = pending[0]
-            raise DomainError(f"series at x={float(x[i])}, s={float(s[i])}, z={float(z[i])} "
-                              f"needs more than {_MAX_TERMS} terms")
-        short, rows = [], max(1, _CELLS // width)
-        for lo in range(0, len(pending), rows):
-            lanes = pending[lo:lo + rows]
-            stopped, *done = _sum_lanes(x[lanes], a[lanes], w[lanes], width)
-            sums[lanes[stopped]], tail[lanes[stopped]], last[lanes[stopped]] = done
-            short.append(lanes[~stopped])
-        pending, width = np.concatenate(short), 2 * width
-    power = np.array([(1.0 + zi) ** -xi for xi, zi in zip(x.tolist(), z.tolist())])
-    value = power * sums
-    return value, tail + (6 * last + 8) * _UNIT_ROUNDOFF * value, last + 1
-
-
-def _sum_lanes(x, a, w, width: int):
-    """The first `width` terms of each lane, as a lanes x width matrix. Returns
-    which lanes meet the stopping rule among them and, for those, the fsum of
-    their terms, the tail bound and the last index K.
-
-    The scalar recurrence coeff *= ((a+k)/(k+1)) w is a running product and
-    the partial sums a running sum; `accumulate` evaluates both strictly left
-    to right, so every entry is rounded as in the loop."""
-    k = np.arange(width, dtype=float)
-    w = w[:, None]
-    step = (a[:, None] + k) / (k + 1.0)
-    ratio = w * np.maximum(step, 1.0)   # w*step where step > 1, else w, exactly
-    factors = np.empty_like(step)
-    factors[:, 0] = 1.0
-    np.multiply(step[:, :-1], w, out=factors[:, 1:])
-    terms = np.multiply.accumulate(factors, axis=1) / (x[:, None] + k)
-    partial = np.add.accumulate(terms, axis=1)
-    stops = (ratio < 1.0) & (terms * ratio <= (1.0 - ratio) * _UNIT_ROUNDOFF * partial)
-    first = stops.argmax(axis=1)
-    stopped = stops[np.arange(len(x)), first]
-    rows, last = np.flatnonzero(stopped), first[stopped]
-    term, r = terms[rows, last], ratio[rows, last]
-    sums = np.array([math.fsum(terms[i, :n + 1].tolist())
-                     for i, n in zip(rows.tolist(), last.tolist())])
-    return stopped, sums, term * r / (1.0 - r), last
-
 
 # Lane triples (value, estimate, terms) of the sides below: `terms` is the
 # length of the longest series a side sums.

@@ -16,7 +16,6 @@ from hilbert_kp import (
     apply_operator,
     bilinear_form,
     conjugate,
-    kernel_value,
     lp_norm,
     row_sum_alpha,
     theoretical_norm,
@@ -44,29 +43,29 @@ def seq(*values):
 class TestKernelValues:
     def test_classical_corner(self):
         spec = KernelSpec(Variant.CLASSICAL)
-        assert kernel_value(spec, 1, 1) == 1.0
-        assert kernel_value(spec, 2, 3) == pytest.approx(0.25, abs=1e-16)
+        assert kernel_matrix(spec, [1], [1])[0, 0] == 1.0
+        assert kernel_matrix(spec, [2], [3])[0, 0] == pytest.approx(0.25, abs=1e-16)
 
     def test_weighted_main_formula(self):
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=3.0)
         e = 1.0 / 1.5 - 1.0 / 3.0
-        assert kernel_value(spec, 2, 5) == pytest.approx(
+        assert kernel_matrix(spec, [2], [5])[0, 0] == pytest.approx(
             (5.0 / 2.0) ** e / 6.0, rel=1e-14)
 
     def test_yang_shift_formula(self):
         spec = KernelSpec(Variant.YANG_SHIFT, p=4.0)
         e = 0.75 - 0.25
-        assert kernel_value(spec, 3, 2) == pytest.approx(
+        assert kernel_matrix(spec, [3], [2])[0, 0] == pytest.approx(
             (2.0 / 3.0) ** e / 5.0, rel=1e-14)
 
     def test_yang_half_shift_formula(self):
         spec = KernelSpec(Variant.YANG_HALF_SHIFT, p=4.0)
-        assert kernel_value(spec, 1, 2) == pytest.approx(
+        assert kernel_matrix(spec, [1], [2])[0, 0] == pytest.approx(
             3.0 ** 0.5 / 2.0, rel=1e-14)
 
     def test_alpha_row_formula(self):
         spec = KernelSpec(Variant.ALPHA_ROW, p=2.0, alpha=0.5)
-        assert kernel_value(spec, 2, 2) == pytest.approx(
+        assert kernel_matrix(spec, [2], [2])[0, 0] == pytest.approx(
             1.0 / (2.0 * math.sqrt(3.0)), rel=1e-14)
 
     @pytest.mark.parametrize("variant", [Variant.WEIGHTED_MAIN, Variant.YANG_SHIFT,
@@ -88,7 +87,7 @@ class TestKernelValues:
 
     def test_symmetry_classical(self):
         spec = KernelSpec(Variant.CLASSICAL)
-        assert kernel_value(spec, 4, 9) == kernel_value(spec, 9, 4)
+        assert kernel_matrix(spec, [4], [9])[0, 0] == kernel_matrix(spec, [9], [4])[0, 0]
 
     def test_positivity(self):
         for variant in Variant:
@@ -99,13 +98,13 @@ class TestKernelValues:
 
     def test_large_indices_no_overflow(self):
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.01)
-        v = kernel_value(spec, 1, 10 ** 15)
+        v = kernel_matrix(spec, [1], [10 ** 15])[0, 0]
         assert math.isfinite(v) and v > 0.0
 
     def test_invalid_indices(self):
         spec = KernelSpec(Variant.CLASSICAL)
         with pytest.raises(InvalidInputError):
-            kernel_value(spec, 0, 1)
+            kernel_matrix(spec, [0], [1])
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -172,7 +171,7 @@ class TestApplyOperator:
         a = seq(1, 0, 2, 0.5)
         out = apply_operator(spec, a, 6)
         for n in range(1, 7):
-            expected = sum(kernel_value(spec, m, n) * v
+            expected = sum(kernel_matrix(spec, [m], [n])[0, 0] * v
                            for m, v in zip(a.indices(), a.values))
             assert out.values[n - 1] == pytest.approx(expected, rel=1e-13)
 

@@ -20,7 +20,6 @@ from hilbert_kp import (
     default_sweep,
 )
 from hilbert_kp.proof_checks import (
-    _power_integral,
     ineq_I_lhs,
     ineq_I_rhs,
     ineq_II_lhs,
@@ -28,6 +27,7 @@ from hilbert_kp.proof_checks import (
     logconv_f_expression,
     logconv_g_expression,
 )
+from hilbert_kp.quadrature import _power_integral
 
 # Frozen two-sided values from an independent high-precision evaluation.
 INEQ_FROZEN = {
@@ -53,6 +53,8 @@ class TestProofCase:
             ProofCase(0.6, 0.0)
         with pytest.raises(DomainError):
             ProofCase(0.5, 2.5)   # alpha*x > 1
+        with pytest.raises(DomainError, match="alpha=nan"):
+            ProofCase(0.3, float("nan"))
 
 
 class TestCheckReport:
