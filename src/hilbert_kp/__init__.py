@@ -3,7 +3,6 @@ coefficient spaces, and numerical certification of the underlying proof
 chain."""
 
 from .errors import (
-    AccuracyError,
     DegenerateInputError,
     DivergentTailError,
     DomainError,
@@ -48,7 +47,6 @@ from .quadrature import (
     F_of_y,
     I_of_epsilon,
     QuadratureResult,
-    adaptive_integrate,
     beta_integral,
 )
 from .sequences import (

@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from . import kernels, norms, proof_checks, quadrature
-from .errors import AccuracyError
 from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .sequences import Sequence, conjugate, lp_norm, read_sequence, write_sequence
 
@@ -251,12 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Exit status: 0 when every check passes, 1 when a
     check fails, 2 for bad input (argparse's usage errors, and any
-    `ValueError`, `OSError` or `AccuracyError` a command raises, reported on
-    one line)."""
+    `ValueError` or `OSError` a command raises, reported on one line)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, AccuracyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"hilbert-kp {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

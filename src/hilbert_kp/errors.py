@@ -22,19 +22,6 @@ class DivergentTailError(DomainError):
     """Requested tail bound for a series that does not converge."""
 
 
-class AccuracyError(RuntimeError):
-    """Adaptive integration could not reach the requested tolerance.
-
-    Carries the best available estimate so callers can decide whether to
-    accept it anyway.
-    """
-
-    def __init__(self, message, value, error_estimate):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-
-
 class InsufficientTruncationError(ValueError):
     """Truncation size too small for the certified tail budget.
 

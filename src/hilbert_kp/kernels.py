@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ParameterError
-from .quadrature import QuadratureResult, adaptive_integrate
+from .quadrature import QuadratureResult, _binomial_integral
 from .sequences import Sequence, conjugate, snap_exponent
 
 
@@ -186,11 +186,6 @@ def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
 
 # Largest head length N of `row_sum_alpha`; a tol that needs more is refused.
 ROW_SUM_MAX_HEAD = 1 << 22
-# Relative error of a row sum that no tol can go below: the 15-digit
-# Gauss-Kronrod weights are off by up to 9.9e-15 relative, which biases the
-# tail integral of a positive integrand by as much, and each summand carries
-# a few ulps.
-ROW_SUM_REL_FLOOR = 2e-14
 
 
 def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> QuadratureResult:
@@ -203,14 +198,20 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
 
         sum_{n>=N} f(n) = int_N^inf f + f(N)/2 + R,   0 <= R <= -f'(N)/12.
 
-    N doubles from 64 until -f'(N)/12 <= tol/4, the head sum_{n<N} f is
-    summed exactly and the integral is computed by quadrature to <= tol/4.
-    `value` is the top of the bracket, head + integral + f(N)/2 - f'(N)/12,
-    and `error_estimate` is the bracket width -f'(N)/12 plus the quadrature
-    estimate plus ROW_SUM_REL_FLOOR * value. A tol below 2 ROW_SUM_REL_FLOOR
-    times the sum, or one that needs N > ROW_SUM_MAX_HEAD, raises
-    `ParameterError`. -f'(N) decays like N^(-1/p-2); for p <= 12 and
-    m <= 10^6, N <= 8192 at tol = 1e-8 and N <= 65536 at tol = 1e-10.
+    N doubles from 64 until -f'(N)/12 <= tol/4. The head sum_{n<N} f is
+    summed pairwise, halves added to halves. With t = m s the integral is
+    int_{N/m}^inf s^(-1/p) (1+s)^(-1) (1 - 1/(m(1+s)))^(-alpha) ds, the
+    binomial series `_binomial_integral` at y = N/m, x = 1/m, whose terms
+    fall at least by 1/(m+N). `value` is the top of the bracket,
+    head + integral + f(N)/2 - f'(N)/12, and `error_estimate` is the bracket
+    width -f'(N)/12 plus the series estimate plus the rounding term
+    (log2 N + 9 + 2 ln(m+N)) u value, u = 2^-53: log2 N roundings of the
+    pairwise sum, eight in each summand and the final fsum, and the
+    rounding of the exponents 1/p and alpha-1, which moves a summand by at
+    most ln(m+N) u each. A tol below twice that rounding term, or one
+    that needs N > ROW_SUM_MAX_HEAD, raises `ParameterError`. -f'(N) decays
+    like N^(-1/p-2); for p <= 12 and m <= 10^6, N <= 8192 at tol = 1e-8 and
+    N <= 65536 at tol = 1e-10.
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
@@ -236,23 +237,17 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
             raise ParameterError(
                 f"row sum for m={m}, p={p} cannot reach tol={tol}: "
                 f"it needs more than {ROW_SUM_MAX_HEAD} head terms")
-    head = math.fsum(term(np.arange(1.0, N)).tolist())
-
-    def tail_integrand(v: np.ndarray) -> np.ndarray:
-        # t = N/v maps [N, inf) to (0, 1], where the integrand is
-        # v^(1/p-1) times a function analytic in v
-        return term(N / v) * (N / v) / v
-
-    # Declaring the singularity as v^(1/(2p)-1) substitutes v = u^(2p), which
-    # leaves u times an analytic function of u^(2p): smooth enough at u = 0
-    # for the Gauss-Kronrod estimate to hold even at p near 1.
-    tail = adaptive_integrate(tail_integrand, 0.0, 1.0, min(tol / 4.0, 1e-12 * max(1.0, head)),
-                              singularity=("lo", 1.0 - 0.5 * r))
+    head = np.zeros(N)
+    head[1:] = term(np.arange(1.0, N))   # slot 0 stays zero
+    while len(head) > 1:                 # pairwise: log2(N) roundings per summand
+        head = head[:len(head) // 2] + head[len(head) // 2:]
+    tail, tail_estimate, terms = _binomial_integral([N / m], [1.0 / m], alpha, r)
     bernoulli = slope(N) / 12.0
-    value = math.fsum([head, tail.value, 0.5 * term(N), bernoulli])
-    if ROW_SUM_REL_FLOOR * value > tol / 2.0:
+    value = math.fsum([float(head[0]), float(tail[0]), 0.5 * term(N), bernoulli])
+    rounding = (N.bit_length() + 8 + 2.0 * math.log(m + N)) * 2.0 ** -53 * value
+    if rounding > tol / 2.0:
         raise ParameterError(
             f"row sum for m={m}, p={p} cannot reach tol={tol}: "
-            f"its floor needs tol >= {2.0 * ROW_SUM_REL_FLOOR * value:.1e}")
-    return QuadratureResult(value, bernoulli + tail.error_estimate + ROW_SUM_REL_FLOOR * value,
-                            tail.subdivisions)
+            f"its rounding needs tol >= {2.0 * rounding:.1e}")
+    return QuadratureResult(value, bernoulli + float(tail_estimate[0]) + rounding,
+                            int(terms[0]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .kernels import KernelSpec, Variant, apply_operator
 from .sequences import Sequence, conjugate
 
 ZETA_2 = math.pi ** 2 / 6.0
@@ -45,17 +46,16 @@ def kp_norm(f: TaylorFunction, p: float) -> float:
 
 def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
     """Coefficients c_n = sum_m a_m/(m+n+1) of the Hilbert matrix image,
-    0 <= n <= n_max, as the correlation of the Hankel symbol 1/(s+1) with a
-    trimmed to its last nonzero coefficient."""
+    0 <= n <= n_max: the classical operator 1/(m+n-1) on the 1-based
+    indices m+1 and n+1, applied to a trimmed to its last nonzero
+    coefficient."""
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     a = f.coeffs.values
     nz = np.flatnonzero(a)
-    if len(nz) == 0:
-        return TaylorFunction(Sequence(0, np.zeros(n_max + 1)))
-    a = a[:nz[-1] + 1]
-    c = np.correlate(1.0 / np.arange(1.0, len(a) + n_max + 1.0), a, "valid")
-    return TaylorFunction(Sequence(0, c))
+    a = a[:nz[-1] + 1] if len(nz) else a[:0]
+    c = apply_operator(KernelSpec(Variant.CLASSICAL), Sequence(1, a), n_max + 1)
+    return TaylorFunction(Sequence(0, c.values))
 
 
 def k1_embedding_bound(f: TaylorFunction, p: float) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Numerical certification of the main-inequality proof chain.
 
 Every check evaluates both sides of one displayed inequality (or the sign of
-one displayed expression) in floating point, with quadrature or series error
-estimates folded into an explicit error budget. A check passes only when its
-margin clears the budget.
+one displayed expression) in floating point, with the error estimates of its
+series (`quadrature`) folded into an explicit error budget. A check passes
+only when its margin clears the budget.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import F_of_y, QuadratureResult, _power_integral, adaptive_integrate
+from .quadrature import QuadratureResult, _binomial_integral, _F_values, _power_integral
 
 
 @dataclass(frozen=True)
@@ -128,51 +128,49 @@ def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckRepor
 # ---------------------------------------------------------------------------
 # midpoint bound and the F-maximum reduction
 
-def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int,
-                         tol: float = 1e-12) -> CheckReport:
-    """f(n) <= int_{n-1/2}^{n+1/2} f(t) dt for 1 <= n <= n_max."""
+def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckReport:
+    """f(n) < int_{n-1/2}^{n+1/2} f(t) dt for 1 <= n <= n_max.
+
+    With t = m s, int_a^inf f = m^(-1/p) H(a/m, 1/m) (`_binomial_integral`),
+    so each integral is a difference of H at (n -+ 1/2)/m; H is summed at
+    all n_max + 1 ends in one batch. The budget is the largest sum of two
+    ends' estimates, scaled by m^(-1/p), plus (3 + log m) u times the
+    integral for the rounding of that factor."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    worst = None
-    budget = 0.0
-    for n in range(1, n_max + 1):
-        res = adaptive_integrate(lambda t: _f_row(m, p, alpha, t),
-                                 n - 0.5, n + 0.5, tol)
-        fn = float(_f_row(m, p, alpha, np.array([float(n)]))[0])
-        budget = max(budget, res.error_estimate)
-        if worst is None or res.value - fn < worst[1] - worst[0]:
-            worst = (fn, res.value, n)
+    ends = (np.arange(n_max + 1.0) + 0.5) / m
+    value, estimate, terms = _binomial_integral(ends, np.full(n_max + 1, 1.0 / m), alpha, 1.0 / p)
+    scale = m ** (-1.0 / p)
+    integral = scale * (value[:-1] - value[1:])
+    budget = scale * (estimate[:-1] + estimate[1:]) + (3.0 + math.log(m)) * 2.0 ** -53 * integral
+    fn = _f_row(m, p, alpha, np.arange(1.0, n_max + 1.0))
+    i = int(np.argmin(integral - fn))
     return CheckReport.from_sides(
-        "midpoint_bound", f"m={m},p={p},alpha={alpha},n_max={n_max},worst_n={worst[2]}",
-        worst[0], worst[1], budget)
+        "midpoint_bound", f"m={m},p={p},alpha={alpha},n_max={n_max},worst_n={i + 1}",
+        float(fn[i]), float(integral[i]), float(budget.max()), int(terms.max()))
 
 
-def check_F_convex_max(p: float, alpha: float, y_grid,
-                       tol: float = 1e-9) -> CheckReport:
-    """F(y) <= max(F(0), F(1/2)) across the grid, plus discrete convexity of
-    the sampled values."""
+def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
+    """F(y) < max(F(0), F(1/2)) at the grid points inside (0, 1/2), plus
+    discrete convexity of the sampled values. F is summed at both ends and
+    the grid in one batch; the budget is the ends' estimates plus the
+    largest estimate inside."""
     y = np.asarray(sorted(y_grid), dtype=float)
     if np.any(y < 0.0) or np.any(y > 0.5):
         raise DomainError("y grid must lie in [0, 1/2]")
-    ends = [F_of_y(0.0, p, alpha, tol), F_of_y(0.5, p, alpha, tol)]
-    cap = max(r.value for r in ends)
-    vals, errs = [], []
-    for yi in y:
-        r = F_of_y(float(yi), p, alpha, tol)
-        vals.append(r.value)
-        errs.append(r.error_estimate)
-    budget = sum(r.error_estimate for r in ends) + max(errs)
+    inside = (y > 0.0) & (y < 0.5)
+    if not inside.any():
+        raise DomainError("y grid needs a point inside (0, 1/2)")
+    value, estimate, terms = _F_values(np.concatenate([[0.0, 0.5], y]), p, alpha)
+    vals, errs = value[2:], estimate[2:]
     # divided second differences must not be significantly negative
-    convex_ok = True
-    for i in range(1, len(y) - 1):
-        left = (vals[i] - vals[i - 1]) / (y[i] - y[i - 1])
-        right = (vals[i + 1] - vals[i]) / (y[i + 1] - y[i])
-        if right - left < -(errs[i - 1] + errs[i] + errs[i + 1]) / (y[i] - y[i - 1]):
-            convex_ok = False
+    slopes = np.diff(vals) / np.diff(y)
+    slack = (errs[:-2] + errs[1:-1] + errs[2:]) / np.diff(y)[:-1]
     report = CheckReport.from_sides(
         "F_convex_max", f"p={p},alpha={alpha},grid={len(y)}",
-        float(max(vals)), cap + budget, 0.0)
-    if not convex_ok:
+        float(vals[inside].max()), float(value[:2].max()),
+        float(estimate[0] + estimate[1] + errs[inside].max()), int(terms.max()))
+    if np.any(np.diff(slopes) < -slack):
         report = replace(report, passed=False)
     return report
 
@@ -241,32 +239,42 @@ def ineq_II_rhs(x: float):
     return _result(_rhs_II(x))
 
 
-def _sides(x: np.ndarray, alpha: np.ndarray) -> tuple[list, np.ndarray]:
-    """Lane triples of lhs_I, rhs_I, lhs_II and rhs_II at the points (x, alpha),
-    the numbers `ineq_*_lhs/rhs` give one point at a time, and the betas.
-    lhs_I is 0, with estimate 0 and no terms, under alpha = 0."""
-    beta = (1.0 - alpha * x) / (1.0 - x)
+def _family_I(x: np.ndarray, alpha: np.ndarray) -> tuple:
+    """Lane triples of lhs_I and rhs_I at the points (x, alpha), the numbers
+    `ineq_I_lhs/rhs` give one point at a time. lhs_I is 0, with estimate 0
+    and no terms, under alpha = 0."""
     live = alpha != 0.0
-    lhs_I = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x), dtype=int)
-    for full, part in zip(lhs_I, _lhs_I(x[live], alpha[live])):
+    lhs = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x), dtype=int)
+    for full, part in zip(lhs, _lhs_I(x[live], alpha[live])):
         full[live] = part
-    return [lhs_I, _rhs_I(x), _lhs_II(x, beta), _rhs_II(x)], beta
+    return lhs, _rhs_I(x)
 
 
-def _master_reports(x, alpha) -> tuple[list[CheckReport], list[CheckReport]]:
-    """The `check_ineq_I` and `check_ineq_II` reports at the points (x, alpha)."""
+def _family_II(x: np.ndarray, alpha: np.ndarray) -> tuple:
+    """Lane triples of lhs_II and rhs_II at the points (x, alpha), and the betas."""
+    beta = (1.0 - alpha * x) / (1.0 - x)
+    return _lhs_II(x, beta), _rhs_II(x), beta
+
+
+def _reports_I(x, alpha) -> list[CheckReport]:
+    """The `check_ineq_I` reports at the points (x, alpha)."""
     x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
-    ((l1, e1, k1), (r1, f1, m1), (l2, e2, k2), (r2, f2, m2)), beta = _sides(x, alpha)
-    points = list(zip(x.tolist(), alpha.tolist()))
-    first = zip(points, l1.tolist(), r1.tolist(), (e1 + f1).tolist(),
-                np.maximum(k1, m1).tolist())
-    second = zip(points, beta.tolist(), l2.tolist(), r2.tolist(), (e2 + f2).tolist(),
-                 np.maximum(k2, m2).tolist())
-    return ([CheckReport.from_sides("ineq_I", f"x={xi},alpha={ai}", lhs, rhs, budget, terms)
-             for (xi, ai), lhs, rhs, budget, terms in first],
-            [CheckReport.from_sides("ineq_II", f"x={xi},alpha={ai},beta={bi}",
-                                    lhs, rhs, budget, terms)
-             for (xi, ai), bi, lhs, rhs, budget, terms in second])
+    (l1, e1, k1), (r1, f1, m1) = _family_I(x, alpha)
+    return [CheckReport.from_sides("ineq_I", f"x={xi},alpha={ai}", lhs, rhs, budget, terms)
+            for xi, ai, lhs, rhs, budget, terms in zip(
+                x.tolist(), alpha.tolist(), l1.tolist(), r1.tolist(), (e1 + f1).tolist(),
+                np.maximum(k1, m1).tolist())]
+
+
+def _reports_II(x, alpha) -> list[CheckReport]:
+    """The `check_ineq_II` reports at the points (x, alpha)."""
+    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    (l2, e2, k2), (r2, f2, m2), beta = _family_II(x, alpha)
+    return [CheckReport.from_sides("ineq_II", f"x={xi},alpha={ai},beta={bi}",
+                                   lhs, rhs, budget, terms)
+            for xi, ai, bi, lhs, rhs, budget, terms in zip(
+                x.tolist(), alpha.tolist(), beta.tolist(), l2.tolist(), r2.tolist(),
+                (e2 + f2).tolist(), np.maximum(k2, m2).tolist())]
 
 
 def check_ineq_I(case: ProofCase) -> CheckReport:
@@ -282,7 +290,7 @@ def check_ineq_I(case: ProofCase) -> CheckReport:
     pass at x settles the inequality on [x, x'] for every larger x' under
     the same alpha.
     """
-    return _master_reports([case.x], [case.alpha])[0][0]
+    return _reports_I([case.x], [case.alpha])[0]
 
 
 def check_ineq_II(case: ProofCase) -> CheckReport:
@@ -299,7 +307,7 @@ def check_ineq_II(case: ProofCase) -> CheckReport:
     So a pass at x settles the inequality on (x', x] for every smaller x'
     under the same alpha.
     """
-    return _master_reports([case.x], [case.alpha])[1][0]
+    return _reports_II([case.x], [case.alpha])[0]
 
 
 def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
@@ -310,8 +318,9 @@ def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
     if len(xs) < 2:
         raise DomainError("need at least two grid points")
     cases = [ProofCase(float(x), alpha) for x in xs]
-    ((l1, e1, k1), (r1, f1, m1), (l2, e2, k2), (r2, f2, m2)), _ = _sides(
-        np.array([case.x for case in cases]), np.array([case.alpha for case in cases]))
+    points = np.array([case.x for case in cases]), np.array([case.alpha for case in cases])
+    (l1, e1, k1), (r1, f1, m1) = _family_I(*points)
+    (l2, e2, k2), (r2, f2, m2), _ = _family_II(*points)
     budget = float(np.max(2.0 * (f1 + e2 + f2) + 2.0 * e1))
     steps = np.concatenate([l1[:-1] - l1[1:],    # lhs I nonincreasing
                             r1[1:] - r1[:-1],    # rhs I nondecreasing
@@ -414,7 +423,7 @@ def default_sweep(x_points: int = 300, grid_points: int = 100) -> list[CheckRepo
     x = [k / (2.0 * x_points) for k in range(1, x_points + 1)]
     x += [1.0 / 3.0, 1.0 / 3.0, 2.0 / 5.0, 2.0 / 5.0]
     alpha = [alpha_schedule(xi) for xi in x[:x_points]] + [0.0, 0.5, 0.5, 1.0]
-    for pair in zip(*_master_reports(x, alpha)):
+    for pair in zip(_reports_I(x, alpha), _reports_II(x, alpha)):
         reports.extend(pair)
 
     t_grid = np.geomspace(1e-3, 1e3, grid_points)

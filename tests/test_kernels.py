@@ -392,7 +392,7 @@ class TestRowSumAlpha:
 
     @pytest.mark.parametrize("tol", [1e-30, 1e-14])
     def test_unreachable_tol_raises(self, tol):
-        # 1e-30 needs more than ROW_SUM_MAX_HEAD terms, 1e-14 is below the
-        # relative floor of a sum near 1.86
+        # 1e-30 needs more than ROW_SUM_MAX_HEAD terms, 1e-14 is below twice
+        # the rounding term of a sum near 1.86 (about 1.1e-14 at N = 2^19)
         with pytest.raises(ParameterError, match=f"tol={tol}"):
             row_sum_alpha(1, 2.0, 0.0, tol=tol)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,22 @@ class TestHilbertApply:
         for n, c in enumerate(out):
             direct = math.fsum(a / (m + n + 1) for m, a in enumerate(values))
             assert c == pytest.approx(direct, rel=1e-15)
+
+    def test_bit_identical_to_the_trimmed_correlation(self):
+        """The image is the correlation of 1/(s+1) with a trimmed to its
+        last nonzero coefficient, bit for bit, trailing zeros or not."""
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = rng.random(int(rng.integers(1, 300)))
+            a[rng.random(len(a)) < 0.3] = 0.0
+            a = np.concatenate([a, np.zeros(int(rng.integers(0, 50)))])
+            n_max = int(rng.integers(0, 400))
+            nz = np.flatnonzero(a)
+            trimmed = a[:nz[-1] + 1] if len(nz) else a[:0]
+            ref = (np.correlate(1.0 / np.arange(1.0, len(trimmed) + n_max + 1.0), trimmed,
+                                "valid") if len(nz) else np.zeros(n_max + 1))
+            out = hilbert_apply(TaylorFunction.from_values(a), n_max).coeffs.values
+            assert out.tolist() == ref.tolist()
 
     @given(nonneg_values, st.floats(1.1, 8.0))
     @settings(max_examples=100, deadline=None)

@@ -104,6 +104,24 @@ class TestMidpoint:
         with pytest.raises(DomainError):
             check_midpoint_bound(1, 2.0, 0.0, n_max=0)
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000, 10 ** 6])
+    def test_integral_within_its_budget(self, m):
+        """The integral at the reported worst n, against 40-digit
+        quadrature, is within the check's budget; n = 1 puts both ends of
+        the integral below 0.1 from m = 15 on."""
+        mpmath = pytest.importorskip("mpmath")
+        for p in (1.05, 2.0, 12.0):
+            for alpha in (0.0, 0.5, 1.0):
+                for n_max in (1, 25):
+                    rep = check_midpoint_bound(m, p, alpha, n_max)
+                    n = int(rep.parameters.rsplit("worst_n=", 1)[1])
+                    with mpmath.workdps(40):
+                        exact = mpmath.quad(
+                            lambda t: t ** (-1 / mpmath.mpf(p)) * (m + t) ** (alpha - 1)
+                            * (m + t - 1) ** -alpha, [n - 0.5, n + 0.5])
+                    assert 0.0 < rep.error_budget
+                    assert abs(rep.rhs - exact) <= rep.error_budget, (p, alpha, n_max)
+
 
 class TestFConvexMax:
     def test_p2_alpha0(self):
@@ -206,9 +224,10 @@ def _power_integral_reference(x: float, s: float, z: float) -> tuple[float, floa
             break
         coeff *= step * w
         k += 1
-    value = (1.0 + z) ** -x * math.fsum(terms)
+    power = (1.0 + z) ** -x
+    value = power * math.fsum(terms)
     tail = term * ratio / (1.0 - ratio)
-    return value, tail + (6 * k + 8) * 2.0 ** -53 * value, k + 1
+    return value, power * tail + (6 * k + 8) * 2.0 ** -53 * value, k + 1
 
 
 def _six_families(xs):
