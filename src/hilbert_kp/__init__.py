@@ -4,9 +4,7 @@ chain."""
 
 from .errors import (
     DegenerateInputError,
-    DivergentTailError,
     DomainError,
-    InsufficientTruncationError,
     InvalidInputError,
     ParameterError,
 )
@@ -57,7 +55,6 @@ from .sequences import (
     kp_to_lp_isometry,
     lp_norm,
     lp_to_kp_isometry,
-    power_tail_bound,
     read_sequence,
     write_sequence,
 )

@@ -4,8 +4,10 @@ Two estimators:
 
 * the extremal power-decay family a_m = m^(-(1+eps)/p), b_n = n^(-(1+eps)/q),
   whose normalized form value is bounded below through the reduced
-  one-dimensional integral I(eps) together with certified brackets for the
-  two norm sums;
+  one-dimensional integral I(eps) and an upper bound on its norm sum: the
+  terms m < 1024 summed, the rest bounded by the midpoint step of the proof
+  chain. No truncation is a parameter, and eps may be any finite positive
+  float;
 * alternating Hölder-alignment ascent on an N x N truncation, a lower bound
   through feasible unit vectors. Both of its products are Hankel
   correlations done by FFT, O(N log N) per matvec and O(N) memory, and the
@@ -21,15 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, InsufficientTruncationError, ParameterError
+from .errors import DegenerateInputError, DomainError, ParameterError
 from .kernels import KernelSpec, _correlate, _fft_rounding, _hankel
 # bench/test_bench.py checks that the benchmark's tracing patches this name here.
 from .kernels import kernel_matrix  # noqa: F401
 from .kp import TaylorFunction, hilbert_apply, kp_norm
-from .quadrature import I_of_epsilon
-from .sequences import Sequence, conjugate, lp_to_kp_isometry, power_tail_bound
+from .quadrature import _scaled_I_of_epsilon
+from .sequences import Sequence, conjugate, lp_to_kp_isometry
 
-TRUNCATION_CAP = 10 ** 7
+# `_phi_upper` sums the terms m < _PHI_HEAD and bounds the rest by integrals.
+_PHI_HEAD = 1024
 
 
 def theoretical_norm(p: float) -> float:
@@ -61,8 +64,8 @@ class SharpnessPoint:
 
 def epsilon_family(eps: float, p: float, M: int) -> tuple[Sequence, Sequence]:
     """Truncations of the extremal pair on indices 1..M."""
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
     pq = conjugate(p)
@@ -72,51 +75,51 @@ def epsilon_family(eps: float, p: float, M: int) -> tuple[Sequence, Sequence]:
     return Sequence(1, a), Sequence(1, b)
 
 
-def default_truncation(eps: float) -> int:
-    """Smallest power of 10 whose norm-sum bracket slack M^-(1+eps) is below
-    1e-6, capped at 10^7."""
-    M = 10 ** math.ceil(6.0 / (1.0 + eps))
-    if M > TRUNCATION_CAP:
-        raise InsufficientTruncationError(
-            f"eps = {eps} needs truncation {M} beyond the cap {TRUNCATION_CAP}", M)
-    return M
+def _phi_upper(eps: float) -> float:
+    """Upper bound on phi(eps) = sum_{m>=1} m^(-1-eps) - 1/eps.
+
+    The terms m < N = _PHI_HEAD are summed by `math.fsum`. m^(-1-eps) is
+    convex, so each term from N on is at most its integral over
+    [m - 1/2, m + 1/2], the midpoint step of `check_midpoint_bound`; those
+    integrals sum to (N - 1/2)^(-eps)/eps. Less 1/eps, that is
+    expm1(-eps ln(N - 1/2))/eps, in which nothing cancels. It lies above
+    -ln(N - 1/2) by at most eps ln(N - 1/2)^2/2, so raising it to that floor
+    is safe; the floor only acts at subnormal eps, where the product
+    eps ln(N - 1/2) loses digits. The bound exceeds phi by about
+    (1 + eps) N^(-2-eps)/24, at most 4e-8.
+
+    The rounding term covers the rounded exponent -1 - eps, which moves the
+    head by at most a relative 2 u ln N, the powers and the sum (a few u
+    each), the four operations of the tail and the final sum.
+    """
+    m = np.arange(1.0, _PHI_HEAD)
+    head = math.fsum((m ** (-1.0 - eps)).tolist())
+    log_n = math.log(_PHI_HEAD - 0.5)
+    tail = max(math.expm1(-eps * log_n) / eps, -log_n)
+    return head + tail + (2.0 * math.log(_PHI_HEAD) + 10.0) * 2.0 ** -53 * (head - tail)
 
 
-def _norm_sum_bracket(eps: float, M: int) -> tuple[float, float]:
-    """Certified enclosure of sum_m m^(-1-eps): (partial sum, upper tail)."""
-    m = np.arange(1, M + 1, dtype=float)
-    partial = float(np.sum(m ** (-1.0 - eps)))
-    return partial, power_tail_bound(M, 1.0 + eps)
-
-
-def epsilon_family_ratio(eps: float, p: float, M: int | None = None) -> SharpnessPoint:
+def epsilon_family_ratio(eps: float, p: float) -> SharpnessPoint:
     """Certified lower bound for the normalized form value of the extremal
-    family, via the reduced integral I(eps) and upper brackets for the two
-    power-sum corrections.
+    family, eps I(eps) / (1 + eps phi(eps)), where phi(eps) is
+    sum_m m^(-1-eps) - 1/eps.
 
-    Every ingredient errs downward: the integral value has the error
-    estimate of its series (`I_of_epsilon`) subtracted, and the denominators
-    use tail-inflated upper bounds for the correction terms, so the reported
-    ratio never overshoots the supremum it approaches.
+    Every ingredient errs downward: eps I(eps) has the error estimate of its
+    series (`I_of_epsilon`) subtracted, and the denominator uses the upper
+    bound `_phi_upper`, so the reported ratio never overshoots the supremum
+    it approaches. phi lies in (0, 1), as 1/eps < zeta(1 + eps) < 1/eps + 1,
+    so the bound is clipped to [0, 1]. eps I(eps) is summed without the
+    factor 1/eps, so eps may be any finite positive float.
 
     The same value bounds the K^p operator norm from below: the K^p -> l^p
     re-weighting preserves norms, so the bound carries over unchanged.
     """
-    minimal = default_truncation(eps)
-    if M is None:
-        M = minimal
-    elif M < minimal:
-        raise InsufficientTruncationError(
-            f"M = {M} leaves a norm-sum bracket slack above 1e-6; "
-            f"need at least {minimal}", minimal)
     conjugate(p)
-    partial, tail = _norm_sum_bracket(eps, M)
-    # phi = sum m^(-1-eps) - 1/eps; the same sum governs both norm
-    # corrections, so their powers 1/p and 1/q multiply to 1 + eps*phi
-    phi_upper = min(max(partial + tail - 1.0 / eps, 0.0), 1.0)
-    res = I_of_epsilon(eps, p)
-    eps_I_lower = eps * res.value - eps * res.error_estimate
-    return SharpnessPoint(eps, eps_I_lower / (1.0 + eps * phi_upper), phi_upper)
+    eps_I, estimate, _ = _scaled_I_of_epsilon(eps, p)
+    # the same sum governs both norm corrections, so their powers 1/p and
+    # 1/q multiply to 1 + eps*phi
+    phi_upper = min(max(_phi_upper(eps), 0.0), 1.0)
+    return SharpnessPoint(eps, (eps_I - estimate) / (1.0 + eps * phi_upper), phi_upper)
 
 
 def _dual_align_vec(c: np.ndarray, p: float) -> np.ndarray:

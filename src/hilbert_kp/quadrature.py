@@ -272,6 +272,18 @@ def F_of_y(y: float, p: float, alpha: float) -> QuadratureResult:
     return QuadratureResult(float(value[0]), float(estimate[0]), int(terms[0]))
 
 
+def _scaled_I_of_epsilon(eps: float, p: float) -> tuple[float, float, int]:
+    """eps I(eps) = P(1/p + eps/q, 1, 1) + P(1 - (1-eps)/p, 1, 1) by
+    `_unit_pair`: the value, the error estimate and the term count. Free of
+    the factor 1/eps, it stays finite for every positive eps."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
+    if p <= 1.0:
+        raise DomainError(f"p must lie in (1, inf), got {p}")
+    invp = 1.0 / p
+    return _unit_pair(invp + eps * (1.0 - invp), 1.0 - invp * (1.0 - eps))
+
+
 def I_of_epsilon(eps: float, p: float) -> QuadratureResult:
     """The sharpness-family integral
     I(eps) = (1/eps) (int_1^inf y^(-(1/p+eps/q))/(1+y) dy
@@ -279,10 +291,5 @@ def I_of_epsilon(eps: float, p: float) -> QuadratureResult:
            = (P(1/p + eps/q, 1, 1) + P(1 - (1-eps)/p, 1, 1))/eps,
     mapping [1, inf) to (0, 1] via y -> 1/y; both series run to double rounding.
     """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    if p <= 1.0:
-        raise DomainError(f"p must lie in (1, inf), got {p}")
-    invp = 1.0 / p
-    value, estimate, terms = _unit_pair(invp + eps * (1.0 - invp), 1.0 - invp * (1.0 - eps))
+    value, estimate, terms = _scaled_I_of_epsilon(eps, p)
     return QuadratureResult(value / eps, estimate / eps, terms)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DivergentTailError, DomainError, InvalidInputError
+from .errors import DegenerateInputError, DomainError, InvalidInputError
 
 # Exponents of the form 1/q - 1/p or (p-2)/p are snapped to exactly 0 below
 # this threshold so that p = 2 reduces bit-for-bit to the unweighted case.
@@ -162,16 +162,6 @@ def lp_to_kp_isometry(A: Sequence, p: float) -> Sequence:
         raise InvalidInputError("inverse isometry input must be 1-based")
     e = snap_exponent((p - 2.0) / p)
     return Sequence(0, A.values / np.arange(1.0, len(A) + 1.0) ** e)
-
-
-def power_tail_bound(M: int, s: float) -> float:
-    """Upper bound M^(1-s)/(s-1) for the tail sum_{m>M} m^(-s), by the
-    integral test."""
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
-    if not math.isfinite(s) or s <= 1.0:
-        raise DivergentTailError(f"tail diverges for s = {s}")
-    return M ** (1.0 - s) / (s - 1.0)
 
 
 def write_sequence(path, s: Sequence) -> None:

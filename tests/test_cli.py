@@ -55,16 +55,20 @@ class TestParser:
                                       ["verify-inequality", "--tol", "0"],
                                       ["verify-inequality", "--tol", "-0.5"],
                                       ["verify-inequality", "--tol", "nan"],
-                                      ["verify-inequality", "--tol", "1e400"]])
+                                      ["verify-inequality", "--tol", "1e400"],
+                                      ["norm-bounds", "--eps-grid", "-0.5"],
+                                      ["norm-bounds", "--eps-grid", "-1"],
+                                      ["norm-bounds", "--eps-grid", "0.5,0"],
+                                      ["norm-bounds", "--eps-grid", "nan"]])
     def test_rejects_tolerances_that_are_not_finite_and_positive(self, argv, capsys):
         """`--tol inf` would pass every comparison, and `nan` would fail
-        every one."""
+        every one. An eps of the extremal family must be > 0 as well."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1] == (f"hilbert-kp {argv[0]}: error: argument --tol: "
-                           f"must be finite and > 0, got {argv[-1]}")
+        assert err[-1] == (f"hilbert-kp {argv[0]}: error: argument {argv[-2]}: "
+                           f"must be finite and > 0, got {argv[-1].split(',')[-1]}")
 
     @pytest.mark.parametrize("argv", [["proof-check", "--p", "3"],
                                       ["proof-check", "--tol", "1e-9"],

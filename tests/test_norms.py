@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from hilbert_kp import (
     DegenerateInputError,
     DomainError,
-    InsufficientTruncationError,
     KernelSpec,
     ParameterError,
     Sequence,
@@ -27,7 +27,6 @@ from hilbert_kp import (
     theoretical_norm,
 )
 from hilbert_kp import norms
-from hilbert_kp.norms import default_truncation
 
 # Frozen chain-bound ratios from an independent high-precision evaluation.
 RATIOS_P2 = {
@@ -87,11 +86,10 @@ class TestEpsilonFamily:
         with pytest.raises(ParameterError):
             epsilon_family(0.5, 2.0, 0)
 
-    def test_default_truncation(self):
-        assert default_truncation(1.0) == 1000
-        assert default_truncation(0.5) == 10 ** 4
-        assert default_truncation(0.01) == 10 ** 6
-        assert default_truncation(1e-6) == 10 ** 6
+    @pytest.mark.parametrize("eps", [-0.5, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(DomainError, match="eps must be finite and > 0"):
+            epsilon_family(eps, 2.0, 5)
 
 
 class TestEpsilonFamilyRatio:
@@ -119,10 +117,36 @@ class TestEpsilonFamilyRatio:
         point = epsilon_family_ratio(0.1, 2.0)
         assert 0.0 <= point.phi_bound <= 1.0
 
-    def test_small_m_rejected(self):
-        with pytest.raises(InsufficientTruncationError) as info:
-            epsilon_family_ratio(0.5, 2.0, M=100)
-        assert info.value.minimal_m == 10 ** 4
+    @pytest.mark.parametrize("eps", [0.0, -0.5, -1.0, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(DomainError, match="eps must be finite and > 0"):
+            epsilon_family_ratio(eps, 2.0)
+
+    @pytest.mark.parametrize("p", [1.05, 2.0, 12.0])
+    def test_bounds_hold_against_40_digit_reference(self, p):
+        """phi_bound is at least zeta(1 + eps) - 1/eps, and the ratio at most
+        eps I(eps) / (1 + eps phi), both at 40 digits. Small eps is where a
+        tail written as M^(1-s)/(s-1) - 1/eps, s = fl(1 + eps), cancels:
+        1/(s - 1) is not 1/eps after rounding."""
+        with mpmath.workdps(40):
+            mp = mpmath.mpf(p)
+            for eps in (1e-12, 1e-9, 1e-7, 1e-3, 0.01, 0.5, 2.0, 20.0):
+                me = mpmath.mpf(eps)
+                phi = mpmath.zeta(1 + me) - 1 / me
+                eps_I = (mpmath.lerchphi(-1, 1, 1 / mp + me * (1 - 1 / mp))
+                         + mpmath.lerchphi(-1, 1, 1 - (1 - me) / mp))
+                point = epsilon_family_ratio(eps, p)
+                assert point.phi_bound >= phi, eps
+                assert point.ratio <= eps_I / (1 + me * phi), eps
+
+    def test_reaches_tiny_eps(self):
+        """The tail is summed as expm1(-eps ln(N - 1/2))/eps, in which
+        nothing cancels, so phi stays near Euler's gamma as eps -> 0."""
+        for eps in (1e-16, 1e-300, 5e-324):
+            point = epsilon_family_ratio(eps, 2.0)
+            assert 0.0 <= point.phi_bound - 0.5772156649015329 <= 5e-8
+            assert point.ratio == pytest.approx(math.pi, rel=1e-12)
+            assert point.ratio < math.pi
 
     def test_sharpness_point_validates(self):
         with pytest.raises(ParameterError):

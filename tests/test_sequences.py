@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hilbert_kp import (
     DegenerateInputError,
-    DivergentTailError,
     DomainError,
     InvalidInputError,
     Sequence,
@@ -19,7 +18,6 @@ from hilbert_kp import (
     kp_to_lp_isometry,
     lp_norm,
     lp_to_kp_isometry,
-    power_tail_bound,
     pushed_epsilon_family,
     read_sequence,
     write_sequence,
@@ -273,30 +271,6 @@ class TestStorage:
         body = path.read_text()
         assert body == expected
         assert "np.float64" not in body
-
-
-class TestPowerTailBound:
-    def test_closed_forms(self):
-        assert power_tail_bound(1, 2.0) == 1.0
-        assert power_tail_bound(100, 2.0) == pytest.approx(0.01, rel=1e-15)
-        assert power_tail_bound(10, 1.5) == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-15)
-
-    def test_m10_s15_vs_direct_sum(self):
-        n = np.arange(11, 10 ** 7, dtype=float)
-        tail = float(np.sum(n ** -1.5))
-        assert power_tail_bound(10, 1.5) >= tail
-        # the integral-test bound is not wildly loose either
-        assert power_tail_bound(10, 1.5) <= tail * 1.05
-
-    @given(st.integers(1, 10 ** 4), st.floats(1.01, 6.0))
-    @settings(max_examples=50, deadline=None)
-    def test_dominates_partial_tail(self, M, s):
-        n = np.arange(M + 1, M + 200001, dtype=float)
-        assert power_tail_bound(M, s) >= float(np.sum(n ** -s))
-
-    def test_divergent(self):
-        with pytest.raises(DivergentTailError):
-            power_tail_bound(5, 1.0)
 
 
 class TestFileFormat:
