@@ -57,9 +57,6 @@ class KernelSpec:
         pq = conjugate(self.p)
         return snap_exponent(1.0 / pq.q - 1.0 / pq.p)
 
-    def serialize(self) -> str:
-        return f"{self.variant.value},{self.p},{self.alpha}"
-
 
 def _pow_ratio(num: np.ndarray, den: np.ndarray, e: float) -> np.ndarray:
     """(num/den)^e as exp(e (log num - log den)), with no overflow for large

@@ -19,7 +19,7 @@ Two estimators:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +45,8 @@ def theoretical_norm(p: float) -> float:
 class NormEstimate:
     lower_bound: float
     p: float
-    method: str            # "EpsilonFamily" or "Ascent"
-    params: str
-    trace: tuple[float, ...] = field(default=())
-    rounding_budget: float | None = None   # subtracted from an Ascent bound
+    trace: tuple[float, ...]
+    rounding_budget: float   # subtracted from the ascent's form ratio
 
 
 @dataclass(frozen=True)
@@ -129,10 +127,12 @@ def _dual_align_vec(c: np.ndarray, p: float) -> np.ndarray:
 
 
 def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,
-                       seed: int | None = None, rel_tol: float = 1e-12) -> NormEstimate:
+                       seed: int | None = None) -> NormEstimate:
     """Alternating maximization of the bilinear form over the unit balls of
     the N x N truncation. Each half step is an exact one-ball maximization,
-    so the objective trace is nondecreasing up to rounding.
+    so the objective trace is nondecreasing up to rounding. It stops after
+    `iters` iterations, or once an objective is within a relative 1e-12 of
+    the one two half steps before.
 
     Both products are Hankel correlations, K^T a = v (h corr wa) and
     K b = w (h corr vb), so one zero-padded FFT of the symbol h serves every
@@ -175,7 +175,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,
         obj_a = float(np.sum(d ** pq.q)) ** (1.0 / pq.q)
         trace.append(obj_a)
         a = _dual_align_vec(d, pq.q)
-        if len(trace) >= 4 and abs(trace[-1] - trace[-3]) <= rel_tol * trace[-1]:
+        if len(trace) >= 4 and abs(trace[-1] - trace[-3]) <= 1e-12 * trace[-1]:
             break
     norm_ab = (math.fsum((a ** pq.p).tolist()) ** (1.0 / pq.p)
                * math.fsum((b ** pq.q).tolist()) ** (1.0 / pq.q))
@@ -185,8 +185,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,
                  * max(math.sqrt(float(np.sum(h * h))) * float(np.sum(vb)),
                        float(np.sum(h)) * math.sqrt(float(np.sum(vb * vb)))))
     budget = 1.01 * fft_error / norm_ab + (32.0 + 2.0 * math.log(2.0 * N)) * 2.0 ** -53 * ratio
-    return NormEstimate(ratio - budget, p, "Ascent",
-                        f"N={N},iters={iters},seed={seed}", tuple(trace), budget)
+    return NormEstimate(ratio - budget, p, tuple(trace), budget)
 
 
 def kp_ratio(f: TaylorFunction, p: float, n_max: int) -> float:

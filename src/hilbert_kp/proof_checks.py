@@ -9,13 +9,13 @@ only when its margin clears the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureResult, _binomial_integral, _F_values, _power_integral
+from .quadrature import _binomial_integral, _F_values, _power_integral
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,9 @@ class ProofCase:
 @dataclass(frozen=True)
 class CheckReport:
     """One check's sides, margin and budget. `terms` is the longest series
-    (`_power_integral`) the check summed, 0 if it summed none."""
+    (`_power_integral`) the check summed, 0 if it summed none. Every verdict
+    comes from `from_sides`: a check passes when its side condition `holds`
+    and its margin clears its budget."""
 
     name: str
     parameters: str
@@ -52,10 +54,10 @@ class CheckReport:
 
     @staticmethod
     def from_sides(name: str, parameters: str, lhs: float, rhs: float,
-                   error_budget: float, terms: int = 0) -> "CheckReport":
+                   error_budget: float, terms: int = 0, holds: bool = True) -> "CheckReport":
         margin = rhs - lhs
         return CheckReport(name, parameters, lhs, rhs, margin, error_budget,
-                           margin > error_budget, terms)
+                           holds and margin > error_budget, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +85,9 @@ def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
     h = 1e-4 * np.maximum(1.0, t)
     second = _f_row(m, p, alpha, t - h) + _f_row(m, p, alpha, t + h) \
         - 2.0 * _f_row(m, p, alpha, t)
-    fd_ok = bool(np.all(second > 0.0))
-    report = CheckReport.from_sides(
+    return CheckReport.from_sides(
         "logconvexity_f", f"m={m},p={p},alpha={alpha},grid={len(t)}",
-        0.0, float(expr.min()), 0.0)
-    if not fd_ok:
-        report = replace(report, passed=False)
-    return report
+        0.0, float(expr.min()), 0.0, holds=bool(np.all(second > 0.0)))
 
 
 def logconv_g_expression(t: float, p: float, alpha: float, y):
@@ -116,13 +114,9 @@ def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckRepor
     inner = y[(y - h >= 0.0) & (y + h <= 0.5)]
     second = _g_row(t, p, alpha, inner - h) + _g_row(t, p, alpha, inner + h) \
         - 2.0 * _g_row(t, p, alpha, inner)
-    fd_ok = bool(np.all(second > 0.0)) if len(inner) else True
-    report = CheckReport.from_sides(
+    return CheckReport.from_sides(
         "logconvexity_g", f"t={t},p={p},alpha={alpha},grid={len(y)}",
-        0.0, float(expr.min()), 0.0)
-    if not fd_ok:
-        report = replace(report, passed=False)
-    return report
+        0.0, float(expr.min()), 0.0, holds=bool(np.all(second > 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,115 +160,58 @@ def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
     # divided second differences must not be significantly negative
     slopes = np.diff(vals) / np.diff(y)
     slack = (errs[:-2] + errs[1:-1] + errs[2:]) / np.diff(y)[:-1]
-    report = CheckReport.from_sides(
+    return CheckReport.from_sides(
         "F_convex_max", f"p={p},alpha={alpha},grid={len(y)}",
         float(vals[inside].max()), float(value[:2].max()),
-        float(estimate[0] + estimate[1] + errs[inside].max()), int(terms.max()))
-    if np.any(np.diff(slopes) < -slack):
-        report = replace(report, passed=False)
-    return report
+        float(estimate[0] + estimate[1] + errs[inside].max()), int(terms.max()),
+        holds=not np.any(np.diff(slopes) < -slack))
 
 
 # ---------------------------------------------------------------------------
 # the two master integral inequalities, reduced to (0, 1] via t -> 1/t
-
-# Lane triples (value, estimate, terms) of the sides below: `terms` is the
-# length of the longest series a side sums.
 
 def _P(c, s, z):
     """P(c, s, z) by `_power_integral`, its arguments broadcast to 1-D lanes."""
     return _power_integral(*np.broadcast_arrays(*np.atleast_1d(c, s, z)))
 
 
-def _difference(hi, lo):
-    return hi[0] - lo[0], hi[1] + lo[1], np.maximum(hi[2], lo[2])
-
-
-def _half(side):
-    return 0.5 * side[0], 0.5 * side[1], side[2]
-
-
-def _lhs_I(x, alpha):
-    return _difference(_P(x, 1.0 - alpha, 2.0), _P(x, 1.0, 2.0))
-
-
-def _rhs_I(x):
-    return _half(_P(1.0 - x, 1.0, 0.5))
-
-
-def _lhs_II(x, beta):
-    return _difference(_P(1.0 - x, 1.0 - beta, 2.0), _P(1.0 - x, 1.0, 2.0))
-
-
-def _rhs_II(x):
-    return _half(_P(x, 1.0, 0.5))
-
-
-def _result(side) -> QuadratureResult:
-    """The first lane as a `QuadratureResult`; `subdivisions` is the term
-    count of the side's longest series."""
-    return QuadratureResult(float(side[0][0]), float(side[1][0]), int(side[2][0]))
-
-
-def ineq_I_lhs(x: float, alpha: float):
-    """int_0^1 ((1+2u)^alpha - 1) u^(x-1)/(1+2u) du = P(x, 1-alpha, 2) - P(x, 1, 2)."""
-    ProofCase(x, alpha)  # DomainError outside the proof's (x, alpha) domain
-    if alpha == 0.0:
-        return None  # identically zero
-    return _result(_lhs_I(x, alpha))
-
-
-def ineq_I_rhs(x: float):
-    """int_0^1 u^(-x)/(2+u) du = P(1-x, 1, 1/2)/2."""
-    return _result(_rhs_I(x))
-
-
-def ineq_II_lhs(x: float, alpha: float):
-    """int_0^1 ((1+2u)^beta - 1) u^(-x)/(1+2u) du = P(1-x, 1-beta, 2) - P(1-x, 1, 2)."""
-    return _result(_lhs_II(x, ProofCase(x, alpha).beta))
-
-
-def ineq_II_rhs(x: float):
-    """int_0^1 u^(x-1)/(2+u) du = P(x, 1, 1/2)/2."""
-    return _result(_rhs_II(x))
-
-
 def _family_I(x: np.ndarray, alpha: np.ndarray) -> tuple:
-    """Lane triples of lhs_I and rhs_I at the points (x, alpha), the numbers
-    `ineq_I_lhs/rhs` give one point at a time. lhs_I is 0, with estimate 0
-    and no terms, under alpha = 0."""
+    """Lane triples (value, estimate, terms) of both sides of the first
+    inequality at the points (x, alpha); `terms` is the longest series a side
+    sums.
+
+        lhs_I = int_0^1 ((1+2u)^alpha - 1) u^(x-1)/(1+2u) du = P(x, 1-alpha, 2) - P(x, 1, 2),
+        rhs_I = int_0^1 u^(-x)/(2+u) du = P(1-x, 1, 1/2)/2.
+
+    lhs_I is 0, with estimate 0 and no terms, under alpha = 0."""
     live = alpha != 0.0
+    (hi, e, k), (lo, f, m) = _P(x[live], 1.0 - alpha[live], 2.0), _P(x[live], 1.0, 2.0)
     lhs = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x), dtype=int)
-    for full, part in zip(lhs, _lhs_I(x[live], alpha[live])):
+    for full, part in zip(lhs, (hi - lo, e + f, np.maximum(k, m))):
         full[live] = part
-    return lhs, _rhs_I(x)
+    rhs, g, n = _P(1.0 - x, 1.0, 0.5)
+    return lhs, (0.5 * rhs, 0.5 * g, n)
 
 
 def _family_II(x: np.ndarray, alpha: np.ndarray) -> tuple:
-    """Lane triples of lhs_II and rhs_II at the points (x, alpha), and the betas."""
+    """Lane triples of both sides of the second inequality at the points
+    (x, alpha), as `_family_I`, and the betas.
+
+        lhs_II = int_0^1 ((1+2u)^beta - 1) u^(-x)/(1+2u) du = P(1-x, 1-beta, 2) - P(1-x, 1, 2),
+        rhs_II = int_0^1 u^(x-1)/(2+u) du = P(x, 1, 1/2)/2."""
     beta = (1.0 - alpha * x) / (1.0 - x)
-    return _lhs_II(x, beta), _rhs_II(x), beta
+    (hi, e, k), (lo, f, m) = _P(1.0 - x, 1.0 - beta, 2.0), _P(1.0 - x, 1.0, 2.0)
+    rhs, g, n = _P(x, 1.0, 0.5)
+    return (hi - lo, e + f, np.maximum(k, m)), (0.5 * rhs, 0.5 * g, n), beta
 
 
-def _reports_I(x, alpha) -> list[CheckReport]:
-    """The `check_ineq_I` reports at the points (x, alpha)."""
-    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
-    (l1, e1, k1), (r1, f1, m1) = _family_I(x, alpha)
-    return [CheckReport.from_sides("ineq_I", f"x={xi},alpha={ai}", lhs, rhs, budget, terms)
-            for xi, ai, lhs, rhs, budget, terms in zip(
-                x.tolist(), alpha.tolist(), l1.tolist(), r1.tolist(), (e1 + f1).tolist(),
-                np.maximum(k1, m1).tolist())]
-
-
-def _reports_II(x, alpha) -> list[CheckReport]:
-    """The `check_ineq_II` reports at the points (x, alpha)."""
-    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
-    (l2, e2, k2), (r2, f2, m2), beta = _family_II(x, alpha)
-    return [CheckReport.from_sides("ineq_II", f"x={xi},alpha={ai},beta={bi}",
-                                   lhs, rhs, budget, terms)
-            for xi, ai, bi, lhs, rhs, budget, terms in zip(
-                x.tolist(), alpha.tolist(), beta.tolist(), l2.tolist(), r2.tolist(),
-                (e2 + f2).tolist(), np.maximum(k2, m2).tolist())]
+def _reports(name: str, parameters: list[str], lhs, rhs) -> list[CheckReport]:
+    """One report per point from the sides' lane triples; the budget is the
+    sum of the sides' estimates."""
+    return [CheckReport.from_sides(name, par, left, right, budget, terms)
+            for par, left, right, budget, terms in zip(
+                parameters, lhs[0].tolist(), rhs[0].tolist(), (lhs[1] + rhs[1]).tolist(),
+                np.maximum(lhs[2], rhs[2]).tolist())]
 
 
 def check_ineq_I(case: ProofCase) -> CheckReport:
@@ -290,7 +227,9 @@ def check_ineq_I(case: ProofCase) -> CheckReport:
     pass at x settles the inequality on [x, x'] for every larger x' under
     the same alpha.
     """
-    return _reports_I([case.x], [case.alpha])[0]
+    x, alpha = float(case.x), float(case.alpha)
+    return _reports("ineq_I", [f"x={x},alpha={alpha}"],
+                    *_family_I(np.array([x]), np.array([alpha])))[0]
 
 
 def check_ineq_II(case: ProofCase) -> CheckReport:
@@ -307,7 +246,9 @@ def check_ineq_II(case: ProofCase) -> CheckReport:
     So a pass at x settles the inequality on (x', x] for every smaller x'
     under the same alpha.
     """
-    return _reports_II([case.x], [case.alpha])[0]
+    x, alpha = float(case.x), float(case.alpha)
+    lhs, rhs, beta = _family_II(np.array([x]), np.array([alpha]))
+    return _reports("ineq_II", [f"x={x},alpha={alpha},beta={beta.tolist()[0]}"], lhs, rhs)[0]
 
 
 def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
@@ -379,11 +320,8 @@ def check_scalar_constants() -> list[CheckReport]:
     sinc = math.sin(u) / u
     taylor = 1.0 - u ** 2 / 6.0 + u ** 4 / 120.0
     rhs = 2.0 ** -0.4
-    rep = CheckReport.from_sides("scalar_sinc_2pi_5", "sin(2pi/5)/(2pi/5) vs 2^(-2/5)",
-                                 sinc, rhs, 0.0)
-    if not (sinc < taylor < rhs):
-        rep = replace(rep, passed=False)
-    reports.append(rep)
+    reports.append(CheckReport.from_sides("scalar_sinc_2pi_5", "sin(2pi/5)/(2pi/5) vs 2^(-2/5)",
+                                          sinc, rhs, 0.0, holds=sinc < taylor < rhs))
     reports.append(CheckReport.from_sides(
         "scalar_alphahalf_x_2_5", "25/12 vs 2^(-3/5) pi/sin(3pi/5)",
         25.0 / 12.0, 2.0 ** -0.6 * math.pi / math.sin(3.0 * math.pi / 5.0), 0.0))
@@ -396,7 +334,7 @@ def check_scalar_constants() -> list[CheckReport]:
 _CONVEXITY_PA = [(1.25, 0.0), (2.0, 0.5), (4.0, 1.0), (10.0, 0.5)]
 
 
-def default_sweep(x_points: int = 300, grid_points: int = 100) -> list[CheckReport]:
+def default_sweep(x_points: int = 300) -> list[CheckReport]:
     """The full certification run: scalar constants, both master inequalities
     along the alpha schedule (boundary points under both adjacent weights),
     convexity grids, midpoint bounds, F-maximum reductions, monotonicity and
@@ -423,13 +361,19 @@ def default_sweep(x_points: int = 300, grid_points: int = 100) -> list[CheckRepo
     x = [k / (2.0 * x_points) for k in range(1, x_points + 1)]
     x += [1.0 / 3.0, 1.0 / 3.0, 2.0 / 5.0, 2.0 / 5.0]
     alpha = [alpha_schedule(xi) for xi in x[:x_points]] + [0.0, 0.5, 0.5, 1.0]
-    for pair in zip(_reports_I(x, alpha), _reports_II(x, alpha)):
+    points = np.array(x), np.array(alpha)
+    lhs, rhs, beta = _family_II(*points)
+    first = _reports("ineq_I", [f"x={xi},alpha={ai}" for xi, ai in zip(x, alpha)],
+                     *_family_I(*points))
+    second = _reports("ineq_II", [f"x={xi},alpha={ai},beta={bi}"
+                                  for xi, ai, bi in zip(x, alpha, beta.tolist())], lhs, rhs)
+    for pair in zip(first, second):
         reports.extend(pair)
 
-    t_grid = np.geomspace(1e-3, 1e3, grid_points)
+    t_grid = np.geomspace(1e-3, 1e3, 100)
     for m, (p, alpha) in product((1, 2, 10, 100, 1000), _CONVEXITY_PA):
         reports.append(check_logconvexity_f(m, p, alpha, t_grid))
-    y_grid = np.linspace(0.0, 0.5, grid_points)
+    y_grid = np.linspace(0.0, 0.5, 100)
     for t, (p, alpha) in product((0.1, 1.0, 10.0, 100.0, 1000.0), _CONVEXITY_PA):
         reports.append(check_logconvexity_g(t, p, alpha, y_grid))
 

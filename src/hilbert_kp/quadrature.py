@@ -5,11 +5,11 @@ Every integral of the library is built from
     P(c, s, z) = int_0^1 u^(c-1) (1 + z u)^(-s) du = (1/c) 2F1(s, c; c+1; -z),
 
 summed lane-wise by a hypergeometric series of positive terms with a
-geometric tail bound (`_power_integral`, `_any_power_integral`).
-`beta_integral`, `I_of_epsilon` and the master inequalities are sums of a
-few P; F(y), the row-sum tail and the midpoint integrals are binomial series
-in P (`_binomial_integral`). Semi-infinite ranges are mapped onto (0, 1]
-exactly (t -> 1/t), never truncated, and no integrand is sampled.
+geometric tail bound (`_power_integral`). `beta_integral`, `I_of_epsilon`
+and the master inequalities are sums of a few P; F(y), the row-sum tail and
+the midpoint integrals are binomial series in P (`_binomial_integral`).
+Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
+truncated, and no integrand is sampled.
 """
 
 from __future__ import annotations
@@ -46,82 +46,81 @@ _MAX_TERMS = 2 ** 16
 
 
 def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for x > 0, z > 0, x+1-s > 0,
-    lane-wise over 1-D arrays: returns value, error estimate and term count
-    arrays.
+    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for x > 0, z >= 0 and
+    any s, lane-wise over 1-D arrays: returns value, error estimate and term
+    count arrays.
 
     P is (1/x) 2F1(s, x; x+1; -z), and Pfaff's transformation (DLMF 15.8.1)
-    turns it into a series of positive terms:
+    on either upper parameter turns it into a series of positive terms in
+    w = z/(1+z): where a = x+1-s > 0,
 
-        P = (1+z)^(-x) sum_k (a)_k / k! * w^k / (x+k),  a = x+1-s,  w = z/(1+z).
+        P = (1+z)^(-x) sum_k (a)_k / k! * w^k / (x+k),
+
+    and elsewhere (with 8.17.8), where s >= x+1 > 0,
+
+        P = (1+z)^(-s)/x sum_k (s)_k/(x+1)_k w^k.
 
     From term K on, every term ratio is at most r = max(1, (a+K)/(K+1)) w,
-    so once r < 1 the terms after t_K sum to at most t_K r/(1-r). Each lane
-    sums its terms with `math.fsum` until that tail bound falls below double
-    rounding of its partial sum. The error estimate is the tail bound, scaled
-    by (1+z)^(-x) as the sum is, plus the rounding term (6K + 8) u P,
-    u = 2^-53: six roundings per recurrence step (those of a and w included),
-    two per term, and those of fsum, the power and the product. It is always
-    positive.
+    or max(1, (s+K)/(x+1+K)) w, so once r < 1 the terms after t_K sum to at
+    most t_K r/(1-r). Each lane sums its terms with `math.fsum` until that
+    tail bound falls below double rounding of its partial sum. The error
+    estimate is the tail bound, scaled as the sum is, plus the rounding term
+    (6K + 8) u P, u = 2^-53: six roundings per recurrence step (those of a
+    and w included), two per term, and those of fsum, the power and the
+    product. It is always positive. The power also raises the rounding d of
+    1 + z to its exponent e (x, or s), so e |d|/(1+z) P is added; d is exact
+    (TwoSum) and 0 where 1 + z is, as at z = 1/2, 1 and 2. A lane that
+    needs more than 2^16 terms, or whose value or estimate is not finite,
+    raises `DomainError`.
 
     Lanes are summed together (`_sum_lanes`) with the operations of a scalar
     loop in its order, so each lane's value, estimate and term count are
     those of summing it alone.
     """
     x, s, z = (np.asarray(v, dtype=float) for v in (x, s, z))
-    bad = ~((x > 0.0) & (z > 0.0) & ((1.0 - s) + x > 0.0))
+    bad = ~((x > 0.0) & (z >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"need x > 0, z > 0 and x+1-s > 0, "
-                          f"got x={float(x[i])}, s={float(s[i])}, z={float(z[i])}")
-    return _series(x, s, z, np.zeros(len(x), dtype=bool))
-
-
-def _any_power_integral(c, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(c, s, z) for c > 0, z >= 0 and any s, lane-wise as `_power_integral`:
-    by its Pfaff series where c+1-s > 0, and elsewhere by Pfaff's
-    transformation on the other parameter (DLMF 15.8.1 with 8.17.8),
-
-        P = (1+z)^(-s)/c sum_k (s)_k/(c+1)_k w^k,  w = z/(1+z),
-
-    whose terms are positive too. From term K on its ratios are at most
-    max(1, (s+K)/(c+1+K)) w, so the same tail rule and estimate apply.
-    """
-    c, s, z = (np.asarray(v, dtype=float) for v in (c, s, z))
-    bad = ~((c > 0.0) & (z >= 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"need c > 0 and z >= 0, got c={float(c[i])}, z={float(z[i])}")
-    return _series(c, s, z, (1.0 - s) + c <= 0.0)
-
-
-def _series(x, s, z, euler):
-    """P(x, s, z) lane-wise: the series of `_any_power_integral` on the lanes
-    where `euler` is set, that of `_power_integral` elsewhere."""
+        raise DomainError(f"need x > 0 and z >= 0, got {_lane(x, s, z, i)}")
+    euler = (1.0 - s) + x <= 0.0
     num = np.where(euler, s, (1.0 - s) + x)
     den = np.where(euler, x + 1.0, 1.0)
-    w = z / (1.0 + z)
+    base = 1.0 + z
+    zb = base - 1.0
+    d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
+    w = z / base
     sums, tail = np.empty(len(x)), np.empty(len(x))
     last = np.empty(len(x), dtype=int)
     pending, width = np.arange(len(x)), _WIDTH
-    while len(pending):
-        if width > _MAX_TERMS:
-            i = pending[0]
-            raise DomainError(f"series at x={float(x[i])}, s={float(s[i])}, z={float(z[i])} "
-                              f"needs more than {_MAX_TERMS} terms")
-        short, rows = [], max(1, _CELLS // width)
-        for lo in range(0, len(pending), rows):
-            lanes = pending[lo:lo + rows]
-            stopped, *done = _sum_lanes(x[lanes], ~euler[lanes], num[lanes], den[lanes],
-                                        w[lanes], width)
-            sums[lanes[stopped]], tail[lanes[stopped]], last[lanes[stopped]] = done
-            short.append(lanes[~stopped])
-        pending, width = np.concatenate(short), 2 * width
-    scale = np.array([(1.0 + zi) ** -si / xi if e else (1.0 + zi) ** -xi
-                      for xi, si, zi, e in zip(x.tolist(), s.tolist(), z.tolist(),
-                                               euler.tolist())])
-    value = scale * sums
-    return value, scale * tail + (6 * last + 8) * _UNIT_ROUNDOFF * value, last + 1
+    # A lane whose terms overflow runs on to the term cap, or stops with a
+    # sum that is not finite and is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(pending):
+            if width > _MAX_TERMS:
+                raise DomainError(f"series at {_lane(x, s, z, pending[0])} "
+                                  f"needs more than {_MAX_TERMS} terms")
+            short, rows = [], max(1, _CELLS // width)
+            for lo in range(0, len(pending), rows):
+                lanes = pending[lo:lo + rows]
+                stopped, *done = _sum_lanes(x[lanes], ~euler[lanes], num[lanes], den[lanes],
+                                            w[lanes], width)
+                sums[lanes[stopped]], tail[lanes[stopped]], last[lanes[stopped]] = done
+                short.append(lanes[~stopped])
+            pending, width = np.concatenate(short), 2 * width
+        scale = np.array([bi ** -si / xi if e else bi ** -xi
+                          for xi, si, bi, e in zip(x.tolist(), s.tolist(), base.tolist(),
+                                                   euler.tolist())])
+        value = scale * sums
+        relative = (6 * last + 8) * _UNIT_ROUNDOFF + np.where(euler, s, x) * np.abs(d) / base
+        estimate = scale * tail + relative * value
+    finite = np.isfinite(estimate)   # and so is every value
+    if not finite.all():
+        raise DomainError(f"series at {_lane(x, s, z, int(np.argmin(finite)))} is not finite")
+    return value, estimate, last + 1
+
+
+def _lane(x, s, z, i: int) -> str:
+    return f"x={float(x[i])}, s={float(s[i])}, z={float(z[i])}"
 
 
 def _sum_lanes(x, pfaff, num, den, w, width: int):
@@ -171,7 +170,7 @@ def _binomial_integral(y, x, alpha: float, r: float):
     times the one before. The sum stops at the first J with
     rho^(J+1)/(1-rho) <= u, u = 2^-53, and its tail is bounded by
     T_J rho/(1-rho); alpha = 0 leaves one term and no tail. G_J is summed by
-    `_any_power_integral`, the top lanes of all points in one batch:
+    `_power_integral`, the top lanes of all points in one batch:
 
         G_J = y^(-r-J) P(J+r, 1+J, 1/y)                                 (s = y/v), y >= 0.1,
         G_J = P(1-r, 1+J, 1) + P(J+r, 1+J, 1) - y^(1-r) P(1-r, 1+J, y)  (split at s = 1, s = yv), y < 0.1,
@@ -200,7 +199,7 @@ def _binomial_integral(y, x, alpha: float, r: float):
         else:
             lanes += [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, yi)]
         plans.append((yi, xi, rho, J))
-    value, estimate, terms = _any_power_integral(*zip(*lanes))
+    value, estimate, terms = _power_integral(*zip(*lanes))
     out, at = [], 0
     for yi, xi, rho, J in plans:
         log_y = abs(math.log(yi)) if yi > 0.0 else 0.0

@@ -91,7 +91,7 @@ def test_3_scalar_constants():
 
 def test_4_proof_chain_sweep():
     t0 = time.monotonic()
-    reports = default_sweep(x_points=300, grid_points=100)
+    reports = default_sweep(x_points=300)
     elapsed = time.monotonic() - t0
     failed = [r for r in reports if not r.passed]
     ok = not failed and elapsed < 60.0

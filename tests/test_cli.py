@@ -106,6 +106,8 @@ class TestBadInput:
         (["verify-inequality", "--p", "0.5"], "p must lie in (1, inf), got 0.5"),
         (["kp-apply", "--p", "0.5", "--input", "{zero_based}"], "p must lie in (1, inf), got 0.5"),
         (["kp-apply", "--input", "{negative}"], "negative entry -2.0 at index 1"),
+        (["norm-bounds", "--p", "2", "--eps-grid", "100000", "--ascent-sizes", "16"],
+         "series at x=50000.5, s=1.0, z=1.0 is not finite"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {

@@ -112,10 +112,6 @@ class TestKernelValues:
         with pytest.raises(DomainError):
             KernelSpec(Variant.ALPHA_ROW, p=2.0, alpha=1.5)
 
-    def test_serialize(self):
-        spec = KernelSpec(Variant.YANG_SHIFT, p=3.0, alpha=0.0)
-        assert spec.serialize() == "YangShift,3.0,0.0"
-
 
 class TestBilinearForm:
     def test_single_pair(self):

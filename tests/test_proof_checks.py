@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,8 @@ from hilbert_kp import (
     default_sweep,
 )
 from hilbert_kp.proof_checks import (
-    ineq_I_lhs,
-    ineq_I_rhs,
-    ineq_II_lhs,
-    ineq_II_rhs,
+    _family_I,
+    _family_II,
     logconv_f_expression,
     logconv_g_expression,
 )
@@ -55,6 +54,9 @@ class TestProofCase:
             ProofCase(0.5, 2.5)   # alpha*x > 1
         with pytest.raises(DomainError, match="alpha=nan"):
             ProofCase(0.3, float("nan"))
+        for x, alpha in [(0.3, 1e3), (0.7, 0.0), (0.0, 1.0)]:
+            with pytest.raises(DomainError):
+                ProofCase(x, alpha)
 
 
 class TestCheckReport:
@@ -62,6 +64,13 @@ class TestCheckReport:
         assert CheckReport.from_sides("t", "", 1.0, 2.0, 0.5).passed
         assert not CheckReport.from_sides("t", "", 1.0, 2.0, 1.5).passed
         assert not CheckReport.from_sides("t", "", 2.0, 2.0, 0.0).passed
+
+    def test_side_condition_fails_a_clear_margin(self):
+        """A check whose side condition fails does not pass, however far its
+        margin clears its budget."""
+        report = CheckReport.from_sides("t", "", 1.0, 2.0, 0.5, holds=False)
+        assert report.margin > report.error_budget
+        assert not report.passed
 
 
 class TestLogConvexity:
@@ -134,32 +143,30 @@ class TestFConvexMax:
         assert check_F_convex_max(3.0, 1.0, np.linspace(0.0, 0.5, 11)).passed
 
 
+def _sides(x: float, alpha: float) -> list[tuple[float, float]]:
+    """(value, estimate) of lhs_I, rhs_I, lhs_II and rhs_II at one point, read
+    from `_family_I` and `_family_II`."""
+    points = np.array([x]), np.array([alpha])
+    (lhs_i, rhs_i), (lhs_ii, rhs_ii, _) = _family_I(*points), _family_II(*points)
+    return [(float(side[0][0]), float(side[1][0])) for side in (lhs_i, rhs_i, lhs_ii, rhs_ii)]
+
+
 class TestMasterInequalities:
     @pytest.mark.parametrize("key", sorted(INEQ_FROZEN))
     def test_frozen_sides(self, key):
-        x, alpha = key
-        lhs_i, rhs_i, lhs_ii, rhs_ii = INEQ_FROZEN[key]
-        if lhs_i is not None:
-            assert ineq_I_lhs(x, alpha).value == pytest.approx(lhs_i, rel=1e-8)
-            assert ineq_I_rhs(x).value == pytest.approx(rhs_i, rel=1e-8)
-        else:
-            assert ineq_I_lhs(x, alpha) is None
-        assert ineq_II_lhs(x, alpha).value == pytest.approx(lhs_ii, rel=1e-8)
-        assert ineq_II_rhs(x).value == pytest.approx(rhs_ii, rel=1e-8)
+        frozen = INEQ_FROZEN[key]
+        sides = _sides(*key)
+        if frozen[0] is None:   # lhs_I is identically 0 under alpha = 0
+            assert sides[0] == (0.0, 0.0)
+            frozen, sides = frozen[2:], sides[2:]
+        for (value, _), ref in zip(sides, frozen):
+            assert value == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("key", sorted(INEQ_FROZEN))
     def test_checks_pass(self, key):
         case = ProofCase(*key)
         assert check_ineq_I(case).passed
         assert check_ineq_II(case).passed
-
-    @pytest.mark.parametrize("side", [ineq_I_lhs, ineq_II_lhs])
-    @pytest.mark.parametrize("x, alpha", [(0.3, 1e3), (0.7, 0.0), (0.0, 1.0)])
-    def test_lhs_outside_the_domain(self, side, x, alpha):
-        """Both left sides take only points with 0 < x <= 1/2 and
-        0 <= alpha x <= 1, where their series stay short."""
-        with pytest.raises(DomainError):
-            side(x, alpha)
 
     def test_tightest_point_still_clears(self):
         # x = 0.4 under alpha = 1 has the smallest margin in the whole sweep
@@ -195,39 +202,40 @@ class TestMasterInequalitySeries:
     def test_sides_within_their_estimates(self, x, alpha):
         """Each side's error estimate bounds its actual error and is positive;
         at x = 1/6000 the rhs of the second inequality is about 3000."""
-        refs = _sides_reference(x, alpha)
-        sides = (ineq_I_lhs(x, alpha), ineq_I_rhs(x), ineq_II_lhs(x, alpha), ineq_II_rhs(x))
-        for side, ref in zip(sides, refs):
-            if side is None:
-                assert alpha == 0.0 and ref == 0
+        for (value, estimate), ref in zip(_sides(x, alpha), _sides_reference(x, alpha)):
+            if estimate == 0.0:   # lhs_I under alpha = 0
+                assert alpha == 0.0 and value == ref == 0
                 continue
-            assert side.error_estimate > 0.0
-            assert abs(side.value - ref) <= side.error_estimate
+            assert estimate > 0.0
+            assert abs(value - ref) <= estimate
 
 
 def _power_integral_reference(x: float, s: float, z: float) -> tuple[float, float, int]:
-    """The Pfaff series of `_power_integral` for one (x, s, z), summed by a
-    scalar loop: value, error estimate and term count."""
-    a = (1.0 - s) + x
-    if x <= 0.0 or z <= 0.0 or a <= 0.0:
-        raise DomainError(f"need x > 0, z > 0 and x+1-s > 0, got x={x}, s={s}, z={z}")
+    """The series of `_power_integral` for one (x, s, z), summed by a scalar
+    loop: Pfaff's on the parameter x where x+1-s > 0, on s elsewhere. Returns
+    value, error estimate and term count."""
+    pfaff = (1.0 - s) + x > 0.0
+    num, den = ((1.0 - s) + x, 1.0) if pfaff else (s, x + 1.0)
     w = z / (1.0 + z)
     coeff, partial, k = 1.0, 0.0, 0
     terms = []
     while True:
-        term = coeff / (x + k)
+        term = coeff / (x + k) if pfaff else coeff
         terms.append(term)
         partial += term
-        step = (a + k) / (k + 1.0)
+        step = (num + k) / (den + k)
         ratio = w * step if step > 1.0 else w
         if ratio < 1.0 and term * ratio <= (1.0 - ratio) * 2.0 ** -53 * partial:
             break
         coeff *= step * w
         k += 1
-    power = (1.0 + z) ** -x
-    value = power * math.fsum(terms)
+    base = 1.0 + z
+    scale = base ** -x if pfaff else base ** -s / x
+    value = scale * math.fsum(terms)
     tail = term * ratio / (1.0 - ratio)
-    return value, power * tail + (6 * k + 8) * 2.0 ** -53 * value, k + 1
+    d = float(1 + Fraction(z) - Fraction(base))   # the rounding of 1 + z, exactly
+    relative = (6 * k + 8) * 2.0 ** -53 + (x if pfaff else s) * abs(d) / base
+    return value, scale * tail + relative * value, k + 1
 
 
 def _six_families(xs):
@@ -246,18 +254,40 @@ def _six_families(xs):
     return lanes
 
 
+# The lanes (1-r, 1+J, 1) and (1-r, 1+J, y) of G_J at y < 0.1 in
+# `_binomial_integral`, r = 1/p: c+1-s = 1-r-J <= 0, so `_power_integral`
+# sums them by the series on s.
+_EULER_LANES = [(1.0 - 1.0 / p, 1.0 + J, z) for p in (1.05, 2.0, 3.0, 12.0)
+                for J in (1, 2, 7, 30, 90) for z in (1.0, 0.0, 1e-6, 0.05, 0.0999)]
+
+
 class TestBatchedSeries:
     def test_lanes_equal_the_scalar_loop(self):
-        """Summed together, in passes that mix families, every lane has the
-        value, estimate and term count of its series summed alone; so do
-        lanes too long for the first pass (743 and 268 terms)."""
+        """Summed together, in passes that mix families and both series,
+        every lane has the value, estimate and term count of its series
+        summed alone; so do lanes too long for the first pass (743 and 268
+        terms, and the J = 90 lanes at z = 1)."""
         xs = [k / 6000.0 for k in range(1, 3001, 3)] + [0.5]
-        lanes = _six_families(xs) + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)]
+        lanes = (_six_families(xs) + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)]
+                 + _EULER_LANES)
         assert xs[0] == 1.0 / 6000.0
         value, estimate, terms = _power_integral(*np.array(lanes).T)
-        assert terms[-2:].tolist() == [743, 268]
+        euler = len(_EULER_LANES)
+        assert terms[-euler - 2:-euler].tolist() == [743, 268]
+        assert terms[-euler:].max() > 128
         for lane, v, e, k in zip(lanes, value.tolist(), estimate.tolist(), terms.tolist()):
             assert (v, e, k) == _power_integral_reference(*lane), lane
+
+    def test_euler_lanes_within_their_estimates(self):
+        """On the lanes with c+1-s <= 0 each estimate is positive and bounds
+        the error against 40-digit `hyp2f1`: P = 2F1(s, c; c+1; -z)/c."""
+        mpmath = pytest.importorskip("mpmath")
+        value, estimate, _ = _power_integral(*np.array(_EULER_LANES).T)
+        for (c, s, z), v, e in zip(_EULER_LANES, value.tolist(), estimate.tolist()):
+            with mpmath.workdps(40):
+                exact = mpmath.hyp2f1(s, c, c + 1, -z) / c
+                assert 0.0 < e
+                assert abs(v - exact) <= e, (c, s, z)
 
     def test_series_length_is_capped(self):
         """A series that needs more than 2^16 terms (its value overflows long
@@ -277,10 +307,10 @@ class TestBatchedSeries:
         assert max(r.terms for r in reports) > 0
 
     @pytest.mark.parametrize("bad, lane", [(517, (-0.25, 1.0, 2.0)),
-                                           (3, (0.5, 1.75, 2.0)),
-                                           (600, (0.25, 1.25, 2.0))])
+                                           (3, (0.5, 1.75, -0.5)),
+                                           (600, (0.0, 1.25, 2.0))])
     def test_one_bad_lane_is_named(self, bad, lane):
-        """x <= 0 or x+1-s <= 0 in any lane of a multi-block call raises
+        """x <= 0 or z < 0 in any lane of a multi-block call raises
         DomainError naming that lane."""
         x = np.linspace(0.01, 0.5, 700)
         s = np.ones(700)
@@ -339,7 +369,7 @@ class TestBernoulliAndScalars:
 
 class TestDefaultSweep:
     def test_small_sweep_all_pass(self):
-        reports = default_sweep(x_points=20, grid_points=25)
+        reports = default_sweep(x_points=20)
         assert len(reports) > 50
         failed = [r for r in reports if not r.passed]
         assert failed == []

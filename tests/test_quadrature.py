@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -38,6 +39,15 @@ class TestSeries:
         estimate stays within the rounding term and one u of the value."""
         value, estimate, terms = _power_integral([40.5], [41.0], [2.0])
         assert 0.0 < estimate[0] <= (6 * (terms[0] - 1) + 9) * 2.0 ** -53 * value[0]
+
+    def test_a_lane_that_is_not_finite_is_named(self):
+        """The terms of P(50000.5, 1, 1), the eps-family's series at eps = 1e5
+        and p = 2, overflow; the call raises naming that lane, and numpy
+        warns of nothing on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"x=50000\.5, s=1\.0, z=1\.0 is not finite"):
+                _power_integral([0.5, 50000.5], [1.0, 1.0], [1.0, 1.0])
 
 
 class TestBetaIntegral:
