@@ -54,9 +54,6 @@ class TestProofCase:
             ProofCase(0.5, 2.5)   # alpha*x > 1
         with pytest.raises(DomainError, match="alpha=nan"):
             ProofCase(0.3, float("nan"))
-        for x, alpha in [(0.3, 1e3), (0.7, 0.0), (0.0, 1.0)]:
-            with pytest.raises(DomainError):
-                ProofCase(x, alpha)
 
 
 class TestCheckReport:
@@ -151,6 +148,16 @@ def _sides(x: float, alpha: float) -> list[tuple[float, float]]:
     return [(float(side[0][0]), float(side[1][0])) for side in (lhs_i, rhs_i, lhs_ii, rhs_ii)]
 
 
+def ineq_I_lhs(x: float, alpha: float) -> float:
+    """lhs_I at one point, read through `check_ineq_I`."""
+    return check_ineq_I(ProofCase(x, alpha)).lhs
+
+
+def ineq_II_lhs(x: float, alpha: float) -> float:
+    """lhs_II at one point, read through `check_ineq_II`."""
+    return check_ineq_II(ProofCase(x, alpha)).lhs
+
+
 class TestMasterInequalities:
     @pytest.mark.parametrize("key", sorted(INEQ_FROZEN))
     def test_frozen_sides(self, key):
@@ -167,6 +174,14 @@ class TestMasterInequalities:
         case = ProofCase(*key)
         assert check_ineq_I(case).passed
         assert check_ineq_II(case).passed
+
+    @pytest.mark.parametrize("side", [ineq_I_lhs, ineq_II_lhs])
+    @pytest.mark.parametrize("x, alpha", [(0.3, 1e3), (0.7, 0.0), (0.0, 1.0)])
+    def test_lhs_outside_the_domain(self, side, x, alpha):
+        """Both left sides take only points with 0 < x <= 1/2 and
+        0 <= alpha x <= 1, where their series stay short."""
+        with pytest.raises(DomainError):
+            side(x, alpha)
 
     def test_tightest_point_still_clears(self):
         # x = 0.4 under alpha = 1 has the smallest margin in the whole sweep
