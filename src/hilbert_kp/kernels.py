@@ -12,8 +12,9 @@ Variants:
 All kernel values are strictly positive for m, n >= 1, and every weighted
 variant collapses to the classical kernel at p = 2. Each variant factors as
 w(m) v(n) h(m+n), a row weight, a column weight and a Hankel symbol. The
-form and the operator are direct convolutions over that factorisation. The
-norm ascent's two products are correlations with the symbol done by FFT
+operator K^T a is one direct correlation of the symbol with wa, and the
+form is b paired with that image. The norm ascent's two products are the
+same correlations with the symbol, done by FFT
 (`_correlate`), O(N log N) per product and O(N) memory on an N x N section,
 with an explicit rounding bound (`_fft_rounding`). The dense `kernel_matrix`
 is the tests' reference for all of them; no library path builds it.
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ParameterError
-from .quadrature import QuadratureResult, _binomial_integral
+from .quadrature import QuadratureResult, _binomial_integral, _check_exponents
 from .sequences import Sequence, conjugate, snap_exponent
 
 
@@ -148,11 +149,12 @@ def _fft_rounding(L: int) -> float:
 def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
     """sum_{m,n} k(m,n) a_m b_n, exact over the finite supports.
 
-    Evaluated as the Hankel sum  sum_s h(s) (wa * vb)(s)  with one direct
-    convolution. Every product in it is nonnegative, so each convolution entry
-    keeps a small relative error. The cost is one multiply-add per pair of
-    stored entries, zeros included, so it pays while the inputs are dense:
-    the CLI's random pairs are 70 % nonzero and the epsilon family 100 %.
+    Evaluated as <b, K^T a>, b paired by `math.fsum` with the image of a
+    under `apply_operator`'s one direct correlation. Every product in it is
+    nonnegative, so each image entry keeps a small relative error. The cost
+    is one multiply-add per pair of stored entries, zeros included, so it
+    pays while the inputs are dense: the CLI's random pairs are 70 %
+    nonzero and the epsilon family 100 %.
     `kernel_matrix` is the dense reference.
     """
     if a.start_index != 1 or b.start_index != 1:
@@ -161,9 +163,7 @@ def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
     bv = b.require_nonnegative("b")
     if not av.any() or not bv.any():
         return 0.0
-    w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, len(bv) + 1.0),
-                      np.arange(2.0, len(av) + len(bv) + 1.0))
-    return math.fsum((h * np.convolve(w * av, v * bv)).tolist())
+    return math.fsum((bv * apply_operator(spec, a, len(bv)).values).tolist())
 
 
 def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
@@ -212,9 +212,7 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
-    conjugate(p)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_exponents(p, alpha)
     if tol <= 0.0:
         raise ParameterError(f"tol must be positive, got {tol}")
     r = 1.0 / p
@@ -238,7 +236,7 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
     head[1:] = term(np.arange(1.0, N))   # slot 0 stays zero
     while len(head) > 1:                 # pairwise: log2(N) roundings per summand
         head = head[:len(head) // 2] + head[len(head) // 2:]
-    tail, tail_estimate, terms = _binomial_integral([N / m], [1.0 / m], alpha, r)
+    tail, tail_estimate, terms = _binomial_integral([N / m], [1.0 / m], alpha, p)
     bernoulli = slope(N) / 12.0
     value = math.fsum([float(head[0]), float(tail[0]), 0.5 * term(N), bernoulli])
     rounding = (N.bit_length() + 8 + 2.0 * math.log(m + N)) * 2.0 ** -53 * value

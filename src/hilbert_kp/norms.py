@@ -29,7 +29,7 @@ from .kernels import KernelSpec, _correlate, _fft_rounding, _hankel
 from .kernels import kernel_matrix  # noqa: F401
 from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .quadrature import _scaled_I_of_epsilon
-from .sequences import Sequence, conjugate, lp_to_kp_isometry
+from .sequences import Sequence, _dual_align_vec, conjugate, lp_to_kp_isometry
 
 # `_phi_upper` sums the terms m < _PHI_HEAD and bounds the rest by integrals.
 _PHI_HEAD = 1024
@@ -118,12 +118,6 @@ def epsilon_family_ratio(eps: float, p: float) -> SharpnessPoint:
     # 1/q multiply to 1 + eps*phi
     phi_upper = min(max(_phi_upper(eps), 0.0), 1.0)
     return SharpnessPoint(eps, (eps_I - estimate) / (1.0 + eps * phi_upper), phi_upper)
-
-
-def _dual_align_vec(c: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized Hölder alignment: the unit l^q vector pairing to ||c||_p."""
-    norm = float(np.sum(c ** p)) ** (1.0 / p)
-    return (c / norm) ** (p - 1.0)
 
 
 def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,

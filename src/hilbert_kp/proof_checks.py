@@ -2,8 +2,11 @@
 
 Every check evaluates both sides of one displayed inequality (or the sign of
 one displayed expression) in floating point, with the error estimates of its
-series (`quadrature`) folded into an explicit error budget. A check passes
-only when its margin clears the budget.
+series (`quadrature`) folded into an explicit error budget. A report stores
+the sides, the budget and any side condition; its margin and verdict are
+derived from them, so a check passes only when its side condition holds and
+its margin clears the budget. The row summand f and the integrand g_t are
+one three-power product (`_three_power`) over different bases.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError
-from .quadrature import _binomial_integral, _F_values, _power_integral
+from .errors import DomainError, InvalidInputError
+from .quadrature import _binomial_integral, _check_exponents, _power_integral
 
 
 @dataclass(frozen=True)
@@ -38,129 +41,126 @@ class ProofCase:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """One check's sides, margin and budget. `terms` is the longest series
-    (`_power_integral`) the check summed, 0 if it summed none. Every verdict
-    comes from `from_sides`: a check passes when its side condition `holds`
-    and its margin clears its budget."""
+    """One check's sides, budget and side condition `holds`; `terms` is the
+    longest series (`_power_integral`) it summed, 0 if none. The verdict is
+    derived, never stored: `margin` is rhs - lhs, and a check has `passed`
+    when its side condition holds and its margin clears its budget."""
 
     name: str
     parameters: str
     lhs: float
     rhs: float
-    margin: float
     error_budget: float
-    passed: bool
     terms: int = 0
+    holds: bool = True
 
-    @staticmethod
-    def from_sides(name: str, parameters: str, lhs: float, rhs: float,
-                   error_budget: float, terms: int = 0, holds: bool = True) -> "CheckReport":
-        margin = rhs - lhs
-        return CheckReport(name, parameters, lhs, rhs, margin, error_budget,
-                           holds and margin > error_budget, terms)
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def passed(self) -> bool:
+        return self.holds and self.rhs - self.lhs > self.error_budget
 
 
 # ---------------------------------------------------------------------------
-# convexity of the two log-convex factors
+# the row summand and its convexity
 
-def logconv_f_expression(m: int, p: float, alpha: float, t):
-    """(log f)'' for f(t) = t^(-1/p) (m+t)^(alpha-1) (m+t-1)^(-alpha)."""
-    t = np.asarray(t, dtype=float)
-    return (t ** -2.0 / p + (m + t) ** -2.0
-            + alpha * ((m + t - 1.0) ** -2.0 - (m + t) ** -2.0))
+def _three_power(a, b, c, p: float, alpha: float):
+    """a^(-1/p) b^(alpha-1) c^(-alpha) and its (log)'' a^-2/p + b^-2 +
+    alpha (c^-2 - b^-2) along bases of slope +-1: t, m+t, m+t-1 for the row
+    summand f(t), and t+y, t+1+y, t+1-y for the integrand g_t(y)."""
+    value = a ** (-1.0 / p) * b ** (alpha - 1.0) * c ** -alpha
+    return value, a ** -2.0 / p + b ** -2.0 + alpha * (c ** -2.0 - b ** -2.0)
 
 
-def _f_row(m: int, p: float, alpha: float, t):
-    t = np.asarray(t, dtype=float)
-    return t ** (-1.0 / p) * (m + t) ** (alpha - 1.0) * (m + t - 1.0) ** -alpha
+def _logconvexity(name: str, parameters: str, bases, p: float, alpha: float,
+                  grid, inner, h) -> CheckReport:
+    """(log)'' > 0 on the grid, with the sign of a central second difference
+    of the summand at the points `inner`, step h, as side condition; `bases`
+    maps the variable to the three bases of `_three_power`."""
+    _check_exponents(p, alpha)
+
+    def at(v):
+        return _three_power(*bases(v), p, alpha)
+
+    second = at(inner - h)[0] + at(inner + h)[0] - 2.0 * at(inner)[0]
+    return CheckReport(name, f"{parameters},p={p},alpha={alpha},grid={len(grid)}", 0.0,
+                       float(at(grid)[1].min()), 0.0, holds=bool(np.all(second > 0.0)))
 
 
 def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
-    """Strict positivity of the displayed (log f)'' expression on the grid,
-    cross-checked by the sign of a central second difference of f itself."""
+    """(log f)'' > 0 for f(t) = t^(-1/p) (m+t)^(alpha-1) (m+t-1)^(-alpha),
+    m >= 1, at every grid point t > 0; the second difference steps by
+    1e-4 max(1, t)."""
+    if m < 1:
+        raise InvalidInputError(f"m must be >= 1, got {m}")
     t = np.asarray(sorted(t_grid), dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("grid points must be positive")
-    expr = logconv_f_expression(m, p, alpha, t)
-    h = 1e-4 * np.maximum(1.0, t)
-    second = _f_row(m, p, alpha, t - h) + _f_row(m, p, alpha, t + h) \
-        - 2.0 * _f_row(m, p, alpha, t)
-    return CheckReport.from_sides(
-        "logconvexity_f", f"m={m},p={p},alpha={alpha},grid={len(t)}",
-        0.0, float(expr.min()), 0.0, holds=bool(np.all(second > 0.0)))
-
-
-def logconv_g_expression(t: float, p: float, alpha: float, y):
-    """(log g_t)'' for g_t(y) = (t+y)^(-1/p) (t+1+y)^(alpha-1) (t+1-y)^(-alpha)."""
-    y = np.asarray(y, dtype=float)
-    return ((t + y) ** -2.0 / p + (t + 1.0 + y) ** -2.0
-            + alpha * ((t + 1.0 - y) ** -2.0 - (t + 1.0 + y) ** -2.0))
-
-
-def _g_row(t: float, p: float, alpha: float, y):
-    y = np.asarray(y, dtype=float)
-    return ((t + y) ** (-1.0 / p) * (t + 1.0 + y) ** (alpha - 1.0)
-            * (t + 1.0 - y) ** -alpha)
+    if not np.all((t > 0.0) & (t < np.inf)):
+        raise DomainError("grid points must be positive and finite")
+    return _logconvexity("logconvexity_f", f"m={m}", lambda v: (v, m + v, m + v - 1.0),
+                         p, alpha, t, t, 1e-4 * np.maximum(1.0, t))
 
 
 def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckReport:
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    """(log g_t)'' > 0 for g_t(y) = (t+y)^(-1/p) (t+1+y)^(alpha-1) (t+1-y)^(-alpha),
+    t > 0, at every grid point y in [0, 1/2]; the second difference steps
+    by 1e-4 at the grid points at least that far inside."""
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     y = np.asarray(sorted(y_grid), dtype=float)
-    if np.any(y < 0.0) or np.any(y > 0.5):
+    if not np.all((y >= 0.0) & (y <= 0.5)):
         raise DomainError("y grid must lie in [0, 1/2]")
-    expr = logconv_g_expression(t, p, alpha, y)
-    h = 1e-4
-    inner = y[(y - h >= 0.0) & (y + h <= 0.5)]
-    second = _g_row(t, p, alpha, inner - h) + _g_row(t, p, alpha, inner + h) \
-        - 2.0 * _g_row(t, p, alpha, inner)
-    return CheckReport.from_sides(
-        "logconvexity_g", f"t={t},p={p},alpha={alpha},grid={len(y)}",
-        0.0, float(expr.min()), 0.0, holds=bool(np.all(second > 0.0)))
+    return _logconvexity("logconvexity_g", f"t={t}", lambda v: (t + v, t + 1.0 + v, t + 1.0 - v),
+                         p, alpha, y, y[(y - 1e-4 >= 0.0) & (y + 1e-4 <= 0.5)], 1e-4)
 
 
 # ---------------------------------------------------------------------------
 # midpoint bound and the F-maximum reduction
 
 def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckReport:
-    """f(n) < int_{n-1/2}^{n+1/2} f(t) dt for 1 <= n <= n_max.
+    """f(n) < int_{n-1/2}^{n+1/2} f(t) dt for 1 <= n <= n_max, m >= 1.
 
     With t = m s, int_a^inf f = m^(-1/p) H(a/m, 1/m) (`_binomial_integral`),
     so each integral is a difference of H at (n -+ 1/2)/m; H is summed at
     all n_max + 1 ends in one batch. The budget is the largest sum of two
     ends' estimates, scaled by m^(-1/p), plus (3 + log m) u times the
     integral for the rounding of that factor."""
+    if m < 1:
+        raise InvalidInputError(f"m must be >= 1, got {m}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     ends = (np.arange(n_max + 1.0) + 0.5) / m
-    value, estimate, terms = _binomial_integral(ends, np.full(n_max + 1, 1.0 / m), alpha, 1.0 / p)
+    value, estimate, terms = _binomial_integral(ends, np.full(n_max + 1, 1.0 / m), alpha, p)
     scale = m ** (-1.0 / p)
     integral = scale * (value[:-1] - value[1:])
     budget = scale * (estimate[:-1] + estimate[1:]) + (3.0 + math.log(m)) * 2.0 ** -53 * integral
-    fn = _f_row(m, p, alpha, np.arange(1.0, n_max + 1.0))
+    n = np.arange(1.0, n_max + 1.0)
+    fn = _three_power(n, m + n, m + n - 1.0, p, alpha)[0]
     i = int(np.argmin(integral - fn))
-    return CheckReport.from_sides(
+    return CheckReport(
         "midpoint_bound", f"m={m},p={p},alpha={alpha},n_max={n_max},worst_n={i + 1}",
         float(fn[i]), float(integral[i]), float(budget.max()), int(terms.max()))
 
 
 def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
     """F(y) < max(F(0), F(1/2)) at the grid points inside (0, 1/2), plus
-    discrete convexity of the sampled values. F is summed at both ends and
-    the grid in one batch; the budget is the ends' estimates plus the
-    largest estimate inside."""
+    discrete convexity of the sampled values. F(y) = H(y, 2y)
+    (`_binomial_integral`) is summed at both ends and the grid in one batch;
+    the budget is the ends' estimates plus the largest estimate inside."""
     y = np.asarray(sorted(y_grid), dtype=float)
-    if np.any(y < 0.0) or np.any(y > 0.5):
+    if not np.all((y >= 0.0) & (y <= 0.5)):
         raise DomainError("y grid must lie in [0, 1/2]")
     inside = (y > 0.0) & (y < 0.5)
     if not inside.any():
         raise DomainError("y grid needs a point inside (0, 1/2)")
-    value, estimate, terms = _F_values(np.concatenate([[0.0, 0.5], y]), p, alpha)
+    ends_and_grid = np.concatenate([[0.0, 0.5], y])
+    value, estimate, terms = _binomial_integral(ends_and_grid, 2.0 * ends_and_grid, alpha, p)
     vals, errs = value[2:], estimate[2:]
     # divided second differences must not be significantly negative
     slopes = np.diff(vals) / np.diff(y)
     slack = (errs[:-2] + errs[1:-1] + errs[2:]) / np.diff(y)[:-1]
-    return CheckReport.from_sides(
+    return CheckReport(
         "F_convex_max", f"p={p},alpha={alpha},grid={len(y)}",
         float(vals[inside].max()), float(value[:2].max()),
         float(estimate[0] + estimate[1] + errs[inside].max()), int(terms.max()),
@@ -169,11 +169,6 @@ def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # the two master integral inequalities, reduced to (0, 1] via t -> 1/t
-
-def _P(c, s, z):
-    """P(c, s, z) by `_power_integral`, its arguments broadcast to 1-D lanes."""
-    return _power_integral(*np.broadcast_arrays(*np.atleast_1d(c, s, z)))
-
 
 def _family_I(x: np.ndarray, alpha: np.ndarray) -> tuple:
     """Lane triples (value, estimate, terms) of both sides of the first
@@ -185,11 +180,12 @@ def _family_I(x: np.ndarray, alpha: np.ndarray) -> tuple:
 
     lhs_I is 0, with estimate 0 and no terms, under alpha = 0."""
     live = alpha != 0.0
-    (hi, e, k), (lo, f, m) = _P(x[live], 1.0 - alpha[live], 2.0), _P(x[live], 1.0, 2.0)
+    (hi, e, k), (lo, f, m) = (_power_integral(x[live], 1.0 - alpha[live], 2.0),
+                              _power_integral(x[live], 1.0, 2.0))
     lhs = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x), dtype=int)
     for full, part in zip(lhs, (hi - lo, e + f, np.maximum(k, m))):
         full[live] = part
-    rhs, g, n = _P(1.0 - x, 1.0, 0.5)
+    rhs, g, n = _power_integral(1.0 - x, 1.0, 0.5)
     return lhs, (0.5 * rhs, 0.5 * g, n)
 
 
@@ -200,15 +196,16 @@ def _family_II(x: np.ndarray, alpha: np.ndarray) -> tuple:
         lhs_II = int_0^1 ((1+2u)^beta - 1) u^(-x)/(1+2u) du = P(1-x, 1-beta, 2) - P(1-x, 1, 2),
         rhs_II = int_0^1 u^(x-1)/(2+u) du = P(x, 1, 1/2)/2."""
     beta = (1.0 - alpha * x) / (1.0 - x)
-    (hi, e, k), (lo, f, m) = _P(1.0 - x, 1.0 - beta, 2.0), _P(1.0 - x, 1.0, 2.0)
-    rhs, g, n = _P(x, 1.0, 0.5)
+    (hi, e, k), (lo, f, m) = (_power_integral(1.0 - x, 1.0 - beta, 2.0),
+                              _power_integral(1.0 - x, 1.0, 2.0))
+    rhs, g, n = _power_integral(x, 1.0, 0.5)
     return (hi - lo, e + f, np.maximum(k, m)), (0.5 * rhs, 0.5 * g, n), beta
 
 
 def _reports(name: str, parameters: list[str], lhs, rhs) -> list[CheckReport]:
     """One report per point from the sides' lane triples; the budget is the
     sum of the sides' estimates."""
-    return [CheckReport.from_sides(name, par, left, right, budget, terms)
+    return [CheckReport(name, par, left, right, budget, terms)
             for par, left, right, budget, terms in zip(
                 parameters, lhs[0].tolist(), rhs[0].tolist(), (lhs[1] + rhs[1]).tolist(),
                 np.maximum(lhs[2], rhs[2]).tolist())]
@@ -235,12 +232,9 @@ def check_ineq_I(case: ProofCase) -> CheckReport:
 def check_ineq_II(case: ProofCase) -> CheckReport:
     """lhs_II < rhs_II at (x, alpha).
 
-    Each side is built from P(c, s, z) = int_0^1 u^(c-1) (1+zu)^(-s) du
-    = (1/c) 2F1(s, c; c+1; -z) = (1+z)^(-c)/c 2F1(c+1-s, c; c+1; z/(1+z))
-    (Pfaff), a series of positive terms (`_power_integral`). The budget is
-    the sum of the sides' error estimates, each a geometric tail bound plus
-    a rounding term; that term also covers the rounding of the inputs 1-x
-    and beta, which moves a side by at most about 10 u. For fixed alpha,
+    Sides and budget are built as in `check_ineq_I`; the rounding term also
+    covers the rounding of the inputs 1-x and beta, which moves a side by
+    at most about 10 u. For fixed alpha,
     lhs_II does not decrease with x (u^(-x) rises, and beta' =
     (1-alpha)/(1-x)^2 >= 0) and rhs_II does not increase (u^(x-1) falls).
     So a pass at x settles the inequality on (x', x] for every smaller x'
@@ -267,7 +261,7 @@ def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
                             r1[1:] - r1[:-1],    # rhs I nondecreasing
                             l2[1:] - l2[:-1],    # lhs II nondecreasing
                             r2[:-1] - r2[1:]])   # rhs II nonincreasing
-    return CheckReport.from_sides(
+    return CheckReport(
         "monotone_in_x", f"alpha={alpha},grid={len(xs)}",
         -float(steps.min()), 0.0, -budget, int(max(k.max() for k in (k1, m1, k2, m2))))
 
@@ -304,25 +298,25 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
     ])
     # equality is attained (e.g. t = 1, x = 1/2), so allow a rounding-level slack
     worst = float(margins.min())
-    return CheckReport.from_sides(
+    return CheckReport(
         "bernoulli_steps", f"x={x},grid={len(t)}", -worst, 0.0, -1e-12)
 
 
 def check_scalar_constants() -> list[CheckReport]:
     """The four hand-checked scalar comparisons closing the three cases."""
     reports = [
-        CheckReport.from_sides("scalar_alpha0_x_1_3", "21/10 vs 2^(1/3) pi/sqrt(3)",
+        CheckReport("scalar_alpha0_x_1_3", "21/10 vs 2^(1/3) pi/sqrt(3)",
                                21.0 / 10.0, 2.0 ** (1.0 / 3.0) * math.pi / math.sqrt(3.0), 0.0),
-        CheckReport.from_sides("scalar_alpha1_x_1_2", "2 sqrt(2) vs pi",
+        CheckReport("scalar_alpha1_x_1_2", "2 sqrt(2) vs pi",
                                2.0 * math.sqrt(2.0), math.pi, 0.0),
     ]
     u = 2.0 * math.pi / 5.0
     sinc = math.sin(u) / u
     taylor = 1.0 - u ** 2 / 6.0 + u ** 4 / 120.0
     rhs = 2.0 ** -0.4
-    reports.append(CheckReport.from_sides("scalar_sinc_2pi_5", "sin(2pi/5)/(2pi/5) vs 2^(-2/5)",
+    reports.append(CheckReport("scalar_sinc_2pi_5", "sin(2pi/5)/(2pi/5) vs 2^(-2/5)",
                                           sinc, rhs, 0.0, holds=sinc < taylor < rhs))
-    reports.append(CheckReport.from_sides(
+    reports.append(CheckReport(
         "scalar_alphahalf_x_2_5", "25/12 vs 2^(-3/5) pi/sin(3pi/5)",
         25.0 / 12.0, 2.0 ** -0.6 * math.pi / math.sin(3.0 * math.pi / 5.0), 0.0))
     return reports
@@ -340,12 +334,9 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     convexity grids, midpoint bounds, F-maximum reductions, monotonicity and
     the power-majorization steps. Deterministic report order.
 
-    Every side of the master inequalities is a Pfaff series:
-    int_0^1 u^(c-1) (1+zu)^(-s) du = (1/c) 2F1(s, c; c+1; -z)
-    = (1+z)^(-c)/c 2F1(c+1-s, c; c+1; z/(1+z)), whose terms are positive.
-    Each check's budget is its sides' geometric tail bounds plus their
-    rounding terms (`_power_integral`). The series of all grid points are
-    summed together, lane by lane, with the numbers `check_ineq_I` and
+    The sides of the master inequalities and their budgets are the Pfaff
+    series of `check_ineq_I`. The series of all grid points are summed
+    together, lane by lane, with the numbers `check_ineq_I` and
     `check_ineq_II` give one point at a time.
 
     The grid x_k = k/(2 x_points), together with 1/3 and 2/5 under both

@@ -26,7 +26,7 @@ from .errors import DomainError, ParameterError
 class QuadratureResult:
     value: float
     error_estimate: float
-    subdivisions: int
+    terms: int
 
     def __post_init__(self):
         if self.error_estimate < 0.0:
@@ -46,9 +46,9 @@ _MAX_TERMS = 2 ** 16
 
 
 def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for x > 0, z >= 0 and
-    any s, lane-wise over 1-D arrays: returns value, error estimate and term
-    count arrays.
+    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for finite x > 0,
+    z >= 0 and s, lane-wise over its three arguments broadcast to 1-D
+    arrays: returns value, error estimate and term count arrays.
 
     P is (1/x) 2F1(s, x; x+1; -z), and Pfaff's transformation (DLMF 15.8.1)
     on either upper parameter turns it into a series of positive terms in
@@ -69,19 +69,19 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and w included), two per term, and those of fsum, the power and the
     product. It is always positive. The power also raises the rounding d of
     1 + z to its exponent e (x, or s), so e |d|/(1+z) P is added; d is exact
-    (TwoSum) and 0 where 1 + z is, as at z = 1/2, 1 and 2. A lane that
-    needs more than 2^16 terms, or whose value or estimate is not finite,
-    raises `DomainError`.
+    (TwoSum) and 0 where 1 + z is, as at z = 1/2, 1 and 2. A lane outside
+    that domain, one that needs more than 2^16 terms, or one whose value or
+    estimate is not finite raises `DomainError` naming it.
 
     Lanes are summed together (`_sum_lanes`) with the operations of a scalar
     loop in its order, so each lane's value, estimate and term count are
     those of summing it alone.
     """
-    x, s, z = (np.asarray(v, dtype=float) for v in (x, s, z))
-    bad = ~((x > 0.0) & (z >= 0.0))
+    x, s, z = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, s, z)))
+    bad = ~(np.isfinite(x) & np.isfinite(s) & np.isfinite(z) & (x > 0.0) & (z >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"need x > 0 and z >= 0, got {_lane(x, s, z, i)}")
+        raise DomainError(f"need finite x > 0, s and z >= 0, got {_lane(x, s, z, i)}")
     euler = (1.0 - s) + x <= 0.0
     num = np.where(euler, s, (1.0 - s) + x)
     den = np.where(euler, x + 1.0, 1.0)
@@ -157,10 +157,19 @@ def _sum_lanes(x, pfaff, num, den, w, width: int):
 _NEAR = 0.1
 
 
-def _binomial_integral(y, x, alpha: float, r: float):
-    """H(y, x) = int_y^inf s^(-r) (1+s)^(-1) (1 - x/(1+s))^(-alpha) ds for
-    0 < r < 1 and 0 <= alpha <= 1, lane-wise over 1-D arrays y >= 0 and
-    0 <= x <= 2(1+y)/3: returns value, error estimate and term count arrays.
+def _check_exponents(p: float, alpha: float) -> None:
+    """1 < p < inf and 0 <= alpha <= 1, where `_binomial_integral` holds."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise DomainError(f"p must lie in (1, inf), got {p}")
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def _binomial_integral(y, x, alpha: float, p: float):
+    """H(y, x) = int_y^inf s^(-r) (1+s)^(-1) (1 - x/(1+s))^(-alpha) ds,
+    r = 1/p, for 1 < p < inf and 0 <= alpha <= 1 (`_check_exponents`),
+    lane-wise over 1-D arrays y >= 0 and 0 <= x <= 2(1+y)/3: returns value,
+    error estimate and term count arrays.
 
     The binomial series of the last factor has positive terms,
 
@@ -187,7 +196,8 @@ def _binomial_integral(y, x, alpha: float, r: float):
     G_J, and (6J + 3) u more for the coefficients, the rounding of y and x,
     the products and the sum.
     """
-    u = _UNIT_ROUNDOFF
+    _check_exponents(p, alpha)
+    u, r = _UNIT_ROUNDOFF, 1.0 / p
     plans, lanes = [], []
     for yi, xi in zip(np.asarray(y, dtype=float).tolist(), np.asarray(x, dtype=float).tolist()):
         if not (yi >= 0.0 and 0.0 <= xi <= 2.0 * (1.0 + yi) / 3.0):
@@ -245,29 +255,17 @@ def beta_integral(x: float) -> QuadratureResult:
     return QuadratureResult(*_unit_pair(x, 1.0 - x))
 
 
-def _F_values(y, p: float, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`F_of_y` at every point of the 1-D array y, in one batch: value, error
-    estimate and term count arrays."""
-    y = np.asarray(y, dtype=float)
-    bad = ~((y >= 0.0) & (y <= 0.5))
-    if bad.any():
-        raise DomainError(f"y must lie in [0, 1/2], got {float(y[np.argmax(bad)])}")
-    if p <= 1.0:
-        raise DomainError(f"p must lie in (1, inf), got {p}")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    return _binomial_integral(y, 2.0 * y, alpha, 1.0 / p)
-
-
 def F_of_y(y: float, p: float, alpha: float) -> QuadratureResult:
     """F(y) = int_0^inf (t+y)^(-1/p) (t+1+y)^(alpha-1) (t+1-y)^(-alpha) dt
     for 0 <= y <= 1/2.
 
     With s = t + y, (t+1-y)^(-alpha) = (1+s)^(-alpha) (1 - 2y/(1+s))^(-alpha),
     so F(y) = H(y, 2y) (`_binomial_integral`), whose terms fall at least by
-    2y/(1+y) <= 2/3. `subdivisions` is the longest series' term count.
+    2y/(1+y) <= 2/3. `terms` is the longest series' term count.
     """
-    value, estimate, terms = _F_values([y], p, alpha)
+    if not 0.0 <= y <= 0.5:
+        raise DomainError(f"y must lie in [0, 1/2], got {y}")
+    value, estimate, terms = _binomial_integral([y], [2.0 * y], alpha, p)
     return QuadratureResult(float(value[0]), float(estimate[0]), int(terms[0]))
 
 

@@ -128,19 +128,24 @@ def lp_norm(s: Sequence, p: float) -> float:
     return total ** (1.0 / p)
 
 
+def _dual_align_vec(c: np.ndarray, p: float) -> np.ndarray:
+    """The Hölder alignment of a nonnegative, nonzero array c:
+    b = (c/||c||_p)^(p-1), the unit l^q vector with sum c_n b_n = ||c||_p."""
+    norm = float(np.sum(c ** p)) ** (1.0 / p)
+    return (c / norm) ** (p - 1.0)
+
+
 def dual_align(c: Sequence, p: float) -> Sequence:
     """Unit l^q vector attaining Hölder equality against nonnegative c.
 
     Returns b with ||b||_q = 1 and sum c_n b_n = ||c||_p, via
-    b_n = c_n^(p-1) / ||c||_p^(p-1).
+    b_n = (c_n / ||c||_p)^(p-1) (`_dual_align_vec`).
     """
     pq = conjugate(p)
     c.require_nonnegative("dual_align input")
     if c.is_zero():
         raise DegenerateInputError("cannot align against the zero sequence")
-    norm = lp_norm(c, pq.p)
-    scale = norm ** (pq.p - 1.0)
-    return Sequence(c.start_index, c.values ** (pq.p - 1.0) / scale)
+    return Sequence(c.start_index, _dual_align_vec(c.values, pq.p))
 
 
 def kp_to_lp_isometry(a: Sequence, p: float) -> Sequence:

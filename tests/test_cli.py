@@ -235,10 +235,9 @@ class TestProofCheck:
         assert "max_series_terms" not in manifest["logconvexity_f"]
 
     def test_manifest_counts_a_failed_check(self, capsys, monkeypatch):
-        failed = proof_checks.CheckReport.from_sides("ineq_I", "x=0.1,alpha=0.0",
-                                                     1.0, 1.5, 1.0, terms=7)
+        failed = proof_checks.CheckReport("ineq_I", "x=0.1,alpha=0.0", 1.0, 1.5, 1.0, terms=7)
         monkeypatch.setattr(proof_checks, "check_scalar_constants",
-                            lambda: [failed, replace(failed, passed=True)])
+                            lambda: [failed, replace(failed, error_budget=0.0)])
         code, out = run_cli(["proof-check", "--scalars-only"], capsys)
         assert code == 1
         assert out.splitlines()[2] == ("# check ineq_I passed=1 failed=1 "

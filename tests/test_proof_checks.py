@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hilbert_kp import (
     CheckReport,
     DomainError,
+    InvalidInputError,
     ProofCase,
     alpha_schedule,
     check_bernoulli_steps,
@@ -20,12 +22,7 @@ from hilbert_kp import (
     check_scalar_constants,
     default_sweep,
 )
-from hilbert_kp.proof_checks import (
-    _family_I,
-    _family_II,
-    logconv_f_expression,
-    logconv_g_expression,
-)
+from hilbert_kp.proof_checks import _family_I, _family_II
 from hilbert_kp.quadrature import _power_integral
 
 # Frozen two-sided values from an independent high-precision evaluation.
@@ -58,26 +55,36 @@ class TestProofCase:
 
 class TestCheckReport:
     def test_pass_fail_margin(self):
-        assert CheckReport.from_sides("t", "", 1.0, 2.0, 0.5).passed
-        assert not CheckReport.from_sides("t", "", 1.0, 2.0, 1.5).passed
-        assert not CheckReport.from_sides("t", "", 2.0, 2.0, 0.0).passed
+        assert CheckReport("t", "", 1.0, 2.0, 0.5).passed
+        assert not CheckReport("t", "", 1.0, 2.0, 1.5).passed
+        assert not CheckReport("t", "", 2.0, 2.0, 0.0).passed
 
     def test_side_condition_fails_a_clear_margin(self):
         """A check whose side condition fails does not pass, however far its
         margin clears its budget."""
-        report = CheckReport.from_sides("t", "", 1.0, 2.0, 0.5, holds=False)
+        report = CheckReport("t", "", 1.0, 2.0, 0.5, holds=False)
         assert report.margin > report.error_budget
         assert not report.passed
+
+    def test_verdict_follows_the_sides(self):
+        """Margin and verdict are derived, so a report cannot be given a
+        verdict its sides contradict; changing a side changes the verdict."""
+        report = CheckReport("t", "", 1.0, 1.5, 1.0)
+        assert report.margin == 0.5 and not report.passed
+        assert replace(report, error_budget=0.0).passed
+        for field in ("margin", "passed"):
+            with pytest.raises(TypeError):
+                replace(report, **{field: True})
 
 
 class TestLogConvexity:
     def test_expression_matches_hand_derivative(self):
         # alpha = 0: (log f)'' = 1/(p t^2) + 1/(m+t)^2 exactly
-        val = float(logconv_f_expression(3, 2.0, 0.0, np.array([2.0]))[0])
+        val = check_logconvexity_f(3, 2.0, 0.0, [2.0]).rhs
         assert val == pytest.approx(0.125 + 1.0 / 25.0, rel=1e-14)
 
     def test_g_expression_matches(self):
-        val = float(logconv_g_expression(1.0, 4.0, 0.0, np.array([0.25]))[0])
+        val = check_logconvexity_g(1.0, 4.0, 0.0, [0.25]).rhs
         assert val == pytest.approx(0.25 / 1.25 ** 2 + 1.0 / 2.25 ** 2, rel=1e-14)
 
     def test_f_passes_wide_grid(self):
@@ -95,6 +102,30 @@ class TestLogConvexity:
         with pytest.raises(DomainError):
             check_logconvexity_g(1.0, 2.0, 0.0, [0.0, 0.7])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_points_that_are_not_finite(self, bad):
+        """These used to give a failed report (or a numpy warning), as if
+        the inequality were false, instead of refusing the input."""
+        with pytest.raises(DomainError):
+            check_logconvexity_f(1, 2.0, 0.5, [1.0, bad])
+        with pytest.raises(DomainError):
+            check_logconvexity_g(bad, 2.0, 0.5, [0.25])
+        with pytest.raises(DomainError):
+            check_logconvexity_g(1.0, 2.0, 0.5, [0.25, bad])
+
+    @pytest.mark.parametrize("p, alpha", [(1.0, 0.5), (0.5, 0.0), (math.inf, 0.5),
+                                          (2.0, -0.5), (2.0, 1.5), (2.0, math.nan)])
+    def test_rejects_exponents_outside_the_domain(self, p, alpha):
+        with pytest.raises(DomainError):
+            check_logconvexity_f(1, p, alpha, [1.0])
+        with pytest.raises(DomainError):
+            check_logconvexity_g(1.0, p, alpha, [0.25])
+
+    def test_rejects_row_zero(self):
+        """m = 0 used to give rhs = inf with numpy warnings."""
+        with pytest.raises(InvalidInputError, match=r"^m must be >= 1, got 0$"):
+            check_logconvexity_f(0, 2.0, 0.5, [1.0])
+
 
 class TestMidpoint:
     def test_frozen_first_interval(self):
@@ -109,6 +140,19 @@ class TestMidpoint:
     def test_domain(self):
         with pytest.raises(DomainError):
             check_midpoint_bound(1, 2.0, 0.0, n_max=0)
+
+    @pytest.mark.parametrize("m, p, alpha, n_max", [(1, 2.0, -0.5, 3), (2, 2.0, 1.5, 4),
+                                                    (1, 0.5, 0.0, 3), (1, 1.0, 0.5, 2)])
+    def test_rejects_exponents_outside_the_domain(self, m, p, alpha, n_max):
+        """The binomial series derives its estimate only for 1 < p and
+        0 <= alpha <= 1; these points used to pass."""
+        with pytest.raises(DomainError):
+            check_midpoint_bound(m, p, alpha, n_max)
+
+    def test_rejects_row_zero(self):
+        """m = 0 used to raise ZeroDivisionError."""
+        with pytest.raises(InvalidInputError, match=r"^m must be >= 1, got 0$"):
+            check_midpoint_bound(0, 2.0, 0.5, 3)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 1000, 10 ** 6])
     def test_integral_within_its_budget(self, m):
@@ -138,6 +182,12 @@ class TestFConvexMax:
 
     def test_other_corner(self):
         assert check_F_convex_max(3.0, 1.0, np.linspace(0.0, 0.5, 11)).passed
+
+    def test_rejects_a_grid_point_that_is_not_finite(self):
+        """A NaN point used to get past the grid check and be refused by
+        the series, under a message that named the series, not the grid."""
+        with pytest.raises(DomainError, match=r"^y grid must lie in \[0, 1/2\]$"):
+            check_F_convex_max(2.0, 0.0, [0.25, math.nan])
 
 
 def _sides(x: float, alpha: float) -> list[tuple[float, float]]:
@@ -323,10 +373,16 @@ class TestBatchedSeries:
 
     @pytest.mark.parametrize("bad, lane", [(517, (-0.25, 1.0, 2.0)),
                                            (3, (0.5, 1.75, -0.5)),
-                                           (600, (0.0, 1.25, 2.0))])
+                                           (600, (0.0, 1.25, 2.0)),
+                                           (1, (0.5, math.nan, 1.0)),
+                                           (2, (0.5, math.inf, 1.0)),
+                                           (3, (0.5, -math.inf, 1.0)),
+                                           (4, (math.inf, 1.0, 1.0)),
+                                           (5, (0.5, 1.0, math.inf))])
     def test_one_bad_lane_is_named(self, bad, lane):
-        """x <= 0 or z < 0 in any lane of a multi-block call raises
-        DomainError naming that lane."""
+        """x <= 0, z < 0 or an argument that is not finite, in any lane of a
+        multi-block call, raises DomainError naming that lane; a non-finite
+        lane no longer runs every pass up to the term cap."""
         x = np.linspace(0.01, 0.5, 700)
         s = np.ones(700)
         z = np.full(700, 2.0)
@@ -334,6 +390,7 @@ class TestBatchedSeries:
         with pytest.raises(DomainError) as exc:
             _power_integral(x, s, z)
         assert str(exc.value).endswith(f"got x={lane[0]}, s={lane[1]}, z={lane[2]}")
+        assert "terms" not in str(exc.value)
 
 
 class TestMonotoneAndSchedule:

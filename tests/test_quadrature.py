@@ -207,7 +207,7 @@ class TestBinomialSeriesOracle:
         for alpha in (0.0, 0.5, 1.0):
             for m in (1, 7, 1000, 10 ** 6):
                 for N in (64, 4096):
-                    value, estimate, _ = _binomial_integral([N / m], [1.0 / m], alpha, 1.0 / p)
+                    value, estimate, _ = _binomial_integral([N / m], [1.0 / m], alpha, p)
                     exact = _H_reference(mpmath.mpf(N) / m, 1 / mpmath.mpf(m), alpha,
                                          1 / mpmath.mpf(p))
                     assert abs(value[0] - exact) <= estimate[0], (alpha, m, N)

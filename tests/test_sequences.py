@@ -193,9 +193,11 @@ class TestAgainstElementLoops:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
     def test_dual_align(self, p):
+        """Entry by entry (c_n/||c||_p)^(p-1), the ascent's alignment, with
+        ||c||_p summed as the ascent sums it."""
         c, _ = epsilon_family(0.05, p, self.M)
-        scale = lp_norm(c, p) ** (p - 1.0)
-        ref = [v ** (p - 1.0) / scale for v in c.values.tolist()]
+        norm = float(np.sum(c.values ** p)) ** (1.0 / p)
+        ref = [(v / norm) ** (p - 1.0) for v in c.values.tolist()]
         self.assert_within_ulps(dual_align(c, p), ref, p)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
