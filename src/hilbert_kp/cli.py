@@ -69,6 +69,10 @@ def random_pair(rng: np.random.Generator, p: float, max_support: int) -> tuple[S
 
 
 def cmd_verify_inequality(args: argparse.Namespace) -> int:
+    """Each form's ratio passes when ratio + budget/denom <= bound + tol,
+    with `kernels._form`'s error budget; tol covers the norms and the bound.
+    A summary line counts the forms and those the FFT path took, with the
+    worst budget/denom and the worst ratio + budget/denom - bound."""
     rng = np.random.Generator(np.random.Philox(args.seed))
     q = conjugate(args.p).q
     bound = norms.theoretical_norm(args.p)
@@ -78,19 +82,26 @@ def cmd_verify_inequality(args: argparse.Namespace) -> int:
         kernels.KernelSpec(kernels.Variant.YANG_HALF_SHIFT, p=args.p),
     ]
     rows = []
-    failures = 0
+    failures = fft_forms = 0
+    worst_budget = worst_excess = -math.inf
     for trial in range(args.trials):
         a, b = random_pair(rng, args.p, args.max_support)
         denom = lp_norm(a, args.p) * lp_norm(b, q)
+        fft_forms += len(specs) * kernels._by_fft(len(a), len(b))
         for spec in specs:
-            ratio = kernels.bilinear_form(spec, a, b) / denom
-            ok = ratio <= bound + args.tol
+            value, budget = kernels._form(spec, a, b)
+            ratio, slack = value / denom, budget / denom
+            worst_budget = max(worst_budget, slack)
+            worst_excess = max(worst_excess, ratio + slack - bound)
+            ok = ratio + slack <= bound + args.tol
             failures += 0 if ok else 1
             rows.append([trial, spec.variant.value, args.p, len(a), len(b),
                          f"{ratio:.15g}", f"{bound:.15g}", int(ok)])
     _emit(args.out, ["trial", "kernel", "p", "support_a", "support_b", "ratio", "bound", "ok"],
           rows, [f"p={args.p} tol={args.tol} seed={args.seed} trials={args.trials} "
-                 f"max_support={args.max_support}"])
+                 f"max_support={args.max_support}",
+                 f"forms={len(rows)} fft_forms={fft_forms} worst_budget={worst_budget:.3g} "
+                 f"worst_ratio_plus_budget_minus_bound={worst_excess:.6g}"])
     return 0 if failures == 0 else 1
 
 
@@ -135,9 +146,9 @@ def cmd_kp_apply(args: argparse.Namespace) -> int:
     if args.image_out:
         write_sequence(args.image_out, image.coeffs)
     rows = [["input_kp_norm", f"{kp_norm(f, args.p):.15g}"],
-            ["image_kp_norm_truncated", f"{kp_norm(image, args.p):.15g}"],
-            ["n_max", args.n_max], ["p", args.p]]
-    _emit(args.out, ["quantity", "value"], rows, [f"input={args.input}"])
+            ["image_kp_norm_truncated", f"{kp_norm(image, args.p):.15g}"]]
+    _emit(args.out, ["quantity", "value"], rows,
+          [f"input={args.input} n_max={args.n_max} p={args.p}"])
     return 0
 
 

@@ -12,17 +12,28 @@ Variants:
 All kernel values are strictly positive for m, n >= 1, and every weighted
 variant collapses to the classical kernel at p = 2. Each variant factors as
 w(m) v(n) h(m+n), a row weight, a column weight and a Hankel symbol. The
-operator K^T a is one direct correlation of the symbol with wa, and the
+operator K^T a is one correlation of the symbol with wa (`_image`), and the
 form is b paired with that image. The norm ascent's two products are the
-same correlations with the symbol, done by FFT
-(`_correlate`), O(N log N) per product and O(N) memory on an N x N section,
-with an explicit rounding bound (`_fft_rounding`). The dense `kernel_matrix`
-is the tests' reference for all of them; no library path builds it.
+same correlations. Every FFT correlation goes through `_correlate`, O(L log L)
+for a transform length L, with an explicit rounding bound (`_fft_rounding`).
+
+Accuracy contract of the form and the operator. Below `_FFT_CROSSOVER`
+products (support of a times the image length) the correlation is direct:
+every product in it is nonnegative, so every image entry, and the form,
+keeps a small relative error. From the crossover on it is an FFT, and the
+error is normwise: bounded in the 2-norm of the image by the correlation's
+rounding budget, which `_form` reports. A small entry far from the mass of
+the product, such as the pairing of two spikes far apart, then loses
+relative accuracy, and the budget says how much.
+
+The dense `kernel_matrix` is the tests' reference for all of them; no
+library path builds it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,15 +116,18 @@ def _hankel(spec: KernelSpec, m: np.ndarray, n: np.ndarray,
     return (m - shift) ** -e, (n - shift) ** e, 1.0 / (s - h_shift)
 
 
-def _correlate(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_j = sum_i h[i + j] x[i] for 0 <= j < len(x), from
-    spectrum = rfft(h, L), where len(h) = 2 len(x) - 1 and L >= len(h) is a
-    power of two >= 2. y is entries n - 1 .. 2n - 2 (n = len(x)) of the
-    length-L circular convolution of h with x reversed; the linear one ends
-    at entry 3n - 3 <= L + n - 2, so what wraps lands below entry n - 1.
-    `_fft_rounding(L)` bounds its rounding error."""
+def _correlate(spectrum: np.ndarray, x: np.ndarray, n_out: int | None = None) -> np.ndarray:
+    """y_j = sum_i h[i + j] x[i] for 0 <= j < n_out (default len(x)), from
+    spectrum = rfft(h, L), where len(h) = len(x) + n_out - 1 and L >= len(h)
+    is a power of two >= 2. y is entries n - 1 .. n + n_out - 2 (n = len(x))
+    of the length-L circular convolution of h with x reversed; the linear
+    one ends at entry 2n + n_out - 3 <= L + n - 2, so what wraps lands below
+    entry n - 1. `_fft_rounding(L)` bounds its rounding error."""
     n, L = len(x), 2 * (len(spectrum) - 1)
-    return np.fft.irfft(spectrum * np.fft.rfft(x[::-1], L), L)[n - 1:2 * n - 1]
+    n_out = n if n_out is None else n_out
+    product = np.fft.rfft(x[::-1], L)
+    product *= spectrum             # in place: one transform-sized array less
+    return np.fft.irfft(product, L)[n - 1:n + n_out - 1]
 
 
 def _fft_rounding(L: int) -> float:
@@ -146,39 +160,125 @@ def _fft_rounding(L: int) -> float:
                                 + math.sqrt(2.0) * gamma(2) * (1.0 + eps) * (1.0 + theta))
 
 
-def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
-    """sum_{m,n} k(m,n) a_m b_n, exact over the finite supports.
+# Products len(a) * n_max from which `_image` correlates by FFT. The FFT is
+# faster from about 2e6 products (one Xeon VM core, whole `_image`:
+# 1000 x 1000 0.15 ms direct, 0.18 ms by FFT; 2048 x 2048 0.54 and 0.28 ms;
+# 10000 x 10000 29 and 2.9 ms), but below 2^22 supports up to 2000 x 2000
+# keep an entrywise relative error: at 2^20 two spikes at indices 1 and 2000
+# paired with p = 1.05 erred by 3.6e-15 relative.
+_FFT_CROSSOVER = 1 << 22
 
-    Evaluated as <b, K^T a>, b paired by `math.fsum` with the image of a
-    under `apply_operator`'s one direct correlation. Every product in it is
-    nonnegative, so each image entry keeps a small relative error. The cost
-    is one multiply-add per pair of stored entries, zeros included, so it
-    pays while the inputs are dense: the CLI's random pairs are 70 %
-    nonzero and the epsilon family 100 %.
-    `kernel_matrix` is the dense reference.
+
+def _by_fft(size: int, n_max: int) -> bool:
+    """Whether `_image` correlates a support of `size` entries onto n_max
+    image entries by FFT."""
+    return size * n_max >= _FFT_CROSSOVER
+
+
+def _check_n_max(n_max, least: int) -> int:
+    """n_max as an int; `ParameterError` unless it is an integer (numpy's
+    included) >= least."""
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise ParameterError(f"n_max must be an integer, got {n_max!r}") from None
+    if n_max < least:
+        raise ParameterError(f"n_max must be >= {least}, got {n_max}")
+    return n_max
+
+
+def _image(spec: KernelSpec, av: np.ndarray,
+           n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(v, y, fft_error) with K^T a = v y on 1..n_max, for the nonnegative
+    entries av of a on 1..len(av).
+
+    y is the correlation of the symbol h with wa. Below `_FFT_CROSSOVER`
+    products it is direct, and fft_error = 0. From the crossover on it is
+    `_correlate` on one transform of length L >= len(h), and
+    fft_error = `_fft_rounding(L)` max(|h|_2 |wa|_1, |h|_1 |wa|_2) bounds the
+    2-norm of its rounding error, as in `ascent_lower_bound`."""
+    w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, n_max + 1.0),
+                      np.arange(2.0, len(av) + n_max + 1.0))
+    wa = w * av
+    if not _by_fft(len(av), n_max):
+        return v, np.correlate(h, wa, "valid"), 0.0
+    L = 1 << (len(h) - 1).bit_length()      # a power of two >= len(h)
+    y = _correlate(np.fft.rfft(h, L), wa, n_max)
+    fft_error = _fft_rounding(L) * max(math.sqrt(float(np.sum(h * h))) * float(np.sum(wa)),
+                                       float(np.sum(h)) * math.sqrt(float(np.sum(wa * wa))))
+    return v, y, fft_error
+
+
+def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
+    """(value, budget): the form sum_{m,n} k(m,n) a_m b_n, b paired with the
+    image of a from `_image`, and a bound on its error against the exact
+    kernel.
+
+    Below the crossover the pairing is `math.fsum` of b v y; from it on it is
+    np.dot(b v, y), since a compensated sum buys nothing against the FFT's
+    absolute error. The budget is
+
+        1.01 |b v|_2 fft_error + (32 + n + 2 ln(len(a) + len(b))) u value,
+
+    u = 2^-53. The first term is the FFT rounding, paired with b v by
+    Cauchy-Schwarz; 1.01 covers the rounding of the norms and second-order
+    terms. In the second, n is the length of the one uncompensated sum of
+    nonnegative terms, gamma_n: len(a) for the direct correlation's inner
+    products, len(b) for np.dot. The rest is as in `ascent_lower_bound`:
+    the kernel factors (at most 10 u), the rounded exponents, which move a
+    factor by at most 2 u ln of the largest index sum, three products, the
+    final rounding, and gamma_n - n u, under u for n <= 2^26.
     """
     if a.start_index != 1 or b.start_index != 1:
         raise InvalidInputError("bilinear form expects 1-based sequences")
     av = a.require_nonnegative("a")
     bv = b.require_nonnegative("b")
     if not av.any() or not bv.any():
-        return 0.0
-    return math.fsum((bv * apply_operator(spec, a, len(bv)).values).tolist())
+        return 0.0, 0.0
+    v, y, fft_error = _image(spec, av, len(bv))
+    if _by_fft(len(av), len(bv)):
+        bw = bv * v
+        value = float(np.dot(bw, y))
+        absolute, n = 1.01 * math.sqrt(float(np.dot(bw, bw))) * fft_error, len(bv)
+    else:
+        value, absolute, n = math.fsum((bv * (v * y)).tolist()), 0.0, len(av)
+    return value, absolute + (32.0 + n + 2.0 * math.log(len(av) + len(bv))) * 2.0 ** -53 * value
+
+
+def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
+    """sum_{m,n} k(m,n) a_m b_n, exact over the finite supports, as
+    <b, K^T a> (`_form`, which also bounds its error).
+
+    Below `_FFT_CROSSOVER` products len(a) len(b) the image is one direct
+    correlation of nonnegative products, so the form keeps a small relative
+    error; it costs one multiply-add per pair of stored entries, zeros
+    included. From the crossover on the image is an FFT correlation, and
+    the error is normwise, at most `_form`'s budget: supports whose mass
+    lies far apart, such as two distant spikes, lose relative accuracy, by
+    at most what the budget says. `kernel_matrix` is the dense reference.
+    """
+    return _form(spec, a, b)[0]
 
 
 def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
     """c_n = sum_m k(m,n) a_m for 1 <= n <= n_max, as v(n) times the
-    correlation of the Hankel symbol with wa."""
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    correlation of the Hankel symbol with wa (`_image`). n_max is an integer.
+
+    Below `_FFT_CROSSOVER` products len(a) n_max every entry keeps a small
+    relative error. From the crossover on the correlation is an FFT, and the
+    error is normwise: ||c - K^T a||_2 is at most max(v) times `_image`'s
+    fft_error, plus a relative error of a few tens of u per entry. Entries
+    far below the largest, such as the image of a spike at distant n, then
+    lose relative accuracy.
+    """
+    n_max = _check_n_max(n_max, 1)
     if a.start_index != 1:
         raise InvalidInputError("apply_operator expects a 1-based sequence")
     av = a.require_nonnegative("a")
     if not av.any():
         return Sequence(1, np.zeros(n_max))
-    w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, n_max + 1.0),
-                      np.arange(2.0, len(av) + n_max + 1.0))
-    return Sequence(1, v * np.correlate(h, w * av, "valid"))
+    v, y, _ = _image(spec, av, n_max)
+    return Sequence(1, v * y)
 
 
 # Largest head length N of `row_sum_alpha`; a tol that needs more is refused.

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .kernels import KernelSpec, Variant, apply_operator
+from .errors import DomainError
+from .kernels import KernelSpec, Variant, _check_n_max, apply_operator
 from .sequences import Sequence, conjugate
 
 ZETA_2 = math.pi ** 2 / 6.0
@@ -48,9 +48,8 @@ def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
     """Coefficients c_n = sum_m a_m/(m+n+1) of the Hilbert matrix image,
     0 <= n <= n_max: the classical operator 1/(m+n-1) on the 1-based
     indices m+1 and n+1, applied to a trimmed to its last nonzero
-    coefficient."""
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    coefficient. n_max is an integer."""
+    n_max = _check_n_max(n_max, 0)
     a = f.coeffs.values
     nz = np.flatnonzero(a)
     a = a[:nz[-1] + 1] if len(nz) else a[:0]

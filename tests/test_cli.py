@@ -1,11 +1,12 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
-from hilbert_kp import Sequence, proof_checks, write_sequence
+from hilbert_kp import Sequence, kernels, proof_checks, write_sequence
 from hilbert_kp.cli import build_parser, main, random_pair
 
 import numpy as np
@@ -167,6 +168,34 @@ class TestVerifyInequality:
         assert csv_body(out1) == csv_body(out2)
         assert out1.splitlines()[0].startswith("# generated ")
 
+    def test_summary_counts_the_fft_forms(self, capsys):
+        """Supports up to 20000 cross the form's FFT crossover; the summary
+        line counts those forms and bounds every row's excess."""
+        code, out = run_cli(["verify-inequality", "--p", "6", "--max-support", "20000",
+                             "--trials", "10"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
+        summary = dict(field.split("=") for field in out.splitlines()[2][2:].split())
+        assert int(summary["forms"]) == len(rows) == 30
+        fft = sum(int(r["support_a"]) * int(r["support_b"]) >= kernels._FFT_CROSSOVER
+                  for r in rows)
+        assert int(summary["fft_forms"]) == fft > 0
+        assert 0.0 < float(summary["worst_budget"]) < 1e-10
+        excess = float(summary["worst_ratio_plus_budget_minus_bound"])
+        assert max(float(r["ratio"]) - float(r["bound"]) for r in rows) <= excess < 0.0
+
+    def test_budget_enters_the_verdict(self, capsys, monkeypatch):
+        argv = ["verify-inequality", "--trials", "3"]
+        _, plain = run_cli(argv, capsys)
+        form = kernels._form
+        monkeypatch.setattr(kernels, "_form", lambda spec, a, b: (form(spec, a, b)[0], 1e6))
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
+        assert [r["ok"] for r in rows] == ["0"] * 9
+        plain_rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(plain)))))
+        assert [r["ratio"] for r in rows] == [r["ratio"] for r in plain_rows]
+
 
 class TestConfigurationLine:
     """Every report records the flags it ran with on the line after the
@@ -181,10 +210,27 @@ class TestConfigurationLine:
          "# p=2.0 seed=0 eps_grid=0.5 ascent_sizes=4,8 iters=50"),
     ])
     def test_header_records_the_effective_flags(self, argv, config, capsys):
+        """verify-inequality adds one summary line after its configuration."""
         _, out = run_cli(argv, capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
         assert comments[0].startswith("# generated ")
-        assert comments[1:] == [config]
+        assert comments[1] == config
+        if argv[0] == "verify-inequality":
+            assert len(comments) == 3
+            assert re.fullmatch(r"# forms=3 fft_forms=0 worst_budget=\S+ "
+                                r"worst_ratio_plus_budget_minus_bound=-\S+", comments[2])
+        else:
+            assert len(comments) == 2
+
+    def test_kp_apply_records_n_max_and_p(self, tmp_path, capsys):
+        src = tmp_path / "f.txt"
+        write_sequence(src, Sequence(0, (1.0, 0.5)))
+        _, out = run_cli(["kp-apply", "--input", str(src), "--n-max", "5", "--p", "3"],
+                         capsys)
+        comments = [line for line in out.splitlines() if line.startswith("#")]
+        assert comments[1:] == [f"# input={src} n_max=5 p=3.0"]
+        assert [row.split(",")[0] for row in csv_body(out)] == [
+            "quantity", "input_kp_norm", "image_kp_norm_truncated"]
 
     def test_defaults_are_recorded_too(self, capsys):
         _, out = run_cli(["norm-bounds", "--eps-grid", "0.5", "--iters", "20"], capsys)

@@ -20,7 +20,8 @@ from hilbert_kp import (
     row_sum_alpha,
     theoretical_norm,
 )
-from hilbert_kp.kernels import _correlate, _fft_rounding, _hankel, kernel_matrix
+from hilbert_kp import kernels
+from hilbert_kp.kernels import _correlate, _fft_rounding, _form, _hankel, _image, kernel_matrix
 
 ROW_SUM_M1_P2_A0 = 1.8600250792  # frozen independent evaluation
 
@@ -182,6 +183,13 @@ class TestApplyOperator:
         with pytest.raises(ParameterError):
             apply_operator(KernelSpec(Variant.CLASSICAL), seq(1), 0)
 
+    def test_n_max_must_be_an_integer(self):
+        spec = KernelSpec(Variant.CLASSICAL)
+        with pytest.raises(ParameterError, match="n_max must be an integer, got 2.5"):
+            apply_operator(spec, seq(1, 2), 2.5)
+        got = apply_operator(spec, seq(1, 2), np.int64(3)).values
+        assert got.tolist() == apply_operator(spec, seq(1, 2), 3).values.tolist()
+
 
 def sparse_support(rng, size, lead=0, trail=0):
     """Entries in [0, 1), about 70 % nonzero, with forced zero runs at both
@@ -308,6 +316,81 @@ class TestFftCorrelation:
             err = np.abs(got - ref)
             assert np.all(err <= fft_bound + 8e-15 * ref)
             assert np.all(err <= 1e-13 * ref)
+
+
+def dense_image(spec, a, n_max, block=256):
+    """a^T K on 1..n_max from the dense kernel grid, accumulated in long
+    double one block of columns at a time, so no grid exceeds
+    len(a) x block entries."""
+    m = np.arange(1, len(a) + 1)
+    al = np.asarray(a, dtype=np.longdouble)
+    return np.concatenate([al @ kernel_matrix(spec, m, n).astype(np.longdouble)
+                           for n in np.array_split(np.arange(1, n_max + 1),
+                                                   -(-n_max // block))])
+
+
+# Rounded-exponent and factor slack of `_form`'s relative term, and the
+# dense grid's own exp/log error (within 1.7e-15, see `_pow_ratio`).
+def factor_slack(size_a, size_b):
+    return (32.0 + 2.0 * math.log(size_a + size_b)) * 2.0 ** -53
+
+
+class TestFftPath:
+    """The form and the operator from `_FFT_CROSSOVER` products on: the
+    error is normwise and within `_form`'s budget."""
+
+    FAR_SPIKES = [({1000: 1.0}, {4200: 1.0}), ({4200: 0.3}, {1000: 1.7}),
+                  ({1: 1.0, 4200: 2.0}, {1: 3.0, 1000: 0.5}),
+                  ({1: 1.0, 4200: 1e-6}, {1000: 1.0})]
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("size_a,size_b", [(4200, 1000), (1000, 4200)])
+    def test_form_and_image_match_dense_grid(self, spec, size_a, size_b):
+        assert size_a * size_b >= kernels._FFT_CROSSOVER
+        rng = np.random.default_rng([size_a, size_b, 23])
+        a, b = sparse_support(rng, size_a), sparse_support(rng, size_b)
+        a[0] = b[-1] = 0.5
+        ref_image = dense_image(spec, a, size_b)
+        ref = float(ref_image @ b.astype(np.longdouble))
+        value, budget = _form(spec, Sequence(1, a), Sequence(1, b))
+        assert bilinear_form(spec, Sequence(1, a), Sequence(1, b)) == value
+        assert abs(value - ref) <= budget + 2e-15 * ref
+        assert budget <= 1e-10 * ref
+        v, _, fft_error = _image(spec, a, size_b)
+        got = apply_operator(spec, Sequence(1, a), size_b).values
+        err = np.linalg.norm(got - ref_image.astype(float))
+        ref_norm = float(np.linalg.norm(ref_image.astype(float)))
+        assert err <= (1.01 * v.max() * fft_error
+                       + (factor_slack(size_a, size_b) + 2e-15) * ref_norm)
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH + [KernelSpec(Variant.WEIGHTED_MAIN, p=1.05)],
+                             ids=lambda s: f"{s.variant.value}-{s.p}")
+    def test_far_spikes_within_budget(self, spec):
+        """Against the 40-digit kernel formula. Relative accuracy is lost
+        here, and the budget bounds the loss."""
+        for a_entries, b_entries in self.FAR_SPIKES:
+            a = np.zeros(max(a_entries))
+            b = np.zeros(max(b_entries))
+            for m, x in a_entries.items():
+                a[m - 1] = x
+            for n, y in b_entries.items():
+                b[n - 1] = y
+            assert len(a) * len(b) >= kernels._FFT_CROSSOVER
+            got, budget = _form(spec, Sequence(1, a), Sequence(1, b))
+            ref = float(sum(exact_kernel(spec, m, n) * x * y
+                            for m, x in a_entries.items() for n, y in b_entries.items()))
+            assert abs(got - ref) <= budget <= 1e-8 * ref, (a_entries, b_entries)
+
+    def test_direct_below_the_crossover(self):
+        """One product short of the crossover the form has no FFT term: its
+        budget is the relative term alone."""
+        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=3.0)
+        size_b = kernels._FFT_CROSSOVER // 2048
+        a, b = np.ones(2048), np.ones(size_b - 1)
+        value, budget = _form(spec, Sequence(1, a), Sequence(1, b))
+        assert _image(spec, a, size_b - 1)[2] == 0.0
+        assert budget == (32.0 + 2048 + 2.0 * math.log(2048 + size_b - 1)) * 2.0 ** -53 * value
+        assert _image(spec, a, size_b)[2] > 0.0
 
 
 def row_sum_reference(m, p, alpha, N0=64):

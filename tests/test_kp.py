@@ -106,6 +106,12 @@ class TestHilbertApply:
         with pytest.raises(ParameterError):
             hilbert_apply(tf(1), -1)
 
+    def test_n_max_must_be_an_integer(self):
+        with pytest.raises(ParameterError, match="n_max must be an integer, got 1.5"):
+            hilbert_apply(tf(1), 1.5)
+        out = hilbert_apply(tf(1, 0.5), np.int64(3)).coeffs.values
+        assert out.tolist() == hilbert_apply(tf(1, 0.5), 3).coeffs.values.tolist()
+
     @pytest.mark.parametrize("values,n_max", [
         ((0.5, 0.0, 2.0, 1.25), 0),
         ((0.5, 0.0, 2.0, 1.25, 0.0, 3.0), 3),

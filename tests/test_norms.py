@@ -26,7 +26,7 @@ from hilbert_kp import (
     pushed_epsilon_family,
     theoretical_norm,
 )
-from hilbert_kp import norms
+from hilbert_kp import kernels, norms
 
 # Frozen chain-bound ratios from an independent high-precision evaluation.
 RATIOS_P2 = {
@@ -270,6 +270,9 @@ class TestCertifiedAscent:
     def test_below_direct_convolution_at_4096(self, monkeypatch):
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
         est, a, b = ascent_with_final_pair(monkeypatch, spec, 1.5, 4096, 2000)
+        # 4096^2 products would cross to the form's FFT path, which shares
+        # `_correlate` and `_fft_rounding` with the ascent; keep it direct
+        monkeypatch.setattr(kernels, "_FFT_CROSSOVER", 1 << 25)
         direct = (bilinear_form(spec, Sequence(1, tuple(a)), Sequence(1, tuple(b)))
                   / (lp_norm(Sequence(1, tuple(a)), 1.5) * lp_norm(Sequence(1, tuple(b)), 3.0)))
         assert est.lower_bound <= direct
