@@ -36,20 +36,20 @@ def _emit(out: str | None, header: list[str], rows: list[list],
         sys.stdout.write(buf.getvalue())
 
 
-def _manifest(reports: list[proof_checks.CheckReport]) -> list[str]:
-    """One line per check family, in report order: checks passed and failed,
-    the worst margin less its error budget and, where the family sums series,
-    the most terms one series needed."""
-    families: dict[str, list[proof_checks.CheckReport]] = {}
-    for r in reports:
-        families.setdefault(r.name, []).append(r)
+def _manifest(reports: list[proof_checks.CheckReport], verdicts: list[bool]) -> list[str]:
+    """One line per check family, in report order: checks passed and failed
+    (each report's verdict given), the worst margin less its error budget
+    and, where the family sums series, the most terms one series needed."""
+    families: dict[str, list[tuple[proof_checks.CheckReport, bool]]] = {}
+    for r, ok in zip(reports, verdicts):
+        families.setdefault(r.name, []).append((r, ok))
     lines = []
     for name, group in families.items():
-        passed = sum(r.passed for r in group)
-        worst = min(r.margin - r.error_budget for r in group)
+        passed = sum(ok for _, ok in group)
+        worst = min(r.margin - r.error_budget for r, _ in group)
         line = (f"check {name} passed={passed} failed={len(group) - passed} "
                 f"worst_margin_minus_budget={worst:.6g}")
-        terms = max(r.terms for r in group)
+        terms = max(r.terms for r, _ in group)
         lines.append(line + (f" max_series_terms={terms}" if terms else ""))
     return lines
 
@@ -110,13 +110,14 @@ def cmd_proof_check(args: argparse.Namespace) -> int:
         reports = proof_checks.check_scalar_constants()
     else:
         reports = proof_checks.default_sweep(x_points=args.x_grid_size)
+    verdicts = [r.passed for r in reports]
     rows = [[r.name, r.parameters, f"{r.lhs:.15g}", f"{r.rhs:.15g}",
-             f"{r.margin:.15g}", f"{r.error_budget:.3g}", int(r.passed)]
-            for r in reports]
+             f"{r.margin:.15g}", f"{r.error_budget:.3g}", int(ok)]
+            for r, ok in zip(reports, verdicts)]
     config = "scalars_only" if args.scalars_only else f"x_grid_size={args.x_grid_size}"
     _emit(args.out, ["name", "parameters", "lhs", "rhs", "margin", "error_budget", "passed"],
-          rows, [config] + _manifest(reports))
-    return 0 if all(r.passed for r in reports) else 1
+          rows, [config] + _manifest(reports, verdicts))
+    return 0 if all(verdicts) else 1
 
 
 def cmd_norm_bounds(args: argparse.Namespace) -> int:

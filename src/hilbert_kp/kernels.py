@@ -18,13 +18,13 @@ same correlations. Every FFT correlation goes through `_correlate`, O(L log L)
 for a transform length L, with an explicit rounding bound (`_fft_rounding`).
 
 Accuracy contract of the form and the operator. Below `_FFT_CROSSOVER`
-products (support of a times the image length) the correlation is direct:
-every product in it is nonnegative, so every image entry, and the form,
-keeps a small relative error. From the crossover on it is an FFT, and the
-error is normwise: bounded in the 2-norm of the image by the correlation's
-rounding budget, which `_form` reports. A small entry far from the mass of
-the product, such as the pairing of two spikes far apart, then loses
-relative accuracy, and the budget says how much.
+products (support of a times the image length), or for a support of a
+under `_FFT_MIN_SUPPORT`, the correlation is direct: all its products are
+nonnegative, so every image entry, and the form, keeps a small relative
+error. Otherwise it is an FFT, and the error is normwise: bounded in the
+2-norm of the image by the correlation's rounding budget, which `_form`
+reports. A small entry far from the mass of the product, such as the
+pairing of two spikes far apart, then loses relative accuracy.
 
 The dense `kernel_matrix` is the tests' reference for all of them; no
 library path builds it.
@@ -167,12 +167,14 @@ def _fft_rounding(L: int) -> float:
 # keep an entrywise relative error: at 2^20 two spikes at indices 1 and 2000
 # paired with p = 1.05 erred by 3.6e-15 relative.
 _FFT_CROSSOVER = 1 << 22
+# Shortest a correlated by FFT: 2 x 2^21 took 668 ms by FFT, 51 ms direct.
+_FFT_MIN_SUPPORT = 512
 
 
 def _by_fft(size: int, n_max: int) -> bool:
     """Whether `_image` correlates a support of `size` entries onto n_max
     image entries by FFT."""
-    return size * n_max >= _FFT_CROSSOVER
+    return size >= _FFT_MIN_SUPPORT and size * n_max >= _FFT_CROSSOVER
 
 
 def _check_n_max(n_max, least: int) -> int:
@@ -192,8 +194,8 @@ def _image(spec: KernelSpec, av: np.ndarray,
     """(v, y, fft_error) with K^T a = v y on 1..n_max, for the nonnegative
     entries av of a on 1..len(av).
 
-    y is the correlation of the symbol h with wa. Below `_FFT_CROSSOVER`
-    products it is direct, and fft_error = 0. From the crossover on it is
+    y is the correlation of the symbol h with wa. Where `_by_fft` is false
+    it is direct, and fft_error = 0. Otherwise it is
     `_correlate` on one transform of length L >= len(h), and
     fft_error = `_fft_rounding(L)` max(|h|_2 |wa|_1, |h|_1 |wa|_2) bounds the
     2-norm of its rounding error, as in `ascent_lower_bound`."""
@@ -214,7 +216,7 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     image of a from `_image`, and a bound on its error against the exact
     kernel.
 
-    Below the crossover the pairing is `math.fsum` of b v y; from it on it is
+    On the direct path the pairing is `math.fsum` of b v y; by FFT it is
     np.dot(b v, y), since a compensated sum buys nothing against the FFT's
     absolute error. The budget is
 
@@ -249,13 +251,13 @@ def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
     """sum_{m,n} k(m,n) a_m b_n, exact over the finite supports, as
     <b, K^T a> (`_form`, which also bounds its error).
 
-    Below `_FFT_CROSSOVER` products len(a) len(b) the image is one direct
-    correlation of nonnegative products, so the form keeps a small relative
-    error; it costs one multiply-add per pair of stored entries, zeros
-    included. From the crossover on the image is an FFT correlation, and
-    the error is normwise, at most `_form`'s budget: supports whose mass
-    lies far apart, such as two distant spikes, lose relative accuracy, by
-    at most what the budget says. `kernel_matrix` is the dense reference.
+    Below `_FFT_CROSSOVER` products len(a) len(b), or for len(a) under
+    `_FFT_MIN_SUPPORT`, the image is a direct correlation of nonnegative
+    products: the form keeps a small relative error and costs one
+    multiply-add per pair of stored entries, zeros included. Otherwise it
+    is an FFT correlation and the error normwise, within `_form`'s budget:
+    far-apart masses, such as two distant spikes, lose relative accuracy
+    by at most that. `kernel_matrix` is the dense reference.
     """
     return _form(spec, a, b)[0]
 
@@ -264,12 +266,12 @@ def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
     """c_n = sum_m k(m,n) a_m for 1 <= n <= n_max, as v(n) times the
     correlation of the Hankel symbol with wa (`_image`). n_max is an integer.
 
-    Below `_FFT_CROSSOVER` products len(a) n_max every entry keeps a small
-    relative error. From the crossover on the correlation is an FFT, and the
-    error is normwise: ||c - K^T a||_2 is at most max(v) times `_image`'s
-    fft_error, plus a relative error of a few tens of u per entry. Entries
-    far below the largest, such as the image of a spike at distant n, then
-    lose relative accuracy.
+    Below `_FFT_CROSSOVER` products len(a) n_max, or for len(a) under
+    `_FFT_MIN_SUPPORT`, every entry keeps a small relative error. Otherwise
+    the correlation is an FFT, and the error is normwise: ||c - K^T a||_2
+    is at most max(v) times `_image`'s fft_error, plus a relative error of
+    a few tens of u per entry. Entries far below the largest, such as the
+    image of a spike at distant n, then lose relative accuracy.
     """
     n_max = _check_n_max(n_max, 1)
     if a.start_index != 1:

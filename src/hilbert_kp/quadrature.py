@@ -34,11 +34,11 @@ class QuadratureResult:
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-# Terms per lane in a first pass (the sweep's series need at most 92); a lane
-# that has not stopped by then is summed again with twice as many.
+# Terms per lane in a call's first pass: _CELLS // lanes, clamped to [32, 128]
+# and rounded down to a power of two. A lane carries on in passes twice as wide.
 _WIDTH = 128
-# Lanes x terms of one pass. It bounds the memory a pass needs: each of its
-# arrays is 64 KB, small enough for the allocator to reuse from pass to pass.
+# Lanes x terms of one chunk of a pass. It bounds the memory a chunk needs,
+# about 64 KB per array, small enough for the allocator to reuse.
 _CELLS = 64 * _WIDTH
 # No series with a finite value comes near this: its terms peak near k = 2a,
 # and (1+z)^a overflows for a above about 650 at z = 2.
@@ -62,94 +62,111 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     From term K on, every term ratio is at most r = max(1, (a+K)/(K+1)) w,
     or max(1, (s+K)/(x+1+K)) w, so once r < 1 the terms after t_K sum to at
-    most t_K r/(1-r). Each lane sums its terms with `math.fsum` until that
-    tail bound falls below double rounding of its partial sum. The error
-    estimate is the tail bound, scaled as the sum is, plus the rounding term
-    (6K + 8) u P, u = 2^-53: six roundings per recurrence step (those of a
-    and w included), two per term, and those of fsum, the power and the
-    product. It is always positive. The power also raises the rounding d of
-    1 + z to its exponent e (x, or s), so e |d|/(1+z) P is added; d is exact
-    (TwoSum) and 0 where 1 + z is, as at z = 1/2, 1 and 2. A lane outside
-    that domain, one that needs more than 2^16 terms, or one whose value or
-    estimate is not finite raises `DomainError` naming it.
+    most t_K r/(1-r). A lane stops once that bound is below double rounding
+    of its partial sum S and adds the sum of S's TwoSum errors (Sum2: Ogita,
+    Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005): within (u + g^2) S of
+    the exact sum, g = K u/(1 - K u), u = 2^-53. The estimate is the tail
+    bound, scaled as the sum is, plus ((6K + 8) u + g^2) P: six roundings
+    per recurrence step (a's and w's included), two per term, and those of
+    the sum, the power and the product. It is always positive. The power
+    also raises the rounding d of 1 + z to its exponent e (x, or s), so
+    e |d|/(1+z) P is added; d is exact (TwoSum) and 0 where 1 + z is, as at
+    z = 1/2, 1 and 2. `DomainError` names a lane outside that domain, one
+    needing more than 2^16 terms, or one whose value or estimate is not finite.
 
     Lanes are summed together (`_sum_lanes`) with the operations of a scalar
     loop in its order, so each lane's value, estimate and term count are
     those of summing it alone.
     """
-    x, s, z = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, s, z)))
-    bad = ~(np.isfinite(x) & np.isfinite(s) & np.isfinite(z) & (x > 0.0) & (z >= 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
+    xsz = np.empty((3, np.broadcast(x, s, z).size))
+    xsz[0], xsz[1], xsz[2] = x, s, z
+    x, s, z = xsz
+    ok = np.isfinite(xsz).all(axis=0) & (x > 0.0) & (z >= 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise DomainError(f"need finite x > 0, s and z >= 0, got {_lane(x, s, z, i)}")
     euler = (1.0 - s) + x <= 0.0
-    num = np.where(euler, s, (1.0 - s) + x)
-    den = np.where(euler, x + 1.0, 1.0)
     base = 1.0 + z
     zb = base - 1.0
     d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
-    w = z / base
-    sums, tail = np.empty(len(x)), np.empty(len(x))
-    last = np.empty(len(x), dtype=int)
-    pending, width = np.arange(len(x)), _WIDTH
-    # A lane whose terms overflow runs on to the term cap, or stops with a
-    # sum that is not finite and is rejected below.
+    # Per lane: x, num, den, w, Pfaff's or not, next coefficient, S, r, S's compensation, t, K.
+    table = np.zeros((11, len(x)))
+    table[0], table[1] = x, np.where(euler, s, (1.0 - s) + x)
+    table[2], table[3], table[4], table[5] = np.where(euler, x + 1.0, 1.0), z / base, ~euler, 1.0
+    width = 1 << (min(max(_CELLS // max(len(x), 1), 32), _WIDTH).bit_length() - 1)
+    # A pass runs the columns not yet stopped in chunks. A lane whose terms
+    # overflow runs on to the term cap, or stops with a sum rejected below.
+    live, index, k0 = table, np.arange(len(x)), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(pending):
-            if width > _MAX_TERMS:
-                raise DomainError(f"series at {_lane(x, s, z, pending[0])} "
+        while len(index):
+            if k0 == _MAX_TERMS:
+                raise DomainError(f"series at {_lane(x, s, z, index[0])} "
                                   f"needs more than {_MAX_TERMS} terms")
-            short, rows = [], max(1, _CELLS // width)
-            for lo in range(0, len(pending), rows):
-                lanes = pending[lo:lo + rows]
-                stopped, *done = _sum_lanes(x[lanes], ~euler[lanes], num[lanes], den[lanes],
-                                            w[lanes], width)
-                sums[lanes[stopped]], tail[lanes[stopped]], last[lanes[stopped]] = done
-                short.append(lanes[~stopped])
-            pending, width = np.concatenate(short), 2 * width
+            width = min(width, _MAX_TERMS - k0)
+            k, rows = np.arange(k0, k0 + width, dtype=float)[:, None], max(1, _CELLS // width)
+            stopped = np.concatenate([_sum_lanes(live[:, lo:lo + rows], k)
+                                      for lo in range(0, len(index), rows)])
+            if live is not table:
+                table[:, index] = live
+            if stopped.all():
+                break
+            live, index = live[:, ~stopped], index[~stopped]
+            k0, width = k0 + width, 2 * width
+        last = table[10]
         scale = np.array([bi ** -si / xi if e else bi ** -xi
                           for xi, si, bi, e in zip(x.tolist(), s.tolist(), base.tolist(),
                                                    euler.tolist())])
-        value = scale * sums
-        relative = (6 * last + 8) * _UNIT_ROUNDOFF + np.where(euler, s, x) * np.abs(d) / base
-        estimate = scale * tail + relative * value
+        value = scale * (table[6] + table[8])
+        gamma = last / (2.0 ** 53 - last)   # K u/(1 - K u), exactly as rounded
+        relative = ((6 * last + 8) * _UNIT_ROUNDOFF + gamma * gamma
+                    + np.where(euler, s, x) * np.abs(d) / base)
+        estimate = scale * (table[9] * table[7] / (1.0 - table[7])) + relative * value
     finite = np.isfinite(estimate)   # and so is every value
     if not finite.all():
         raise DomainError(f"series at {_lane(x, s, z, int(np.argmin(finite)))} is not finite")
-    return value, estimate, last + 1
+    return value, estimate, (last + 1).astype(int)
 
 
 def _lane(x, s, z, i: int) -> str:
     return f"x={float(x[i])}, s={float(s[i])}, z={float(z[i])}"
 
 
-def _sum_lanes(x, pfaff, num, den, w, width: int):
-    """The first `width` terms of each lane, as a lanes x width matrix. Returns
-    which lanes meet the stopping rule among them and, for those, the fsum of
-    their terms, the tail bound and the last index K.
-
-    The scalar recurrence coeff *= ((num+k)/(den+k)) w is a running product
-    and the partial sums a running sum; `accumulate` evaluates both strictly
-    left to right, so every entry is rounded as in the loop. Pfaff lanes
-    divide each coefficient by x+k."""
-    k = np.arange(width, dtype=float)
-    w = w[:, None]
-    step = (num[:, None] + k) / (den[:, None] + k)
-    ratio = w * np.maximum(step, 1.0)   # w*step where step > 1, else w, exactly
-    factors = np.empty_like(step)
-    factors[:, 0] = 1.0
-    np.multiply(step[:, :-1], w, out=factors[:, 1:])
-    terms = np.multiply.accumulate(factors, axis=1)
-    np.divide(terms, x[:, None] + k, out=terms, where=pfaff[:, None])
-    partial = np.add.accumulate(terms, axis=1)
-    stops = (ratio < 1.0) & (terms * ratio <= (1.0 - ratio) * _UNIT_ROUNDOFF * partial)
-    first = stops.argmax(axis=1)
-    stopped = stops[np.arange(len(x)), first]
-    rows, last = np.flatnonzero(stopped), first[stopped]
-    term, r = terms[rows, last], ratio[rows, last]
-    sums = np.array([math.fsum(terms[i, :n + 1].tolist())
-                     for i, n in zip(rows.tolist(), last.tolist())])
-    return stopped, sums, term * r / (1.0 - r), last
+def _sum_lanes(lanes, k):
+    """Terms k (a column of consecutive indices) of the table columns `lanes`
+    of `_power_integral`, from the state they carry, which is updated in
+    place; returns which lanes stop among these terms. `accumulate` runs the
+    recurrence coeff *= ((num+k)/(den+k)) w, the partial sums and the sum of
+    their TwoSum errors strictly in order of k, rounding as the scalar loop."""
+    # Partial sums, ratio bounds, compensation and terms, row j+1 for term
+    # k[j]; row 0 holds the carried state, the last row the next coefficient.
+    work = np.empty((4, len(k) + 2, lanes.shape[1]))
+    sums, ratio, comp, terms = work[0], work[1], work[2], work[3]
+    S, r, kk, t = sums[1:-1], ratio[1:-1], comp[1:-1], terms[1:-1]
+    # S, r and kk first hold lane constants copied over terms x lanes (cheaper than broadcasts).
+    kk[...], S[...], r[...] = k, lanes[1], lanes[2]
+    S += kk
+    r += kk
+    S /= r
+    r[...] = lanes[3]
+    np.multiply(S, r, out=terms[2:])
+    np.maximum(terms[2:], r, out=r)   # w*step where step > 1, else w, exactly
+    S[...] = lanes[0]
+    S += kk   # x+k
+    terms[0], terms[1], comp[0] = lanes[6], lanes[5], lanes[8]
+    np.multiply.accumulate(terms[1:], axis=0, out=terms[1:])
+    lanes[5] = terms[-1]
+    np.divide(t, S, out=t, where=lanes[4] != 0.0)   # Pfaff lanes only
+    np.add.accumulate(terms[:-1], axis=0, out=sums[:-1])
+    bb = S - sums[:-2]
+    kk[...] = (sums[:-2] - (S - bb)) + (t - bb)
+    np.add.accumulate(comp[:-1], axis=0, out=comp[:-1])
+    stops = (r < 1.0) & (t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S)
+    at = stops.argmax(axis=0)
+    stopped = stops[at, np.arange(len(at))]
+    at[~stopped] = len(k) - 1
+    lanes[6:10] = work[:, at + 1, np.arange(len(at))]
+    lanes[10] = k[at, 0]
+    return stopped
 
 
 # Below this y, `_binomial_integral` sums G_J(y) as int_0^inf - int_0^y; from
@@ -225,7 +242,7 @@ def _binomial_integral(y, x, alpha: float, p: float):
         relative = (error + (J + 5 + log_y) * u * size) / g + (11 * J + 6 + log_y) * u
         j = np.arange(1.0, J + 1.0)
         steps = (yi ** (1.0 - r) * (1.0 + yi) ** -j).tolist()
-        G = [g]
+        G = [float(g)]   # the recurrence in Python floats, same roundings
         for k in range(J, 0, -1):
             G.append((k * G[-1] + steps[k - 1]) / (k - 1 + r))
         coef = np.multiply.accumulate(np.concatenate([[1.0], (alpha + j - 1.0) / j * xi]))
@@ -241,7 +258,7 @@ def _unit_pair(c1: float, c2: float) -> tuple[float, float, int]:
     """P(c1, 1, 1) + P(c2, 1, 1) by `_power_integral`: the value, the error
     estimate and the longer series' term count."""
     value, estimate, terms = _power_integral([c1, c2], [1.0, 1.0], [1.0, 1.0])
-    return math.fsum(value.tolist()), math.fsum(estimate.tolist()), int(terms.max())
+    return math.fsum(value.tolist()), math.fsum(estimate.tolist()), max(terms.tolist())
 
 
 def beta_integral(x: float) -> QuadratureResult:

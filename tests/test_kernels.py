@@ -392,6 +392,18 @@ class TestFftPath:
         assert budget == (32.0 + 2048 + 2.0 * math.log(2048 + size_b - 1)) * 2.0 ** -53 * value
         assert _image(spec, a, size_b)[2] > 0.0
 
+    def test_short_support_stays_direct(self):
+        """A support shorter than `_FFT_MIN_SUPPORT` is correlated directly
+        however long the image: 2 entries onto 2^21, the crossover's
+        products, carry no FFT term, and the image is the direct one."""
+        spec = KernelSpec(Variant.CLASSICAL)
+        v, y, fft_error = _image(spec, np.ones(2), 1 << 21)
+        assert fft_error == 0.0
+        assert not kernels._by_fft(2, 1 << 21)
+        assert kernels._by_fft(kernels._FFT_MIN_SUPPORT, 1 << 21)
+        n = np.arange(1.0, 11.0)
+        assert np.allclose(v[:10] * y[:10], 1.0 / n + 1.0 / (n + 1.0), rtol=1e-15, atol=0.0)
+
 
 def row_sum_reference(m, p, alpha, N0=64):
     """The row sum in mpmath at 30 digits: the head n < N0 summed directly,

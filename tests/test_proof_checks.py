@@ -299,7 +299,8 @@ def _power_integral_reference(x: float, s: float, z: float) -> tuple[float, floa
     value = scale * math.fsum(terms)
     tail = term * ratio / (1.0 - ratio)
     d = float(1 + Fraction(z) - Fraction(base))   # the rounding of 1 + z, exactly
-    relative = (6 * k + 8) * 2.0 ** -53 + (x if pfaff else s) * abs(d) / base
+    gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)   # Sum2's second-order term
+    relative = (6 * k + 8) * 2.0 ** -53 + gamma * gamma + (x if pfaff else s) * abs(d) / base
     return value, scale * tail + relative * value, k + 1
 
 
@@ -342,6 +343,30 @@ class TestBatchedSeries:
         assert terms[-euler:].max() > 128
         for lane, v, e, k in zip(lanes, value.tolist(), estimate.tolist(), terms.tolist()):
             assert (v, e, k) == _power_integral_reference(*lane), lane
+
+    # One lane per stop index K on either side of the pass boundaries of a
+    # batch whose first pass is 32 terms wide (passes [0, 32), [32, 96),
+    # [96, 224), ...), and P(500.5, 1, 1), the eps-family's series at
+    # eps = 1000 and p = 2, which runs through five such passes.
+    BOUNDARY_LANES = {31: (0.725, 0.5, 0.5), 32: (0.9775, 0.5, 0.5), 33: (0.0225, 1.0, 1.0),
+                      63: (0.005, 0.5, 2.0), 64: (0.0075, 0.5, 2.0), 65: (0.01, 0.5, 2.0),
+                      95: (0.03, 0.5, 3.0), 96: (0.0375, 0.5, 3.0), 97: (0.0475, 0.5, 3.0),
+                      793: (500.5, 1.0, 1.0)}
+
+    def test_stops_at_pass_boundaries(self):
+        """Each boundary lane has the value, estimate and term count of the
+        scalar loop, inside a 256-lane batch (first pass 32 terms wide) and
+        alone (128 wide)."""
+        lanes = list(self.BOUNDARY_LANES.values())
+        filler = [(k / 600.0, 1.0, 0.5) for k in range(1, 257 - len(lanes))]
+        value, estimate, terms = _power_integral(*np.array(lanes + filler).T)
+        assert len(value) == 256
+        for i, (K, lane) in enumerate(self.BOUNDARY_LANES.items()):
+            expected = _power_integral_reference(*lane)
+            assert expected[2] == K + 1
+            assert (value[i], estimate[i], terms[i]) == expected, lane
+            alone = _power_integral(*lane)
+            assert (alone[0][0], alone[1][0], alone[2][0]) == expected, lane
 
     def test_euler_lanes_within_their_estimates(self):
         """On the lanes with c+1-s <= 0 each estimate is positive and bounds

@@ -211,3 +211,22 @@ class TestBinomialSeriesOracle:
                     exact = _H_reference(mpmath.mpf(N) / m, 1 / mpmath.mpf(m), alpha,
                                          1 / mpmath.mpf(p))
                     assert abs(value[0] - exact) <= estimate[0], (alpha, m, N)
+
+    def test_estimate_counts_the_recurrence_rounding(self):
+        """Far out (y = 1000) with x at 90 % of its bound 2(1+y)/3, J = 73
+        terms come down the recurrence while G_J's series needs five, so the
+        (11J + 6 + |ln y|) u rounding term of the coefficients and the
+        recurrence is most of the estimate. The estimate bounds the 40-digit
+        error and holds that term in full; the series' own estimates cannot
+        stand in for it here."""
+        y, p, u = 1000.0, 12.0, 2.0 ** -53
+        x = 0.9 * 2.0 * (1.0 + y) / 3.0
+        rho = x / (1.0 + y)
+        J = math.ceil(math.log(u * (1.0 - rho)) / math.log(rho)) - 1
+        assert J == 73
+        for alpha in (0.5, 1.0):
+            value, estimate, terms = _binomial_integral([y], [x], alpha, p)
+            exact = _H_reference(mpmath.mpf(y), mpmath.mpf(x), alpha, 1 / mpmath.mpf(p))
+            assert abs(value[0] - exact) <= estimate[0], alpha
+            assert estimate[0] >= (11 * J + 6 + math.log(y)) * u * value[0], alpha
+            assert terms[0] == 5
