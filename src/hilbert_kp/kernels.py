@@ -13,9 +13,10 @@ All kernel values are strictly positive for m, n >= 1, and every weighted
 variant collapses to the classical kernel at p = 2. Each variant factors as
 w(m) v(n) h(m+n), a row weight, a column weight and a Hankel symbol. The
 operator K^T a is one correlation of the symbol with wa (`_image`), and the
-form is b paired with that image. The norm ascent's two products are the
-same correlations. Every FFT correlation goes through `_correlate`, O(L log L)
-for a transform length L, with an explicit rounding bound (`_fft_rounding`).
+form is b paired with that image (`_form`). The norm ascent's two products
+are the same correlations, and its certified value is `_form`'s. Every FFT
+correlation goes through `_correlate`, O(L log L) for a transform length L,
+with an explicit rounding bound (`_fft_rounding`).
 
 Accuracy contract of the form and the operator. Below `_FFT_CROSSOVER`
 products (support of a times the image length), or for a support of a
@@ -195,10 +196,10 @@ def _image(spec: KernelSpec, av: np.ndarray,
     entries av of a on 1..len(av).
 
     y is the correlation of the symbol h with wa. Where `_by_fft` is false
-    it is direct, and fft_error = 0. Otherwise it is
+    it is direct, and fft_error = 0.0 exactly. Otherwise it is
     `_correlate` on one transform of length L >= len(h), and
     fft_error = `_fft_rounding(L)` max(|h|_2 |wa|_1, |h|_1 |wa|_2) bounds the
-    2-norm of its rounding error, as in `ascent_lower_bound`."""
+    2-norm of its rounding error."""
     w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, n_max + 1.0),
                       np.arange(2.0, len(av) + n_max + 1.0))
     wa = w * av
@@ -216,9 +217,9 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     image of a from `_image`, and a bound on its error against the exact
     kernel.
 
-    On the direct path the pairing is `math.fsum` of b v y; by FFT it is
-    np.dot(b v, y), since a compensated sum buys nothing against the FFT's
-    absolute error. The budget is
+    On `_image`'s direct path (fft_error = 0) the pairing is `math.fsum` of
+    b v y; on its FFT path it is np.dot(b v, y), since a compensated sum
+    buys nothing against the FFT's absolute error. The budget is
 
         1.01 |b v|_2 fft_error + (32 + n + 2 ln(len(a) + len(b))) u value,
 
@@ -226,10 +227,11 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     Cauchy-Schwarz; 1.01 covers the rounding of the norms and second-order
     terms. In the second, n is the length of the one uncompensated sum of
     nonnegative terms, gamma_n: len(a) for the direct correlation's inner
-    products, len(b) for np.dot. The rest is as in `ascent_lower_bound`:
-    the kernel factors (at most 10 u), the rounded exponents, which move a
-    factor by at most 2 u ln of the largest index sum, three products, the
-    final rounding, and gamma_n - n u, under u for n <= 2^26.
+    products, len(b) for np.dot. The rest covers the kernel factors (at
+    most 10 u, each power within 2 u, as numpy's is), the exponents
+    1/q - 1/p, 1/p and 1 - alpha (off by 2 u, moving a factor by at most
+    2 u ln of the largest index sum), three products, the final rounding
+    and gamma_n - n u, under u for n <= 2^26.
     """
     if a.start_index != 1 or b.start_index != 1:
         raise InvalidInputError("bilinear form expects 1-based sequences")
@@ -238,7 +240,7 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     if not av.any() or not bv.any():
         return 0.0, 0.0
     v, y, fft_error = _image(spec, av, len(bv))
-    if _by_fft(len(av), len(bv)):
+    if fft_error:
         bw = bv * v
         value = float(np.dot(bw, y))
         absolute, n = 1.01 * math.sqrt(float(np.dot(bw, bw))) * fft_error, len(bv)
@@ -249,15 +251,9 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
 
 def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
     """sum_{m,n} k(m,n) a_m b_n, exact over the finite supports, as
-    <b, K^T a> (`_form`, which also bounds its error).
-
-    Below `_FFT_CROSSOVER` products len(a) len(b), or for len(a) under
-    `_FFT_MIN_SUPPORT`, the image is a direct correlation of nonnegative
-    products: the form keeps a small relative error and costs one
-    multiply-add per pair of stored entries, zeros included. Otherwise it
-    is an FFT correlation and the error normwise, within `_form`'s budget:
-    far-apart masses, such as two distant spikes, lose relative accuracy
-    by at most that. `kernel_matrix` is the dense reference.
+    <b, K^T a> (`_form`, which also bounds its error). Its accuracy is the
+    module's contract: relative on the direct path, within `_form`'s budget
+    by FFT. `kernel_matrix` is the dense reference.
     """
     return _form(spec, a, b)[0]
 

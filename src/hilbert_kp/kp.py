@@ -3,6 +3,11 @@ coefficients, and the embedding into K^1.
 
 Only coefficient magnitudes are modeled: every quantity in scope depends on
 |a_m| only, so a `TaylorFunction` holds nonnegative coefficients.
+
+The re-weighting A_m = a_(m-1) m^((p-2)/p) (`kp_to_lp_isometry`) is an
+isometry onto l^p that carries the Hilbert matrix 1/(m+n+1) to WEIGHTED_MAIN,
+(n/m)^(1/q-1/p)/(m+n-1), entry by entry, so the norm bounds for that kernel
+(`norm-bounds`) bound the K^p norm of the Hilbert matrix.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Two estimators:
 * alternating Hölder-alignment ascent on an N x N truncation, a lower bound
   through feasible unit vectors. Both of its products are Hankel
   correlations done by FFT, O(N log N) per matvec and O(N) memory, and the
-  reported bound subtracts an explicit rounding budget for them (Higham,
-  Thm 24.2). At p = 1.5, on one core of a 2.1 GHz Xeon VM, N = 2^16 took
-  0.30 s and N = 2^18 1.6 s, with traced peaks of 8 and 32 MB.
+  reported bound is the final pair's form certified by `kernels._form`. At
+  p = 1.5, on one core of a 2.1 GHz Xeon VM, N = 2^16 took 0.3-0.4 s and
+  N = 2^18 1.4-1.9 s, with traced peaks of 8 and 32 MB.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParameterError
-from .kernels import KernelSpec, _correlate, _fft_rounding, _hankel
+from .kernels import KernelSpec, _correlate, _form, _hankel
 # bench/test_bench.py checks that the benchmark's tracing patches this name here.
 from .kernels import kernel_matrix  # noqa: F401
 from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .quadrature import _scaled_I_of_epsilon
-from .sequences import Sequence, _dual_align_vec, conjugate, lp_to_kp_isometry
+from .sequences import Sequence, _dual_align_vec, conjugate, lp_norm, lp_to_kp_isometry
 
 # `_phi_upper` sums the terms m < _PHI_HEAD and bounds the rest by integrals.
 _PHI_HEAD = 1024
@@ -133,18 +133,13 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,
     iteration: each product is one rfft and one irfft of length
     L >= 2N - 1, O(N log N) time and O(N) memory.
 
-    `lower_bound` is certified: the final form B(a, b) = <a, K b> is taken
-    from the last half step, and `rounding_budget` is subtracted from
-    B(a, b)/(||a||_p ||b||_q). The budget has two parts.
-
-    * Absolute: the FFT rounding bound `kernels._fft_rounding(L)` of that
-      correlation times |wa|_2 max(|h|_2 |vb|_1, |h|_1 |vb|_2). A factor 1.01
-      covers the rounding of these norms and second-order terms.
-    * Relative: (32 + 2 ln 2N) u, u = 2^-53. It covers the kernel factors
-      (at most 10 u, taking each power to within 2 u, as numpy's is), the
-      exponents 1/q - 1/p, 1/p and 1 - alpha (off by at most 2 u, which
-      moves k(m, n) by at most 2 u ln 2N), three products, the compensated
-      sum, the two norms (8 u together) and the final quotient (2 u).
+    `lower_bound` is certified: `kernels._form` pairs the final a and b once
+    more, and `rounding_budget` is its budget over ||a||_p ||b||_q
+    (`lp_norm`) plus 10 u times the ratio, u = 2^-53, for the norms and the
+    quotient. The powers (2 u) and fsums (u) move the two sums by 3 u, which
+    the roots 1/p and 1/q scale to 3 u together; the roots add 2 u each,
+    their product and the quotient u each, and the rounded exponents a
+    second-order term, as a and b are unit vectors up to rounding.
     """
     if N < 1 or iters < 1:
         raise ParameterError(f"need N >= 1 and iters >= 1, got N={N}, iters={iters}")
@@ -171,14 +166,12 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,
         a = _dual_align_vec(d, pq.q)
         if len(trace) >= 4 and abs(trace[-1] - trace[-3]) <= 1e-12 * trace[-1]:
             break
-    norm_ab = (math.fsum((a ** pq.p).tolist()) ** (1.0 / pq.p)
-               * math.fsum((b ** pq.q).tolist()) ** (1.0 / pq.q))
-    ratio = math.fsum((a * d).tolist()) / norm_ab
-    vb = v * b
-    fft_error = (_fft_rounding(L) * math.sqrt(float(np.sum((w * a) ** 2)))
-                 * max(math.sqrt(float(np.sum(h * h))) * float(np.sum(vb)),
-                       float(np.sum(h)) * math.sqrt(float(np.sum(vb * vb)))))
-    budget = 1.01 * fft_error / norm_ab + (32.0 + 2.0 * math.log(2.0 * N)) * 2.0 ** -53 * ratio
+    del w, v, h, spectrum, c, d     # `_form` makes its own: half the peak again if kept
+    a, b = Sequence(1, a), Sequence(1, b)
+    value, form_budget = _form(spec, a, b)
+    norm_ab = lp_norm(a, pq.p) * lp_norm(b, pq.q)
+    ratio = value / norm_ab
+    budget = form_budget / norm_ab + 10.0 * 2.0 ** -53 * ratio
     return NormEstimate(ratio - budget, p, tuple(trace), budget)
 
 

@@ -211,7 +211,10 @@ def _binomial_integral(y, x, alpha: float, p: float):
     tail bound plus H times that relative error, the estimate of G_J's
     series (with (J + 5 + |log y|) u for z = 1/y and the powers of y) over
     G_J, and (6J + 3) u more for the coefficients, the rounding of y and x,
-    the products and the sum.
+    the products and the sum. A G_J below the least normal float (x at its
+    bound, y from about 2000 at p = 2) raises `DomainError`; no public path
+    gets there, as F(y) has y <= 1/2 and the row-sum tail and midpoint
+    bounds x = 1/m.
     """
     _check_exponents(p, alpha)
     u, r = _UNIT_ROUNDOFF, 1.0 / p
@@ -239,6 +242,8 @@ def _binomial_integral(y, x, alpha: float, p: float):
             g = value[at] + value[at + 1] - power * value[at + 2]
             size = value[at] + value[at + 1] + power * value[at + 2]
             error = estimate[at] + estimate[at + 1] + power * estimate[at + 2]
+        if not g >= np.finfo(float).tiny:
+            raise DomainError(f"G_J underflows at y={yi}, x={xi}")
         relative = (error + (J + 5 + log_y) * u * size) / g + (11 * J + 6 + log_y) * u
         j = np.arange(1.0, J + 1.0)
         steps = (yi ** (1.0 - r) * (1.0 + yi) ** -j).tolist()

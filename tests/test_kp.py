@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from hilbert_kp import (
     DomainError,
     InvalidInputError,
+    KernelSpec,
     ParameterError,
     Sequence,
     TaylorFunction,
+    Variant,
+    apply_operator,
     conjugate,
     hilbert_apply,
     k1_embedding_bound,
@@ -160,6 +163,18 @@ class TestIsometryConsistency:
         f = tf(*vals)
         pushed = kp_to_lp_isometry(f.coeffs, p)
         assert lp_norm(pushed, p) == pytest.approx(kp_norm(f, p), rel=1e-13, abs=1e-300)
+
+    @given(nonneg_values, st.integers(0, 60),
+           st.floats(1.0, 1e6, exclude_min=True, allow_nan=False))
+    @settings(max_examples=150)
+    def test_hilbert_matrix_is_weighted_main(self, vals, n, p):
+        """The re-weighting carries the Hilbert matrix 1/(m+n+1) on K^p to
+        WEIGHTED_MAIN on l^p, entry by entry."""
+        f = tf(*vals)
+        lhs = kp_to_lp_isometry(hilbert_apply(f, n).coeffs, p).values
+        rhs = apply_operator(KernelSpec(Variant.WEIGHTED_MAIN, p),
+                             kp_to_lp_isometry(f.coeffs, p), n + 1).values
+        assert lhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
 
 
 class TestEmbedding:

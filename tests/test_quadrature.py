@@ -230,3 +230,12 @@ class TestBinomialSeriesOracle:
             assert abs(value[0] - exact) <= estimate[0], alpha
             assert estimate[0] >= (11 * J + 6 + math.log(y)) * u * value[0], alpha
             assert terms[0] == 5
+
+    @pytest.mark.parametrize("y", [3000.0, 1e4, 1e6])
+    def test_underflowing_top_term_raises(self, y):
+        """With x at its bound 2(1+y)/3, G_J = y^(-r-J) P(...) underflows far
+        out; the series raises, naming y and x, instead of dividing 0 by 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=rf"G_J underflows at y={y}, x="):
+                _binomial_integral([y], [2.0 * (1.0 + y) / 3.0], 0.5, 2.0)
