@@ -16,16 +16,19 @@ operator K^T a is one correlation of the symbol with wa (`_image`), and the
 form is b paired with that image (`_form`). The norm ascent's two products
 are the same correlations, and its certified value is `_form`'s. Every FFT
 correlation goes through `_correlate`, O(L log L) for a transform length L,
-with an explicit rounding bound (`_fft_rounding`).
+with an explicit rounding bound (`_fft_rounding`). A lopsided shape, a short
+a onto a long image, is cut into overlap-save blocks (`_blocks`), which
+one batched `_correlate` runs together.
 
 Accuracy contract of the form and the operator. Below `_FFT_CROSSOVER`
 products (support of a times the image length), or for a support of a
 under `_FFT_MIN_SUPPORT`, the correlation is direct: all its products are
 nonnegative, so every image entry, and the form, keeps a small relative
 error. Otherwise it is an FFT, and the error is normwise: bounded in the
-2-norm of the image by the correlation's rounding budget, which `_form`
-reports. A small entry far from the mass of the product, such as the
-pairing of two spikes far apart, then loses relative accuracy.
+2-norm of the image by the correlation's rounding budget, summed in
+squares over the blocks, which `_form` reports. A small entry far from the
+mass of the product, such as the pairing of two spikes far apart, then
+loses relative accuracy.
 
 The dense `kernel_matrix` is the tests' reference for all of them; no
 library path builds it.
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, ParameterError
 from .quadrature import QuadratureResult, _binomial_integral, _check_exponents
-from .sequences import Sequence, conjugate, snap_exponent
+from .sequences import Sequence, _sum2, conjugate, snap_exponent
 
 
 class Variant(Enum):
@@ -119,16 +122,21 @@ def _hankel(spec: KernelSpec, m: np.ndarray, n: np.ndarray,
 
 def _correlate(spectrum: np.ndarray, x: np.ndarray, n_out: int | None = None) -> np.ndarray:
     """y_j = sum_i h[i + j] x[i] for 0 <= j < n_out (default len(x)), from
-    spectrum = rfft(h, L), where len(h) = len(x) + n_out - 1 and L >= len(h)
-    is a power of two >= 2. y is entries n - 1 .. n + n_out - 2 (n = len(x))
-    of the length-L circular convolution of h with x reversed; the linear
-    one ends at entry 2n + n_out - 3 <= L + n - 2, so what wraps lands below
-    entry n - 1. `_fft_rounding(L)` bounds its rounding error."""
-    n, L = len(x), 2 * (len(spectrum) - 1)
+    spectrum = rfft(h, L) along its last axis, where len(h) = len(x) + n_out - 1
+    and L >= len(h) is a power of two >= 2. y is entries n - 1 .. n + n_out - 2
+    (n = len(x)) of the length-L circular convolution of h with x reversed;
+    the linear one ends at entry 2n + n_out - 3 <= L + n - 2, so what wraps
+    lands below entry n - 1. x is transformed once; a leading axis of
+    spectrum holds one h per row (`_image`'s blocks), and y has it too.
+    `_fft_rounding(L)` bounds the rounding error of each row."""
+    n, L = len(x), 2 * (spectrum.shape[-1] - 1)
     n_out = n if n_out is None else n_out
     product = np.fft.rfft(x[::-1], L)
-    product *= spectrum             # in place: one transform-sized array less
-    return np.fft.irfft(product, L)[n - 1:n + n_out - 1]
+    if spectrum.ndim == 1:
+        product *= spectrum         # in place: one transform-sized array less
+    else:
+        product = product * spectrum
+    return np.fft.irfft(product, L)[..., n - 1:n + n_out - 1]
 
 
 def _fft_rounding(L: int) -> float:
@@ -168,7 +176,12 @@ def _fft_rounding(L: int) -> float:
 # keep an entrywise relative error: at 2^20 two spikes at indices 1 and 2000
 # paired with p = 1.05 erred by 3.6e-15 relative.
 _FFT_CROSSOVER = 1 << 22
-# Shortest a correlated by FFT: 2 x 2^21 took 668 ms by FFT, 51 ms direct.
+# Shortest a correlated by FFT. With overlap-save (one Xeon VM core, whole
+# `apply_operator`, FFT against direct): 2 x 2^21 232 and 69 ms (4-point
+# blocks), 16 x 2^18 13 and 10 ms, 256 x 2^14 0.86 and 1.06 ms, 512 x 2^16
+# 3.0 and 6.8 ms. From about 256 entries the FFT is faster, but a lower floor
+# would trade the direct path's entrywise relative error for the FFT's
+# normwise one on more `verify-inequality` forms.
 _FFT_MIN_SUPPORT = 512
 
 
@@ -176,6 +189,23 @@ def _by_fft(size: int, n_max: int) -> bool:
     """Whether `_image` correlates a support of `size` entries onto n_max
     image entries by FFT."""
     return size >= _FFT_MIN_SUPPORT and size * n_max >= _FFT_CROSSOVER
+
+
+def _blocks(size: int, n_max: int) -> tuple[int, int]:
+    """(B, K): `_image`'s FFT path correlates a support of `size` entries
+    onto n_max image entries with K transforms of length B, each giving
+    P = B - size + 1 image entries (overlap-save). The plan is the one of
+    least transform work, (2K + 1) B log2 B for the K blocks' transforms,
+    wa's and the K inverses: either one transform of the power of two
+    L >= size + n_max - 1 (K = 1, kept on ties), or a power of two
+    B >= 2 size below L with K = ceil(n_max / P)."""
+    L = 1 << (size + n_max - 2).bit_length()
+    plans = [(L, 1)]
+    B = 1 << (2 * size - 1).bit_length()
+    while B < L:
+        plans.append((B, -(-n_max // (B - size + 1))))
+        B *= 2
+    return min(plans, key=lambda plan: (2 * plan[1] + 1) * plan[0] * (plan[0].bit_length() - 1))
 
 
 def _check_n_max(n_max, least: int) -> int:
@@ -196,20 +226,33 @@ def _image(spec: KernelSpec, av: np.ndarray,
     entries av of a on 1..len(av).
 
     y is the correlation of the symbol h with wa. Where `_by_fft` is false
-    it is direct, and fft_error = 0.0 exactly. Otherwise it is
-    `_correlate` on one transform of length L >= len(h), and
-    fft_error = `_fft_rounding(L)` max(|h|_2 |wa|_1, |h|_1 |wa|_2) bounds the
-    2-norm of its rounding error."""
+    it is direct, and fft_error = 0.0 exactly. Otherwise it is overlap-save
+    (Oppenheim & Schafer, Discrete-Time Signal Processing, 3rd ed., 8.7)
+    with the `_blocks` plan: h, zero-padded, is cut into K blocks
+    h_k = h[kP : kP + B], which overlap by len(av) - 1 entries, and block k
+    gives y[kP : kP + P]. All blocks go through one batched `_correlate`.
+    The blocks' outputs are disjoint, so their error norms add in squares:
+    fft_error, the root-sum-square over k of
+    `_fft_rounding(B)` max(|h_k|_2 |wa|_1, |h_k|_1 |wa|_2), bounds the
+    2-norm of the rounding error of y. With K = 1 the one block is h padded
+    to length B, and the norms are h's own."""
     w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, n_max + 1.0),
                       np.arange(2.0, len(av) + n_max + 1.0))
     wa = w * av
     if not _by_fft(len(av), n_max):
         return v, np.correlate(h, wa, "valid"), 0.0
-    L = 1 << (len(h) - 1).bit_length()      # a power of two >= len(h)
-    y = _correlate(np.fft.rfft(h, L), wa, n_max)
-    fft_error = _fft_rounding(L) * max(math.sqrt(float(np.sum(h * h))) * float(np.sum(wa)),
-                                       float(np.sum(h)) * math.sqrt(float(np.sum(wa * wa))))
-    return v, y, fft_error
+    B, K = _blocks(len(av), n_max)
+    P = B - len(av) + 1
+    padded = np.zeros((K - 1) * P + B)
+    padded[:len(h)] = h
+    blocks = np.lib.stride_tricks.sliding_window_view(padded, B)[::P]
+    y = _correlate(np.fft.rfft(blocks), wa, P).reshape(-1)[:n_max]
+    # Every block but the last lies inside h; the last is summed unpadded.
+    tail = h[(K - 1) * P:]
+    h1 = np.append(np.sum(blocks[:-1], axis=-1), np.sum(tail))
+    h2 = np.append(np.sum(blocks[:-1] * blocks[:-1], axis=-1), np.sum(tail * tail))
+    per_block = np.maximum(np.sqrt(h2) * float(np.sum(wa)), h1 * math.sqrt(float(np.sum(wa * wa))))
+    return v, y, _fft_rounding(B) * math.sqrt(float(np.sum(per_block * per_block)))
 
 
 def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
@@ -217,9 +260,8 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     image of a from `_image`, and a bound on its error against the exact
     kernel.
 
-    On `_image`'s direct path (fft_error = 0) the pairing is `math.fsum` of
-    b v y; on its FFT path it is np.dot(b v, y), since a compensated sum
-    buys nothing against the FFT's absolute error. The budget is
+    On `_image`'s direct path (fft_error = 0) the pairing is `_sum2` of
+    b v y; on its FFT path it is np.dot(b v, y). The budget is
 
         1.01 |b v|_2 fft_error + (32 + n + 2 ln(len(a) + len(b))) u value,
 
@@ -230,8 +272,17 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     products, len(b) for np.dot. The rest covers the kernel factors (at
     most 10 u, each power within 2 u, as numpy's is), the exponents
     1/q - 1/p, 1/p and 1 - alpha (off by 2 u, moving a factor by at most
-    2 u ln of the largest index sum), three products, the final rounding
-    and gamma_n - n u, under u for n <= 2^26.
+    2 u ln of the largest index sum), three products, the final rounding,
+    `_sum2`'s u + gamma_(len(b)-1)^2 on the direct path, and gamma_n - n u;
+    each of gamma_n - n u and gamma_(len(b)-1)^2 is under u for lengths up
+    to 2^26.
+
+    Each term is needed. The FFT's error scales with the norm of the whole
+    symbol, so a spike at the far end of a long a paired with a short b
+    (a = e_(2^18), b = e_16) errs by 74 to 338 times the relative term. On
+    the direct path the relative term is the whole budget, and a single
+    product can err by more than its 2 ln(len(a) + len(b)) u part
+    (`YANG_HALF_SHIFT`, p = 40, a = e_3, b = e_1: 3.6 u against 2.8 u).
     """
     if a.start_index != 1 or b.start_index != 1:
         raise InvalidInputError("bilinear form expects 1-based sequences")
@@ -245,7 +296,7 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
         value = float(np.dot(bw, y))
         absolute, n = 1.01 * math.sqrt(float(np.dot(bw, bw))) * fft_error, len(bv)
     else:
-        value, absolute, n = math.fsum((bv * (v * y)).tolist()), 0.0, len(av)
+        value, absolute, n = _sum2(bv * (v * y)), 0.0, len(av)
     return value, absolute + (32.0 + n + 2.0 * math.log(len(av) + len(bv))) * 2.0 ** -53 * value
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import KernelSpec, Variant, _check_n_max, apply_operator
-from .sequences import Sequence, conjugate
+from .sequences import Sequence, _sum2, conjugate
 
 ZETA_2 = math.pi ** 2 / 6.0
 
@@ -41,12 +41,11 @@ class TaylorFunction:
 
 
 def kp_norm(f: TaylorFunction, p: float) -> float:
-    """(sum (m+1)^(p-2) a_m^p)^(1/p)."""
+    """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`."""
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
     a = f.coeffs.values
-    total = math.fsum((np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p).tolist())
-    return total ** (1.0 / p)
+    return _sum2(np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p) ** (1.0 / p)
 
 
 def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
@@ -67,6 +66,6 @@ def k1_embedding_bound(f: TaylorFunction, p: float) -> tuple[float, float]:
     lhs = sum a_m/(m+1), rhs = zeta(2)^(1/q) * ||f||_{K^p}."""
     pq = conjugate(p)
     a = f.coeffs.values
-    lhs = math.fsum((a / np.arange(1.0, len(a) + 1.0)).tolist())
+    lhs = _sum2(a / np.arange(1.0, len(a) + 1.0))
     rhs = ZETA_2 ** (1.0 / pq.q) * kp_norm(f, p)
     return lhs, rhs

@@ -136,10 +136,14 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,
     `lower_bound` is certified: `kernels._form` pairs the final a and b once
     more, and `rounding_budget` is its budget over ||a||_p ||b||_q
     (`lp_norm`) plus 10 u times the ratio, u = 2^-53, for the norms and the
-    quotient. The powers (2 u) and fsums (u) move the two sums by 3 u, which
-    the roots 1/p and 1/q scale to 3 u together; the roots add 2 u each,
-    their product and the quotient u each, and the rounded exponents a
-    second-order term, as a and b are unit vectors up to rounding.
+    quotient. The powers (2 u) and `_sum2` (u + gamma_(N-1)^2) move the two
+    sums by 3 u + gamma_(N-1)^2, which the roots 1/p and 1/q scale to as
+    much together; the roots add 2 u each, their product and the quotient u
+    each. gamma_(N-1)^2, under u/2 for N <= 2^26, and the rounded exponents
+    are second-order terms, as a and b are unit vectors up to rounding.
+
+    Each half step's norm is the one `_dual_align_vec` divided by, so the
+    trace costs no power sum of its own.
     """
     if N < 1 or iters < 1:
         raise ParameterError(f"need N >= 1 and iters >= 1, got N={N}, iters={iters}")
@@ -157,13 +161,11 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int,
     trace: list[float] = []
     for _ in range(iters):
         c = v * _correlate(spectrum, w * a)     # K^T a, pairs against b in l^q
-        obj_b = float(np.sum(c ** pq.p)) ** (1.0 / pq.p)
+        b, obj_b = _dual_align_vec(c, pq.p)
         trace.append(obj_b)
-        b = _dual_align_vec(c, pq.p)
         d = w * _correlate(spectrum, v * b)     # K b, pairs against a in l^p
-        obj_a = float(np.sum(d ** pq.q)) ** (1.0 / pq.q)
+        a, obj_a = _dual_align_vec(d, pq.q)
         trace.append(obj_a)
-        a = _dual_align_vec(d, pq.q)
         if len(trace) >= 4 and abs(trace[-1] - trace[-3]) <= 1e-12 * trace[-1]:
             break
     del w, v, h, spectrum, c, d     # `_form` makes its own: half the peak again if kept

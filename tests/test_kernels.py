@@ -21,7 +21,15 @@ from hilbert_kp import (
     theoretical_norm,
 )
 from hilbert_kp import kernels
-from hilbert_kp.kernels import _correlate, _fft_rounding, _form, _hankel, _image, kernel_matrix
+from hilbert_kp.kernels import (
+    _blocks,
+    _correlate,
+    _fft_rounding,
+    _form,
+    _hankel,
+    _image,
+    kernel_matrix,
+)
 
 ROW_SUM_M1_P2_A0 = 1.8600250792  # frozen independent evaluation
 
@@ -403,6 +411,114 @@ class TestFftPath:
         assert kernels._by_fft(kernels._FFT_MIN_SUPPORT, 1 << 21)
         n = np.arange(1.0, 11.0)
         assert np.allclose(v[:10] * y[:10], 1.0 / n + 1.0 / (n + 1.0), rtol=1e-15, atol=0.0)
+
+
+class TestOverlapSave:
+    """`_image`'s FFT path in blocks: a support of 600 entries onto n_max of
+    8693, 8694 and 8695 takes 2048-point transforms with P = 1449 image
+    entries each, in 6, 6 and 7 blocks. The last block then gives P - 1,
+    exactly P, and 1 entry, so the last case's block is almost all
+    padding."""
+
+    SIZE = 600
+    EDGES = [(8693, 6, 1448), (8694, 6, 1449), (8695, 7, 1)]
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("n_max,K,last", EDGES)
+    def test_matches_direct_correlation(self, spec, n_max, K, last):
+        B, blocks = _blocks(self.SIZE, n_max)
+        P = B - self.SIZE + 1
+        assert (B, blocks, n_max - (K - 1) * P) == (2048, K, last)
+        rng = np.random.default_rng([n_max, 31])
+        a = sparse_support(rng, self.SIZE)
+        a[-1] = 1.0
+        v, y, fft_error = _image(spec, a, n_max)
+        w, _, h = _hankel(spec, np.arange(1.0, self.SIZE + 1.0), np.arange(1.0, n_max + 1.0),
+                          np.arange(2.0, self.SIZE + n_max + 1.0))
+        ref = np.correlate(h, w * a, "valid")
+        assert len(y) == n_max
+        # the direct sums of 600 nonnegative terms err by at most gamma_600
+        assert (np.linalg.norm(y - ref)
+                <= fft_error + self.SIZE * 2.0 ** -53 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    def test_operator_matches_dense_grid(self, spec):
+        size, n_max = self.SIZE, self.EDGES[-1][0]
+        assert _blocks(size, n_max)[1] > 1
+        rng = np.random.default_rng([size, n_max, 37])
+        a = sparse_support(rng, size)
+        a[0] = 0.5
+        ref = dense_image(spec, a, n_max).astype(float)
+        v, _, fft_error = _image(spec, a, n_max)
+        got = apply_operator(spec, Sequence(1, a), n_max).values
+        err = np.linalg.norm(got - ref)
+        assert err <= (1.01 * v.max() * fft_error
+                       + (factor_slack(size, n_max) + 2e-15) * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("size,n_max", [(4096, 4096), (4001, 4001)])
+    def test_one_block_is_the_single_transform(self, spec, size, n_max):
+        """Where the plan is one block, image and budget are bit for bit
+        those of one transform of length L >= len(h)."""
+        rng = np.random.default_rng([size, 41])
+        a = rng.random(size)
+        v, y, fft_error = _image(spec, a, n_max)
+        w, _, h = _hankel(spec, np.arange(1.0, size + 1.0), np.arange(1.0, n_max + 1.0),
+                          np.arange(2.0, size + n_max + 1.0))
+        wa = w * a
+        L = 1 << (len(h) - 1).bit_length()
+        assert _blocks(size, n_max) == (L, 1)
+        assert y.tolist() == _correlate(np.fft.rfft(h, L), wa, n_max).tolist()
+        assert fft_error == _fft_rounding(L) * max(
+            math.sqrt(float(np.sum(h * h))) * float(np.sum(wa)),
+            float(np.sum(h)) * math.sqrt(float(np.sum(wa * wa))))
+
+    def test_blocks_cut_the_budget_and_the_work(self):
+        """1826 x 18416, a shape of the never-exceed suite, takes three
+        8192-point blocks in place of one 32768-point transform."""
+        assert _blocks(1826, 18416) == (8192, 3)
+        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
+        a = np.random.default_rng(43).random(1826)
+        _, _, fft_error = _image(spec, a, 18416)
+        w, _, h = _hankel(spec, np.arange(1.0, 1827.0), np.arange(1.0, 18417.0),
+                          np.arange(2.0, 1826.0 + 18417.0))
+        wa = w * a
+        single = _fft_rounding(32768) * max(np.linalg.norm(h) * wa.sum(),
+                                            h.sum() * np.linalg.norm(wa))
+        assert fft_error < single
+
+
+class TestFormBudgetTerms:
+    """Each of `_form`'s two budget terms is needed by some form."""
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH + [KernelSpec(Variant.WEIGHTED_MAIN, p=1.05)],
+                             ids=lambda s: f"{s.variant.value}-{s.p}")
+    def test_far_spike_needs_the_fft_term(self, spec):
+        """A spike at the far end of a long a, paired with a spike of a short
+        b: the FFT's error scales with the norm of the whole symbol, while
+        the form is one small product, so the error exceeds the relative
+        term many times over (74 to 338 times for these kernels)."""
+        M, n = 1 << 18, 16
+        a, b = np.zeros(M), np.zeros(n)
+        a[-1] = b[-1] = 1.0
+        got, budget = _form(spec, Sequence(1, a), Sequence(1, b))
+        ref = float(exact_kernel(spec, M, n))
+        relative = (32.0 + n + 2.0 * math.log(M + n)) * 2.0 ** -53 * got
+        assert relative < abs(got - ref) <= budget
+
+    @pytest.mark.parametrize("p,m", [(24.0, 3), (40.0, 3)])
+    def test_direct_pairing_needs_the_relative_term(self, p, m):
+        """On the direct path the relative term is the whole budget. Here the
+        error (3.1 and 3.6 u) is also above its 2 ln(len(a) + len(b)) u
+        part alone (2.8 u), so the constant 32 + n is needed as well."""
+        spec = KernelSpec(Variant.YANG_HALF_SHIFT, p=p)
+        a = np.zeros(m)
+        a[-1] = 1.0
+        got, budget = _form(spec, Sequence(1, a), seq(1))
+        ref = exact_kernel(spec, m, 1)
+        err = float(abs(got - ref))
+        assert _image(spec, a, 1)[2] == 0.0
+        assert 0.0 < err <= budget
 
 
 def row_sum_reference(m, p, alpha, N0=64):

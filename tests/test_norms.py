@@ -203,14 +203,15 @@ class TestAscent:
 
 
 def ascent_with_final_pair(monkeypatch, *args, **kwargs):
-    """The ascent's estimate and its final unit vectors a and b, the last two
-    outputs of its alignment step."""
+    """The ascent's estimate and its final unit vectors a and b, from the
+    last two calls of its alignment step."""
     align = norms._dual_align_vec
     seen = []
 
     def recording(c, p):
-        seen.append(align(c, p))
-        return seen[-1]
+        aligned = align(c, p)       # (unit vector, the norm it divided by)
+        seen.append(aligned[0])
+        return aligned
 
     monkeypatch.setattr(norms, "_dual_align_vec", recording)
     est = ascent_lower_bound(*args, **kwargs)

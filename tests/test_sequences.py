@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hilbert_kp import (
     read_sequence,
     write_sequence,
 )
+from hilbert_kp.sequences import _sum2
 
 # zero or a comfortably normal magnitude; extreme denormals underflow in any
 # double-precision p-th power and are out of scope
@@ -61,6 +63,42 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
             lp_norm(seq(1), 0.5)
+
+
+class TestSum2:
+    """`_sum2` against `math.fsum`, the correctly rounded sum it replaces."""
+
+    @pytest.mark.parametrize("values", [[], [0.7], [1.0, 2.0 ** -53], [1e16, 1.0],
+                                        [0.1, 0.2], [3.0, 1e-300], [1.0, 2.0 ** -53, 2.0 ** -53],
+                                        [1.0] + [2.0 ** -54] * 1000])
+    def test_short_arrays(self, values):
+        t = np.array(values, dtype=float)
+        assert _sum2(t) == math.fsum(values)
+        assert isinstance(_sum2(t), float)
+
+    def test_heavy_tailed_arrays(self):
+        """Entries as the never-exceed suite draws them, u^(-1/(2p)) on about
+        70 % of a log-uniform support up to 20000, raised to p as `lp_norm`
+        raises them."""
+        rng = np.random.default_rng(20051)
+        for _ in range(300):
+            p = float(rng.choice([1.25, 1.5, 2.0, 3.0, 6.0]))
+            size = int(math.exp(rng.uniform(0.0, math.log(20000.0)))) + 1
+            x = np.where(rng.random(size) < 0.7, (1.0 - rng.random(size)) ** (-0.5 / p), 0.0)
+            t = x ** p
+            assert _sum2(t) == math.fsum(t.tolist()), (p, size)
+
+    def test_overflow_falls_back_to_fsum(self):
+        """A sum that is not finite is left to `fsum`: the same inf, or the
+        same OverflowError, and no RuntimeWarning from the TwoSum step."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError):
+                _sum2(np.array([1e308, 1e308, 1.0]))
+            assert _sum2(np.array([1.0, math.inf, 2.0])) == math.inf
+            with pytest.raises(ValueError):
+                _sum2(np.array([math.inf, -math.inf]))
+            assert _sum2(np.array([1.7e308, -1.7e308, 5.0])) == 5.0
 
 
 class TestConjugate:
