@@ -260,26 +260,26 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     image of a from `_image`, and a bound on its error against the exact
     kernel.
 
-    On `_image`'s direct path (fft_error = 0) the pairing is `_sum2` of
-    b v y; on its FFT path it is np.dot(b v, y). The budget is
+    The pairing is `_sum2` of b v y on both of `_image`'s paths. The budget is
 
         1.01 |b v|_2 fft_error + (32 + n + 2 ln(len(a) + len(b))) u value,
 
     u = 2^-53. The first term is the FFT rounding, paired with b v by
     Cauchy-Schwarz; 1.01 covers the rounding of the norms and second-order
-    terms. In the second, n is the length of the one uncompensated sum of
-    nonnegative terms, gamma_n: len(a) for the direct correlation's inner
-    products, len(b) for np.dot. The rest covers the kernel factors (at
-    most 10 u, each power within 2 u, as numpy's is), the exponents
-    1/q - 1/p, 1/p and 1 - alpha (off by 2 u, moving a factor by at most
-    2 u ln of the largest index sum), three products, the final rounding,
-    `_sum2`'s u + gamma_(len(b)-1)^2 on the direct path, and gamma_n - n u;
-    each of gamma_n - n u and gamma_(len(b)-1)^2 is under u for lengths up
-    to 2^26.
+    terms. In the second, n = len(a) on the direct path, for gamma_n of its
+    inner products of nonnegative terms, and 0 by FFT. The rest covers the
+    kernel factors (at most 10 u, each power within 2 u, as numpy's is),
+    the exponents 1/q - 1/p, 1/p and 1 - alpha (off by 2 u, moving a factor
+    by at most 2 u ln of the largest index sum), three products, the final
+    rounding, `_sum2`'s u + gamma_(len(b)-1)^2 and gamma_n - n u; each of
+    gamma_n - n u and gamma_(len(b)-1)^2 is under u for lengths up to 2^26.
+    By FFT the pairing's terms t are signed, and Sum2's gamma_(len(b)-1)^2
+    multiplies sum |t| <= value + |b v|_2 fft_error: one more second-order
+    term.
 
     Each term is needed. The FFT's error scales with the norm of the whole
     symbol, so a spike at the far end of a long a paired with a short b
-    (a = e_(2^18), b = e_16) errs by 74 to 338 times the relative term. On
+    (a = e_(2^18), b = e_16) errs by 95 to 433 times the relative term. On
     the direct path the relative term is the whole budget, and a single
     product can err by more than its 2 ln(len(a) + len(b)) u part
     (`YANG_HALF_SHIFT`, p = 40, a = e_3, b = e_1: 3.6 u against 2.8 u).
@@ -291,12 +291,12 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     if not av.any() or not bv.any():
         return 0.0, 0.0
     v, y, fft_error = _image(spec, av, len(bv))
+    value = _sum2(bv * (v * y))
     if fft_error:
         bw = bv * v
-        value = float(np.dot(bw, y))
-        absolute, n = 1.01 * math.sqrt(float(np.dot(bw, bw))) * fft_error, len(bv)
+        absolute, n = 1.01 * math.sqrt(float(np.dot(bw, bw))) * fft_error, 0
     else:
-        value, absolute, n = _sum2(bv * (v * y)), 0.0, len(av)
+        absolute, n = 0.0, len(av)
     return value, absolute + (32.0 + n + 2.0 * math.log(len(av) + len(bv))) * 2.0 ** -53 * value
 
 
@@ -362,8 +362,8 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     _check_exponents(p, alpha)
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     r = 1.0 / p
 
     def term(n):

@@ -42,8 +42,8 @@ class TaylorFunction:
 
 def kp_norm(f: TaylorFunction, p: float) -> float:
     """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`."""
-    if p <= 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+    if not (math.isfinite(p) and p > 0.0):
+        raise DomainError(f"p must be finite and > 0, got {p}")
     a = f.coeffs.values
     return _sum2(np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p) ** (1.0 / p)
 

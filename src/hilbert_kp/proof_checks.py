@@ -170,36 +170,32 @@ def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
 # ---------------------------------------------------------------------------
 # the two master integral inequalities, reduced to (0, 1] via t -> 1/t
 
-def _family_I(x: np.ndarray, alpha: np.ndarray) -> tuple:
-    """Lane triples (value, estimate, terms) of both sides of the first
-    inequality at the points (x, alpha); `terms` is the longest series a side
-    sums.
+def _sides(c: np.ndarray, cbar: np.ndarray, e: np.ndarray) -> tuple:
+    """Lane triples (value, estimate, terms) of both sides of a master
+    inequality at the points (c, cbar, e); `terms` is the longest series a
+    side sums.
 
-        lhs_I = int_0^1 ((1+2u)^alpha - 1) u^(x-1)/(1+2u) du = P(x, 1-alpha, 2) - P(x, 1, 2),
-        rhs_I = int_0^1 u^(-x)/(2+u) du = P(1-x, 1, 1/2)/2.
+        lhs = P(c, 1-e, 2) - P(c, 1, 2),   rhs = P(cbar, 1, 1/2)/2.
 
-    lhs_I is 0, with estimate 0 and no terms, under alpha = 0."""
-    live = alpha != 0.0
-    (hi, e, k), (lo, f, m) = (_power_integral(x[live], 1.0 - alpha[live], 2.0),
-                              _power_integral(x[live], 1.0, 2.0))
-    lhs = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x), dtype=int)
-    for full, part in zip(lhs, (hi - lo, e + f, np.maximum(k, m))):
+    The second inequality is the first mirrored, x -> 1-x and alpha -> beta:
+
+        lhs_I  = int_0^1 ((1+2u)^alpha - 1) u^(x-1)/(1+2u) du,  rhs_I  = int_0^1 u^(-x)/(2+u) du,
+        lhs_II = int_0^1 ((1+2u)^beta - 1) u^(-x)/(1+2u) du,    rhs_II = int_0^1 u^(x-1)/(2+u) du,
+
+    so I is `_sides(x, 1-x, alpha)` and II is `_sides(1-x, x, beta)`. lhs is
+    0, with estimate 0 and no terms, where e = 0. All three series of all
+    points are one `_power_integral` batch."""
+    live = e != 0.0
+    n, size = int(live.sum()), len(c)
+    value, estimate, terms = _power_integral(
+        np.concatenate([c[live], c[live], cbar]),
+        np.concatenate([1.0 - e[live], np.ones(n + size)]),
+        np.concatenate([np.full(2 * n, 2.0), np.full(size, 0.5)]))
+    lhs = np.zeros(size), np.zeros(size), np.zeros(size, dtype=int)
+    for full, part in zip(lhs, (value[:n] - value[n:2 * n], estimate[:n] + estimate[n:2 * n],
+                                np.maximum(terms[:n], terms[n:2 * n]))):
         full[live] = part
-    rhs, g, n = _power_integral(1.0 - x, 1.0, 0.5)
-    return lhs, (0.5 * rhs, 0.5 * g, n)
-
-
-def _family_II(x: np.ndarray, alpha: np.ndarray) -> tuple:
-    """Lane triples of both sides of the second inequality at the points
-    (x, alpha), as `_family_I`, and the betas.
-
-        lhs_II = int_0^1 ((1+2u)^beta - 1) u^(-x)/(1+2u) du = P(1-x, 1-beta, 2) - P(1-x, 1, 2),
-        rhs_II = int_0^1 u^(x-1)/(2+u) du = P(x, 1, 1/2)/2."""
-    beta = (1.0 - alpha * x) / (1.0 - x)
-    (hi, e, k), (lo, f, m) = (_power_integral(1.0 - x, 1.0 - beta, 2.0),
-                              _power_integral(1.0 - x, 1.0, 2.0))
-    rhs, g, n = _power_integral(x, 1.0, 0.5)
-    return (hi - lo, e + f, np.maximum(k, m)), (0.5 * rhs, 0.5 * g, n), beta
+    return lhs, (0.5 * value[2 * n:], 0.5 * estimate[2 * n:], terms[2 * n:])
 
 
 def _reports(name: str, parameters: list[str], lhs, rhs) -> list[CheckReport]:
@@ -226,23 +222,23 @@ def check_ineq_I(case: ProofCase) -> CheckReport:
     """
     x, alpha = float(case.x), float(case.alpha)
     return _reports("ineq_I", [f"x={x},alpha={alpha}"],
-                    *_family_I(np.array([x]), np.array([alpha])))[0]
+                    *_sides(np.array([x]), np.array([1.0 - x]), np.array([alpha])))[0]
 
 
 def check_ineq_II(case: ProofCase) -> CheckReport:
     """lhs_II < rhs_II at (x, alpha).
 
-    Sides and budget are built as in `check_ineq_I`; the rounding term also
-    covers the rounding of the inputs 1-x and beta, which moves a side by
-    at most about 10 u. For fixed alpha,
-    lhs_II does not decrease with x (u^(-x) rises, and beta' =
-    (1-alpha)/(1-x)^2 >= 0) and rhs_II does not increase (u^(x-1) falls).
-    So a pass at x settles the inequality on (x', x] for every smaller x'
-    under the same alpha.
+    The sides are those of `check_ineq_I` mirrored (`_sides`), and the
+    budget is built the same way; the rounding term also covers the
+    rounding of the inputs 1-x and beta, which moves a side by at most
+    about 10 u. For fixed alpha, lhs_II does not decrease with x (u^(-x)
+    rises, and beta' = (1-alpha)/(1-x)^2 >= 0) and rhs_II does not increase
+    (u^(x-1) falls). So a pass at x settles the inequality on (x', x] for
+    every smaller x' under the same alpha.
     """
-    x, alpha = float(case.x), float(case.alpha)
-    lhs, rhs, beta = _family_II(np.array([x]), np.array([alpha]))
-    return _reports("ineq_II", [f"x={x},alpha={alpha},beta={beta.tolist()[0]}"], lhs, rhs)[0]
+    x, alpha, beta = float(case.x), float(case.alpha), float(case.beta)
+    return _reports("ineq_II", [f"x={x},alpha={alpha},beta={beta}"],
+                    *_sides(np.array([1.0 - x]), np.array([x]), np.array([beta])))[0]
 
 
 def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
@@ -253,9 +249,9 @@ def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
     if len(xs) < 2:
         raise DomainError("need at least two grid points")
     cases = [ProofCase(float(x), alpha) for x in xs]
-    points = np.array([case.x for case in cases]), np.array([case.alpha for case in cases])
-    (l1, e1, k1), (r1, f1, m1) = _family_I(*points)
-    (l2, e2, k2), (r2, f2, m2), _ = _family_II(*points)
+    x = np.array([case.x for case in cases])
+    (l1, e1, k1), (r1, f1, m1) = _sides(x, 1.0 - x, np.array([case.alpha for case in cases]))
+    (l2, e2, k2), (r2, f2, m2) = _sides(1.0 - x, x, np.array([case.beta for case in cases]))
     budget = float(np.max(2.0 * (f1 + e2 + f2) + 2.0 * e1))
     steps = np.concatenate([l1[:-1] - l1[1:],    # lhs I nonincreasing
                             r1[1:] - r1[:-1],    # rhs I nondecreasing
@@ -334,10 +330,9 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     convexity grids, midpoint bounds, F-maximum reductions, monotonicity and
     the power-majorization steps. Deterministic report order.
 
-    The sides of the master inequalities and their budgets are the Pfaff
-    series of `check_ineq_I`. The series of all grid points are summed
-    together, lane by lane, with the numbers `check_ineq_I` and
-    `check_ineq_II` give one point at a time.
+    The sides of the master inequalities and their budgets are `_sides`'s,
+    one series batch per inequality for all grid points, with the numbers
+    `check_ineq_I` and `check_ineq_II` give one point at a time.
 
     The grid x_k = k/(2 x_points), together with 1/3 and 2/5 under both
     adjacent alpha, certifies both inequalities on all of (0, 1/2], not only
@@ -352,12 +347,13 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     x = [k / (2.0 * x_points) for k in range(1, x_points + 1)]
     x += [1.0 / 3.0, 1.0 / 3.0, 2.0 / 5.0, 2.0 / 5.0]
     alpha = [alpha_schedule(xi) for xi in x[:x_points]] + [0.0, 0.5, 0.5, 1.0]
-    points = np.array(x), np.array(alpha)
-    lhs, rhs, beta = _family_II(*points)
+    xs, alphas = np.array(x), np.array(alpha)
+    beta = (1.0 - alphas * xs) / (1.0 - xs)
     first = _reports("ineq_I", [f"x={xi},alpha={ai}" for xi, ai in zip(x, alpha)],
-                     *_family_I(*points))
+                     *_sides(xs, 1.0 - xs, alphas))
     second = _reports("ineq_II", [f"x={xi},alpha={ai},beta={bi}"
-                                  for xi, ai, bi in zip(x, alpha, beta.tolist())], lhs, rhs)
+                                  for xi, ai, bi in zip(x, alpha, beta.tolist())],
+                      *_sides(1.0 - xs, xs, beta))
     for pair in zip(first, second):
         reports.extend(pair)
 

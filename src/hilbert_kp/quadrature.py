@@ -297,8 +297,7 @@ def _scaled_I_of_epsilon(eps: float, p: float) -> tuple[float, float, int]:
     the factor 1/eps, it stays finite for every positive eps."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be finite and > 0, got {eps}")
-    if p <= 1.0:
-        raise DomainError(f"p must lie in (1, inf), got {p}")
+    _check_exponents(p, 0.0)   # I(eps) has no alpha
     invp = 1.0 / p
     return _unit_pair(invp + eps * (1.0 - invp), 1.0 - invp * (1.0 - eps))
 

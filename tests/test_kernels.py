@@ -30,6 +30,7 @@ from hilbert_kp.kernels import (
     _image,
     kernel_matrix,
 )
+from hilbert_kp.sequences import _sum2
 
 ROW_SUM_M1_P2_A0 = 1.8600250792  # frozen independent evaluation
 
@@ -400,6 +401,21 @@ class TestFftPath:
         assert budget == (32.0 + 2048 + 2.0 * math.log(2048 + size_b - 1)) * 2.0 ** -53 * value
         assert _image(spec, a, size_b)[2] > 0.0
 
+    def test_fft_path_pairs_by_sum2(self):
+        """From the crossover on the pairing is `_sum2`'s, as on the direct
+        path, and the relative term carries no summation length: the
+        correlation's error is the FFT term."""
+        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=3.0)
+        size_b = kernels._FFT_CROSSOVER // 2048
+        a, b = np.ones(2048), np.ones(size_b)
+        value, budget = _form(spec, Sequence(1, a), Sequence(1, b))
+        v, y, fft_error = _image(spec, a, size_b)
+        assert fft_error > 0.0
+        assert value == _sum2(b * (v * y))
+        bw = b * v
+        assert budget == (1.01 * math.sqrt(float(np.dot(bw, bw))) * fft_error
+                          + (32.0 + 2.0 * math.log(2048 + size_b)) * 2.0 ** -53 * value)
+
     def test_short_support_stays_direct(self):
         """A support shorter than `_FFT_MIN_SUPPORT` is correlated directly
         however long the image: 2 entries onto 2^21, the crossover's
@@ -579,8 +595,10 @@ class TestRowSumAlpha:
             row_sum_alpha(0, 2.0, 0.0)
         with pytest.raises(DomainError):
             row_sum_alpha(1, 2.0, 2.0)
-        with pytest.raises(ParameterError):
-            row_sum_alpha(1, 2.0, 0.0, tol=0.0)
+        # width <= tol cannot hold for a NaN tol, and says nothing for an infinite one
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match=r"^tol must be finite and > 0"):
+                row_sum_alpha(1, 2.0, 0.0, tol=tol)
 
     @pytest.mark.parametrize("p,m,alpha,tol", ROW_SUM_ORACLE_CASES)
     def test_bracket_holds_against_mpmath(self, p, m, alpha, tol):

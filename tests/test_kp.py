@@ -49,8 +49,9 @@ class TestKpNorm:
         assert kp_norm(tf(1, 1, 1), 1.0) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0, rel=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            kp_norm(tf(1), 0.0)
+        for p in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=r"^p must be finite and > 0"):
+                kp_norm(tf(1, 2), p)
         with pytest.raises(DomainError):
             TaylorFunction(Sequence(1, (1.0,)))
 

@@ -22,7 +22,8 @@ from hilbert_kp import (
     check_scalar_constants,
     default_sweep,
 )
-from hilbert_kp.proof_checks import _family_I, _family_II
+from hilbert_kp import proof_checks
+from hilbert_kp.proof_checks import _sides as _library_sides
 from hilbert_kp.quadrature import _power_integral
 
 # Frozen two-sided values from an independent high-precision evaluation.
@@ -192,10 +193,11 @@ class TestFConvexMax:
 
 def _sides(x: float, alpha: float) -> list[tuple[float, float]]:
     """(value, estimate) of lhs_I, rhs_I, lhs_II and rhs_II at one point, read
-    from `_family_I` and `_family_II`."""
-    points = np.array([x]), np.array([alpha])
-    (lhs_i, rhs_i), (lhs_ii, rhs_ii, _) = _family_I(*points), _family_II(*points)
-    return [(float(side[0][0]), float(side[1][0])) for side in (lhs_i, rhs_i, lhs_ii, rhs_ii)]
+    from the library's `_sides`: I at (x, 1-x, alpha), II at (1-x, x, beta)."""
+    xs, xbar = np.array([x]), np.array([1.0 - x])
+    first = _library_sides(xs, xbar, np.array([alpha]))
+    second = _library_sides(xbar, xs, np.array([ProofCase(x, alpha).beta]))
+    return [(float(side[0][0]), float(side[1][0])) for side in (*first, *second)]
 
 
 def ineq_I_lhs(x: float, alpha: float) -> float:
@@ -436,6 +438,19 @@ class TestMonotoneAndSchedule:
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
             check_monotone_in_x(0.0, [0.3])
+
+    def test_one_series_batch_per_inequality(self, monkeypatch):
+        """All three series of all grid points of one inequality are one
+        `_power_integral` call, so the check makes two."""
+        calls = []
+
+        def counted(*args):
+            calls.append(len(np.atleast_1d(args[0])))
+            return _power_integral(*args)
+
+        monkeypatch.setattr(proof_checks, "_power_integral", counted)
+        assert check_monotone_in_x(0.5, np.linspace(1.0 / 3.0, 0.4, 8)).passed
+        assert calls == [24, 24]
 
 
 class TestBernoulliAndScalars:

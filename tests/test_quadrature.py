@@ -116,8 +116,9 @@ class TestIofEpsilon:
     def test_domain(self):
         with pytest.raises(DomainError):
             I_of_epsilon(0.0, 2.0)
-        with pytest.raises(DomainError):
-            I_of_epsilon(0.1, 1.0)
+        for p in (1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"^p must lie in \(1, inf\), got"):
+                I_of_epsilon(0.1, p)
         # eps >= 1 is inside the domain: at eps = 1 both integrands are
         # 1/(1+u) on (0, 1) whatever p is, so I(1) = 2 ln 2
         for p in (1.05, 1.5, 2.0, 3.0, 6.0, 12.0):
