@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels, norms, proof_checks, quadrature
 from .kp import TaylorFunction, hilbert_apply, kp_norm
-from .sequences import Sequence, conjugate, lp_norm, read_sequence, write_sequence
+from .sequences import Sequence, conjugate, read_sequence, write_sequence
 
 def _emit(out: str | None, header: list[str], rows: list[list],
           comments: list[str] | None = None) -> None:
@@ -69,13 +69,15 @@ def random_pair(rng: np.random.Generator, p: float, max_support: int) -> tuple[S
 
 
 def cmd_verify_inequality(args: argparse.Namespace) -> int:
-    """Each form's ratio passes when ratio + budget/denom <= bound + tol,
-    with `kernels._form`'s error budget; tol covers the norms and the bound.
-    A summary line counts the forms and those the FFT path took, with the
-    worst budget/denom and the worst ratio + budget/denom - bound."""
+    """A form passes when ratio + budget (`kernels._ratio`) <= the certified
+    pi/sin(pi/p) from below, `beta_integral(1/p)` less its estimate; the
+    `bound` column is the float pi/sin(pi/p). A summary line counts the
+    forms and the FFT path's, with the worst budget and the worst
+    ratio + budget - certified value."""
     rng = np.random.Generator(np.random.Philox(args.seed))
-    q = conjugate(args.p).q
     bound = norms.theoretical_norm(args.p)
+    certified = quadrature.beta_integral(1.0 / args.p)
+    certified_bound = certified.value - certified.error_estimate
     specs = [
         kernels.KernelSpec(kernels.Variant.WEIGHTED_MAIN, p=args.p),
         kernels.KernelSpec(kernels.Variant.YANG_SHIFT, p=args.p),
@@ -86,19 +88,17 @@ def cmd_verify_inequality(args: argparse.Namespace) -> int:
     worst_budget = worst_excess = -math.inf
     for trial in range(args.trials):
         a, b = random_pair(rng, args.p, args.max_support)
-        denom = lp_norm(a, args.p) * lp_norm(b, q)
         fft_forms += len(specs) * kernels._by_fft(len(a), len(b))
         for spec in specs:
-            value, budget = kernels._form(spec, a, b)
-            ratio, slack = value / denom, budget / denom
-            worst_budget = max(worst_budget, slack)
-            worst_excess = max(worst_excess, ratio + slack - bound)
-            ok = ratio + slack <= bound + args.tol
+            ratio, budget = kernels._ratio(spec, a, b, args.p)
+            worst_budget = max(worst_budget, budget)
+            worst_excess = max(worst_excess, ratio + budget - certified_bound)
+            ok = ratio + budget <= certified_bound
             failures += 0 if ok else 1
             rows.append([trial, spec.variant.value, args.p, len(a), len(b),
                          f"{ratio:.15g}", f"{bound:.15g}", int(ok)])
     _emit(args.out, ["trial", "kernel", "p", "support_a", "support_b", "ratio", "bound", "ok"],
-          rows, [f"p={args.p} tol={args.tol} seed={args.seed} trials={args.trials} "
+          rows, [f"p={args.p} seed={args.seed} trials={args.trials} "
                  f"max_support={args.max_support}",
                  f"forms={len(rows)} fft_forms={fft_forms} worst_budget={worst_budget:.3g} "
                  f"worst_ratio_plus_budget_minus_bound={worst_excess:.6g}"])
@@ -106,17 +106,13 @@ def cmd_verify_inequality(args: argparse.Namespace) -> int:
 
 
 def cmd_proof_check(args: argparse.Namespace) -> int:
-    if args.scalars_only:
-        reports = proof_checks.check_scalar_constants()
-    else:
-        reports = proof_checks.default_sweep(x_points=args.x_grid_size)
+    reports = proof_checks.default_sweep(x_points=args.x_grid_size)
     verdicts = [r.passed for r in reports]
     rows = [[r.name, r.parameters, f"{r.lhs:.15g}", f"{r.rhs:.15g}",
              f"{r.margin:.15g}", f"{r.error_budget:.3g}", int(ok)]
             for r, ok in zip(reports, verdicts)]
-    config = "scalars_only" if args.scalars_only else f"x_grid_size={args.x_grid_size}"
     _emit(args.out, ["name", "parameters", "lhs", "rhs", "margin", "error_budget", "passed"],
-          rows, [config] + _manifest(reports, verdicts))
+          rows, [f"x_grid_size={args.x_grid_size}"] + _manifest(reports, verdicts))
     return 0 if all(verdicts) else 1
 
 
@@ -130,13 +126,13 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
                      f"{theoretical - point.ratio:.12g}"])
     spec = kernels.KernelSpec(kernels.Variant.WEIGHTED_MAIN, p=args.p)
     for N in args.ascent_sizes:
-        est = norms.ascent_lower_bound(spec, args.p, N, args.iters, seed=args.seed or None)
+        est = norms.ascent_lower_bound(spec, args.p, N)
         rows.append(["Ascent", args.p, f"N={N}",
                      f"{est.lower_bound:.12g}", f"{theoretical:.12g}",
                      f"{theoretical - est.lower_bound:.12g}"])
     _emit(args.out, ["method", "p", "params", "lower_bound", "theoretical", "gap"], rows,
-          [f"p={args.p} seed={args.seed} eps_grid={_joined(args.eps_grid)} "
-           f"ascent_sizes={_joined(args.ascent_sizes)} iters={args.iters}"])
+          [f"p={args.p} eps_grid={_joined(args.eps_grid)} "
+           f"ascent_sizes={_joined(args.ascent_sizes)}"])
     return 0
 
 
@@ -175,24 +171,20 @@ def positive_int(text: str) -> int:
     return value
 
 
-def positive_float(text: str) -> float:
-    """argparse type for tolerances and eps values, which must be finite and
-    > 0: `--tol inf` would pass every comparison, and `nan` would fail every
-    one."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
 def positive_ints(text: str) -> tuple[int, ...]:
     """argparse type for a comma-separated list of `positive_int`s."""
     return tuple(positive_int(v) for v in text.split(","))
 
 
 def positive_floats(text: str) -> tuple[float, ...]:
-    """argparse type for a comma-separated list of `positive_float`s."""
-    return tuple(positive_float(v) for v in text.split(","))
+    """argparse type for a comma-separated list of eps values, each finite
+    and > 0: at eps = 0 the extremal family leaves l^p, and `nan` would fail
+    every comparison. The first entry that is not is named."""
+    values = tuple(float(v) for v in text.split(","))
+    bad = [v for v, x in zip(text.split(","), values) if not (math.isfinite(x) and x > 0.0)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {bad[0]}")
+    return values
 
 
 def _joined(values) -> str:
@@ -229,21 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify-inequality", cmd_verify_inequality,
                  "random-pair ratio sweep against pi/sin(pi/p)")
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--tol", type=positive_float, default=1e-12)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=positive_int, default=100)
     sp.add_argument("--max-support", type=positive_int, default=2000)
 
     sp = command("proof-check", cmd_proof_check, "certify the full inequality proof chain")
     sp.add_argument("--x-grid-size", type=positive_int, default=300)
-    sp.add_argument("--scalars-only", action="store_true")
 
     sp = command("norm-bounds", cmd_norm_bounds, "lower-bound ladders vs the theoretical norm")
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--eps-grid", type=positive_floats, default="0.5,0.1,0.05,0.01")
     sp.add_argument("--ascent-sizes", type=positive_ints, default="16,64,256,1024,4096,16384")
-    sp.add_argument("--iters", type=positive_int, default=2000)
 
     sp = command("kp-apply", cmd_kp_apply, "apply the matrix to a coefficient file")
     sp.add_argument("--p", type=float, default=2.0)
@@ -259,11 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Exit status: 0 when every check passes, 1 when a
     check fails, 2 for bad input (argparse's usage errors, and any
-    `ValueError` or `OSError` a command raises, reported on one line)."""
+    `ValueError`, `OSError` or `OverflowError`, such as an input whose sums
+    overflow, that a command raises, reported on one line)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"hilbert-kp {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

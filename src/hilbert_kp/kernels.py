@@ -6,19 +6,18 @@ Variants:
 * ``WEIGHTED_MAIN``    (n/m)^(1/q-1/p) / (m+n-1)
 * ``YANG_SHIFT``       (n/m)^(1/q-1/p) / (m+n)
 * ``YANG_HALF_SHIFT``  ((n-1/2)/(m-1/2))^(1/q-1/p) / (m+n-1)
-* ``ALPHA_ROW``        (m/n)^(1/p) / ((m+n)^(1-alpha) (m+n-1)^alpha), the
-  row summand of the interpolated one-row bound.
 
-All kernel values are strictly positive for m, n >= 1, and every weighted
-variant collapses to the classical kernel at p = 2. Each variant factors as
-w(m) v(n) h(m+n), a row weight, a column weight and a Hankel symbol. The
-operator K^T a is one correlation of the symbol with wa (`_image`), and the
-form is b paired with that image (`_form`). The norm ascent's two products
-are the same correlations, and its certified value is `_form`'s. Every FFT
-correlation goes through `_correlate`, O(L log L) for a transform length L,
-with an explicit rounding bound (`_fft_rounding`). A lopsided shape, a short
-a onto a long image, is cut into overlap-save blocks (`_blocks`), which
-one batched `_correlate` runs together.
+Each form has norm pi/sin(pi/p) on l^p x l^q, all kernel values are
+strictly positive for m, n >= 1, and every weighted variant collapses to
+the classical kernel at p = 2. Each variant factors as w(m) v(n) h(m+n), a
+row weight, a column weight and a Hankel symbol. The operator K^T a is one
+correlation of the symbol with wa (`_image`), the form is b paired with that
+image (`_form`), and `_ratio` normalizes it with a certified budget for the
+norm ascent and `verify-inequality`. Every FFT correlation goes through
+`_correlate`, O(L log L) for a transform length L, with an explicit rounding
+bound (`_fft_rounding`). A lopsided shape, a short a onto a long image, is
+cut into overlap-save blocks (`_blocks`), which one batched `_correlate`
+runs together.
 
 Accuracy contract of the form and the operator. Below `_FFT_CROSSOVER`
 products (support of a times the image length), or for a support of a
@@ -43,9 +42,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError
 from .quadrature import QuadratureResult, _binomial_integral, _check_exponents
-from .sequences import Sequence, _sum2, conjugate, snap_exponent
+from .sequences import Sequence, _sum2, conjugate, lp_norm, snap_exponent
 
 
 class Variant(Enum):
@@ -53,20 +52,16 @@ class Variant(Enum):
     WEIGHTED_MAIN = "WeightedMain"
     YANG_SHIFT = "YangShift"
     YANG_HALF_SHIFT = "YangHalfShift"
-    ALPHA_ROW = "AlphaRow"
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     variant: Variant
     p: float = 2.0
-    alpha: float = 0.0
 
     def __post_init__(self):
         if self.variant is not Variant.CLASSICAL:
             conjugate(self.p)
-        if self.variant is Variant.ALPHA_ROW and not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def weight_exponent(self) -> float:
         """1/q - 1/p, snapped to exactly 0 at p = 2."""
@@ -100,10 +95,6 @@ def kernel_matrix(spec: KernelSpec, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         return _pow_ratio(n, m, spec.weight_exponent()) / (m + n)
     if spec.variant is Variant.YANG_HALF_SHIFT:
         return _pow_ratio(n - 0.5, m - 0.5, spec.weight_exponent()) / (m + n - 1.0)
-    if spec.variant is Variant.ALPHA_ROW:
-        s = m + n
-        return (_pow_ratio(m, n, 1.0 / spec.p)
-                / (s ** (1.0 - spec.alpha) * (s - 1.0) ** spec.alpha))
     raise AssertionError(spec.variant)
 
 
@@ -111,9 +102,6 @@ def _hankel(spec: KernelSpec, m: np.ndarray, n: np.ndarray,
             s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row weights w(m), column weights v(n) and Hankel symbol h(s) of the
     kernel, k(m, n) = w(m) v(n) h(m + n), on float index arrays."""
-    if spec.variant is Variant.ALPHA_ROW:
-        r, alpha = 1.0 / spec.p, spec.alpha
-        return m ** r, n ** -r, 1.0 / (s ** (1.0 - alpha) * (s - 1.0) ** alpha)
     e = 0.0 if spec.variant is Variant.CLASSICAL else spec.weight_exponent()
     shift = 0.5 if spec.variant is Variant.YANG_HALF_SHIFT else 0.0
     h_shift = 0.0 if spec.variant is Variant.YANG_SHIFT else 1.0
@@ -269,10 +257,10 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     terms. In the second, n = len(a) on the direct path, for gamma_n of its
     inner products of nonnegative terms, and 0 by FFT. The rest covers the
     kernel factors (at most 10 u, each power within 2 u, as numpy's is),
-    the exponents 1/q - 1/p, 1/p and 1 - alpha (off by 2 u, moving a factor
-    by at most 2 u ln of the largest index sum), three products, the final
-    rounding, `_sum2`'s u + gamma_(len(b)-1)^2 and gamma_n - n u; each of
-    gamma_n - n u and gamma_(len(b)-1)^2 is under u for lengths up to 2^26.
+    the exponent 1/q - 1/p (off by 2 u, moving a factor by at most 2 u ln
+    of the largest index sum), three products, the final rounding,
+    `_sum2`'s u + gamma_(len(b)-1)^2 and gamma_n - n u; each of gamma_n - n u
+    and gamma_(len(b)-1)^2 is under u for lengths up to 2^26.
     By FFT the pairing's terms t are signed, and Sum2's gamma_(len(b)-1)^2
     multiplies sum |t| <= value + |b v|_2 fft_error: one more second-order
     term.
@@ -298,6 +286,29 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     else:
         absolute, n = 0.0, len(av)
     return value, absolute + (32.0 + n + 2.0 * math.log(len(av) + len(bv))) * 2.0 ** -53 * value
+
+
+def _ratio(spec: KernelSpec, a: Sequence, b: Sequence, p: float) -> tuple[float, float]:
+    """(ratio, budget): `_form`'s value over ||a||_p ||b||_q (`lp_norm`), a
+    and b nonzero, and a bound on its error: `_form`'s budget over the norms
+    plus (10 + |ln ||a||_p| + 3 |ln ||b||_q| + ln(len(b))/q) u ratio.
+
+    The 10 u, u = 2^-53: the powers (2 u) and `_sum2` (u + gamma_(n-1)^2
+    <= 3u/2 for n <= 2^26) move each power sum by 3.5 u, which the roots 1/p
+    and 1/q scale to as much together; the roots add 2 u each, their product
+    and the quotient u each. The rest is the rounded exponents:
+    1/p (off by u) moves ||a||_p by u |ln ||a||_p|, 1/q (off by 2 u) moves
+    ||b||_q by 2 u |ln ||b||_q|, and q (off by u) moves the sum S of b^q by
+    u |ln S - H| <= u (q |ln ||b||_q| + ln(len(b))), H the entropy of the
+    weights b^q/S, and the root 1/q divides that by q. So even unit vectors
+    pay u ln(len(b))/q.
+    """
+    pq = conjugate(p)
+    value, budget = _form(spec, a, b)
+    norm_a, norm_b = lp_norm(a, pq.p), lp_norm(b, pq.q)
+    ratio = value / (norm_a * norm_b)
+    terms = 10.0 + abs(math.log(norm_a)) + 3.0 * abs(math.log(norm_b)) + math.log(len(b)) / pq.q
+    return ratio, budget / (norm_a * norm_b) + terms * 2.0 ** -53 * ratio
 
 
 def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:

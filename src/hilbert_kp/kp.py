@@ -41,11 +41,14 @@ class TaylorFunction:
 
 
 def kp_norm(f: TaylorFunction, p: float) -> float:
-    """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`."""
+    """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`; past the float
+    range it gives inf or raises `OverflowError`, as `_sum2` does."""
     if not (math.isfinite(p) and p > 0.0):
         raise DomainError(f"p must be finite and > 0, got {p}")
     a = f.coeffs.values
-    return _sum2(np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        terms = np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p
+    return _sum2(terms) ** (1.0 / p)
 
 
 def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:

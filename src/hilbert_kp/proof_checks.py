@@ -279,6 +279,15 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
     (1+2/t)^(1/(1-x)) <= (1+2/t)(1 + (x/(1-x)) 2/t),
     (1+2/t)^(1/2)     <= 1 + 1/t,
     (1+2/t)^(4/3)     <= 1 + (4/(3 t^2))(2t+1).
+
+    At x = 1/2 the first step is the identity (1+2/t)^2 = (1+2/t)^2: its
+    margin is exactly 0, and no positive budget can certify it. So the
+    budget is a rounding allowance, -20 u S, u = 2^-53, S the largest side
+    on the grid (9 at t = 1, x = 1/2). The first step's right side errs by
+    at most 8 u (two quotients, sums and products), its left by 11 u (the
+    base's 2 u times an exponent <= 2; the exponent's 2 u, times e ln 3;
+    the power's 2 u), and the subtraction by u S; the others by 5 u S and
+    14 u S.
     """
     if not 0.0 < x <= 0.5:
         raise DomainError(f"x must lie in (0, 1/2], got {x}")
@@ -287,15 +296,13 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
         raise DomainError("grid points must be >= 1")
     u = 2.0 / t
     ratio = x / (1.0 - x)
-    margins = np.concatenate([
-        (1.0 + u) * (1.0 + ratio * u) - (1.0 + u) ** (1.0 / (1.0 - x)),
-        (1.0 + 1.0 / t) - np.sqrt(1.0 + u),
-        (1.0 + 4.0 / (3.0 * t ** 2) * (2.0 * t + 1.0)) - (1.0 + u) ** (4.0 / 3.0),
-    ])
-    # equality is attained (e.g. t = 1, x = 1/2), so allow a rounding-level slack
-    worst = float(margins.min())
-    return CheckReport(
-        "bernoulli_steps", f"x={x},grid={len(t)}", -worst, 0.0, -1e-12)
+    sides = [((1.0 + u) * (1.0 + ratio * u), (1.0 + u) ** (1.0 / (1.0 - x))),
+             (1.0 + 1.0 / t, np.sqrt(1.0 + u)),
+             (1.0 + 4.0 / (3.0 * t ** 2) * (2.0 * t + 1.0), (1.0 + u) ** (4.0 / 3.0))]
+    worst = min(float(np.min(rhs - lhs)) for rhs, lhs in sides)
+    largest = max(float(np.max(side)) for pair in sides for side in pair)
+    return CheckReport("bernoulli_steps", f"x={x},grid={len(t)}", -worst, 0.0,
+                       -20.0 * 2.0 ** -53 * largest)
 
 
 def check_scalar_constants() -> list[CheckReport]:

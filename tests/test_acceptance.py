@@ -166,10 +166,9 @@ def test_7_coefficient_space_at_desk_scale():
 def test_8_cli_determinism(tmp_path, capsys):
     runs = [
         ["verify-inequality", "--trials", "10", "--seed", "13", "--p", "1.5"],
-        ["proof-check", "--scalars-only"],
+        ["proof-check"],
         ["proof-check", "--x-grid-size", "4"],
-        ["norm-bounds", "--eps-grid", "0.5,0.1", "--ascent-sizes", "8,32",
-         "--iters", "200", "--seed", "3"],
+        ["norm-bounds", "--eps-grid", "0.5,0.1", "--ascent-sizes", "8,32"],
         ["beta-table"],
     ]
     ok = True

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from hilbert_kp import Sequence, kernels, proof_checks, write_sequence
+from hilbert_kp import Sequence, kernels, lp_norm, proof_checks, quadrature, write_sequence
 from hilbert_kp.cli import build_parser, main, random_pair
 
 import numpy as np
@@ -41,7 +41,6 @@ class TestParser:
                                       ["proof-check", "--x-grid-size", "0"],
                                       ["verify-inequality", "--max-support", "0"],
                                       ["beta-table", "--points", "0"],
-                                      ["norm-bounds", "--iters", "0"],
                                       ["norm-bounds", "--ascent-sizes", "0"],
                                       ["norm-bounds", "--ascent-sizes", "16,-1"]])
     def test_rejects_vacuous_counts(self, argv, capsys):
@@ -52,18 +51,13 @@ class TestParser:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].endswith(f"must be >= 1, got {argv[-1].split(',')[-1]}")
 
-    @pytest.mark.parametrize("argv", [["verify-inequality", "--tol", "inf"],
-                                      ["verify-inequality", "--tol", "0"],
-                                      ["verify-inequality", "--tol", "-0.5"],
-                                      ["verify-inequality", "--tol", "nan"],
-                                      ["verify-inequality", "--tol", "1e400"],
-                                      ["norm-bounds", "--eps-grid", "-0.5"],
+    @pytest.mark.parametrize("argv", [["norm-bounds", "--eps-grid", "-0.5"],
                                       ["norm-bounds", "--eps-grid", "-1"],
                                       ["norm-bounds", "--eps-grid", "0.5,0"],
                                       ["norm-bounds", "--eps-grid", "nan"]])
     def test_rejects_tolerances_that_are_not_finite_and_positive(self, argv, capsys):
-        """`--tol inf` would pass every comparison, and `nan` would fail
-        every one. An eps of the extremal family must be > 0 as well."""
+        """An eps of the extremal family must be finite and > 0; `nan`
+        would fail every comparison."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -79,14 +73,21 @@ class TestParser:
                                       ["kp-apply", "--input", "f.txt", "--seed", "1"],
                                       ["beta-table", "--p", "3"],
                                       ["beta-table", "--seed", "1"],
-                                      ["beta-table", "--tol", "1e-12"]])
+                                      ["beta-table", "--tol", "1e-12"],
+                                      ["verify-inequality", "--tol", "1e-12"],
+                                      ["norm-bounds", "--seed", "1"],
+                                      ["norm-bounds", "--iters", "50"],
+                                      ["proof-check", "--scalars-only"]])
     def test_rejects_flags_the_command_does_not_read(self, argv, capsys):
+        """The unrecognized flag is argv[-2], or argv[-1] when it takes no
+        value."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        flag = argv[-1] if argv[-1].startswith("--") else argv[-2]
         assert err.startswith(f"usage: hilbert-kp {argv[0]} ")
-        assert f"hilbert-kp {argv[0]}: error: unrecognized arguments: {argv[-2]}" in err
+        assert f"hilbert-kp {argv[0]}: error: unrecognized arguments: {flag}" in err
 
 
 class TestBadInput:
@@ -109,6 +110,7 @@ class TestBadInput:
         (["kp-apply", "--input", "{negative}"], "negative entry -2.0 at index 1"),
         (["norm-bounds", "--p", "2", "--eps-grid", "100000", "--ascent-sizes", "16"],
          "series at x=50000.5, s=1.0, z=1.0 is not finite"),
+        (["kp-apply", "--p", "3", "--input", "{huge}"], "overflow in fsum"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {
@@ -118,6 +120,9 @@ class TestBadInput:
             "no_comma": self.write(tmp_path / "no_comma.txt", "# start_index=0\n0,1.0\n7\n"),
             "not_a_number": self.write(tmp_path / "not_a_number.txt", "# start_index=0\n0,half\n"),
             "negative": self.write(tmp_path / "negative.txt", "# start_index=0\n0,1.0\n1,-2.0\n"),
+            # K^3 terms up to 1000 * 1e306: the finite partial sums overflow
+            "huge": self.write(tmp_path / "huge.txt", "# start_index=0\n"
+                               + "".join(f"{i},1e102\n" for i in range(1000))),
         }
         argv = [a.format(**files) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -197,6 +202,31 @@ class TestVerifyInequality:
         assert [r["ratio"] for r in rows] == [r["ratio"] for r in plain_rows]
 
 
+    def test_fails_above_the_certified_value(self, capsys, monkeypatch):
+        """At p = 2 the certified value of pi/sin(pi/p), beta_integral(1/2)
+        less its estimate, lies 9.3e-14 below the float pi. A ratio 2e-14
+        below pi is within any tolerance above the float bound, but above
+        the certified value, so its row fails."""
+        certified = quadrature.beta_integral(0.5)
+        target = math.pi - 2e-14
+        assert certified.value - certified.error_estimate < target
+        form = kernels._form
+
+        def patched(spec, a, b):
+            if spec.variant is not kernels.Variant.YANG_SHIFT:
+                return form(spec, a, b)
+            return target * lp_norm(a, 2.0) * lp_norm(b, 2.0), 0.0
+
+        monkeypatch.setattr(kernels, "_form", patched)
+        code, out = run_cli(["verify-inequality", "--trials", "2"], capsys)
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
+        assert [r["ok"] for r in rows] == ["1", "0", "1"] * 2
+        assert float(rows[1]["ratio"]) < float(rows[1]["bound"])
+        summary = dict(field.split("=") for field in out.splitlines()[2][2:].split())
+        assert float(summary["worst_ratio_plus_budget_minus_bound"]) > 0.0
+
+
 class TestConfigurationLine:
     """Every report records the flags it ran with on the line after the
     timestamp."""
@@ -204,10 +234,10 @@ class TestConfigurationLine:
     @pytest.mark.parametrize("argv, config", [
         (["beta-table", "--points", "2"], "# points=2"),
         (["beta-table", "--points", "1"], "# points=1"),
-        (["verify-inequality", "--trials", "1", "--p", "3", "--tol", "1e-9"],
-         "# p=3.0 tol=1e-09 seed=0 trials=1 max_support=2000"),
-        (["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "4,8", "--iters", "50"],
-         "# p=2.0 seed=0 eps_grid=0.5 ascent_sizes=4,8 iters=50"),
+        (["verify-inequality", "--trials", "1", "--p", "3"],
+         "# p=3.0 seed=0 trials=1 max_support=2000"),
+        (["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "4,8"],
+         "# p=2.0 eps_grid=0.5 ascent_sizes=4,8"),
     ])
     def test_header_records_the_effective_flags(self, argv, config, capsys):
         """verify-inequality adds one summary line after its configuration."""
@@ -233,21 +263,14 @@ class TestConfigurationLine:
             "quantity", "input_kp_norm", "image_kp_norm_truncated"]
 
     def test_defaults_are_recorded_too(self, capsys):
-        _, out = run_cli(["norm-bounds", "--eps-grid", "0.5", "--iters", "20"], capsys)
-        assert out.splitlines()[1] == ("# p=2.0 seed=0 eps_grid=0.5 "
-                                       "ascent_sizes=16,64,256,1024,4096,16384 iters=20")
+        _, out = run_cli(["norm-bounds", "--eps-grid", "0.5"], capsys)
+        assert out.splitlines()[1] == ("# p=2.0 eps_grid=0.5 "
+                                       "ascent_sizes=16,64,256,1024,4096,16384")
 
 
 class TestProofCheck:
-    def test_scalars_only(self, capsys):
-        code, out = run_cli(["proof-check", "--scalars-only"], capsys)
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
-        assert len(rows) == 4
-        assert all(r["passed"] == "1" for r in rows)
-
     @pytest.mark.parametrize("argv, config", [
-        (["proof-check", "--scalars-only"], "# scalars_only"),
+        (["proof-check"], "# x_grid_size=300"),
         (["proof-check", "--x-grid-size", "6"], "# x_grid_size=6"),
     ])
     def test_header_records_the_configuration_used(self, argv, config, capsys):
@@ -282,9 +305,9 @@ class TestProofCheck:
 
     def test_manifest_counts_a_failed_check(self, capsys, monkeypatch):
         failed = proof_checks.CheckReport("ineq_I", "x=0.1,alpha=0.0", 1.0, 1.5, 1.0, terms=7)
-        monkeypatch.setattr(proof_checks, "check_scalar_constants",
-                            lambda: [failed, replace(failed, error_budget=0.0)])
-        code, out = run_cli(["proof-check", "--scalars-only"], capsys)
+        monkeypatch.setattr(proof_checks, "default_sweep",
+                            lambda x_points: [failed, replace(failed, error_budget=0.0)])
+        code, out = run_cli(["proof-check"], capsys)
         assert code == 1
         assert out.splitlines()[2] == ("# check ineq_I passed=1 failed=1 "
                                        "worst_margin_minus_budget=-0.5 max_series_terms=7")
@@ -313,7 +336,7 @@ class TestProofCheck:
 class TestNormBounds:
     def test_ladder(self, capsys):
         code, out = run_cli(["norm-bounds", "--eps-grid", "0.5,0.1",
-                             "--ascent-sizes", "4,16", "--iters", "300"], capsys)
+                             "--ascent-sizes", "4,16"], capsys)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
         assert [r["method"] for r in rows] == ["EpsilonFamily"] * 2 + ["Ascent"] * 2
@@ -322,8 +345,7 @@ class TestNormBounds:
             assert float(r["gap"]) > 0.0
 
     def test_reproducible_body(self, capsys):
-        argv = ["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "8",
-                "--iters", "100", "--seed", "2"]
+        argv = ["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "8"]
         _, out1 = run_cli(argv, capsys)
         _, out2 = run_cli(argv, capsys)
         assert csv_body(out1) == csv_body(out2)

@@ -42,7 +42,6 @@ ONE_OF_EACH = [
     KernelSpec(Variant.WEIGHTED_MAIN, p=1.3),
     KernelSpec(Variant.YANG_SHIFT, p=3.0),
     KernelSpec(Variant.YANG_HALF_SHIFT, p=6.0),
-    KernelSpec(Variant.ALPHA_ROW, p=2.5, alpha=0.4),
 ]
 
 
@@ -73,11 +72,6 @@ class TestKernelValues:
         assert kernel_matrix(spec, [1], [2])[0, 0] == pytest.approx(
             3.0 ** 0.5 / 2.0, rel=1e-14)
 
-    def test_alpha_row_formula(self):
-        spec = KernelSpec(Variant.ALPHA_ROW, p=2.0, alpha=0.5)
-        assert kernel_matrix(spec, [2], [2])[0, 0] == pytest.approx(
-            1.0 / (2.0 * math.sqrt(3.0)), rel=1e-14)
-
     @pytest.mark.parametrize("variant", [Variant.WEIGHTED_MAIN, Variant.YANG_SHIFT,
                                          Variant.YANG_HALF_SHIFT])
     def test_p2_collapse_bitwise(self, variant):
@@ -101,7 +95,7 @@ class TestKernelValues:
 
     def test_positivity(self):
         for variant in Variant:
-            spec = KernelSpec(variant, p=1.2, alpha=0.5)
+            spec = KernelSpec(variant, p=1.2)
             K = kernel_matrix(spec, np.arange(1, 30), np.arange(1, 30))
             assert np.all(K > 0.0)
             assert np.all(np.isfinite(K))
@@ -119,8 +113,6 @@ class TestKernelValues:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             KernelSpec(Variant.WEIGHTED_MAIN, p=1.0)
-        with pytest.raises(DomainError):
-            KernelSpec(Variant.ALPHA_ROW, p=2.0, alpha=1.5)
 
 
 class TestBilinearForm:
@@ -230,8 +222,7 @@ def exact_kernel(spec, m, n):
             return (n / m) ** e / s
         if spec.variant is Variant.YANG_HALF_SHIFT:
             return ((2 * n - 1) / (2 * m - 1)) ** e / (s - 1)
-        alpha = mpmath.mpf(spec.alpha)
-        return (m / n) ** (1 / p) / (s ** (1 - alpha) * (s - 1) ** alpha)
+        raise AssertionError(spec.variant)
 
 
 class TestHankelCore:
@@ -535,6 +526,47 @@ class TestFormBudgetTerms:
         err = float(abs(got - ref))
         assert _image(spec, a, 1)[2] == 0.0
         assert 0.0 < err <= budget
+
+
+class TestRatioBudget:
+    """`_ratio`'s budget against the 40-digit ratio with the exact conjugate
+    exponent q = p/(p - 1)."""
+
+    @staticmethod
+    def exact_ratio(spec, p, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            P = mpmath.mpf(p)
+            Q = P / (P - 1)
+            A = [mpmath.mpf(float(x)) for x in a]
+            B = [mpmath.mpf(float(y)) for y in b]
+            form = mpmath.fsum(exact_kernel(spec, m, n) * x * y
+                               for m, x in enumerate(A, 1) for n, y in enumerate(B, 1))
+            norm_a = mpmath.fsum(x ** P for x in A) ** (1 / P)
+            norm_b = mpmath.fsum(y ** Q for y in B) ** (1 / Q)
+            return float(form / (norm_a * norm_b))
+
+    @pytest.mark.parametrize("variant", [Variant.WEIGHTED_MAIN, Variant.YANG_HALF_SHIFT])
+    @pytest.mark.parametrize("p,scale_a,scale_b", [(1.996, 1e120, 1.0), (1.996, 1e-120, 1.0),
+                                                   (1.367, 1.0, 1e60), (1.367, 1.0, 1e-60),
+                                                   (1.367, 1e60, 1e-60)])
+    def test_rounded_exponents_need_their_terms(self, variant, p, scale_a, scale_b):
+        """fl(1/p) is off by 0.996 u at p = 1.996, and fl(p/(p-1)) by 0.52 u
+        at p = 1.367. Far from unit norm that moves the ratio by 129 to
+        276 u, beyond `_form`'s budget over the norms plus 10 u (50 u)."""
+        spec = KernelSpec(variant, p=p)
+        a = Sequence(1, scale_a * np.array([1.0, 0.5, 2.0, 0.25]))
+        b = Sequence(1, scale_b * np.array([0.75, 1.5, 1.0]))
+        ratio, budget = kernels._ratio(spec, a, b, p)
+        value, form_budget = _form(spec, a, b)
+        err = abs(ratio - self.exact_ratio(spec, p, a.values, b.values))
+        assert form_budget * ratio / value + 10.0 * 2.0 ** -53 * ratio < err <= budget
+
+    def test_is_the_form_over_the_norms(self):
+        spec = KernelSpec(Variant.YANG_SHIFT, p=3.0)
+        a, b = seq(1.0, 0.0, 2.5, 0.3), seq(0.5, 1.5, 4.0)
+        ratio, _ = kernels._ratio(spec, a, b, 3.0)
+        assert ratio == _form(spec, a, b)[0] / (lp_norm(a, 3.0) * lp_norm(b, 1.5))
 
 
 def row_sum_reference(m, p, alpha, N0=64):

@@ -460,10 +460,12 @@ class TestBernoulliAndScalars:
             assert check_bernoulli_steps(x, grid).passed
 
     def test_bernoulli_equality_point(self):
-        # at x = 1/2, t = 1 the first majorization is an identity
+        # at x = 1/2, t = 1 the first majorization is an identity, so the
+        # budget is a rounding allowance: -20 u times the largest side, 9
         rep = check_bernoulli_steps(0.5, [1.0])
         assert rep.passed
         assert abs(rep.lhs) <= 1e-12
+        assert rep.error_budget == -20.0 * 2.0 ** -53 * 9.0
 
     def test_rejects_small_t(self):
         with pytest.raises(DomainError):
