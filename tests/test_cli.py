@@ -42,7 +42,8 @@ class TestParser:
                                       ["verify-inequality", "--max-support", "0"],
                                       ["beta-table", "--points", "0"],
                                       ["norm-bounds", "--ascent-sizes", "0"],
-                                      ["norm-bounds", "--ascent-sizes", "16,-1"]])
+                                      ["norm-bounds", "--ascent-sizes", "16,-1"],
+                                      ["beta-table", "--points", "-2"]])
     def test_rejects_vacuous_counts(self, argv, capsys):
         """A run that would check nothing is bad input, not a pass."""
         with pytest.raises(SystemExit) as exc:
@@ -54,10 +55,15 @@ class TestParser:
     @pytest.mark.parametrize("argv", [["norm-bounds", "--eps-grid", "-0.5"],
                                       ["norm-bounds", "--eps-grid", "-1"],
                                       ["norm-bounds", "--eps-grid", "0.5,0"],
-                                      ["norm-bounds", "--eps-grid", "nan"]])
+                                      ["norm-bounds", "--eps-grid", "nan"],
+                                      ["norm-bounds", "--eps-grid", "inf"],
+                                      ["norm-bounds", "--eps-grid", "0"],
+                                      ["norm-bounds", "--eps-grid", "-0.0"],
+                                      ["norm-bounds", "--eps-grid", "1e-400"],
+                                      ["norm-bounds", "--eps-grid", "0.1,inf"]])
     def test_rejects_tolerances_that_are_not_finite_and_positive(self, argv, capsys):
         """An eps of the extremal family must be finite and > 0; `nan`
-        would fail every comparison."""
+        would fail every comparison, and `1e-400` rounds to 0."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
