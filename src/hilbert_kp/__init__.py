@@ -15,7 +15,7 @@ from .kernels import (
     bilinear_form,
     row_sum_alpha,
 )
-from .kp import TaylorFunction, hilbert_apply, k1_embedding_bound, kp_norm
+from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .norms import (
     NormEstimate,
     SharpnessPoint,
@@ -43,7 +43,6 @@ from .proof_checks import (
 )
 from .quadrature import (
     F_of_y,
-    I_of_epsilon,
     QuadratureResult,
     beta_integral,
 )
@@ -51,7 +50,6 @@ from .sequences import (
     ExponentPair,
     Sequence,
     conjugate,
-    dual_align,
     kp_to_lp_isometry,
     lp_norm,
     lp_to_kp_isometry,

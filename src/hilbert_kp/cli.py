@@ -246,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Exit status: 0 when every check passes, 1 when a
-    check fails, 2 for bad input (argparse's usage errors, and any
-    `ValueError`, `OSError` or `OverflowError`, such as an input whose sums
-    overflow, that a command raises, reported on one line)."""
+    check fails, 2 for bad input or a crash (argparse's usage errors, and
+    any `ValueError`, `OSError`, `OverflowError`, such as a norm that is not
+    finite, or `MemoryError` that a command raises, reported on one line)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"hilbert-kp {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

@@ -1,5 +1,5 @@
-"""The coefficient space K^p: norms, the Hilbert matrix action on Taylor
-coefficients, and the embedding into K^1.
+"""The coefficient space K^p: norms and the Hilbert matrix action on Taylor
+coefficients.
 
 Only coefficient magnitudes are modeled: every quantity in scope depends on
 |a_m| only, so a `TaylorFunction` holds nonnegative coefficients.
@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import KernelSpec, Variant, _check_n_max, apply_operator
-from .sequences import Sequence, _sum2, conjugate
-
-ZETA_2 = math.pi ** 2 / 6.0
+from .sequences import Sequence, _sum2
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,8 @@ class TaylorFunction:
 
 
 def kp_norm(f: TaylorFunction, p: float) -> float:
-    """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`; past the float
-    range it gives inf or raises `OverflowError`, as `_sum2` does."""
+    """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`; a term or sum
+    past the float range raises `OverflowError`, as `_sum2` does."""
     if not (math.isfinite(p) and p > 0.0):
         raise DomainError(f"p must be finite and > 0, got {p}")
     a = f.coeffs.values
@@ -62,13 +60,3 @@ def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
     a = a[:nz[-1] + 1] if len(nz) else a[:0]
     c = apply_operator(KernelSpec(Variant.CLASSICAL), Sequence(1, a), n_max + 1)
     return TaylorFunction(Sequence(0, c.values))
-
-
-def k1_embedding_bound(f: TaylorFunction, p: float) -> tuple[float, float]:
-    """Both sides of the K^p -> K^1 embedding estimate:
-    lhs = sum a_m/(m+1), rhs = zeta(2)^(1/q) * ||f||_{K^p}."""
-    pq = conjugate(p)
-    a = f.coeffs.values
-    lhs = _sum2(a / np.arange(1.0, len(a) + 1.0))
-    rhs = ZETA_2 ** (1.0 / pq.q) * kp_norm(f, p)
-    return lhs, rhs

@@ -45,14 +45,12 @@ def theoretical_norm(p: float) -> float:
 @dataclass(frozen=True)
 class NormEstimate:
     lower_bound: float
-    p: float
     trace: tuple[float, ...]
     rounding_budget: float   # subtracted from the ascent's form ratio
 
 
 @dataclass(frozen=True)
 class SharpnessPoint:
-    eps: float
     ratio: float
     phi_bound: float
 
@@ -104,11 +102,11 @@ def epsilon_family_ratio(eps: float, p: float) -> SharpnessPoint:
     sum_m m^(-1-eps) - 1/eps.
 
     Every ingredient errs downward: eps I(eps) has the error estimate of its
-    series (`I_of_epsilon`) subtracted, and the denominator uses the upper
-    bound `_phi_upper`, so the reported ratio never overshoots the supremum
-    it approaches. phi lies in (0, 1), as 1/eps < zeta(1 + eps) < 1/eps + 1,
-    so the bound is clipped to [0, 1]. eps I(eps) is summed without the
-    factor 1/eps, so eps may be any finite positive float.
+    series (`_scaled_I_of_epsilon`) subtracted, and the denominator uses the
+    upper bound `_phi_upper`, so the reported ratio never overshoots the
+    supremum it approaches. phi lies in (0, 1), as 1/eps < zeta(1 + eps) <
+    1/eps + 1, so the bound is clipped to [0, 1]. eps I(eps) is summed
+    without the factor 1/eps, so eps may be any finite positive float.
 
     The same value bounds the K^p operator norm from below: the K^p -> l^p
     re-weighting preserves norms, so the bound carries over unchanged.
@@ -118,7 +116,7 @@ def epsilon_family_ratio(eps: float, p: float) -> SharpnessPoint:
     # the same sum governs both norm corrections, so their powers 1/p and
     # 1/q multiply to 1 + eps*phi
     phi_upper = min(max(_phi_upper(eps), 0.0), 1.0)
-    return SharpnessPoint(eps, (eps_I - estimate) / (1.0 + eps * phi_upper), phi_upper)
+    return SharpnessPoint((eps_I - estimate) / (1.0 + eps * phi_upper), phi_upper)
 
 
 def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000) -> NormEstimate:
@@ -162,7 +160,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000) ->
             break
     del w, v, h, spectrum, c, d     # `_ratio` makes its own: half the peak again if kept
     ratio, budget = _ratio(spec, Sequence(1, a), Sequence(1, b), p)
-    return NormEstimate(ratio - budget, p, tuple(trace), budget)
+    return NormEstimate(ratio - budget, tuple(trace), budget)
 
 
 def kp_ratio(f: TaylorFunction, p: float, n_max: int) -> float:

@@ -5,9 +5,10 @@ Every integral of the library is built from
     P(c, s, z) = int_0^1 u^(c-1) (1 + z u)^(-s) du = (1/c) 2F1(s, c; c+1; -z),
 
 summed lane-wise by a hypergeometric series of positive terms with a
-geometric tail bound (`_power_integral`). `beta_integral`, `I_of_epsilon`
-and the master inequalities are sums of a few P; F(y), the row-sum tail and
-the midpoint integrals are binomial series in P (`_binomial_integral`).
+geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
+(`_scaled_I_of_epsilon`) and the master inequalities are sums of a few P;
+F(y), the row-sum tail and the midpoint integrals are binomial series in P
+(`_binomial_integral`).
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -292,22 +293,13 @@ def F_of_y(y: float, p: float, alpha: float) -> QuadratureResult:
 
 
 def _scaled_I_of_epsilon(eps: float, p: float) -> tuple[float, float, int]:
-    """eps I(eps) = P(1/p + eps/q, 1, 1) + P(1 - (1-eps)/p, 1, 1) by
-    `_unit_pair`: the value, the error estimate and the term count. Free of
-    the factor 1/eps, it stays finite for every positive eps."""
+    """eps I(eps) = int_1^inf y^(-(1/p+eps/q))/(1+y) dy + int_0^1
+    x^(-(1/p-eps/p))/(1+x) dx, the sharpness-family integral times eps: with
+    y -> 1/y, P(1/p + eps/q, 1, 1) + P(1 - (1-eps)/p, 1, 1) by `_unit_pair`.
+    Returns value, error estimate and term count; free of the factor 1/eps,
+    it stays finite for every positive eps."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be finite and > 0, got {eps}")
     _check_exponents(p, 0.0)   # I(eps) has no alpha
     invp = 1.0 / p
     return _unit_pair(invp + eps * (1.0 - invp), 1.0 - invp * (1.0 - eps))
-
-
-def I_of_epsilon(eps: float, p: float) -> QuadratureResult:
-    """The sharpness-family integral
-    I(eps) = (1/eps) (int_1^inf y^(-(1/p+eps/q))/(1+y) dy
-                      + int_0^1 x^(-(1/p-eps/p))/(1+x) dx)
-           = (P(1/p + eps/q, 1, 1) + P(1 - (1-eps)/p, 1, 1))/eps,
-    mapping [1, inf) to (0, 1] via y -> 1/y; both series run to double rounding.
-    """
-    value, estimate, terms = _scaled_I_of_epsilon(eps, p)
-    return QuadratureResult(value / eps, estimate / eps, terms)

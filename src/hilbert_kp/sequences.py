@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 
 # Exponents of the form 1/q - 1/p or (p-2)/p are snapped to exactly 0 below
 # this threshold so that p = 2 reduces bit-for-bit to the unweighted case.
@@ -85,9 +85,6 @@ class Sequence:
     def indices(self) -> range:
         return range(self.start_index, self.start_index + len(self.values))
 
-    def is_zero(self) -> bool:
-        return not self.values.any()
-
     def require_nonnegative(self, what: str = "sequence") -> np.ndarray:
         """Raise on a negative entry; otherwise return the values."""
         neg = np.flatnonzero(self.values < 0.0)
@@ -126,30 +123,35 @@ def _sum2(t: np.ndarray) -> float:
     and their sum added to the last partial sum. For n nonnegative terms
     the error is at most (u + gamma_(n-1)^2) S, u = 2^-53, gamma_k =
     k u/(1 - k u), S the exact sum: as if summed in twice the working
-    precision and rounded once. When the partial sums are not finite it
-    returns `math.fsum(t.tolist())`, so an inf term gives inf and an
-    overflowing finite sum raises `OverflowError`, as `fsum` does.
-    """
+    precision and rounded once. Partial sums that are not finite leave the
+    sum to `math.fsum(t.tolist())`, which raises `ValueError` on inf - inf
+    and `OverflowError` on intermediate overflow; any other sum that is not
+    finite raises `OverflowError` too, whatever the order of its terms."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.add.accumulate(t)
     if not len(s) or not math.isfinite(s[-1]):
-        return math.fsum(t.tolist())
-    prev, cur = s[:-1], s[1:]
-    z = cur - prev
-    error = t[1:] - z
-    z -= cur                # in place: at 2e4 entries new temporaries cost more than the sums
-    z += prev               # prev - (cur - z)
-    error += z
-    return float(s[-1]) + float(np.add.reduce(error))    # np.sum's arithmetic, less overhead
+        total = math.fsum(t.tolist())
+    else:
+        prev, cur = s[:-1], s[1:]
+        z = cur - prev
+        error = t[1:] - z
+        z -= cur                # in place: at 2e4 entries new temporaries cost more than the sums
+        z += prev               # prev - (cur - z)
+        error += z
+        total = float(s[-1]) + float(np.add.reduce(error))  # np.sum's arithmetic, less overhead
+    if not math.isfinite(total):
+        raise OverflowError(f"sum of {len(t)} terms is {total}, not finite")
+    return total
 
 
 def lp_norm(s: Sequence, p: float) -> float:
     """(sum |s_m|^p)^(1/p). The sum is `_sum2`'s: for n entries it errs by
     at most (u + gamma_(n-1)^2) of itself, beyond the rounding of each
-    power."""
+    power; a power or sum past the float range raises `OverflowError`."""
     if not math.isfinite(p) or p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
-    return _sum2(np.abs(s.values) ** p) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        return _sum2(np.abs(s.values) ** p) ** (1.0 / p)
 
 
 def _dual_align_vec(c: np.ndarray, p: float) -> tuple[np.ndarray, float]:
@@ -158,19 +160,6 @@ def _dual_align_vec(c: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     and the norm it divided by."""
     norm = float(np.sum(c ** p)) ** (1.0 / p)
     return (c / norm) ** (p - 1.0), norm
-
-
-def dual_align(c: Sequence, p: float) -> Sequence:
-    """Unit l^q vector attaining Hölder equality against nonnegative c.
-
-    Returns b with ||b||_q = 1 and sum c_n b_n = ||c||_p, via
-    b_n = (c_n / ||c||_p)^(p-1) (`_dual_align_vec`).
-    """
-    pq = conjugate(p)
-    c.require_nonnegative("dual_align input")
-    if c.is_zero():
-        raise DegenerateInputError("cannot align against the zero sequence")
-    return Sequence(c.start_index, _dual_align_vec(c.values, pq.p)[0])
 
 
 def kp_to_lp_isometry(a: Sequence, p: float) -> Sequence:

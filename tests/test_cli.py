@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from hilbert_kp import Sequence, kernels, lp_norm, proof_checks, quadrature, write_sequence
+from hilbert_kp import cli
 from hilbert_kp.cli import build_parser, main, random_pair
 
 import numpy as np
@@ -117,6 +118,7 @@ class TestBadInput:
         (["norm-bounds", "--p", "2", "--eps-grid", "100000", "--ascent-sizes", "16"],
          "series at x=50000.5, s=1.0, z=1.0 is not finite"),
         (["kp-apply", "--p", "3", "--input", "{huge}"], "overflow in fsum"),
+        (["kp-apply", "--p", "3", "--input", "{spike}"], "sum of 1 terms is inf, not finite"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {
@@ -129,6 +131,8 @@ class TestBadInput:
             # K^3 terms up to 1000 * 1e306: the finite partial sums overflow
             "huge": self.write(tmp_path / "huge.txt", "# start_index=0\n"
                                + "".join(f"{i},1e102\n" for i in range(1000))),
+            # a single K^3 term 1e600: the term itself is inf
+            "spike": self.write(tmp_path / "spike.txt", "# start_index=0\n0,1e200\n"),
         }
         argv = [a.format(**files) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -141,6 +145,18 @@ class TestBadInput:
         assert err[0].startswith(f"hilbert-kp {argv[0]}: error: ")
         assert needle in err[0]
 
+    def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A `MemoryError` is a crash, not a failed check: exit 2, one line."""
+        def refuse(f, n_max):
+            raise MemoryError(f"Unable to allocate {8 * (n_max + 1)} bytes")
+        monkeypatch.setattr(cli, "hilbert_apply", refuse)
+        path = self.write(tmp_path / "one.txt", "# start_index=0\n0,1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["kp-apply", "--input", path, "--n-max", "1000000000000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["hilbert-kp kp-apply: error: Unable to allocate 8000000000008 bytes"]
+
 
 class TestRandomPair:
     def test_shapes_and_signs(self):
@@ -149,7 +165,7 @@ class TestRandomPair:
         assert a.start_index == 1 and b.start_index == 1
         assert 1 <= len(a) <= 500 and 1 <= len(b) <= 500
         assert all(v >= 0.0 for v in a.values)
-        assert not a.is_zero() and not b.is_zero()
+        assert a.values.any() and b.values.any()
 
     def test_seeded_determinism(self):
         pairs = []

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ class TestBilinearForm:
     def test_never_exceeds_theoretical(self, a_vals, b_vals, p):
         """The main inequality on random nonnegative pairs."""
         a, b = seq(*a_vals), seq(*b_vals)
-        if a.is_zero() or b.is_zero():
+        if not (a.values.any() and b.values.any()):
             return
         q = conjugate(p).q
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=p)
@@ -567,6 +568,14 @@ class TestRatioBudget:
         a, b = seq(1.0, 0.0, 2.5, 0.3), seq(0.5, 1.5, 4.0)
         ratio, _ = kernels._ratio(spec, a, b, 3.0)
         assert ratio == _form(spec, a, b)[0] / (lp_norm(a, 3.0) * lp_norm(b, 1.5))
+
+    def test_a_norm_past_the_float_range_raises(self):
+        """1e200 cubed is inf: an error, not a ratio of 0 over an inf norm."""
+        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="not finite"):
+                kernels._ratio(spec, seq(1e200), seq(1.0), 3.0)
 
 
 def row_sum_reference(m, p, alpha, N0=64):

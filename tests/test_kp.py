@@ -14,14 +14,11 @@ from hilbert_kp import (
     TaylorFunction,
     Variant,
     apply_operator,
-    conjugate,
     hilbert_apply,
-    k1_embedding_bound,
     kp_norm,
     kp_to_lp_isometry,
     lp_norm,
 )
-from hilbert_kp.kp import ZETA_2
 
 nonneg_entry = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
 nonneg_values = st.lists(nonneg_entry, min_size=1, max_size=25)
@@ -63,9 +60,9 @@ class TestKpNorm:
 
 
 class TestAgainstCoefficientLoops:
-    """The array forms of `kp_norm` and the embedding's lhs against the sums
-    written one coefficient at a time. Only `**` may round differently in
-    numpy and in Python, by an ulp or two per term."""
+    """The array form of `kp_norm` against the sum written one coefficient
+    at a time. Only `**` may round differently in numpy and in Python, by
+    an ulp or two per term."""
 
     @given(nonneg_values, st.floats(1.1, 8.0))
     @settings(max_examples=100)
@@ -73,16 +70,9 @@ class TestAgainstCoefficientLoops:
         loop = math.fsum((m + 1) ** (p - 2.0) * v ** p for m, v in enumerate(vals)) ** (1.0 / p)
         assert kp_norm(tf(*vals), p) == pytest.approx(loop, rel=1e-15, abs=1e-300)
 
-    @given(nonneg_values, st.floats(1.1, 8.0))
-    @settings(max_examples=100)
-    def test_embedding_lhs(self, vals, p):
-        loop = math.fsum(v / (m + 1) for m, v in enumerate(vals))
-        assert k1_embedding_bound(tf(*vals), p)[0] == loop
-
     def test_empty(self):
         empty = TaylorFunction(Sequence(0, ()))
         assert kp_norm(empty, 3.0) == 0.0
-        assert k1_embedding_bound(empty, 3.0) == (0.0, 0.0)
 
 
 class TestHilbertApply:
@@ -177,32 +167,3 @@ class TestIsometryConsistency:
                              kp_to_lp_isometry(f.coeffs, p), n + 1).values
         assert lhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
 
-
-class TestEmbedding:
-    def test_frozen_zeta(self):
-        assert ZETA_2 == pytest.approx(1.64493406684823, rel=1e-14)
-
-    def test_constant_term(self):
-        lhs, rhs = k1_embedding_bound(tf(1), 2.0)
-        assert lhs == 1.0
-        assert rhs == pytest.approx(math.sqrt(ZETA_2), rel=1e-14)
-        assert lhs <= rhs
-
-    @given(nonneg_values, st.floats(1.1, 8.0))
-    @settings(max_examples=150)
-    def test_bound_holds(self, vals, p):
-        lhs, rhs = k1_embedding_bound(tf(*vals), p)
-        assert lhs <= rhs * (1 + 1e-12) + 1e-300
-
-    def test_near_extremal(self):
-        # a_m = (m+1)^(-1/q') saturation pattern for p = 2: a_m = (m+1)^(-1/2)
-        vals = [(m + 1) ** -0.5 for m in range(2000)]
-        lhs, rhs = k1_embedding_bound(tf(*vals), 2.0)
-        assert lhs / rhs > 0.6
-
-    def test_conjugate_exponent_used(self):
-        lhs3, rhs3 = k1_embedding_bound(tf(1, 1), 3.0)
-        q3 = conjugate(3.0).q
-        assert rhs3 == pytest.approx(ZETA_2 ** (1.0 / q3) * kp_norm(tf(1, 1), 3.0),
-                                     rel=1e-14)
-        assert lhs3 <= rhs3

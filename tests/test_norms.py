@@ -150,7 +150,7 @@ class TestEpsilonFamilyRatio:
 
     def test_sharpness_point_validates(self):
         with pytest.raises(ParameterError):
-            SharpnessPoint(0.1, 3.0, 1.5)
+            SharpnessPoint(3.0, 1.5)
 
 
 class TestAscent:

@@ -6,12 +6,11 @@ import pytest
 from hilbert_kp import (
     DomainError,
     F_of_y,
-    I_of_epsilon,
     ParameterError,
     QuadratureResult,
     beta_integral,
 )
-from hilbert_kp.quadrature import _binomial_integral, _power_integral
+from hilbert_kp.quadrature import _binomial_integral, _power_integral, _scaled_I_of_epsilon
 
 # Reference values frozen from an independent high-precision evaluation
 # (mpmath at 30 significant digits).
@@ -101,28 +100,32 @@ class TestFofY:
 
 
 class TestIofEpsilon:
+    """`_scaled_I_of_epsilon` returns eps I(eps), the value
+    `epsilon_family_ratio` certifies, so I(eps) is compared times eps."""
+
     @pytest.mark.parametrize("eps,expected", sorted(I_VALUES_P2.items()))
     def test_frozen_values_p2(self, eps, expected):
-        res = I_of_epsilon(eps, 2.0)
-        assert res.value == pytest.approx(expected, rel=1e-9)
+        value, _, _ = _scaled_I_of_epsilon(eps, 2.0)
+        assert value == pytest.approx(eps * expected, rel=1e-9)
 
     def test_approaches_theoretical_scaled(self):
         # eps*I(eps) -> pi/sin(pi/p) as eps -> 0
         for p in (1.5, 2.0, 3.0):
-            v = 0.001 * I_of_epsilon(0.001, p).value
+            v, _, _ = _scaled_I_of_epsilon(0.001, p)
             assert v == pytest.approx(math.pi / math.sin(math.pi / p), abs=2e-2)
             assert v < math.pi / math.sin(math.pi / p)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            I_of_epsilon(0.0, 2.0)
+            _scaled_I_of_epsilon(0.0, 2.0)
         for p in (1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match=r"^p must lie in \(1, inf\), got"):
-                I_of_epsilon(0.1, p)
+                _scaled_I_of_epsilon(0.1, p)
         # eps >= 1 is inside the domain: at eps = 1 both integrands are
-        # 1/(1+u) on (0, 1) whatever p is, so I(1) = 2 ln 2
+        # 1/(1+u) on (0, 1) whatever p is, so 1 * I(1) = 2 ln 2
         for p in (1.05, 1.5, 2.0, 3.0, 6.0, 12.0):
-            assert I_of_epsilon(1.0, p).value == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+            value, _, _ = _scaled_I_of_epsilon(1.0, p)
+            assert value == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
 
 
 mpmath = pytest.importorskip("mpmath")
@@ -151,27 +154,29 @@ class TestIndependentOracle:
         assert F_of_y(y, p, alpha).value == pytest.approx(float(exact), abs=1e-9)
 
     def test_I_of_epsilon(self):
+        # eps I(eps), the two integrals without the factor 1/eps
         eps, p = 0.25, 3.0
         q = p / (p - 1.0)
         with mpmath.workdps(30):
-            exact = (mpmath.quad(lambda y: y ** (-(1.0 / p + eps / q)) / (1.0 + y),
-                                 [1, mpmath.inf])
-                     + mpmath.quad(lambda x: x ** (-(1.0 - eps) / p) / (1.0 + x),
-                                   [0, 1])) / eps
-        assert I_of_epsilon(eps, p).value == pytest.approx(float(exact), rel=1e-9)
+            eps_exact = (mpmath.quad(lambda y: y ** (-(1.0 / p + eps / q)) / (1.0 + y),
+                                     [1, mpmath.inf])
+                         + mpmath.quad(lambda x: x ** (-(1.0 - eps) / p) / (1.0 + x),
+                                       [0, 1]))
+        value, _, _ = _scaled_I_of_epsilon(eps, p)
+        assert value == pytest.approx(float(eps_exact), rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 6.0, 12.0])
     def test_I_of_epsilon_estimate_bounds_error(self, p):
         # int_0^1 u^(c-1)/(1+u) du = Phi(-1, 1, c) at 40 digits; the error
-        # estimate must bound the error
+        # estimate must bound the error of eps I(eps), the certified value
         with mpmath.workdps(40):
             mp = mpmath.mpf(p)
             for eps in (2.0, 1.0, 0.5, 0.1, 0.05, 0.01, 0.001):
                 me = mpmath.mpf(eps)
                 exact = (mpmath.lerchphi(-1, 1, 1 / mp + me * (1 - 1 / mp))
                          + mpmath.lerchphi(-1, 1, 1 - (1 - me) / mp)) / me
-                res = I_of_epsilon(eps, p)
-                assert abs(res.value - exact) <= res.error_estimate, eps
+                value, estimate, _ = _scaled_I_of_epsilon(eps, p)
+                assert abs(value - me * exact) <= estimate, eps
 
 
 def _H_reference(y, x, alpha, r):

@@ -4,17 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hilbert_kp import (
-    DegenerateInputError,
     DomainError,
     InvalidInputError,
     Sequence,
     TaylorFunction,
     conjugate,
-    dual_align,
     epsilon_family,
     kp_to_lp_isometry,
     lp_norm,
@@ -23,7 +21,7 @@ from hilbert_kp import (
     read_sequence,
     write_sequence,
 )
-from hilbert_kp.sequences import _sum2
+from hilbert_kp.sequences import _dual_align_vec, _sum2
 
 # zero or a comfortably normal magnitude; extreme denormals underflow in any
 # double-precision p-th power and are out of scope
@@ -89,13 +87,16 @@ class TestSum2:
             assert _sum2(t) == math.fsum(t.tolist()), (p, size)
 
     def test_overflow_falls_back_to_fsum(self):
-        """A sum that is not finite is left to `fsum`: the same inf, or the
-        same OverflowError, and no RuntimeWarning from the TwoSum step."""
+        """Partial sums that are not finite are left to `fsum`, which keeps
+        a signed sum whose exact value is finite. A sum that is not finite
+        raises `OverflowError` whether its terms overflow or one of them is
+        inf, and no RuntimeWarning comes from the TwoSum step."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError):
                 _sum2(np.array([1e308, 1e308, 1.0]))
-            assert _sum2(np.array([1.0, math.inf, 2.0])) == math.inf
+            with pytest.raises(OverflowError, match="not finite"):
+                _sum2(np.array([1.0, math.inf, 2.0]))
             with pytest.raises(ValueError):
                 _sum2(np.array([math.inf, -math.inf]))
             assert _sum2(np.array([1.7e308, -1.7e308, 5.0])) == 5.0
@@ -133,43 +134,45 @@ class TestHoelder:
 
 
 class TestDualAlign:
+    """`_dual_align_vec`, the Hölder alignment the ascent runs on its
+    images, which are positive."""
+
+    @staticmethod
+    def align(*values, p):
+        return _dual_align_vec(np.array(values, dtype=float), p)
+
     def test_spike(self):
-        b = dual_align(seq(1, 0, 0), 3.0)
-        assert b.values.tolist() == [1.0, 0.0, 0.0]
+        b, norm = self.align(1, 0, 0, p=3.0)
+        assert b.tolist() == [1.0, 0.0, 0.0] and norm == 1.0
 
     def test_symmetric_p2(self):
-        b = dual_align(seq(1, 1), 2.0)
-        assert b.values[0] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert b.values[0] == b.values[1]
+        b, norm = self.align(1, 1, p=2.0)
+        assert b[0] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert b[0] == b[1]
+        assert norm == pytest.approx(math.sqrt(2), rel=1e-15)
 
     def test_two_one_p3(self):
-        c = seq(2, 1)
-        b = dual_align(c, 3.0)
+        b, norm = self.align(2, 1, p=3.0)
         scale = 9.0 ** (2.0 / 3.0)
-        assert b.values[0] == pytest.approx(4.0 / scale, rel=1e-13)
-        assert b.values[1] == pytest.approx(1.0 / scale, rel=1e-13)
-        assert lp_norm(b, 1.5) == pytest.approx(1.0, rel=1e-12)
-        pairing = math.fsum(x * y for x, y in zip(c.values, b.values))
-        assert pairing == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-12)
+        assert b[0] == pytest.approx(4.0 / scale, rel=1e-13)
+        assert b[1] == pytest.approx(1.0 / scale, rel=1e-13)
+        assert lp_norm(Sequence(1, b), 1.5) == pytest.approx(1.0, rel=1e-12)
+        assert math.fsum([2.0 * b[0], b[1]]) == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-12)
+        assert norm == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-15)
 
     @given(nonneg_values, exponents)
     @settings(max_examples=200)
     def test_attains_equality(self, vals, p):
+        assume(any(vals))
         c = seq(*vals)
-        if c.is_zero():
-            with pytest.raises(DegenerateInputError):
-                dual_align(c, p)
-            return
         pq = conjugate(p)
-        b = dual_align(c, p)
-        assert lp_norm(b, pq.q) == pytest.approx(1.0, rel=1e-12)
-        pairing = math.fsum(x * y for x, y in zip(c.values, b.values))
+        b, norm = _dual_align_vec(c.values, p)
+        assert lp_norm(Sequence(1, b), pq.q) == pytest.approx(1.0, rel=1e-12)
+        pairing = math.fsum(x * y for x, y in zip(c.values, b))
         assert pairing == pytest.approx(lp_norm(c, p), rel=1e-12)
+        assert norm == pytest.approx(lp_norm(c, p), rel=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError,
-                           match=r"^dual_align input has negative entry -1.0 at index 2$"):
-            dual_align(seq(1, -1), 2.0)
         with pytest.raises(InvalidInputError, match=r"^b has negative entry -0.25 at index 1$"):
             seq(0, -0.25, 3, -7, start=0).require_nonnegative("b")
         # an array entry is reported as a Python float, not as np.float64(...)
@@ -236,7 +239,7 @@ class TestAgainstElementLoops:
         c, _ = epsilon_family(0.05, p, self.M)
         norm = float(np.sum(c.values ** p)) ** (1.0 / p)
         ref = [(v / norm) ** (p - 1.0) for v in c.values.tolist()]
-        self.assert_within_ulps(dual_align(c, p), ref, p)
+        self.assert_within_ulps(Sequence(1, _dual_align_vec(c.values, p)[0]), ref, p)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
     def test_kp_to_lp_isometry(self, p):
