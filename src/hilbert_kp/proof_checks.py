@@ -92,7 +92,13 @@ def _logconvexity(name: str, parameters: str, bases, p: float, alpha: float,
 def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
     """(log f)'' > 0 for f(t) = t^(-1/p) (m+t)^(alpha-1) (m+t-1)^(-alpha),
     m >= 1, at every grid point t > 0; the second difference steps by
-    1e-4 max(1, t)."""
+    1e-4 max(1, t).
+
+    The sign holds at every t > 0, not only on the grid:
+    (log f)'' = t^-2/p + (1-alpha) (m+t)^-2 + alpha (m+t-1)^-2, the bases
+    t, m+t and m+t-1 are positive, and `_check_exponents` enforces
+    0 <= alpha <= 1, so every term is >= 0 and t^-2/p > 0. The grid
+    values and second differences are a cross-check of that argument."""
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     t = np.asarray(sorted(t_grid), dtype=float)
@@ -105,7 +111,14 @@ def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
 def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckReport:
     """(log g_t)'' > 0 for g_t(y) = (t+y)^(-1/p) (t+1+y)^(alpha-1) (t+1-y)^(-alpha),
     t > 0, at every grid point y in [0, 1/2]; the second difference steps
-    by 1e-4 at the grid points at least that far inside."""
+    by 1e-4 at the grid points at least that far inside.
+
+    The sign holds at every y in [0, 1/2], not only on the grid:
+    (log g_t)'' = (t+y)^-2/p + (1-alpha) (t+1+y)^-2 + alpha (t+1-y)^-2,
+    the bases are positive (t+1-y >= t+1/2), and `_check_exponents`
+    enforces 0 <= alpha <= 1, so every term is >= 0 and (t+y)^-2/p > 0.
+    The grid values and second differences are a cross-check of that
+    argument."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     y = np.asarray(sorted(y_grid), dtype=float)
@@ -292,7 +305,7 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
     if not 0.0 < x <= 0.5:
         raise DomainError(f"x must lie in (0, 1/2], got {x}")
     t = np.asarray(sorted(t_grid), dtype=float)
-    if np.any(t < 1.0):
+    if not np.all(t >= 1.0):   # NaN too
         raise DomainError("grid points must be >= 1")
     u = 2.0 / t
     ratio = x / (1.0 - x)

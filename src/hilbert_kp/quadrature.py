@@ -9,6 +9,10 @@ geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
 (`_scaled_I_of_epsilon`) and the master inequalities are sums of a few P;
 F(y), the row-sum tail and the midpoint integrals are binomial series in P
 (`_binomial_integral`).
+A batch of up to three series, as every single-point integral is, is
+summed lane by lane on Python floats; larger batches, and a small one with a
+series longer than 128 terms, by a numpy engine over all lanes at once.
+The two paths round alike, so a lane's result has the same bits on either.
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -44,6 +48,8 @@ _CELLS = 64 * _WIDTH
 # No series with a finite value comes near this: its terms peak near k = 2a,
 # and (1+z)^a overflows for a above about 650 at z = 2.
 _MAX_TERMS = 2 ** 16
+# Batches of at most this many lanes are summed on Python floats first.
+_SCALAR_LANES = 3
 
 
 def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,9 +81,13 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = 1/2, 1 and 2. `DomainError` names a lane outside that domain, one
     needing more than 2^16 terms, or one whose value or estimate is not finite.
 
-    Lanes are summed together (`_sum_lanes`) with the operations of a scalar
+    A batch of at most `_SCALAR_LANES` lanes is summed one lane at a time on
+    Python floats (`_sum_scalar`), which spares a single-point integral the
+    batch engine's fixed cost of some 60 numpy calls. Larger batches, and
+    a small one with a lane not stopped within `_WIDTH` terms, are summed
+    together (`_sum_batch`). Both paths do the operations of one scalar
     loop in its order, so each lane's value, estimate and term count are
-    those of summing it alone.
+    the same bits whichever path sums it.
     """
     xsz = np.empty((3, np.broadcast(x, s, z).size))
     xsz[0], xsz[1], xsz[2] = x, s, z
@@ -86,6 +96,64 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not ok.all():
         i = int(np.argmin(ok))
         raise DomainError(f"need finite x > 0, s and z >= 0, got {_lane(x, s, z, i)}")
+    summed = _sum_scalar(x.tolist(), s.tolist(), z.tolist()) if len(x) <= _SCALAR_LANES else None
+    value, estimate, terms = summed or _sum_batch(x, s, z)
+    finite = np.isfinite(estimate)   # and so is every value
+    if not finite.all():
+        raise DomainError(f"series at {_lane(x, s, z, int(np.argmin(finite)))} is not finite")
+    return value, estimate, terms
+
+
+def _lane(x, s, z, i: int) -> str:
+    return f"x={float(x[i])}, s={float(s[i])}, z={float(z[i])}"
+
+
+# The term indices of `_sum_scalar`, as floats: the batch engine's k.
+_SCALAR_TERMS = [float(k) for k in range(_WIDTH)]
+
+
+def _sum_scalar(x, s, z):
+    """The lanes of `_power_integral` (lists of floats), one at a time, by
+    the scalar loop that `_sum_lanes` vectorizes: the same operations on
+    the same floats in the same order, then the same scale, gamma,
+    relative term and estimate as `_sum_batch`. Returns value, estimate
+    and term count arrays, or None if a lane has not stopped within
+    `_WIDTH` terms."""
+    out = []
+    for xi, si, zi in zip(x, s, z):
+        euler = (1.0 - si) + xi <= 0.0
+        num, den = (si, xi + 1.0) if euler else ((1.0 - si) + xi, 1.0)
+        base = 1.0 + zi
+        zb = base - 1.0
+        d = (1.0 - (base - zb)) + (zi - zb)
+        w = zi / base
+        coeff, S, comp = 1.0, 0.0, 0.0
+        for k in _SCALAR_TERMS:
+            factor = (num + k) / (den + k) * w
+            r = max(factor, w)
+            t = coeff if euler else coeff / (xi + k)
+            coeff *= factor
+            partial = S + t
+            bb = partial - S
+            comp += (S - (partial - bb)) + (t - bb)   # TwoSum error of S + t
+            S = partial
+            if r < 1.0 and t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S:
+                break
+        else:
+            return None
+        scale = base ** -si / xi if euler else base ** -xi
+        value = scale * (S + comp)
+        gamma = k / (2.0 ** 53 - k)
+        relative = ((6 * k + 8) * _UNIT_ROUNDOFF + gamma * gamma
+                    + (si if euler else xi) * abs(d) / base)
+        out.append((value, scale * (t * r / (1.0 - r)) + relative * value, int(k) + 1))
+    return tuple(np.array(column) for column in zip(*out))
+
+
+def _sum_batch(x, s, z):
+    """The lanes of `_power_integral` (1-D arrays) summed together in
+    passes (`_sum_lanes`): value, estimate and term count arrays. A lane
+    needing more than `_MAX_TERMS` terms raises `DomainError`."""
     euler = (1.0 - s) + x <= 0.0
     base = 1.0 + z
     zb = base - 1.0
@@ -96,7 +164,7 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table[2], table[3], table[4], table[5] = np.where(euler, x + 1.0, 1.0), z / base, ~euler, 1.0
     width = 1 << (min(max(_CELLS // max(len(x), 1), 32), _WIDTH).bit_length() - 1)
     # A pass runs the columns not yet stopped in chunks. A lane whose terms
-    # overflow runs on to the term cap, or stops with a sum rejected below.
+    # overflow runs on to the term cap, or stops with a sum `_power_integral` rejects.
     live, index, k0 = table, np.arange(len(x)), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while len(index):
@@ -122,14 +190,7 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         relative = ((6 * last + 8) * _UNIT_ROUNDOFF + gamma * gamma
                     + np.where(euler, s, x) * np.abs(d) / base)
         estimate = scale * (table[9] * table[7] / (1.0 - table[7])) + relative * value
-    finite = np.isfinite(estimate)   # and so is every value
-    if not finite.all():
-        raise DomainError(f"series at {_lane(x, s, z, int(np.argmin(finite)))} is not finite")
     return value, estimate, (last + 1).astype(int)
-
-
-def _lane(x, s, z, i: int) -> str:
-    return f"x={float(x[i])}, s={float(s[i])}, z={float(z[i])}"
 
 
 def _sum_lanes(lanes, k):

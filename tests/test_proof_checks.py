@@ -22,9 +22,9 @@ from hilbert_kp import (
     check_scalar_constants,
     default_sweep,
 )
-from hilbert_kp import proof_checks
+from hilbert_kp import F_of_y, beta_integral, proof_checks, quadrature, row_sum_alpha
 from hilbert_kp.proof_checks import _sides as _library_sides
-from hilbert_kp.quadrature import _power_integral
+from hilbert_kp.quadrature import _power_integral, _scaled_I_of_epsilon
 
 # Frozen two-sided values from an independent high-precision evaluation.
 INEQ_FROZEN = {
@@ -329,16 +329,20 @@ _EULER_LANES = [(1.0 - 1.0 / p, 1.0 + J, z) for p in (1.05, 2.0, 3.0, 12.0)
                 for J in (1, 2, 7, 30, 90) for z in (1.0, 0.0, 1e-6, 0.05, 0.0999)]
 
 
+# The six families on a 1001-point grid from x = 1/6000, two lanes too long
+# for a first pass (743 and 268 terms), and the Euler lanes.
+_MIXED_LANES = (_six_families([k / 6000.0 for k in range(1, 3001, 3)] + [0.5])
+                + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)] + _EULER_LANES)
+
+
 class TestBatchedSeries:
     def test_lanes_equal_the_scalar_loop(self):
         """Summed together, in passes that mix families and both series,
         every lane has the value, estimate and term count of its series
         summed alone; so do lanes too long for the first pass (743 and 268
         terms, and the J = 90 lanes at z = 1)."""
-        xs = [k / 6000.0 for k in range(1, 3001, 3)] + [0.5]
-        lanes = (_six_families(xs) + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)]
-                 + _EULER_LANES)
-        assert xs[0] == 1.0 / 6000.0
+        lanes = _MIXED_LANES
+        assert lanes[0][0] == 1.0 / 6000.0
         value, estimate, terms = _power_integral(*np.array(lanes).T)
         euler = len(_EULER_LANES)
         assert terms[-euler - 2:-euler].tolist() == [743, 268]
@@ -369,6 +373,54 @@ class TestBatchedSeries:
             assert (value[i], estimate[i], terms[i]) == expected, lane
             alone = _power_integral(*lane)
             assert (alone[0][0], alone[1][0], alone[2][0]) == expected, lane
+
+    def test_small_batches_equal_the_scalar_loop(self):
+        """Every lane of this class, summed in batches of one, two and three
+        lanes, has the value, estimate and term count of the scalar loop:
+        on Python floats, or by the batch engine where a lane of the batch
+        needs more than 128 terms."""
+        lanes = _MIXED_LANES + list(self.BOUNDARY_LANES.values())
+        expected = [_power_integral_reference(*lane) for lane in lanes]
+        for size in (1, 2, 3):
+            summed = []
+            for lo in range(0, len(lanes), size):
+                value, estimate, terms = _power_integral(*np.array(lanes[lo:lo + size]).T)
+                summed += zip(value.tolist(), estimate.tolist(), terms.tolist())
+            assert summed == expected, size
+
+    def test_small_batches_skip_the_batch_engine(self, monkeypatch):
+        """Up to three lanes that stop within 128 terms never reach
+        `_sum_lanes`, nor do the single-point integrals; a fourth lane does."""
+        def engine(*args):
+            raise AssertionError("entered _sum_lanes")
+
+        monkeypatch.setattr(quadrature, "_sum_lanes", engine)
+        lanes = [(0.3, 1.0, 1.0), (0.7, 1.0, 1.0), (0.25, 2.5, 0.05)]
+        for size in (1, 2, 3):
+            _power_integral(*np.array(lanes[:size]).T)
+        beta_integral(0.3)
+        F_of_y(0.05, 2.0, 0.5)   # three lanes: G_J below y = 0.1
+        F_of_y(0.5, 3.0, 1.0)
+        _scaled_I_of_epsilon(1e-3, 2.0)
+        row_sum_alpha(1000, 3.0, 1.0, 1e-8)
+        with pytest.raises(AssertionError, match="entered _sum_lanes"):
+            _power_integral(*np.array(lanes + [(0.5, 1.0, 2.0)]).T)
+
+    def test_a_lone_long_lane_goes_to_the_batch_engine(self, monkeypatch):
+        """P(500.5, 1, 1) alone needs 794 terms, so the batch engine sums it,
+        to the scalar loop's value, estimate and term count."""
+        calls = []
+
+        def engine(lanes, k):
+            calls.append(len(k))
+            return sum_lanes(lanes, k)
+
+        sum_lanes = quadrature._sum_lanes
+        monkeypatch.setattr(quadrature, "_sum_lanes", engine)
+        value, estimate, terms = _power_integral([500.5], [1.0], [1.0])
+        assert (value[0], estimate[0], terms[0]) == _power_integral_reference(500.5, 1.0, 1.0)
+        assert terms[0] == 794
+        assert calls == [128, 256, 512]
 
     def test_euler_lanes_within_their_estimates(self):
         """On the lanes with c+1-s <= 0 each estimate is positive and bounds
@@ -418,6 +470,9 @@ class TestBatchedSeries:
             _power_integral(x, s, z)
         assert str(exc.value).endswith(f"got x={lane[0]}, s={lane[1]}, z={lane[2]}")
         assert "terms" not in str(exc.value)
+        with pytest.raises(DomainError) as alone:
+            _power_integral(*lane)
+        assert str(alone.value) == str(exc.value)
 
 
 class TestMonotoneAndSchedule:
@@ -468,8 +523,10 @@ class TestBernoulliAndScalars:
         assert rep.error_budget == -20.0 * 2.0 ** -53 * 9.0
 
     def test_rejects_small_t(self):
-        with pytest.raises(DomainError):
-            check_bernoulli_steps(0.5, [0.5, 2.0])
+        """A point below 1, or NaN, is an input error, not a failed check."""
+        for grid in ([0.5, 2.0], [math.nan, 2.0], [2.0, math.nan]):
+            with pytest.raises(DomainError, match="grid points must be >= 1"):
+                check_bernoulli_steps(0.5, grid)
 
     def test_scalar_margins(self):
         reports = {r.name: r for r in check_scalar_constants()}
