@@ -8,8 +8,6 @@ on `#`-prefixed comment lines.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 import time
@@ -20,36 +18,55 @@ from . import kernels, norms, proof_checks, quadrature
 from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .sequences import Sequence, conjugate, read_sequence, write_sequence
 
-def _emit(out: str | None, header: list[str], rows: list[list],
+def _emit(out: str | None, header: list[str], rows: list[str],
           comments: list[str] | None = None) -> None:
-    buf = io.StringIO()
-    buf.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-    for line in comments or []:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """Write a report: the timestamp and `comments` as `#` lines, then the
+    header joined with commas, then `rows`, each a finished body line with
+    its newline. A command formats each row with one `%` string and passes
+    any free-text field through `_csv_field`."""
+    parts = [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n"]
+    parts += [f"# {line}\n" for line in comments or []]
+    parts.append(",".join(header) + "\n")
+    parts += rows
+    text = "".join(parts)
     if out:
         with open(out, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field under csv's minimal quoting: wrapped in `"`,
+    with every `"` inside doubled, when it holds a comma, a `"`, a carriage
+    return or a newline."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _manifest(reports: list[proof_checks.CheckReport], verdicts: list[bool]) -> list[str]:
     """One line per check family, in report order: checks passed and failed
     (each report's verdict given), the worst margin less its error budget
-    and, where the family sums series, the most terms one series needed."""
-    families: dict[str, list[tuple[proof_checks.CheckReport, bool]]] = {}
+    (`nan` if any report's is) and, where the family sums series, the most
+    terms one series needed."""
+    families: dict[str, list] = {}    # name -> [passed, total, worst, terms]
     for r, ok in zip(reports, verdicts):
-        families.setdefault(r.name, []).append((r, ok))
+        slack = r.rhs - r.lhs - r.error_budget
+        family = families.get(r.name)
+        if family is None:
+            families[r.name] = [int(ok), 1, slack, r.terms]
+            continue
+        family[0] += ok
+        family[1] += 1
+        if slack < family[2] or slack != slack:
+            family[2] = slack
+        if r.terms > family[3]:
+            family[3] = r.terms
     lines = []
-    for name, group in families.items():
-        passed = sum(ok for _, ok in group)
-        worst = min(r.margin - r.error_budget for r, _ in group)
-        line = (f"check {name} passed={passed} failed={len(group) - passed} "
+    for name, (passed, total, worst, terms) in families.items():
+        line = (f"check {name} passed={passed} failed={total - passed} "
                 f"worst_margin_minus_budget={worst:.6g}")
-        terms = max(r.terms for r, _ in group)
         lines.append(line + (f" max_series_terms={terms}" if terms else ""))
     return lines
 
@@ -95,8 +112,8 @@ def cmd_verify_inequality(args: argparse.Namespace) -> int:
             worst_excess = max(worst_excess, ratio + budget - certified_bound)
             ok = ratio + budget <= certified_bound
             failures += 0 if ok else 1
-            rows.append([trial, spec.variant.value, args.p, len(a), len(b),
-                         f"{ratio:.15g}", f"{bound:.15g}", int(ok)])
+            rows.append("%d,%s,%s,%d,%d,%.15g,%.15g,%d\n" % (
+                trial, spec.variant.value, args.p, len(a), len(b), ratio, bound, ok))
     _emit(args.out, ["trial", "kernel", "p", "support_a", "support_b", "ratio", "bound", "ok"],
           rows, [f"p={args.p} seed={args.seed} trials={args.trials} "
                  f"max_support={args.max_support}",
@@ -106,13 +123,20 @@ def cmd_verify_inequality(args: argparse.Namespace) -> int:
 
 
 def cmd_proof_check(args: argparse.Namespace) -> int:
+    """The stages line after the manifest times the sweep and the
+    formatting of the body lines, in seconds."""
+    start = time.perf_counter()
     reports = proof_checks.default_sweep(x_points=args.x_grid_size)
+    swept = time.perf_counter()
     verdicts = [r.passed for r in reports]
-    rows = [[r.name, r.parameters, f"{r.lhs:.15g}", f"{r.rhs:.15g}",
-             f"{r.margin:.15g}", f"{r.error_budget:.3g}", int(ok)]
+    rows = ["%s,%s,%.15g,%.15g,%.15g,%.3g,%d\n" % (
+                r.name, _csv_field(r.parameters), r.lhs, r.rhs, r.rhs - r.lhs,
+                r.error_budget, ok)
             for r, ok in zip(reports, verdicts)]
+    formatted = time.perf_counter()
     _emit(args.out, ["name", "parameters", "lhs", "rhs", "margin", "error_budget", "passed"],
-          rows, [f"x_grid_size={args.x_grid_size}"] + _manifest(reports, verdicts))
+          rows, [f"x_grid_size={args.x_grid_size}", *_manifest(reports, verdicts),
+                 f"stages sweep_s={swept - start:.3g} format_s={formatted - swept:.3g}"])
     return 0 if all(verdicts) else 1
 
 
@@ -121,15 +145,13 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
     rows = []
     for eps in args.eps_grid:
         point = norms.epsilon_family_ratio(eps, args.p)
-        rows.append(["EpsilonFamily", args.p, f"eps={eps}",
-                     f"{point.ratio:.12g}", f"{theoretical:.12g}",
-                     f"{theoretical - point.ratio:.12g}"])
+        rows.append("EpsilonFamily,%s,eps=%s,%.12g,%.12g,%.12g\n" % (
+            args.p, eps, point.ratio, theoretical, theoretical - point.ratio))
     spec = kernels.KernelSpec(kernels.Variant.WEIGHTED_MAIN, p=args.p)
     for N in args.ascent_sizes:
         est = norms.ascent_lower_bound(spec, args.p, N)
-        rows.append(["Ascent", args.p, f"N={N}",
-                     f"{est.lower_bound:.12g}", f"{theoretical:.12g}",
-                     f"{theoretical - est.lower_bound:.12g}"])
+        rows.append("Ascent,%s,N=%d,%.12g,%.12g,%.12g\n" % (
+            args.p, N, est.lower_bound, theoretical, theoretical - est.lower_bound))
     _emit(args.out, ["method", "p", "params", "lower_bound", "theoretical", "gap"], rows,
           [f"p={args.p} eps_grid={_joined(args.eps_grid)} "
            f"ascent_sizes={_joined(args.ascent_sizes)}"])
@@ -142,8 +164,8 @@ def cmd_kp_apply(args: argparse.Namespace) -> int:
     image = hilbert_apply(f, args.n_max)
     if args.image_out:
         write_sequence(args.image_out, image.coeffs)
-    rows = [["input_kp_norm", f"{kp_norm(f, args.p):.15g}"],
-            ["image_kp_norm_truncated", f"{kp_norm(image, args.p):.15g}"]]
+    rows = ["input_kp_norm,%.15g\n" % kp_norm(f, args.p),
+            "image_kp_norm_truncated,%.15g\n" % kp_norm(image, args.p)]
     _emit(args.out, ["quantity", "value"], rows,
           [f"input={args.input} n_max={args.n_max} p={args.p}"])
     return 0
@@ -155,8 +177,8 @@ def cmd_beta_table(args: argparse.Namespace) -> int:
         x = k / (args.points + 1.0)
         res = quadrature.beta_integral(x)
         closed = math.pi / math.sin(math.pi * x)
-        rows.append([f"{x:.12g}", f"{res.value:.15g}", f"{closed:.15g}",
-                     f"{abs(res.value - closed):.3g}"])
+        rows.append("%.12g,%.15g,%.15g,%.3g\n" % (
+            x, res.value, closed, abs(res.value - closed)))
     _emit(args.out, ["x", "beta_integral", "closed_form", "abs_err"], rows,
           [f"points={args.points}"])
     return 0

@@ -369,10 +369,10 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     alpha = [alpha_schedule(xi) for xi in x[:x_points]] + [0.0, 0.5, 0.5, 1.0]
     xs, alphas = np.array(x), np.array(alpha)
     beta = (1.0 - alphas * xs) / (1.0 - xs)
-    first = _reports("ineq_I", [f"x={xi},alpha={ai}" for xi, ai in zip(x, alpha)],
-                     *_sides(xs, 1.0 - xs, alphas))
-    second = _reports("ineq_II", [f"x={xi},alpha={ai},beta={bi}"
-                                  for xi, ai, bi in zip(x, alpha, beta.tolist())],
+    parameters = [f"x={xi},alpha={ai}" for xi, ai in zip(x, alpha)]
+    first = _reports("ineq_I", parameters, *_sides(xs, 1.0 - xs, alphas))
+    second = _reports("ineq_II", [f"{par},beta={bi}"
+                                  for par, bi in zip(parameters, beta.tolist())],
                       *_sides(1.0 - xs, xs, beta))
     for pair in zip(first, second):
         reports.extend(pair)

@@ -297,11 +297,19 @@ class TestProofCheck:
     ])
     def test_header_records_the_configuration_used(self, argv, config, capsys):
         """The configuration line follows the timestamp; only the manifest's
-        `# check` lines come after it."""
+        `# check` lines and, last, the stages line come after it."""
         _, out = run_cli(argv, capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
         assert comments[1] == config
-        assert all(line.startswith("# check ") for line in comments[2:])
+        assert all(line.startswith("# check ") for line in comments[2:-1])
+        assert comments[-1].startswith("# stages ")
+
+    def test_stages_line_times_the_sweep_and_the_formatting(self, capsys):
+        _, out = run_cli(["proof-check", "--x-grid-size", "4"], capsys)
+        comments = [line for line in out.splitlines() if line.startswith("#")]
+        match = re.fullmatch(r"# stages sweep_s=(\S+) format_s=(\S+)", comments[-1])
+        assert match
+        assert all(float(t) >= 0.0 for t in match.groups())
 
     def test_manifest_summarises_each_family(self, capsys):
         code, out = run_cli(["proof-check", "--x-grid-size", "6"], capsys)
@@ -334,6 +342,20 @@ class TestProofCheck:
         assert out.splitlines()[2] == ("# check ineq_I passed=1 failed=1 "
                                        "worst_margin_minus_budget=-0.5 max_series_terms=7")
 
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_manifest_reports_a_nan_margin_in_any_order(self, nan_first, capsys,
+                                                         monkeypatch):
+        """`min` would keep 0.5 when the NaN comes second; the worst margin
+        less budget is `nan` whichever report comes first."""
+        ok = proof_checks.CheckReport("ineq_I", "x=0.1,alpha=0.0", 1.0, 2.0, 0.5)
+        nan = replace(ok, lhs=math.nan)
+        sweep = [nan, ok] if nan_first else [ok, nan]
+        monkeypatch.setattr(proof_checks, "default_sweep", lambda x_points: sweep)
+        code, out = run_cli(["proof-check"], capsys)
+        assert code == 1
+        assert out.splitlines()[2] == ("# check ineq_I passed=1 failed=1 "
+                                       "worst_margin_minus_budget=nan")
+
     def test_manifest_leaves_the_body_alone(self, capsys):
         """Body rows are the sweep's reports, exactly as formatted without a
         manifest."""
@@ -353,6 +375,47 @@ class TestProofCheck:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
         assert all(r["passed"] == "1" for r in rows)
+
+
+class TestCsvBody:
+    """Body lines are formatted by hand; csv's reader and writer are the
+    oracle for their quoting."""
+
+    @pytest.mark.parametrize("field", ["", "plain", "a,b", 'say "x"', "a\nb", "a\rb",
+                                       " lead", "x=0.1,alpha=0.5"])
+    def test_csv_field_quotes_as_csv_writer_does(self, field):
+        """A row of `_csv_field`s equals csv.writer's with a newline line
+        terminator. Python 3.11's writer leaves a lone carriage return bare
+        under that terminator, and its reader then splits the row there, so
+        such a field is compared with the writer under CRLF, which quotes it."""
+        row = [field, "1.5", field]
+        terminator = "\r\n" if "\r" in field else "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=terminator).writerow(row)
+        line = ",".join(cli._csv_field(f) for f in row) + "\n"
+        assert line == buf.getvalue()[:-len(terminator)] + "\n"
+        assert list(csv.reader(io.StringIO(line, newline=""))) == [row]
+
+    @pytest.mark.parametrize("argv", [
+        ["proof-check", "--x-grid-size", "4"],
+        ["verify-inequality", "--trials", "2"],
+        ["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "4,8"],
+        ["kp-apply", "--input", "{input}", "--n-max", "3"],
+        ["beta-table", "--points", "3"],
+    ])
+    def test_body_survives_a_csv_round_trip(self, argv, tmp_path, capsys):
+        """csv.reader then csv.writer give the body back byte for byte, so
+        every command quotes minimally."""
+        src = tmp_path / "f.txt"
+        write_sequence(src, Sequence(0, (1.0, 0.5)))
+        _, out = run_cli([a.format(input=src) for a in argv], capsys)
+        body = "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith("#"))
+        rows = list(csv.reader(io.StringIO(body, newline="")))
+        assert len(rows) > 1
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue() == body
 
 
 class TestNormBounds:
