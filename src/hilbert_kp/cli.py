@@ -14,17 +14,18 @@ import time
 
 import numpy as np
 
-from . import kernels, norms, proof_checks, quadrature
+from . import __version__, kernels, norms, proof_checks, quadrature
 from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .sequences import Sequence, conjugate, read_sequence, write_sequence
 
 def _emit(out: str | None, header: list[str], rows: list[str],
           comments: list[str] | None = None) -> None:
-    """Write a report: the timestamp and `comments` as `#` lines, then the
-    header joined with commas, then `rows`, each a finished body line with
-    its newline. A command formats each row with one `%` string and passes
-    any free-text field through `_csv_field`."""
-    parts = [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n"]
+    """Write a report: the timestamp with the package version, and
+    `comments`, as `#` lines, then the header joined with commas, then
+    `rows`, each a finished body line with its newline. A command formats
+    each row with one `%` string and passes any free-text field through
+    `_csv_field`."""
+    parts = [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')} hilbert-kp {__version__}\n"]
     parts += [f"# {line}\n" for line in comments or []]
     parts.append(",".join(header) + "\n")
     parts += rows

@@ -39,12 +39,19 @@ class ProofCase:
         return (1.0 - self.alpha * self.x) / (1.0 - self.x)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckReport:
     """One check's sides, budget and side condition `holds`; `terms` is the
     longest series (`_power_integral`) it summed, 0 if none. The verdict is
     derived, never stored: `margin` is rhs - lhs, and a check has `passed`
-    when its side condition holds and its margin clears its budget."""
+    when its side condition holds and its margin clears its budget, read
+    from the fields each time.
+
+    Slotted, not frozen: a frozen dataclass sets each field through
+    `object.__setattr__`, several times the cost of a slotted one's plain
+    stores, and a sweep builds one report per grid point and inequality.
+    So a report is mutable and unhashable; nothing hashes or changes one,
+    and `replace` builds a new one."""
 
     name: str
     parameters: str
@@ -77,16 +84,18 @@ def _three_power(a, b, c, p: float, alpha: float):
 def _logconvexity(name: str, parameters: str, bases, p: float, alpha: float,
                   grid, inner, h) -> CheckReport:
     """(log)'' > 0 on the grid, with the sign of a central second difference
-    of the summand at the points `inner`, step h, as side condition; `bases`
-    maps the variable to the three bases of `_three_power`."""
+    of the summand at the grid points `grid[inner]`, step h, as side
+    condition; `bases` maps the variable to the three bases of `_three_power`."""
     _check_exponents(p, alpha)
 
     def at(v):
         return _three_power(*bases(v), p, alpha)
 
-    second = at(inner - h)[0] + at(inner + h)[0] - 2.0 * at(inner)[0]
+    value, curvature = at(grid)
+    mid = grid[inner]
+    second = at(mid - h)[0] + at(mid + h)[0] - 2.0 * value[inner]
     return CheckReport(name, f"{parameters},p={p},alpha={alpha},grid={len(grid)}", 0.0,
-                       float(at(grid)[1].min()), 0.0, holds=bool(np.all(second > 0.0)))
+                       float(curvature.min()), 0.0, holds=bool(np.all(second > 0.0)))
 
 
 def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
@@ -105,7 +114,7 @@ def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
     if not np.all((t > 0.0) & (t < np.inf)):
         raise DomainError("grid points must be positive and finite")
     return _logconvexity("logconvexity_f", f"m={m}", lambda v: (v, m + v, m + v - 1.0),
-                         p, alpha, t, t, 1e-4 * np.maximum(1.0, t))
+                         p, alpha, t, slice(None), 1e-4 * np.maximum(1.0, t))
 
 
 def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckReport:
@@ -125,7 +134,7 @@ def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckRepor
     if not np.all((y >= 0.0) & (y <= 0.5)):
         raise DomainError("y grid must lie in [0, 1/2]")
     return _logconvexity("logconvexity_g", f"t={t}", lambda v: (t + v, t + 1.0 + v, t + 1.0 - v),
-                         p, alpha, y, y[(y - 1e-4 >= 0.0) & (y + 1e-4 <= 0.5)], 1e-4)
+                         p, alpha, y, (y - 1e-4 >= 0.0) & (y + 1e-4 <= 0.5), 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +378,11 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     alpha = [alpha_schedule(xi) for xi in x[:x_points]] + [0.0, 0.5, 0.5, 1.0]
     xs, alphas = np.array(x), np.array(alpha)
     beta = (1.0 - alphas * xs) / (1.0 - xs)
-    parameters = [f"x={xi},alpha={ai}" for xi, ai in zip(x, alpha)]
+    # str of a float is its repr; each alpha's text is built once.
+    suffix = {ai: ",alpha=" + repr(ai) for ai in set(alpha)}
+    parameters = ["x=" + repr(xi) + suffix[ai] for xi, ai in zip(x, alpha)]
     first = _reports("ineq_I", parameters, *_sides(xs, 1.0 - xs, alphas))
-    second = _reports("ineq_II", [f"{par},beta={bi}"
+    second = _reports("ineq_II", [par + ",beta=" + repr(bi)
                                   for par, bi in zip(parameters, beta.tolist())],
                       *_sides(1.0 - xs, xs, beta))
     for pair in zip(first, second):

@@ -10,9 +10,10 @@ geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
 F(y), the row-sum tail and the midpoint integrals are binomial series in P
 (`_binomial_integral`).
 A batch of up to three series, as every single-point integral is, is
-summed lane by lane on Python floats; larger batches, and a small one with a
-series longer than 128 terms, by a numpy engine over all lanes at once.
-The two paths round alike, so a lane's result has the same bits on either.
+summed lane by lane on Python floats; larger batches by a numpy engine over
+all lanes at once, which also resumes a small batch's lane past its 128th
+term. The two paths round alike, so a lane's result has the same bits on
+either.
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -83,11 +84,11 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A batch of at most `_SCALAR_LANES` lanes is summed one lane at a time on
     Python floats (`_sum_scalar`), which spares a single-point integral the
-    batch engine's fixed cost of some 60 numpy calls. Larger batches, and
-    a small one with a lane not stopped within `_WIDTH` terms, are summed
-    together (`_sum_batch`). Both paths do the operations of one scalar
-    loop in its order, so each lane's value, estimate and term count are
-    the same bits whichever path sums it.
+    batch engine's fixed cost of some 60 numpy calls; the engine resumes a
+    lane not stopped within `_WIDTH` terms at that term. Larger batches are
+    summed together (`_sum_batch`). Both paths do the operations of one
+    scalar loop in its order, so each lane's value, estimate and term count
+    are the same bits whichever path sums it.
     """
     xsz = np.empty((3, np.broadcast(x, s, z).size))
     xsz[0], xsz[1], xsz[2] = x, s, z
@@ -96,8 +97,7 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not ok.all():
         i = int(np.argmin(ok))
         raise DomainError(f"need finite x > 0, s and z >= 0, got {_lane(x, s, z, i)}")
-    summed = _sum_scalar(x.tolist(), s.tolist(), z.tolist()) if len(x) <= _SCALAR_LANES else None
-    value, estimate, terms = summed or _sum_batch(x, s, z)
+    value, estimate, terms = (_sum_scalar if len(x) <= _SCALAR_LANES else _sum_batch)(x, s, z)
     finite = np.isfinite(estimate)   # and so is every value
     if not finite.all():
         raise DomainError(f"series at {_lane(x, s, z, int(np.argmin(finite)))} is not finite")
@@ -113,14 +113,16 @@ _SCALAR_TERMS = [float(k) for k in range(_WIDTH)]
 
 
 def _sum_scalar(x, s, z):
-    """The lanes of `_power_integral` (lists of floats), one at a time, by
-    the scalar loop that `_sum_lanes` vectorizes: the same operations on
-    the same floats in the same order, then the same scale, gamma,
-    relative term and estimate as `_sum_batch`. Returns value, estimate
-    and term count arrays, or None if a lane has not stopped within
-    `_WIDTH` terms."""
-    out = []
-    for xi, si, zi in zip(x, s, z):
+    """The lanes of `_power_integral` (1-D arrays), one at a time, by the
+    scalar loop that `_sum_lanes` vectorizes: the same operations on the
+    same floats in the same order, then the same scale, gamma, relative
+    term and estimate as `_sum_batch`. A lane not stopped within `_WIDTH`
+    terms hands its state (next coefficient, S, r, compensation, t, K) to
+    `_sum_batch`, which resumes it at term `_WIDTH` as it would its own
+    lane. Returns value, estimate and term count arrays."""
+    value, estimate, terms = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=int)
+    rest, carried = [], []
+    for i, (xi, si, zi) in enumerate(zip(x.tolist(), s.tolist(), z.tolist())):
         euler = (1.0 - si) + xi <= 0.0
         num, den = (si, xi + 1.0) if euler else ((1.0 - si) + xi, 1.0)
         base = 1.0 + zi
@@ -140,32 +142,54 @@ def _sum_scalar(x, s, z):
             if r < 1.0 and t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S:
                 break
         else:
-            return None
+            rest.append(i)
+            carried.append((coeff, S, r, comp, t, k))
+            continue
         scale = base ** -si / xi if euler else base ** -xi
-        value = scale * (S + comp)
+        v = scale * (S + comp)
         gamma = k / (2.0 ** 53 - k)
         relative = ((6 * k + 8) * _UNIT_ROUNDOFF + gamma * gamma
                     + (si if euler else xi) * abs(d) / base)
-        out.append((value, scale * (t * r / (1.0 - r)) + relative * value, int(k) + 1))
-    return tuple(np.array(column) for column in zip(*out))
+        value[i], estimate[i], terms[i] = v, scale * (t * r / (1.0 - r)) + relative * v, int(k) + 1
+    if rest:
+        value[rest], estimate[rest], terms[rest] = _sum_batch(
+            x[rest], s[rest], z[rest], np.array(carried).T)
+    return value, estimate, terms
 
 
-def _sum_batch(x, s, z):
+# Python's float power (libm `pow`) as a ufunc on object arrays; see `_sum_batch`.
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _sum_batch(x, s, z, carried=None):
     """The lanes of `_power_integral` (1-D arrays) summed together in
-    passes (`_sum_lanes`): value, estimate and term count arrays. A lane
-    needing more than `_MAX_TERMS` terms raises `DomainError`."""
+    passes (`_sum_lanes`): value, estimate and term count arrays. With
+    `carried`, the rows (next coefficient, S, r, compensation, t, K) of
+    lanes that `_sum_scalar` ran for `_WIDTH` terms, the lanes resume at
+    term `_WIDTH` in a pass twice as wide. A lane needing more than
+    `_MAX_TERMS` terms raises `DomainError`.
+
+    The scale is `math.pow`, element by element, as `_sum_scalar`'s `**`:
+    `np.power` can take a SIMD kernel that rounds some powers otherwise,
+    and the two paths must give a lane the same bits."""
     euler = (1.0 - s) + x <= 0.0
     base = 1.0 + z
     zb = base - 1.0
     d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
-    # Per lane: x, num, den, w, Pfaff's or not, next coefficient, S, r, S's compensation, t, K.
+    # Per lane: the divisor base (x, or 1 on Euler's lanes), num, den, w,
+    # Pfaff's or not, then the carried state: next coefficient, S, r, S's
+    # compensation, t, K.
     table = np.zeros((11, len(x)))
-    table[0], table[1] = x, np.where(euler, s, (1.0 - s) + x)
+    table[0], table[1] = np.where(euler, 1.0, x), np.where(euler, s, (1.0 - s) + x)
     table[2], table[3], table[4], table[5] = np.where(euler, x + 1.0, 1.0), z / base, ~euler, 1.0
-    width = 1 << (min(max(_CELLS // max(len(x), 1), 32), _WIDTH).bit_length() - 1)
+    if carried is None:
+        k0, width = 0, 1 << (min(max(_CELLS // max(len(x), 1), 32), _WIDTH).bit_length() - 1)
+    else:
+        table[5:] = carried
+        k0, width = _WIDTH, 2 * _WIDTH
     # A pass runs the columns not yet stopped in chunks. A lane whose terms
     # overflow runs on to the term cap, or stops with a sum `_power_integral` rejects.
-    live, index, k0 = table, np.arange(len(x)), 0
+    live, index = table, np.arange(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         while len(index):
             if k0 == _MAX_TERMS:
@@ -182,9 +206,8 @@ def _sum_batch(x, s, z):
             live, index = live[:, ~stopped], index[~stopped]
             k0, width = k0 + width, 2 * width
         last = table[10]
-        scale = np.array([bi ** -si / xi if e else bi ** -xi
-                          for xi, si, bi, e in zip(x.tolist(), s.tolist(), base.tolist(),
-                                                   euler.tolist())])
+        scale = _pow(base, np.where(euler, -s, -x)).astype(float)
+        scale[euler] /= x[euler]
         value = scale * (table[6] + table[8])
         gamma = last / (2.0 ** 53 - last)   # K u/(1 - K u), exactly as rounded
         relative = ((6 * last + 8) * _UNIT_ROUNDOFF + gamma * gamma
@@ -195,10 +218,13 @@ def _sum_batch(x, s, z):
 
 def _sum_lanes(lanes, k):
     """Terms k (a column of consecutive indices) of the table columns `lanes`
-    of `_power_integral`, from the state they carry, which is updated in
-    place; returns which lanes stop among these terms. `accumulate` runs the
+    of `_sum_batch`, from the state they carry, which is updated in place;
+    returns which lanes stop among these terms. `accumulate` runs the
     recurrence coeff *= ((num+k)/(den+k)) w, the partial sums and the sum of
-    their TwoSum errors strictly in order of k, rounding as the scalar loop."""
+    their TwoSum errors strictly in order of k, rounding as the scalar loop.
+    Every term is its coefficient over k * (Pfaff's or not) + row 0: x + k
+    on Pfaff's lanes, rounded as the scalar loop's x + k, and exactly 1 on
+    Euler's, so one unmasked division serves both."""
     # Partial sums, ratio bounds, compensation and terms, row j+1 for term
     # k[j]; row 0 holds the carried state, the last row the next coefficient.
     work = np.empty((4, len(k) + 2, lanes.shape[1]))
@@ -212,12 +238,12 @@ def _sum_lanes(lanes, k):
     r[...] = lanes[3]
     np.multiply(S, r, out=terms[2:])
     np.maximum(terms[2:], r, out=r)   # w*step where step > 1, else w, exactly
-    S[...] = lanes[0]
-    S += kk   # x+k
+    np.multiply(kk, lanes[4], out=S)
+    S += lanes[0]   # x+k on Pfaff's lanes, exactly 1 on Euler's
     terms[0], terms[1], comp[0] = lanes[6], lanes[5], lanes[8]
     np.multiply.accumulate(terms[1:], axis=0, out=terms[1:])
     lanes[5] = terms[-1]
-    np.divide(t, S, out=t, where=lanes[4] != 0.0)   # Pfaff lanes only
+    t /= S
     np.add.accumulate(terms[:-1], axis=0, out=sums[:-1])
     bb = S - sums[:-2]
     kk[...] = (sums[:-2] - (S - bb)) + (t - bb)

@@ -221,5 +221,8 @@ def read_sequence(path) -> Sequence:
     top = max(entries)
     if min(entries) < start:
         raise InvalidInputError(f"{path}: entry index below start_index {start}")
-    values = [entries.get(i, 0.0) for i in range(start, top + 1)]
+    index = np.fromiter(entries, int, len(entries))
+    index -= start
+    values = np.zeros(top - start + 1)   # an impossible size raises MemoryError here
+    values[index] = np.fromiter(entries.values(), float, len(entries))
     return Sequence(start, values)

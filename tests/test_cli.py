@@ -2,10 +2,12 @@ import csv
 import io
 import math
 import re
+import resource
 from dataclasses import replace
 
 import pytest
 
+import hilbert_kp
 from hilbert_kp import Sequence, kernels, lp_norm, proof_checks, quadrature, write_sequence
 from hilbert_kp import cli
 from hilbert_kp.cli import build_parser, main, random_pair
@@ -157,6 +159,20 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         assert err == ["hilbert-kp kp-apply: error: Unable to allocate 8000000000008 bytes"]
 
+    def test_an_impossible_index_is_refused_at_once(self, tmp_path, capsys):
+        """An index of 10^15 asks for a dense block of 8 PB: the read raises
+        `MemoryError` before it allocates anything, so kp-apply exits 2 with
+        one line instead of filling the block index by index."""
+        path = self.write(tmp_path / "far.txt", "# start_index=0\n1000000000000000,1.0\n")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # KiB
+        with pytest.raises(SystemExit) as exc:
+            main(["kp-apply", "--input", path])
+        assert exc.value.code == 2
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("hilbert-kp kp-apply: error: Unable to allocate ")
+
 
 class TestRandomPair:
     def test_shapes_and_signs(self):
@@ -283,6 +299,23 @@ class TestConfigurationLine:
         assert comments[1:] == [f"# input={src} n_max=5 p=3.0"]
         assert [row.split(",")[0] for row in csv_body(out)] == [
             "quantity", "input_kp_norm", "image_kp_norm_truncated"]
+
+    @pytest.mark.parametrize("argv", [
+        ["proof-check", "--x-grid-size", "4"],
+        ["verify-inequality", "--trials", "1"],
+        ["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "4"],
+        ["kp-apply", "--input", "{input}", "--n-max", "3"],
+        ["beta-table", "--points", "1"],
+    ])
+    def test_first_line_names_the_version(self, argv, tmp_path, capsys):
+        """Every report's first line is the timestamp, then the package
+        name and version that wrote it."""
+        src = tmp_path / "f.txt"
+        write_sequence(src, Sequence(0, (1.0, 0.5)))
+        _, out = run_cli([a.format(input=src) for a in argv], capsys)
+        first = out.splitlines()[0]
+        assert re.fullmatch(r"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d hilbert-kp "
+                            + re.escape(hilbert_kp.__version__), first), first
 
     def test_defaults_are_recorded_too(self, capsys):
         _, out = run_cli(["norm-bounds", "--eps-grid", "0.5"], capsys)

@@ -77,6 +77,19 @@ class TestCheckReport:
             with pytest.raises(TypeError):
                 replace(report, **{field: True})
 
+    def test_slotted_layout(self):
+        """A report is a slotted dataclass with no `__dict__`; `replace`,
+        equality and the derived verdict work as on a frozen one."""
+        report = CheckReport("t", "x=0.1", 1.0, 1.5, 0.25, terms=3)
+        assert not hasattr(report, "__dict__")
+        assert CheckReport.__slots__ == ("name", "parameters", "lhs", "rhs",
+                                         "error_budget", "terms", "holds")
+        assert report == CheckReport("t", "x=0.1", 1.0, 1.5, 0.25, terms=3)
+        assert report != replace(report, terms=4)
+        assert report.margin == 0.5 and report.passed
+        assert not replace(report, holds=False).passed
+        assert not replace(report, error_budget=0.5).passed
+
 
 class TestLogConvexity:
     def test_expression_matches_hand_derivative(self):
@@ -377,8 +390,8 @@ class TestBatchedSeries:
     def test_small_batches_equal_the_scalar_loop(self):
         """Every lane of this class, summed in batches of one, two and three
         lanes, has the value, estimate and term count of the scalar loop:
-        on Python floats, or by the batch engine where a lane of the batch
-        needs more than 128 terms."""
+        on Python floats, and past term 128 by the batch engine where a lane
+        needs more."""
         lanes = _MIXED_LANES + list(self.BOUNDARY_LANES.values())
         expected = [_power_integral_reference(*lane) for lane in lanes]
         for size in (1, 2, 3):
@@ -408,11 +421,13 @@ class TestBatchedSeries:
 
     def test_a_lone_long_lane_goes_to_the_batch_engine(self, monkeypatch):
         """P(500.5, 1, 1) alone needs 794 terms, so the batch engine sums it,
-        to the scalar loop's value, estimate and term count."""
+        to the scalar loop's value, estimate and term count. It resumes the
+        lane from the scalar loop's state at term 128, in passes of 256 and
+        512 terms, instead of summing the first 128 terms again."""
         calls = []
 
         def engine(lanes, k):
-            calls.append(len(k))
+            calls.append((k[0, 0], len(k)))
             return sum_lanes(lanes, k)
 
         sum_lanes = quadrature._sum_lanes
@@ -420,7 +435,61 @@ class TestBatchedSeries:
         value, estimate, terms = _power_integral([500.5], [1.0], [1.0])
         assert (value[0], estimate[0], terms[0]) == _power_integral_reference(500.5, 1.0, 1.0)
         assert terms[0] == 794
-        assert calls == [128, 256, 512]
+        assert calls == [(128.0, 256), (384.0, 512)]
+
+    # Row sums frozen from the code that summed a long lane again from term 0.
+    # The last two have a G_J lane of 187 and 277 terms that the scalar loop
+    # hands to the batch engine at term 128.
+    @pytest.mark.parametrize("args, expected, handed_over", [
+        ((10 ** 5, 6.0, 0.5, 1e-8), (6.283143766775855, 1.4858637117028138e-09, 62), False),
+        ((10 ** 5, 6.0, 0.5, 1e-10), (6.28314376677586, 1.8983607363590108e-11, 187), True),
+        ((10 ** 4, 12.0, 0.5, 1e-8), (12.138106635751939, 1.5753937419432673e-09, 277), True),
+    ])
+    def test_row_sums_keep_their_bits(self, args, expected, handed_over, monkeypatch):
+        firsts = []
+
+        def engine(lanes, k):
+            firsts.append(k[0, 0])
+            return sum_lanes(lanes, k)
+
+        sum_lanes = quadrature._sum_lanes
+        monkeypatch.setattr(quadrature, "_sum_lanes", engine)
+        result = row_sum_alpha(*args)
+        assert (result.value, result.error_estimate, result.terms) == expected
+        assert firsts == ([128.0] if handed_over else [])
+
+    def test_all_euler_batches_equal_the_scalar_loop(self):
+        """Euler's lanes divide by exactly 1 in the batch engine: summed
+        together (100 lanes, and the first four alone), each has the bits of
+        `_sum_scalar` on that lane."""
+        for lanes in (_EULER_LANES, _EULER_LANES[:4]):
+            x, s, z = np.array(lanes).T
+            assert ((1.0 - s) + x <= 0.0).all()
+            value, estimate, terms = _power_integral(x, s, z)
+            for i in range(len(lanes)):
+                alone = quadrature._sum_scalar(x[i:i + 1], s[i:i + 1], z[i:i + 1])
+                assert (value[i], estimate[i], terms[i]) == tuple(a[0] for a in alone), lanes[i]
+
+    def test_batch_scale_is_pythons_power(self, monkeypatch):
+        """`_sum_batch` raises 1 + z to -x (Pfaff's lanes) or -s (Euler's)
+        with the bits of Python's `**` on every lane of `_MIXED_LANES`."""
+        powers = []
+
+        def spy(base, exponent):
+            scale = pow_(base, exponent)
+            powers.append((base.tolist(), exponent.tolist(), scale.tolist()))
+            return scale
+
+        pow_ = quadrature._pow
+        monkeypatch.setattr(quadrature, "_pow", spy)
+        x, s, z = np.array(_MIXED_LANES).T
+        _power_integral(x, s, z)
+        (base, exponent, scale), = powers
+        euler = ((1.0 - s) + x <= 0.0).tolist()
+        assert any(euler) and not all(euler)
+        assert base == (1.0 + z).tolist()
+        assert exponent == [-si if e else -xi for xi, si, e in zip(x.tolist(), s.tolist(), euler)]
+        assert scale == [b ** e for b, e in zip(base, exponent)]
 
     def test_euler_lanes_within_their_estimates(self):
         """On the lanes with c+1-s <= 0 each estimate is positive and bounds
