@@ -18,7 +18,6 @@ from .kernels import (
 from .kp import TaylorFunction, hilbert_apply, kp_norm
 from .norms import (
     NormEstimate,
-    SharpnessPoint,
     ascent_lower_bound,
     epsilon_family,
     epsilon_family_ratio,

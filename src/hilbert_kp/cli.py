@@ -145,9 +145,9 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
     theoretical = norms.theoretical_norm(args.p)
     rows = []
     for eps in args.eps_grid:
-        point = norms.epsilon_family_ratio(eps, args.p)
+        ratio = norms.epsilon_family_ratio(eps, args.p)
         rows.append("EpsilonFamily,%s,eps=%s,%.12g,%.12g,%.12g\n" % (
-            args.p, eps, point.ratio, theoretical, theoretical - point.ratio))
+            args.p, eps, ratio, theoretical, theoretical - ratio))
     spec = kernels.KernelSpec(kernels.Variant.WEIGHTED_MAIN, p=args.p)
     for N in args.ascent_sizes:
         est = norms.ascent_lower_bound(spec, args.p, N)

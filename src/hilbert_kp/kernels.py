@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ParameterError
 from .quadrature import QuadratureResult, _binomial_integral, _check_exponents
-from .sequences import Sequence, _sum2, conjugate, lp_norm, snap_exponent
+from .sequences import Sequence, _sum2, conjugate, lp_norm
 
 
 class Variant(Enum):
@@ -64,9 +64,10 @@ class KernelSpec:
             conjugate(self.p)
 
     def weight_exponent(self) -> float:
-        """1/q - 1/p, snapped to exactly 0 at p = 2."""
+        """1/q - 1/p as computed: exactly 0.0 at p = 2, where q = 2.0 too,
+        and small but not 0 at a p one ulp from 2."""
         pq = conjugate(self.p)
-        return snap_exponent(1.0 / pq.q - 1.0 / pq.p)
+        return 1.0 / pq.q - 1.0 / pq.p
 
 
 def _pow_ratio(num: np.ndarray, den: np.ndarray, e: float) -> np.ndarray:

@@ -46,17 +46,9 @@ def theoretical_norm(p: float) -> float:
 class NormEstimate:
     lower_bound: float
     trace: tuple[float, ...]
-    rounding_budget: float   # subtracted from the ascent's form ratio
-
-
-@dataclass(frozen=True)
-class SharpnessPoint:
-    ratio: float
-    phi_bound: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.phi_bound <= 1.0:
-            raise ParameterError(f"phi bound must lie in [0, 1], got {self.phi_bound}")
+    # What the certified bound subtracts from the ascent's form ratio: tests
+    # hold exact - lower_bound to twice it, and a Schur upper bound would report it.
+    rounding_budget: float
 
 
 def epsilon_family(eps: float, p: float, M: int) -> tuple[Sequence, Sequence]:
@@ -96,7 +88,7 @@ def _phi_upper(eps: float) -> float:
     return head + tail + (2.0 * math.log(_PHI_HEAD) + 10.0) * 2.0 ** -53 * (head - tail)
 
 
-def epsilon_family_ratio(eps: float, p: float) -> SharpnessPoint:
+def epsilon_family_ratio(eps: float, p: float) -> float:
     """Certified lower bound for the normalized form value of the extremal
     family, eps I(eps) / (1 + eps phi(eps)), where phi(eps) is
     sum_m m^(-1-eps) - 1/eps.
@@ -111,12 +103,11 @@ def epsilon_family_ratio(eps: float, p: float) -> SharpnessPoint:
     The same value bounds the K^p operator norm from below: the K^p -> l^p
     re-weighting preserves norms, so the bound carries over unchanged.
     """
-    conjugate(p)
     eps_I, estimate, _ = _scaled_I_of_epsilon(eps, p)
     # the same sum governs both norm corrections, so their powers 1/p and
     # 1/q multiply to 1 + eps*phi
     phi_upper = min(max(_phi_upper(eps), 0.0), 1.0)
-    return SharpnessPoint((eps_I - estimate) / (1.0 + eps * phi_upper), phi_upper)
+    return (eps_I - estimate) / (1.0 + eps * phi_upper)
 
 
 def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000) -> NormEstimate:

@@ -87,8 +87,9 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     batch engine's fixed cost of some 60 numpy calls; the engine resumes a
     lane not stopped within `_WIDTH` terms at that term. Larger batches are
     summed together (`_sum_batch`). Both paths do the operations of one
-    scalar loop in its order, so each lane's value, estimate and term count
-    are the same bits whichever path sums it.
+    scalar loop in its order and finish a lane by the one `_finish`, so each
+    lane's value, estimate and term count are the same bits whichever path
+    sums it.
     """
     xsz = np.empty((3, np.broadcast(x, s, z).size))
     xsz[0], xsz[1], xsz[2] = x, s, z
@@ -112,12 +113,26 @@ def _lane(x, s, z, i: int) -> str:
 _SCALAR_TERMS = [float(k) for k in range(_WIDTH)]
 
 
+def _finish(scale, e, z, S, comp, r, t, K):
+    """Value and error estimate of stopped lanes of `_power_integral`, from
+    the scale (1+z)^(-e), over x on Euler's lanes, the exponent e (s, or
+    x), z, the partial sum S, its compensation, the ratio bound r, the last
+    term t and its index K. The same plain float operations serve Python
+    floats (`_sum_scalar`) and arrays (`_sum_batch`), so both round alike."""
+    base = 1.0 + z
+    zb = base - 1.0
+    d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
+    value = scale * (S + comp)
+    gamma = K / (2.0 ** 53 - K)   # K u/(1 - K u), exactly as rounded
+    relative = (6 * K + 8) * _UNIT_ROUNDOFF + gamma * gamma + e * abs(d) / base
+    return value, scale * (t * r / (1.0 - r)) + relative * value
+
+
 def _sum_scalar(x, s, z):
     """The lanes of `_power_integral` (1-D arrays), one at a time, by the
     scalar loop that `_sum_lanes` vectorizes: the same operations on the
-    same floats in the same order, then the same scale, gamma, relative
-    term and estimate as `_sum_batch`. A lane not stopped within `_WIDTH`
-    terms hands its state (next coefficient, S, r, compensation, t, K) to
+    same floats in the same order, then `_finish` as `_sum_batch`. A lane
+    not stopped within `_WIDTH` terms hands its state (next coefficient, S, r, compensation, t, K) to
     `_sum_batch`, which resumes it at term `_WIDTH` as it would its own
     lane. Returns value, estimate and term count arrays."""
     value, estimate, terms = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=int)
@@ -126,8 +141,6 @@ def _sum_scalar(x, s, z):
         euler = (1.0 - si) + xi <= 0.0
         num, den = (si, xi + 1.0) if euler else ((1.0 - si) + xi, 1.0)
         base = 1.0 + zi
-        zb = base - 1.0
-        d = (1.0 - (base - zb)) + (zi - zb)
         w = zi / base
         coeff, S, comp = 1.0, 0.0, 0.0
         for k in _SCALAR_TERMS:
@@ -145,12 +158,9 @@ def _sum_scalar(x, s, z):
             rest.append(i)
             carried.append((coeff, S, r, comp, t, k))
             continue
-        scale = base ** -si / xi if euler else base ** -xi
-        v = scale * (S + comp)
-        gamma = k / (2.0 ** 53 - k)
-        relative = ((6 * k + 8) * _UNIT_ROUNDOFF + gamma * gamma
-                    + (si if euler else xi) * abs(d) / base)
-        value[i], estimate[i], terms[i] = v, scale * (t * r / (1.0 - r)) + relative * v, int(k) + 1
+        e, over = (si, xi) if euler else (xi, 1.0)
+        value[i], estimate[i] = _finish(base ** -e / over, e, zi, S, comp, r, t, k)
+        terms[i] = int(k) + 1
     if rest:
         value[rest], estimate[rest], terms[rest] = _sum_batch(
             x[rest], s[rest], z[rest], np.array(carried).T)
@@ -174,8 +184,6 @@ def _sum_batch(x, s, z, carried=None):
     and the two paths must give a lane the same bits."""
     euler = (1.0 - s) + x <= 0.0
     base = 1.0 + z
-    zb = base - 1.0
-    d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
     # Per lane: the divisor base (x, or 1 on Euler's lanes), num, den, w,
     # Pfaff's or not, then the carried state: next coefficient, S, r, S's
     # compensation, t, K.
@@ -183,7 +191,7 @@ def _sum_batch(x, s, z, carried=None):
     table[0], table[1] = np.where(euler, 1.0, x), np.where(euler, s, (1.0 - s) + x)
     table[2], table[3], table[4], table[5] = np.where(euler, x + 1.0, 1.0), z / base, ~euler, 1.0
     if carried is None:
-        k0, width = 0, 1 << (min(max(_CELLS // max(len(x), 1), 32), _WIDTH).bit_length() - 1)
+        k0, width = 0, 1 << (min(max(_CELLS // len(x), 32), _WIDTH).bit_length() - 1)
     else:
         table[5:] = carried
         k0, width = _WIDTH, 2 * _WIDTH
@@ -205,15 +213,10 @@ def _sum_batch(x, s, z, carried=None):
                 break
             live, index = live[:, ~stopped], index[~stopped]
             k0, width = k0 + width, 2 * width
-        last = table[10]
-        scale = _pow(base, np.where(euler, -s, -x)).astype(float)
-        scale[euler] /= x[euler]
-        value = scale * (table[6] + table[8])
-        gamma = last / (2.0 ** 53 - last)   # K u/(1 - K u), exactly as rounded
-        relative = ((6 * last + 8) * _UNIT_ROUNDOFF + gamma * gamma
-                    + np.where(euler, s, x) * np.abs(d) / base)
-        estimate = scale * (table[9] * table[7] / (1.0 - table[7])) + relative * value
-    return value, estimate, (last + 1).astype(int)
+        e = np.where(euler, s, x)
+        scale = _pow(base, -e).astype(float) / np.where(euler, x, 1.0)
+        value, estimate = _finish(scale, e, z, table[6], table[8], table[7], table[9], table[10])
+    return value, estimate, (table[10] + 1).astype(int)
 
 
 def _sum_lanes(lanes, k):

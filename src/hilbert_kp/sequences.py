@@ -8,6 +8,9 @@ explicitly; `kp_to_lp_isometry` is the only operation that re-indexes.
 passed, so every layer computes on it without converting. Two sequences are
 equal when their start indices and values are; a `Sequence`, and so a
 `TaylorFunction`, is not hashable.
+
+The isometries weight by (m+1)^((p-2)/p) with the exponent as computed,
+which is exactly 0.0 at p = 2, so there they are the identity bit for bit.
 """
 
 from __future__ import annotations
@@ -18,15 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-
-# Exponents of the form 1/q - 1/p or (p-2)/p are snapped to exactly 0 below
-# this threshold so that p = 2 reduces bit-for-bit to the unweighted case.
-EXPONENT_SNAP = 1e-15
-
-
-def snap_exponent(e: float) -> float:
-    return 0.0 if abs(e) < EXPONENT_SNAP else e
-
 
 class _Values(np.ndarray):
     """The array type of `Sequence.values`. Iterating it yields Python
@@ -169,8 +163,7 @@ def kp_to_lp_isometry(a: Sequence, p: float) -> Sequence:
     conjugate(p)
     if a.start_index != 0:
         raise InvalidInputError("isometry input must be 0-based")
-    e = snap_exponent((p - 2.0) / p)
-    return Sequence(1, a.values * np.arange(1.0, len(a) + 1.0) ** e)
+    return Sequence(1, a.values * np.arange(1.0, len(a) + 1.0) ** ((p - 2.0) / p))
 
 
 def lp_to_kp_isometry(A: Sequence, p: float) -> Sequence:
@@ -179,8 +172,7 @@ def lp_to_kp_isometry(A: Sequence, p: float) -> Sequence:
     conjugate(p)
     if A.start_index != 1:
         raise InvalidInputError("inverse isometry input must be 1-based")
-    e = snap_exponent((p - 2.0) / p)
-    return Sequence(0, A.values / np.arange(1.0, len(A) + 1.0) ** e)
+    return Sequence(0, A.values / np.arange(1.0, len(A) + 1.0) ** ((p - 2.0) / p))
 
 
 def write_sequence(path, s: Sequence) -> None:
@@ -193,7 +185,9 @@ def write_sequence(path, s: Sequence) -> None:
 
 
 def read_sequence(path) -> Sequence:
-    """Read the format written by `write_sequence`."""
+    """Read the format written by `write_sequence`. A line that does not
+    parse, an index outside int64 or a value that is not finite raises
+    `InvalidInputError` naming the file and line."""
     start = None
     entries = {}
     with open(path) as fh:
@@ -211,6 +205,10 @@ def read_sequence(path) -> Sequence:
                 idx, value = int(idx_text), float(val_text)
             except ValueError:
                 raise InvalidInputError(f"{path}: line {lineno}: cannot parse {line!r}") from None
+            if not -2 ** 63 <= idx < 2 ** 63:
+                raise InvalidInputError(f"{path}: line {lineno}: index {idx} out of range")
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{path}: line {lineno}: value {value!r} is not finite")
             if idx in entries:
                 raise InvalidInputError(f"{path}: index {idx} appears more than once")
             entries[idx] = value

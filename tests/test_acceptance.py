@@ -101,7 +101,7 @@ def test_4_proof_chain_sweep():
 
 
 def test_5_sharpness_approach():
-    ratios = [epsilon_family_ratio(eps, 2.0).ratio for eps in (0.5, 0.1, 0.05, 0.01)]
+    ratios = [epsilon_family_ratio(eps, 2.0) for eps in (0.5, 0.1, 0.05, 0.01)]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     below = all(r < math.pi for r in ratios)
     close = math.pi - ratios[-1] < 0.1
@@ -155,7 +155,7 @@ def test_7_coefficient_space_at_desk_scale():
                 / kp_norm(f, p)
             if rel > 1e-13:
                 ok = False
-        gap = theoretical_norm(p) - epsilon_family_ratio(0.01, p).ratio
+        gap = theoretical_norm(p) - epsilon_family_ratio(0.01, p)
         if not 0.0 < gap < 0.15:
             ok = False
     report(7, f"coefficient-space ratios, worst slack {worst:.3e}, "

@@ -121,6 +121,11 @@ class TestBadInput:
          "series at x=50000.5, s=1.0, z=1.0 is not finite"),
         (["kp-apply", "--p", "3", "--input", "{huge}"], "overflow in fsum"),
         (["kp-apply", "--p", "3", "--input", "{spike}"], "sum of 1 terms is inf, not finite"),
+        (["kp-apply", "--input", "{far}"],
+         "far.txt: line 2: index 100000000000000000000 out of range"),
+        (["kp-apply", "--input", "{nan}"], "nan.txt: line 3: value nan is not finite"),
+        (["kp-apply", "--input", "{inf}"], "inf.txt: line 2: value inf is not finite"),
+        (["kp-apply", "--input", "{low}"], "low.txt: line 3: index -9223372036854775809 out of range"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {
@@ -130,6 +135,11 @@ class TestBadInput:
             "no_comma": self.write(tmp_path / "no_comma.txt", "# start_index=0\n0,1.0\n7\n"),
             "not_a_number": self.write(tmp_path / "not_a_number.txt", "# start_index=0\n0,half\n"),
             "negative": self.write(tmp_path / "negative.txt", "# start_index=0\n0,1.0\n1,-2.0\n"),
+            # past int64: numpy cannot hold the index
+            "far": self.write(tmp_path / "far.txt", "# start_index=0\n100000000000000000000,1.0\n"),
+            "nan": self.write(tmp_path / "nan.txt", "# start_index=0\n0,1.0\n1,nan\n"),
+            "inf": self.write(tmp_path / "inf.txt", "# start_index=0\n0,inf\n"),
+            "low": self.write(tmp_path / "low.txt", "# start_index=0\n0,1.0\n-9223372036854775809,0.5\n"),
             # K^3 terms up to 1000 * 1e306: the finite partial sums overflow
             "huge": self.write(tmp_path / "huge.txt", "# start_index=0\n"
                                + "".join(f"{i},1e102\n" for i in range(1000))),

@@ -77,7 +77,7 @@ class TestKernelValues:
                                          Variant.YANG_HALF_SHIFT])
     def test_p2_collapse_bitwise(self, variant):
         """Every weighted variant reduces exactly to its unweighted shape at
-        p = 2 (exponent snapped to 0.0)."""
+        p = 2, where the exponent 1/q - 1/p is exactly 0.0."""
         spec = KernelSpec(variant, p=2.0)
         m = np.arange(1, 40)
         n = np.arange(1, 40)
@@ -86,9 +86,23 @@ class TestKernelValues:
         expected = 1.0 / (m[:, None] + n[None, :] + shift)
         assert np.array_equal(K, expected)
 
-    def test_p2_near_miss_snap(self):
-        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=2.0 + 1e-16)
-        assert spec.weight_exponent() == 0.0
+    def test_weight_exponent_at_and_beside_p2(self):
+        """0.0 at p = 2 (2.0 + 1e-16 is 2.0 too); one ulp either side it is
+        the plain 1/q - 1/p, not 0."""
+        assert 2.0 + 1e-16 == 2.0
+        assert KernelSpec(Variant.WEIGHTED_MAIN, p=2.0).weight_exponent() == 0.0
+        for p in (float(np.nextafter(2.0, 3.0)), float(np.nextafter(2.0, 1.0))):
+            pq = conjugate(p)
+            e = KernelSpec(Variant.WEIGHTED_MAIN, p=p).weight_exponent()
+            assert e == 1.0 / pq.q - 1.0 / pq.p
+            assert e != 0.0
+
+    @pytest.mark.parametrize("p", [float(np.nextafter(2.0, 3.0)), float(np.nextafter(2.0, 1.0))])
+    def test_form_beside_p2_matches_dense_grid(self, p):
+        spec = KernelSpec(Variant.WEIGHTED_MAIN, p=p)
+        a, b = seq(1.0, 0.5, 0.25, 2.0), seq(0.3, 1.0, 0.7)
+        value, budget = _form(spec, a, b)
+        assert abs(value - dense_form(spec, a.values, b.values)) <= budget
 
     def test_symmetry_classical(self):
         spec = KernelSpec(Variant.CLASSICAL)

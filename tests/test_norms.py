@@ -13,7 +13,6 @@ from hilbert_kp import (
     KernelSpec,
     ParameterError,
     Sequence,
-    SharpnessPoint,
     TaylorFunction,
     Variant,
     ascent_lower_bound,
@@ -36,8 +35,23 @@ RATIOS_P2 = {
     0.01: 3.08749372763,
 }
 RATIO_EPS001 = {1.5: 3.5446045965, 3.0: 3.5446045965}
+# epsilon_family_ratio's certified floats, (eps, p) -> value, compared bit for
+# bit: a change to the series, the phi bound or their rounding moves them.
+RATIO_BITS = {
+    (1e-16, 1.5): 3.6275987284683286, (0.01, 1.5): 3.544604595189237,
+    (0.5, 1.5): 1.5167857466912094, (1000.0, 1.5): 2.2494341296031455e-06,
+    (1e-16, 2.0): 3.1415926535897003, (0.01, 2.0): 3.087493726477736,
+    (0.5, 2.0): 1.4928803988190489, (1000.0, 2.0): 1.999998000008935e-06,
+    (1e-16, 3.0): 3.627598728468329, (0.01, 3.0): 3.544604595189238,
+    (0.5, 3.0): 1.5167857466912091, (1000.0, 3.0): 2.2494341296031455e-06,
+}
 # The N = 2 classical ascent fixed point solves a quadratic exactly.
 ASCENT_N2_EXACT = 2.0 / 3.0 + math.sqrt(13.0) / 6.0
+
+
+def phi_clipped(eps: float) -> float:
+    """The phi(eps) bound `epsilon_family_ratio` divides by, clipped to [0, 1] as there."""
+    return min(max(norms._phi_upper(eps), 0.0), 1.0)
 
 
 def power_iteration_norm(N: int, iters: int = 20000, tol: float = 1e-14) -> float:
@@ -95,27 +109,37 @@ class TestEpsilonFamily:
 class TestEpsilonFamilyRatio:
     @pytest.mark.parametrize("eps,expected", sorted(RATIOS_P2.items()))
     def test_frozen_p2(self, eps, expected):
-        point = epsilon_family_ratio(eps, 2.0)
+        ratio = epsilon_family_ratio(eps, 2.0)
         # the certified bound subtracts its quadrature budget, so agreement
         # with the raw reference is only at the tolerance level
-        assert point.ratio == pytest.approx(expected, rel=3e-7)
-        assert point.ratio <= expected * (1 + 1e-12)
+        assert ratio == pytest.approx(expected, rel=3e-7)
+        assert ratio <= expected * (1 + 1e-12)
+
+    @pytest.mark.parametrize("eps,p", sorted(RATIO_BITS))
+    def test_returns_the_frozen_float(self, eps, p):
+        ratio = epsilon_family_ratio(eps, p)
+        assert type(ratio) is float
+        assert ratio == RATIO_BITS[eps, p]
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
+    def test_p_outside_the_domain(self, p):
+        with pytest.raises(DomainError, match=r"p must lie in \(1, inf\)"):
+            epsilon_family_ratio(0.5, p)
 
     def test_monotone_toward_theory(self):
-        ratios = [epsilon_family_ratio(e, 2.0).ratio for e in (0.5, 0.1, 0.05, 0.01)]
+        ratios = [epsilon_family_ratio(e, 2.0) for e in (0.5, 0.1, 0.05, 0.01)]
         assert ratios == sorted(ratios)
         assert all(r < math.pi for r in ratios)
         assert math.pi - ratios[-1] < 0.1
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_other_exponents(self, p):
-        point = epsilon_family_ratio(0.01, p)
-        assert point.ratio == pytest.approx(RATIO_EPS001[p], rel=3e-7)
-        assert theoretical_norm(p) - point.ratio < 0.15
+        ratio = epsilon_family_ratio(0.01, p)
+        assert ratio == pytest.approx(RATIO_EPS001[p], rel=3e-7)
+        assert theoretical_norm(p) - ratio < 0.15
 
     def test_bounds_fields(self):
-        point = epsilon_family_ratio(0.1, 2.0)
-        assert 0.0 <= point.phi_bound <= 1.0
+        assert 0.0 <= phi_clipped(0.1) <= 1.0
 
     @pytest.mark.parametrize("eps", [0.0, -0.5, -1.0, math.nan, math.inf])
     def test_eps_must_be_finite_and_positive(self, eps):
@@ -124,7 +148,7 @@ class TestEpsilonFamilyRatio:
 
     @pytest.mark.parametrize("p", [1.05, 2.0, 12.0])
     def test_bounds_hold_against_40_digit_reference(self, p):
-        """phi_bound is at least zeta(1 + eps) - 1/eps, and the ratio at most
+        """The phi bound is at least zeta(1 + eps) - 1/eps, and the ratio at most
         eps I(eps) / (1 + eps phi), both at 40 digits. Small eps is where a
         tail written as M^(1-s)/(s-1) - 1/eps, s = fl(1 + eps), cancels:
         1/(s - 1) is not 1/eps after rounding."""
@@ -135,22 +159,17 @@ class TestEpsilonFamilyRatio:
                 phi = mpmath.zeta(1 + me) - 1 / me
                 eps_I = (mpmath.lerchphi(-1, 1, 1 / mp + me * (1 - 1 / mp))
                          + mpmath.lerchphi(-1, 1, 1 - (1 - me) / mp))
-                point = epsilon_family_ratio(eps, p)
-                assert point.phi_bound >= phi, eps
-                assert point.ratio <= eps_I / (1 + me * phi), eps
+                assert phi_clipped(eps) >= phi, eps
+                assert epsilon_family_ratio(eps, p) <= eps_I / (1 + me * phi), eps
 
     def test_reaches_tiny_eps(self):
         """The tail is summed as expm1(-eps ln(N - 1/2))/eps, in which
         nothing cancels, so phi stays near Euler's gamma as eps -> 0."""
         for eps in (1e-16, 1e-300, 5e-324):
-            point = epsilon_family_ratio(eps, 2.0)
-            assert 0.0 <= point.phi_bound - 0.5772156649015329 <= 5e-8
-            assert point.ratio == pytest.approx(math.pi, rel=1e-12)
-            assert point.ratio < math.pi
-
-    def test_sharpness_point_validates(self):
-        with pytest.raises(ParameterError):
-            SharpnessPoint(3.0, 1.5)
+            ratio = epsilon_family_ratio(eps, 2.0)
+            assert 0.0 <= phi_clipped(eps) - 0.5772156649015329 <= 5e-8
+            assert ratio == pytest.approx(math.pi, rel=1e-12)
+            assert ratio < math.pi
 
 
 class TestAscent:
@@ -350,5 +369,4 @@ class TestKpSide:
     @given(st.floats(1.2, 6.0))
     @settings(max_examples=20, deadline=None)
     def test_sharpness_below_theory(self, p):
-        point = epsilon_family_ratio(0.1, p)
-        assert point.ratio < theoretical_norm(p)
+        assert epsilon_family_ratio(0.1, p) < theoretical_norm(p)

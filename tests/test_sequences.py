@@ -190,7 +190,7 @@ class TestIsometry:
     def test_identity_at_p2(self):
         a = seq(0.3, 0.1, 2.5, start=0)
         A = kp_to_lp_isometry(a, 2.0)
-        assert A.values.tolist() == a.values.tolist()  # exponent snapped to exactly 0
+        assert A.values.tolist() == a.values.tolist()  # (p - 2)/p is exactly 0.0
 
     def test_single_term_p3(self):
         A = kp_to_lp_isometry(seq(0, 1, start=0), 3.0)
