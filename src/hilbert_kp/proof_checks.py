@@ -147,7 +147,13 @@ def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckRep
     so each integral is a difference of H at (n -+ 1/2)/m; H is summed at
     all n_max + 1 ends in one batch. The budget is the largest sum of two
     ends' estimates, scaled by m^(-1/p), plus (3 + log m) u times the
-    integral for the rounding of that factor."""
+    integral for the rounding of that factor.
+
+    The bound holds for every m >= 1 and n >= 1, not only up to n_max: f is
+    log-convex on t > 0 (`check_logconvexity_f`), so f'' = f ((log f)'' +
+    (log f)'^2) > 0 and f is strictly convex there, and Hermite-Hadamard
+    gives f(n) < int_{n-1/2}^{n+1/2} f on [n-1/2, n+1/2], which lies in
+    t > 0. The summed integrals are a cross-check of that argument."""
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if n_max < 1:
@@ -310,6 +316,13 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
     base's 2 u times an exponent <= 2; the exponent's 2 u, times e ln 3;
     the power's 2 u), and the subtraction by u S; the others by 5 u S and
     14 u S.
+
+    All three hold for every t > 0, not only on the grid: each is
+    Bernoulli's inequality (1+v)^theta <= 1 + theta v, theta in [0, 1],
+    at v = 2/t > 0. The first is theta = x/(1-x) in (0, 1] after factoring
+    out 1 + v; the second is theta = 1/2; the third is theta = 1/3 after
+    factoring out 1 + v, as (1+v)(1+v/3) = 1 + (4/(3 t^2))(2t+1). The grid
+    values are a cross-check of that argument.
     """
     if not 0.0 < x <= 0.5:
         raise DomainError(f"x must lie in (0, 1/2], got {x}")

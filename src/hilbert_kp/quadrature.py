@@ -9,11 +9,10 @@ geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
 (`_scaled_I_of_epsilon`) and the master inequalities are sums of a few P;
 F(y), the row-sum tail and the midpoint integrals are binomial series in P
 (`_binomial_integral`).
-A batch of up to three series, as every single-point integral is, is
-summed lane by lane on Python floats; larger batches by a numpy engine over
-all lanes at once, which also resumes a small batch's lane past its 128th
-term. The two paths round alike, so a lane's result has the same bits on
-either.
+Every series runs one term recurrence: a small batch, as every
+single-point integral is, lane by lane on Python floats; a larger one on
+arrays of its live lanes, one term per step, until few are live. Both do
+the same float operations, so a lane's result has the same bits on either.
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -40,17 +39,14 @@ class QuadratureResult:
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-# Terms per lane in a call's first pass: _CELLS // lanes, clamped to [32, 128]
-# and rounded down to a power of two. A lane carries on in passes twice as wide.
-_WIDTH = 128
-# Lanes x terms of one chunk of a pass. It bounds the memory a chunk needs,
-# about 64 KB per array, small enough for the allocator to reuse.
-_CELLS = 64 * _WIDTH
 # No series with a finite value comes near this: its terms peak near k = 2a,
 # and (1+z)^a overflows for a above about 650 at z = 2.
 _MAX_TERMS = 2 ** 16
-# Batches of at most this many lanes are summed on Python floats first.
-_SCALAR_LANES = 3
+# Batches of at most this many lanes, and the last lanes of a larger batch,
+# are summed on Python floats. A numpy step costs about a term on each of 64
+# lanes (some 20 us on a 2.1 GHz x86 core), but 32 ran the proof sweep as fast
+# as 64 and left its peak RSS 0.2-0.7 MB lower.
+_SCALAR_LANES = 32
 
 
 def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,14 +78,14 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = 1/2, 1 and 2. `DomainError` names a lane outside that domain, one
     needing more than 2^16 terms, or one whose value or estimate is not finite.
 
-    A batch of at most `_SCALAR_LANES` lanes is summed one lane at a time on
-    Python floats (`_sum_scalar`), which spares a single-point integral the
-    batch engine's fixed cost of some 60 numpy calls; the engine resumes a
-    lane not stopped within `_WIDTH` terms at that term. Larger batches are
-    summed together (`_sum_batch`). Both paths do the operations of one
-    scalar loop in its order and finish a lane by the one `_finish`, so each
-    lane's value, estimate and term count are the same bits whichever path
-    sums it.
+    Every lane runs one term recurrence, `_run_lane`. A batch of at most
+    `_SCALAR_LANES` lanes runs it lane by lane on Python floats
+    (`_sum_scalar`); a larger one runs its statements on arrays of the live
+    lanes, one term per step, until no more than `_SCALAR_LANES` are live
+    and `_run_lane` carries those on (`_sum_arrays`). Both do the same
+    float operations in the same order and finish a lane by the one
+    `_finish`, so each lane's value, estimate and term count are the same
+    bits whichever path sums it.
     """
     xsz = np.empty((3, np.broadcast(x, s, z).size))
     xsz[0], xsz[1], xsz[2] = x, s, z
@@ -98,7 +94,7 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not ok.all():
         i = int(np.argmin(ok))
         raise DomainError(f"need finite x > 0, s and z >= 0, got {_lane(x, s, z, i)}")
-    value, estimate, terms = (_sum_scalar if len(x) <= _SCALAR_LANES else _sum_batch)(x, s, z)
+    value, estimate, terms = (_sum_scalar if len(x) <= _SCALAR_LANES else _sum_arrays)(x, s, z)
     finite = np.isfinite(estimate)   # and so is every value
     if not finite.all():
         raise DomainError(f"series at {_lane(x, s, z, int(np.argmin(finite)))} is not finite")
@@ -109,8 +105,31 @@ def _lane(x, s, z, i: int) -> str:
     return f"x={float(x[i])}, s={float(s[i])}, z={float(z[i])}"
 
 
-# The term indices of `_sum_scalar`, as floats: the batch engine's k.
-_SCALAR_TERMS = [float(k) for k in range(_WIDTH)]
+def _capped(x, s, z, i: int) -> DomainError:
+    return DomainError(f"series at {_lane(x, s, z, i)} needs more than {_MAX_TERMS} terms")
+
+
+def _run_lane(num, den, w, euler, x, coeff, S, comp, k):
+    """One lane of `_power_integral` on Python floats, from term k (a float
+    index), the coefficient coeff of that term, the sum S of the terms
+    before it and S's compensation, up to the term K at which the lane
+    stops: returns (S, comp, r, t, K) with the ratio bound r and the last
+    term t, or None if it does not stop within `_MAX_TERMS` terms. The
+    coefficients follow coeff *= ((num+k)/(den+k)) w; a term is its
+    coefficient over x + k, or the coefficient itself on Euler's lanes."""
+    while k < _MAX_TERMS:
+        factor = (num + k) / (den + k) * w
+        r = w if w > factor else factor   # max(factor, w) without the cost of a call
+        t = coeff if euler else coeff / (x + k)
+        coeff *= factor
+        partial = S + t
+        bb = partial - S
+        comp += (S - (partial - bb)) + (t - bb)   # TwoSum error of S + t
+        S = partial
+        if r < 1.0 and t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S:
+            return S, comp, r, t, k
+        k += 1.0
+    return None
 
 
 def _finish(scale, e, z, S, comp, r, t, K):
@@ -118,7 +137,7 @@ def _finish(scale, e, z, S, comp, r, t, K):
     the scale (1+z)^(-e), over x on Euler's lanes, the exponent e (s, or
     x), z, the partial sum S, its compensation, the ratio bound r, the last
     term t and its index K. The same plain float operations serve Python
-    floats (`_sum_scalar`) and arrays (`_sum_batch`), so both round alike."""
+    floats (`_sum_scalar`) and arrays (`_sum_arrays`), so both round alike."""
     base = 1.0 + z
     zb = base - 1.0
     d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
@@ -129,135 +148,80 @@ def _finish(scale, e, z, S, comp, r, t, K):
 
 
 def _sum_scalar(x, s, z):
-    """The lanes of `_power_integral` (1-D arrays), one at a time, by the
-    scalar loop that `_sum_lanes` vectorizes: the same operations on the
-    same floats in the same order, then `_finish` as `_sum_batch`. A lane
-    not stopped within `_WIDTH` terms hands its state (next coefficient, S, r, compensation, t, K) to
-    `_sum_batch`, which resumes it at term `_WIDTH` as it would its own
-    lane. Returns value, estimate and term count arrays."""
+    """The lanes of `_power_integral` (1-D arrays), one at a time, by
+    `_run_lane` from term 0 and `_finish` on Python floats. Returns value,
+    estimate and term count arrays."""
     value, estimate, terms = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=int)
-    rest, carried = [], []
     for i, (xi, si, zi) in enumerate(zip(x.tolist(), s.tolist(), z.tolist())):
         euler = (1.0 - si) + xi <= 0.0
         num, den = (si, xi + 1.0) if euler else ((1.0 - si) + xi, 1.0)
         base = 1.0 + zi
-        w = zi / base
-        coeff, S, comp = 1.0, 0.0, 0.0
-        for k in _SCALAR_TERMS:
-            factor = (num + k) / (den + k) * w
-            r = max(factor, w)
-            t = coeff if euler else coeff / (xi + k)
-            coeff *= factor
-            partial = S + t
-            bb = partial - S
-            comp += (S - (partial - bb)) + (t - bb)   # TwoSum error of S + t
-            S = partial
-            if r < 1.0 and t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S:
-                break
-        else:
-            rest.append(i)
-            carried.append((coeff, S, r, comp, t, k))
-            continue
+        stop = _run_lane(num, den, zi / base, euler, xi, 1.0, 0.0, 0.0, 0.0)
+        if stop is None:
+            raise _capped(x, s, z, i)
         e, over = (si, xi) if euler else (xi, 1.0)
-        value[i], estimate[i] = _finish(base ** -e / over, e, zi, S, comp, r, t, k)
-        terms[i] = int(k) + 1
-    if rest:
-        value[rest], estimate[rest], terms[rest] = _sum_batch(
-            x[rest], s[rest], z[rest], np.array(carried).T)
+        value[i], estimate[i] = _finish(base ** -e / over, e, zi, *stop)
+        terms[i] = int(stop[4]) + 1
     return value, estimate, terms
 
 
-# Python's float power (libm `pow`) as a ufunc on object arrays; see `_sum_batch`.
+# Python's float power (libm `pow`) as a ufunc on object arrays; see `_sum_arrays`.
 _pow = np.frompyfunc(math.pow, 2, 1)
 
 
-def _sum_batch(x, s, z, carried=None):
-    """The lanes of `_power_integral` (1-D arrays) summed together in
-    passes (`_sum_lanes`): value, estimate and term count arrays. With
-    `carried`, the rows (next coefficient, S, r, compensation, t, K) of
-    lanes that `_sum_scalar` ran for `_WIDTH` terms, the lanes resume at
-    term `_WIDTH` in a pass twice as wide. A lane needing more than
-    `_MAX_TERMS` terms raises `DomainError`.
+def _sum_arrays(x, s, z):
+    """The lanes of `_power_integral` (1-D arrays) summed together: value,
+    estimate and term count arrays. Each step runs the statements of
+    `_run_lane` for one term k on arrays of the live lanes, with
+    `np.maximum` for the ratio bound and the term coeff / (k pfaff + div):
+    div is x on Pfaff's lanes, so the divisor rounds as x + k, and 1 on
+    Euler's, where it is exactly 1. The lanes that stop at k leave the
+    arrays with their (S, comp, r, t, k); once at most `_SCALAR_LANES` are
+    live, `_run_lane` carries each on from term k + 1. A lane whose terms
+    overflow runs on to the term cap, or stops with a sum that
+    `_power_integral` rejects.
 
     The scale is `math.pow`, element by element, as `_sum_scalar`'s `**`:
     `np.power` can take a SIMD kernel that rounds some powers otherwise,
     and the two paths must give a lane the same bits."""
     euler = (1.0 - s) + x <= 0.0
     base = 1.0 + z
-    # Per lane: the divisor base (x, or 1 on Euler's lanes), num, den, w,
-    # Pfaff's or not, then the carried state: next coefficient, S, r, S's
-    # compensation, t, K.
-    table = np.zeros((11, len(x)))
-    table[0], table[1] = np.where(euler, 1.0, x), np.where(euler, s, (1.0 - s) + x)
-    table[2], table[3], table[4], table[5] = np.where(euler, x + 1.0, 1.0), z / base, ~euler, 1.0
-    if carried is None:
-        k0, width = 0, 1 << (min(max(_CELLS // len(x), 32), _WIDTH).bit_length() - 1)
-    else:
-        table[5:] = carried
-        k0, width = _WIDTH, 2 * _WIDTH
-    # A pass runs the columns not yet stopped in chunks. A lane whose terms
-    # overflow runs on to the term cap, or stops with a sum `_power_integral` rejects.
-    live, index = table, np.arange(len(x))
+    stopped = np.empty((5, len(x)))   # S, comp, r, t, K of each lane
+    live = np.arange(len(x))
+    num, den = np.where(euler, s, (1.0 - s) + x), np.where(euler, x + 1.0, 1.0)
+    w, pfaff, div = z / base, np.where(euler, 0.0, 1.0), np.where(euler, 1.0, x)
+    coeff, S, comp, k = np.ones(len(x)), np.zeros(len(x)), np.zeros(len(x)), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(index):
-            if k0 == _MAX_TERMS:
-                raise DomainError(f"series at {_lane(x, s, z, index[0])} "
-                                  f"needs more than {_MAX_TERMS} terms")
-            width = min(width, _MAX_TERMS - k0)
-            k, rows = np.arange(k0, k0 + width, dtype=float)[:, None], max(1, _CELLS // width)
-            stopped = np.concatenate([_sum_lanes(live[:, lo:lo + rows], k)
-                                      for lo in range(0, len(index), rows)])
-            if live is not table:
-                table[:, index] = live
-            if stopped.all():
-                break
-            live, index = live[:, ~stopped], index[~stopped]
-            k0, width = k0 + width, 2 * width
+        while len(live) > _SCALAR_LANES:
+            if k == _MAX_TERMS:
+                raise _capped(x, s, z, live[0])
+            factor = (num + k) / (den + k) * w
+            r = np.maximum(factor, w)
+            t = coeff / (k * pfaff + div)
+            coeff *= factor
+            partial = S + t
+            bb = partial - S
+            comp += (S - (partial - bb)) + (t - bb)
+            S = partial
+            stop = (r < 1.0) & (t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S)
+            if stop.any():
+                stopped[:4, live[stop]] = S[stop], comp[stop], r[stop], t[stop]
+                stopped[4, live[stop]] = k
+                go = ~stop
+                live, num, den, w, pfaff, div, coeff, S, comp = (
+                    a[go] for a in (live, num, den, w, pfaff, div, coeff, S, comp))
+            k += 1.0
+        lanes = zip(num.tolist(), den.tolist(), w.tolist(), euler[live].tolist(),
+                    x[live].tolist(), coeff.tolist(), S.tolist(), comp.tolist())
+        for i, lane in zip(live.tolist(), lanes):
+            stop = _run_lane(*lane, k)
+            if stop is None:
+                raise _capped(x, s, z, i)
+            stopped[:, i] = stop
         e = np.where(euler, s, x)
         scale = _pow(base, -e).astype(float) / np.where(euler, x, 1.0)
-        value, estimate = _finish(scale, e, z, table[6], table[8], table[7], table[9], table[10])
-    return value, estimate, (table[10] + 1).astype(int)
-
-
-def _sum_lanes(lanes, k):
-    """Terms k (a column of consecutive indices) of the table columns `lanes`
-    of `_sum_batch`, from the state they carry, which is updated in place;
-    returns which lanes stop among these terms. `accumulate` runs the
-    recurrence coeff *= ((num+k)/(den+k)) w, the partial sums and the sum of
-    their TwoSum errors strictly in order of k, rounding as the scalar loop.
-    Every term is its coefficient over k * (Pfaff's or not) + row 0: x + k
-    on Pfaff's lanes, rounded as the scalar loop's x + k, and exactly 1 on
-    Euler's, so one unmasked division serves both."""
-    # Partial sums, ratio bounds, compensation and terms, row j+1 for term
-    # k[j]; row 0 holds the carried state, the last row the next coefficient.
-    work = np.empty((4, len(k) + 2, lanes.shape[1]))
-    sums, ratio, comp, terms = work[0], work[1], work[2], work[3]
-    S, r, kk, t = sums[1:-1], ratio[1:-1], comp[1:-1], terms[1:-1]
-    # S, r and kk first hold lane constants copied over terms x lanes (cheaper than broadcasts).
-    kk[...], S[...], r[...] = k, lanes[1], lanes[2]
-    S += kk
-    r += kk
-    S /= r
-    r[...] = lanes[3]
-    np.multiply(S, r, out=terms[2:])
-    np.maximum(terms[2:], r, out=r)   # w*step where step > 1, else w, exactly
-    np.multiply(kk, lanes[4], out=S)
-    S += lanes[0]   # x+k on Pfaff's lanes, exactly 1 on Euler's
-    terms[0], terms[1], comp[0] = lanes[6], lanes[5], lanes[8]
-    np.multiply.accumulate(terms[1:], axis=0, out=terms[1:])
-    lanes[5] = terms[-1]
-    t /= S
-    np.add.accumulate(terms[:-1], axis=0, out=sums[:-1])
-    bb = S - sums[:-2]
-    kk[...] = (sums[:-2] - (S - bb)) + (t - bb)
-    np.add.accumulate(comp[:-1], axis=0, out=comp[:-1])
-    stops = (r < 1.0) & (t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S)
-    at = stops.argmax(axis=0)
-    stopped = stops[at, np.arange(len(at))]
-    at[~stopped] = len(k) - 1
-    lanes[6:10] = work[:, at + 1, np.arange(len(at))]
-    lanes[10] = k[at, 0]
-    return stopped
+        value, estimate = _finish(scale, e, z, *stopped)
+    return value, estimate, (stopped[4] + 1).astype(int)
 
 
 # Below this y, `_binomial_integral` sums G_J(y) as int_0^inf - int_0^y; from

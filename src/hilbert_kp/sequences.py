@@ -186,8 +186,9 @@ def write_sequence(path, s: Sequence) -> None:
 
 def read_sequence(path) -> Sequence:
     """Read the format written by `write_sequence`. A line that does not
-    parse, an index outside int64 or a value that is not finite raises
-    `InvalidInputError` naming the file and line."""
+    parse, a start_index other than 0 or 1, an index outside int64 or a
+    value that is not finite raises `InvalidInputError` naming the file and
+    line."""
     start = None
     entries = {}
     with open(path) as fh:
@@ -199,7 +200,7 @@ def read_sequence(path) -> Sequence:
                 if line.startswith("#"):
                     body = line.lstrip("#").strip()
                     if body.startswith("start_index="):
-                        start = int(body.split("=", 1)[1])
+                        start, start_line = int(body.split("=", 1)[1]), lineno
                     continue
                 idx_text, val_text = line.split(",", 1)
                 idx, value = int(idx_text), float(val_text)
@@ -214,6 +215,8 @@ def read_sequence(path) -> Sequence:
             entries[idx] = value
     if start is None:
         raise InvalidInputError(f"{path}: missing '# start_index=' header")
+    if start not in (0, 1):
+        raise InvalidInputError(f"{path}: line {start_line}: start_index must be 0 or 1, got {start}")
     if not entries:
         return Sequence(start, ())
     top = max(entries)

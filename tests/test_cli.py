@@ -126,6 +126,8 @@ class TestBadInput:
         (["kp-apply", "--input", "{nan}"], "nan.txt: line 3: value nan is not finite"),
         (["kp-apply", "--input", "{inf}"], "inf.txt: line 2: value inf is not finite"),
         (["kp-apply", "--input", "{low}"], "low.txt: line 3: index -9223372036854775809 out of range"),
+        (["kp-apply", "--input", "{start_two}"], "start_two.txt: line 2: start_index must be 0 or 1, got 2"),
+        (["kp-apply", "--input", "{start_minus}"], "start_minus.txt: line 1: start_index must be 0 or 1, got -1"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {
@@ -145,6 +147,8 @@ class TestBadInput:
                                + "".join(f"{i},1e102\n" for i in range(1000))),
             # a single K^3 term 1e600: the term itself is inf
             "spike": self.write(tmp_path / "spike.txt", "# start_index=0\n0,1e200\n"),
+            "start_two": self.write(tmp_path / "start_two.txt", "# K^p input\n# start_index=2\n2,1.0\n"),
+            "start_minus": self.write(tmp_path / "start_minus.txt", "# start_index=-1\n"),
         }
         argv = [a.format(**files) for a in argv]
         with pytest.raises(SystemExit) as exc:

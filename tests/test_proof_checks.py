@@ -342,18 +342,18 @@ _EULER_LANES = [(1.0 - 1.0 / p, 1.0 + J, z) for p in (1.05, 2.0, 3.0, 12.0)
                 for J in (1, 2, 7, 30, 90) for z in (1.0, 0.0, 1e-6, 0.05, 0.0999)]
 
 
-# The six families on a 1001-point grid from x = 1/6000, two lanes too long
-# for a first pass (743 and 268 terms), and the Euler lanes.
+# The six families on a 1001-point grid from x = 1/6000, two long lanes (743
+# and 268 terms), and the Euler lanes.
 _MIXED_LANES = (_six_families([k / 6000.0 for k in range(1, 3001, 3)] + [0.5])
                 + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)] + _EULER_LANES)
 
 
 class TestBatchedSeries:
     def test_lanes_equal_the_scalar_loop(self):
-        """Summed together, in passes that mix families and both series,
+        """Summed together, in steps that mix families and both series,
         every lane has the value, estimate and term count of its series
-        summed alone; so do lanes too long for the first pass (743 and 268
-        terms, and the J = 90 lanes at z = 1)."""
+        summed alone; so do the long lanes (743 and 268 terms, and the
+        J = 90 lanes at z = 1)."""
         lanes = _MIXED_LANES
         assert lanes[0][0] == 1.0 / 6000.0
         value, estimate, terms = _power_integral(*np.array(lanes).T)
@@ -363,24 +363,22 @@ class TestBatchedSeries:
         for lane, v, e, k in zip(lanes, value.tolist(), estimate.tolist(), terms.tolist()):
             assert (v, e, k) == _power_integral_reference(*lane), lane
 
-    # One lane per stop index K on either side of the pass boundaries of a
-    # batch whose first pass is 32 terms wide (passes [0, 32), [32, 96),
-    # [96, 224), ...), and P(500.5, 1, 1), the eps-family's series at
-    # eps = 1000 and p = 2, which runs through five such passes.
-    BOUNDARY_LANES = {31: (0.725, 0.5, 0.5), 32: (0.9775, 0.5, 0.5), 33: (0.0225, 1.0, 1.0),
-                      63: (0.005, 0.5, 2.0), 64: (0.0075, 0.5, 2.0), 65: (0.01, 0.5, 2.0),
-                      95: (0.03, 0.5, 3.0), 96: (0.0375, 0.5, 3.0), 97: (0.0475, 0.5, 3.0),
-                      793: (500.5, 1.0, 1.0)}
+    # One lane per stop index K on either side of 32, 64 and 96, and
+    # P(500.5, 1, 1), the eps-family's series at eps = 1000 and p = 2, which
+    # needs 794 terms.
+    STOP_LANES = {31: (0.725, 0.5, 0.5), 32: (0.9775, 0.5, 0.5), 33: (0.0225, 1.0, 1.0),
+                  63: (0.005, 0.5, 2.0), 64: (0.0075, 0.5, 2.0), 65: (0.01, 0.5, 2.0),
+                  95: (0.03, 0.5, 3.0), 96: (0.0375, 0.5, 3.0), 97: (0.0475, 0.5, 3.0),
+                  793: (500.5, 1.0, 1.0)}
 
-    def test_stops_at_pass_boundaries(self):
-        """Each boundary lane has the value, estimate and term count of the
-        scalar loop, inside a 256-lane batch (first pass 32 terms wide) and
-        alone (128 wide)."""
-        lanes = list(self.BOUNDARY_LANES.values())
+    def test_stop_lanes_equal_the_scalar_loop(self):
+        """Each lane of `STOP_LANES` has the value, estimate and term count
+        of the scalar loop, inside a 256-lane batch and alone."""
+        lanes = list(self.STOP_LANES.values())
         filler = [(k / 600.0, 1.0, 0.5) for k in range(1, 257 - len(lanes))]
         value, estimate, terms = _power_integral(*np.array(lanes + filler).T)
         assert len(value) == 256
-        for i, (K, lane) in enumerate(self.BOUNDARY_LANES.items()):
+        for i, (K, lane) in enumerate(self.STOP_LANES.items()):
             expected = _power_integral_reference(*lane)
             assert expected[2] == K + 1
             assert (value[i], estimate[i], terms[i]) == expected, lane
@@ -389,10 +387,8 @@ class TestBatchedSeries:
 
     def test_small_batches_equal_the_scalar_loop(self):
         """Every lane of this class, summed in batches of one, two and three
-        lanes, has the value, estimate and term count of the scalar loop:
-        on Python floats, and past term 128 by the batch engine where a lane
-        needs more."""
-        lanes = _MIXED_LANES + list(self.BOUNDARY_LANES.values())
+        lanes, has the value, estimate and term count of the scalar loop."""
+        lanes = _MIXED_LANES + list(self.STOP_LANES.values())
         expected = [_power_integral_reference(*lane) for lane in lanes]
         for size in (1, 2, 3):
             summed = []
@@ -402,67 +398,51 @@ class TestBatchedSeries:
             assert summed == expected, size
 
     def test_small_batches_skip_the_batch_engine(self, monkeypatch):
-        """Up to three lanes that stop within 128 terms never reach
-        `_sum_lanes`, nor do the single-point integrals; a fourth lane does."""
+        """Up to `_SCALAR_LANES` lanes never reach `_sum_arrays`, nor do the
+        single-point integrals; one lane more does."""
         def engine(*args):
-            raise AssertionError("entered _sum_lanes")
+            raise AssertionError("entered _sum_arrays")
 
-        monkeypatch.setattr(quadrature, "_sum_lanes", engine)
-        lanes = [(0.3, 1.0, 1.0), (0.7, 1.0, 1.0), (0.25, 2.5, 0.05)]
-        for size in (1, 2, 3):
+        monkeypatch.setattr(quadrature, "_sum_arrays", engine)
+        lanes = [(k / 100.0, 1.0, 2.0) for k in range(1, quadrature._SCALAR_LANES + 2)]
+        for size in (1, 2, 3, quadrature._SCALAR_LANES):
             _power_integral(*np.array(lanes[:size]).T)
         beta_integral(0.3)
         F_of_y(0.05, 2.0, 0.5)   # three lanes: G_J below y = 0.1
         F_of_y(0.5, 3.0, 1.0)
         _scaled_I_of_epsilon(1e-3, 2.0)
         row_sum_alpha(1000, 3.0, 1.0, 1e-8)
-        with pytest.raises(AssertionError, match="entered _sum_lanes"):
-            _power_integral(*np.array(lanes + [(0.5, 1.0, 2.0)]).T)
+        with pytest.raises(AssertionError, match="entered _sum_arrays"):
+            _power_integral(*np.array(lanes).T)
 
-    def test_a_lone_long_lane_goes_to_the_batch_engine(self, monkeypatch):
-        """P(500.5, 1, 1) alone needs 794 terms, so the batch engine sums it,
-        to the scalar loop's value, estimate and term count. It resumes the
-        lane from the scalar loop's state at term 128, in passes of 256 and
-        512 terms, instead of summing the first 128 terms again."""
-        calls = []
-
-        def engine(lanes, k):
-            calls.append((k[0, 0], len(k)))
-            return sum_lanes(lanes, k)
-
-        sum_lanes = quadrature._sum_lanes
-        monkeypatch.setattr(quadrature, "_sum_lanes", engine)
-        value, estimate, terms = _power_integral([500.5], [1.0], [1.0])
-        assert (value[0], estimate[0], terms[0]) == _power_integral_reference(500.5, 1.0, 1.0)
-        assert terms[0] == 794
-        assert calls == [(128.0, 256), (384.0, 512)]
+    def test_a_long_lane_is_handed_to_the_scalar_loop(self):
+        """In a batch of `_SCALAR_LANES` + 1 lanes, P(500.5, 1, 1) outlives
+        the others by some 700 terms, so the scalar loop carries it on from
+        the array loop's state, to the reference's value, estimate and term
+        count."""
+        lanes = [(500.5, 1.0, 1.0)] + [(k / 100.0, 1.0, 2.0)
+                                       for k in range(1, quadrature._SCALAR_LANES + 1)]
+        value, estimate, terms = _power_integral(*np.array(lanes).T)
+        assert terms[0] == 794 and terms[1:].max() < 100
+        for lane, v, e, k in zip(lanes, value.tolist(), estimate.tolist(), terms.tolist()):
+            assert (v, e, k) == _power_integral_reference(*lane), lane
 
     # Row sums frozen from the code that summed a long lane again from term 0.
-    # The last two have a G_J lane of 187 and 277 terms that the scalar loop
-    # hands to the batch engine at term 128.
-    @pytest.mark.parametrize("args, expected, handed_over", [
-        ((10 ** 5, 6.0, 0.5, 1e-8), (6.283143766775855, 1.4858637117028138e-09, 62), False),
-        ((10 ** 5, 6.0, 0.5, 1e-10), (6.28314376677586, 1.8983607363590108e-11, 187), True),
-        ((10 ** 4, 12.0, 0.5, 1e-8), (12.138106635751939, 1.5753937419432673e-09, 277), True),
+    # The last two have a G_J lane of 187 and 277 terms.
+    @pytest.mark.parametrize("args, expected", [
+        ((10 ** 5, 6.0, 0.5, 1e-8), (6.283143766775855, 1.4858637117028138e-09, 62)),
+        ((10 ** 5, 6.0, 0.5, 1e-10), (6.28314376677586, 1.8983607363590108e-11, 187)),
+        ((10 ** 4, 12.0, 0.5, 1e-8), (12.138106635751939, 1.5753937419432673e-09, 277)),
     ])
-    def test_row_sums_keep_their_bits(self, args, expected, handed_over, monkeypatch):
-        firsts = []
-
-        def engine(lanes, k):
-            firsts.append(k[0, 0])
-            return sum_lanes(lanes, k)
-
-        sum_lanes = quadrature._sum_lanes
-        monkeypatch.setattr(quadrature, "_sum_lanes", engine)
+    def test_row_sums_keep_their_bits(self, args, expected):
         result = row_sum_alpha(*args)
         assert (result.value, result.error_estimate, result.terms) == expected
-        assert firsts == ([128.0] if handed_over else [])
 
     def test_all_euler_batches_equal_the_scalar_loop(self):
-        """Euler's lanes divide by exactly 1 in the batch engine: summed
-        together (100 lanes, and the first four alone), each has the bits of
-        `_sum_scalar` on that lane."""
-        for lanes in (_EULER_LANES, _EULER_LANES[:4]):
+        """Euler's lanes divide by exactly 1 in the array loop: summed
+        together (100 lanes, and the first `_SCALAR_LANES` + 1 alone), each
+        has the bits of `_sum_scalar` on that lane."""
+        for lanes in (_EULER_LANES, _EULER_LANES[:quadrature._SCALAR_LANES + 1]):
             x, s, z = np.array(lanes).T
             assert ((1.0 - s) + x <= 0.0).all()
             value, estimate, terms = _power_integral(x, s, z)
@@ -471,7 +451,7 @@ class TestBatchedSeries:
                 assert (value[i], estimate[i], terms[i]) == tuple(a[0] for a in alone), lanes[i]
 
     def test_batch_scale_is_pythons_power(self, monkeypatch):
-        """`_sum_batch` raises 1 + z to -x (Pfaff's lanes) or -s (Euler's)
+        """`_sum_arrays` raises 1 + z to -x (Pfaff's lanes) or -s (Euler's)
         with the bits of Python's `**` on every lane of `_MIXED_LANES`."""
         powers = []
 
@@ -509,6 +489,19 @@ class TestBatchedSeries:
                 np.errstate(over="ignore"):
             _power_integral([0.25, 0.5], [1.0, -1e5], [2.0, 2.0])
 
+    def test_array_loop_caps_the_series_length(self, monkeypatch):
+        """More than `_SCALAR_LANES` lanes that all need more than 2^16 terms
+        stay in the array loop up to the cap, which raises there and names
+        the first lane."""
+        def scalar(*args):
+            raise AssertionError("entered _run_lane")
+
+        monkeypatch.setattr(quadrature, "_run_lane", scalar)
+        n = quadrature._SCALAR_LANES + 1
+        with pytest.raises(DomainError, match=r"^series at x=0\.5, s=-100000\.0, z=2\.0 "
+                                              r"needs more than 65536 terms$"):
+            _power_integral(np.linspace(0.5, 0.6, n), np.full(n, -1e5), np.full(n, 2.0))
+
     def test_sweep_equals_the_per_point_checks(self):
         reports = [r for r in default_sweep(x_points=300)
                    if r.name in ("ineq_I", "ineq_II")]
@@ -529,8 +522,8 @@ class TestBatchedSeries:
                                            (5, (0.5, 1.0, math.inf))])
     def test_one_bad_lane_is_named(self, bad, lane):
         """x <= 0, z < 0 or an argument that is not finite, in any lane of a
-        multi-block call, raises DomainError naming that lane; a non-finite
-        lane no longer runs every pass up to the term cap."""
+        large batch, raises DomainError naming that lane, before any term is
+        summed."""
         x = np.linspace(0.01, 0.5, 700)
         s = np.ones(700)
         z = np.full(700, 2.0)
