@@ -27,14 +27,12 @@ from .norms import (
 )
 from .proof_checks import (
     CheckReport,
-    ProofCase,
     alpha_schedule,
     check_bernoulli_steps,
     check_F_convex_max,
-    check_ineq_I,
-    check_ineq_II,
     check_logconvexity_f,
     check_logconvexity_g,
+    check_master_inequalities,
     check_midpoint_bound,
     check_monotone_in_x,
     check_scalar_constants,

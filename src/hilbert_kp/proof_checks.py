@@ -21,24 +21,6 @@ from .errors import DomainError, InvalidInputError
 from .quadrature import _binomial_integral, _check_exponents, _power_integral
 
 
-@dataclass(frozen=True)
-class ProofCase:
-    """A point (x, alpha) of the proof's parameter space, x = 1/p."""
-
-    x: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.x <= 0.5:
-            raise DomainError(f"x must lie in (0, 1/2], got {self.x}")
-        if not (0.0 <= self.alpha and self.alpha * self.x <= 1.0):
-            raise DomainError(f"need 0 <= alpha*x <= 1, got alpha={self.alpha}")
-
-    @property
-    def beta(self) -> float:
-        return (1.0 - self.alpha * self.x) / (1.0 - self.x)
-
-
 @dataclass(slots=True)
 class CheckReport:
     """One check's sides, budget and side condition `holds`; `terms` is the
@@ -173,12 +155,23 @@ def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckRep
 
 def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
     """F(y) < max(F(0), F(1/2)) at the grid points inside (0, 1/2), plus
-    discrete convexity of the sampled values. F(y) = H(y, 2y)
-    (`_binomial_integral`) is summed at both ends and the grid in one batch;
-    the budget is the ends' estimates plus the largest estimate inside."""
+    discrete convexity of the sampled values; the grid points must be
+    distinct. F(y) = H(y, 2y) (`_binomial_integral`) is summed at both ends
+    and the grid in one batch; the budget is the ends' estimates plus the
+    largest estimate inside.
+
+    The bound holds at every y in (0, 1/2), not only on the grid: each
+    integrand g_t, t > 0, of F(y) = int_0^inf g_t(y) dt (`F_of_y`) is
+    log-convex in y on [0, 1/2] (`check_logconvexity_g`), so g_t'' =
+    g_t ((log g_t)'' + (log g_t)'^2) > 0 and g_t is strictly convex there;
+    so is their integral F, and a strictly convex F on [0, 1/2] has
+    F(y) < max(F(0), F(1/2)) inside. The sampled values are a cross-check
+    of that argument."""
     y = np.asarray(sorted(y_grid), dtype=float)
     if not np.all((y >= 0.0) & (y <= 0.5)):
         raise DomainError("y grid must lie in [0, 1/2]")
+    if np.any(np.diff(y) == 0.0):
+        raise DomainError("y grid points must be distinct")
     inside = (y > 0.0) & (y < 0.5)
     if not inside.any():
         raise DomainError("y grid needs a point inside (0, 1/2)")
@@ -197,6 +190,26 @@ def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # the two master integral inequalities, reduced to (0, 1] via t -> 1/t
+
+def _check_x(x: float) -> None:
+    """The proof's domain of x = 1/p, (0, 1/2]; NaN lies outside it."""
+    if not 0.0 < x <= 0.5:
+        raise DomainError(f"x must lie in (0, 1/2], got {x}")
+
+
+def _master_points(x, alpha) -> tuple:
+    """(x, alpha, beta) as 1-D float arrays from scalars or arrays that
+    broadcast, beta = (1 - alpha x)/(1 - x). Every point must have
+    0 < x <= 1/2 and 0 <= alpha x <= 1, with alpha >= 0; the first that
+    does not is named in a `DomainError`."""
+    x, alpha = np.broadcast_arrays(*(np.asarray(v, dtype=float).ravel() for v in (x, alpha)))
+    bad = ~((0.0 < x) & (x <= 0.5) & (0.0 <= alpha) & (alpha * x <= 1.0))   # NaN too
+    if bad.any():
+        i = int(bad.argmax())
+        _check_x(float(x[i]))
+        raise DomainError(f"need 0 <= alpha*x <= 1, got alpha={float(alpha[i])}")
+    return x, alpha, (1.0 - alpha * x) / (1.0 - x)
+
 
 def _sides(c: np.ndarray, cbar: np.ndarray, e: np.ndarray) -> tuple:
     """Lane triples (value, estimate, terms) of both sides of a master
@@ -235,38 +248,37 @@ def _reports(name: str, parameters: list[str], lhs, rhs) -> list[CheckReport]:
                 np.maximum(lhs[2], rhs[2]).tolist())]
 
 
-def check_ineq_I(case: ProofCase) -> CheckReport:
-    """lhs_I < rhs_I at (x, alpha).
+def check_master_inequalities(x, alpha) -> list[CheckReport]:
+    """lhs_I < rhs_I and lhs_II < rhs_II at the points (x, alpha), scalars
+    or 1-D arrays that broadcast: one `ineq_I` and one `ineq_II` report per
+    point, interleaved in point order, beta = (1 - alpha x)/(1 - x).
 
     Each side is built from P(c, s, z) = int_0^1 u^(c-1) (1+zu)^(-s) du
     = (1/c) 2F1(s, c; c+1; -z) = (1+z)^(-c)/c 2F1(c+1-s, c; c+1; z/(1+z))
-    (Pfaff), a series of positive terms (`_power_integral`). The budget is
-    the sum of the sides' error estimates, each a geometric tail bound plus
-    a rounding term; that term also covers the rounding of the input 1-x.
+    (Pfaff), a series of positive terms (`_power_integral`); II is I
+    mirrored (`_sides`). Each budget is the sum of the sides' error
+    estimates, each a geometric tail bound plus a rounding term; that term
+    also covers the rounding of the inputs 1-x and beta, which moves a side
+    by at most about 10 u. All series of all points are one batch per
+    inequality.
+
     For fixed alpha, lhs_I does not increase with x (its integrand carries
-    u^(x-1), which falls) and rhs_I does not decrease (u^(-x) rises). So a
-    pass at x settles the inequality on [x, x'] for every larger x' under
-    the same alpha.
+    u^(x-1), which falls) and rhs_I does not decrease (u^(-x) rises); so a
+    pass of I at x settles it on [x, x'] for every larger x' under the same
+    alpha. lhs_II does not decrease (u^(-x) rises, and beta' =
+    (1-alpha)/(1-x)^2 >= 0) and rhs_II does not increase (u^(x-1) falls);
+    so a pass of II at x settles it on (x', x] for every smaller x'.
     """
-    x, alpha = float(case.x), float(case.alpha)
-    return _reports("ineq_I", [f"x={x},alpha={alpha}"],
-                    *_sides(np.array([x]), np.array([1.0 - x]), np.array([alpha])))[0]
-
-
-def check_ineq_II(case: ProofCase) -> CheckReport:
-    """lhs_II < rhs_II at (x, alpha).
-
-    The sides are those of `check_ineq_I` mirrored (`_sides`), and the
-    budget is built the same way; the rounding term also covers the
-    rounding of the inputs 1-x and beta, which moves a side by at most
-    about 10 u. For fixed alpha, lhs_II does not decrease with x (u^(-x)
-    rises, and beta' = (1-alpha)/(1-x)^2 >= 0) and rhs_II does not increase
-    (u^(x-1) falls). So a pass at x settles the inequality on (x', x] for
-    every smaller x' under the same alpha.
-    """
-    x, alpha, beta = float(case.x), float(case.alpha), float(case.beta)
-    return _reports("ineq_II", [f"x={x},alpha={alpha},beta={beta}"],
-                    *_sides(np.array([1.0 - x]), np.array([x]), np.array([beta])))[0]
+    x, alpha, beta = _master_points(x, alpha)
+    xs, alphas = x.tolist(), alpha.tolist()
+    # str of a float is its repr; each alpha's text is built once.
+    suffix = {a: ",alpha=" + repr(a) for a in set(alphas)}
+    parameters = ["x=" + repr(xi) + suffix[ai] for xi, ai in zip(xs, alphas)]
+    first = _reports("ineq_I", parameters, *_sides(x, 1.0 - x, alpha))
+    second = _reports("ineq_II", [par + ",beta=" + repr(bi)
+                                  for par, bi in zip(parameters, beta.tolist())],
+                      *_sides(1.0 - x, x, beta))
+    return [report for pair in zip(first, second) for report in pair]
 
 
 def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
@@ -276,10 +288,9 @@ def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
     xs = sorted(x_grid)
     if len(xs) < 2:
         raise DomainError("need at least two grid points")
-    cases = [ProofCase(float(x), alpha) for x in xs]
-    x = np.array([case.x for case in cases])
-    (l1, e1, k1), (r1, f1, m1) = _sides(x, 1.0 - x, np.array([case.alpha for case in cases]))
-    (l2, e2, k2), (r2, f2, m2) = _sides(1.0 - x, x, np.array([case.beta for case in cases]))
+    x, alphas, beta = _master_points(xs, alpha)
+    (l1, e1, k1), (r1, f1, m1) = _sides(x, 1.0 - x, alphas)
+    (l2, e2, k2), (r2, f2, m2) = _sides(1.0 - x, x, beta)
     budget = float(np.max(2.0 * (f1 + e2 + f2) + 2.0 * e1))
     steps = np.concatenate([l1[:-1] - l1[1:],    # lhs I nonincreasing
                             r1[1:] - r1[:-1],    # rhs I nondecreasing
@@ -293,8 +304,7 @@ def check_monotone_in_x(alpha: float, x_grid) -> CheckReport:
 def alpha_schedule(x: float) -> float:
     """The proof's interpolation-weight choice on the three subintervals of
     (0, 1/2]; boundary points resolve to the left-hand case."""
-    if not 0.0 < x <= 0.5:
-        raise DomainError(f"x must lie in (0, 1/2], got {x}")
+    _check_x(x)
     if x <= 1.0 / 3.0:
         return 0.0
     if x <= 2.0 / 5.0:
@@ -324,8 +334,7 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
     factoring out 1 + v, as (1+v)(1+v/3) = 1 + (4/(3 t^2))(2t+1). The grid
     values are a cross-check of that argument.
     """
-    if not 0.0 < x <= 0.5:
-        raise DomainError(f"x must lie in (0, 1/2], got {x}")
+    _check_x(x)
     t = np.asarray(sorted(t_grid), dtype=float)
     if not np.all(t >= 1.0):   # NaN too
         raise DomainError("grid points must be >= 1")
@@ -372,9 +381,8 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     convexity grids, midpoint bounds, F-maximum reductions, monotonicity and
     the power-majorization steps. Deterministic report order.
 
-    The sides of the master inequalities and their budgets are `_sides`'s,
-    one series batch per inequality for all grid points, with the numbers
-    `check_ineq_I` and `check_ineq_II` give one point at a time.
+    The master inequalities are one `check_master_inequalities` call for
+    all grid points, one series batch per inequality.
 
     The grid x_k = k/(2 x_points), together with 1/3 and 2/5 under both
     adjacent alpha, certifies both inequalities on all of (0, 1/2], not only
@@ -387,19 +395,8 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     """
     reports = list(check_scalar_constants())
     x = [k / (2.0 * x_points) for k in range(1, x_points + 1)]
-    x += [1.0 / 3.0, 1.0 / 3.0, 2.0 / 5.0, 2.0 / 5.0]
-    alpha = [alpha_schedule(xi) for xi in x[:x_points]] + [0.0, 0.5, 0.5, 1.0]
-    xs, alphas = np.array(x), np.array(alpha)
-    beta = (1.0 - alphas * xs) / (1.0 - xs)
-    # str of a float is its repr; each alpha's text is built once.
-    suffix = {ai: ",alpha=" + repr(ai) for ai in set(alpha)}
-    parameters = ["x=" + repr(xi) + suffix[ai] for xi, ai in zip(x, alpha)]
-    first = _reports("ineq_I", parameters, *_sides(xs, 1.0 - xs, alphas))
-    second = _reports("ineq_II", [par + ",beta=" + repr(bi)
-                                  for par, bi in zip(parameters, beta.tolist())],
-                      *_sides(1.0 - xs, xs, beta))
-    for pair in zip(first, second):
-        reports.extend(pair)
+    alpha = [alpha_schedule(xi) for xi in x] + [0.0, 0.5, 0.5, 1.0]
+    reports += check_master_inequalities(x + [1.0 / 3.0, 1.0 / 3.0, 2.0 / 5.0, 2.0 / 5.0], alpha)
 
     t_grid = np.geomspace(1e-3, 1e3, 100)
     for m, (p, alpha) in product((1, 2, 10, 100, 1000), _CONVEXITY_PA):

@@ -186,9 +186,9 @@ def write_sequence(path, s: Sequence) -> None:
 
 def read_sequence(path) -> Sequence:
     """Read the format written by `write_sequence`. A line that does not
-    parse, a start_index other than 0 or 1, an index outside int64 or a
-    value that is not finite raises `InvalidInputError` naming the file and
-    line."""
+    parse, a second start_index header, a start_index other than 0 or 1, an
+    index outside int64 or a value that is not finite raises
+    `InvalidInputError` naming the file and line."""
     start = None
     entries = {}
     with open(path) as fh:
@@ -200,10 +200,15 @@ def read_sequence(path) -> Sequence:
                 if line.startswith("#"):
                     body = line.lstrip("#").strip()
                     if body.startswith("start_index="):
+                        if start is not None:
+                            raise InvalidInputError(f"{path}: line {lineno}: a second "
+                                                    f"'# start_index=' header, after line {start_line}")
                         start, start_line = int(body.split("=", 1)[1]), lineno
                     continue
                 idx_text, val_text = line.split(",", 1)
                 idx, value = int(idx_text), float(val_text)
+            except InvalidInputError:
+                raise
             except ValueError:
                 raise InvalidInputError(f"{path}: line {lineno}: cannot parse {line!r}") from None
             if not -2 ** 63 <= idx < 2 ** 63:

@@ -128,6 +128,8 @@ class TestBadInput:
         (["kp-apply", "--input", "{low}"], "low.txt: line 3: index -9223372036854775809 out of range"),
         (["kp-apply", "--input", "{start_two}"], "start_two.txt: line 2: start_index must be 0 or 1, got 2"),
         (["kp-apply", "--input", "{start_minus}"], "start_minus.txt: line 1: start_index must be 0 or 1, got -1"),
+        (["kp-apply", "--input", "{two_starts}"],
+         "two_starts.txt: line 4: a second '# start_index=' header, after line 1"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {
@@ -149,6 +151,9 @@ class TestBadInput:
             "spike": self.write(tmp_path / "spike.txt", "# start_index=0\n0,1e200\n"),
             "start_two": self.write(tmp_path / "start_two.txt", "# K^p input\n# start_index=2\n2,1.0\n"),
             "start_minus": self.write(tmp_path / "start_minus.txt", "# start_index=-1\n"),
+            # a later header would shift every entry
+            "two_starts": self.write(tmp_path / "two_starts.txt",
+                                     "# start_index=1\n1,1.0\n2,0.5\n# start_index=0\n"),
         }
         argv = [a.format(**files) for a in argv]
         with pytest.raises(SystemExit) as exc:

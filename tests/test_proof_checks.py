@@ -9,20 +9,19 @@ from hilbert_kp import (
     CheckReport,
     DomainError,
     InvalidInputError,
-    ProofCase,
     alpha_schedule,
     check_bernoulli_steps,
     check_F_convex_max,
-    check_ineq_I,
-    check_ineq_II,
     check_logconvexity_f,
     check_logconvexity_g,
+    check_master_inequalities,
     check_midpoint_bound,
     check_monotone_in_x,
     check_scalar_constants,
     default_sweep,
 )
 from hilbert_kp import F_of_y, beta_integral, proof_checks, quadrature, row_sum_alpha
+from hilbert_kp.proof_checks import _master_points
 from hilbert_kp.proof_checks import _sides as _library_sides
 from hilbert_kp.quadrature import _power_integral, _scaled_I_of_epsilon
 
@@ -38,20 +37,44 @@ INEQ_FROZEN = {
 MIDPOINT_N1 = 0.541194830244  # int_{1/2}^{3/2} t^(-1/2)/(1+t) dt, m=1, p=2, alpha=0
 
 
-class TestProofCase:
+class TestMasterPoints:
     def test_beta(self):
-        assert ProofCase(0.5, 1.0).beta == pytest.approx(1.0, abs=1e-15)
-        assert ProofCase(0.4, 0.5).beta == pytest.approx(0.8 / 0.6, rel=1e-14)
+        x, alpha, beta = _master_points([0.5, 0.4], [1.0, 0.5])
+        assert x.tolist() == [0.5, 0.4] and alpha.tolist() == [1.0, 0.5]
+        assert beta[0] == pytest.approx(1.0, abs=1e-15)
+        assert beta[1] == pytest.approx(0.8 / 0.6, rel=1e-14)
+        assert [a.shape for a in _master_points(0.4, 0.5)] == [(1,)] * 3
+        assert _master_points([0.2, 0.3, 0.4], 0.5)[1].tolist() == [0.5] * 3
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            ProofCase(0.0, 0.0)
-        with pytest.raises(DomainError):
-            ProofCase(0.6, 0.0)
-        with pytest.raises(DomainError):
-            ProofCase(0.5, 2.5)   # alpha*x > 1
+        with pytest.raises(DomainError, match=r"^x must lie in \(0, 1/2\], got 0\.0$"):
+            check_master_inequalities(0.0, 0.0)
+        with pytest.raises(DomainError, match=r"^x must lie in \(0, 1/2\], got 0\.6$"):
+            check_master_inequalities(0.6, 0.0)
+        with pytest.raises(DomainError, match=r"^need 0 <= alpha\*x <= 1, got alpha=2\.5$"):
+            check_master_inequalities(0.5, 2.5)   # alpha*x > 1
         with pytest.raises(DomainError, match="alpha=nan"):
-            ProofCase(0.3, float("nan"))
+            check_master_inequalities(0.3, float("nan"))
+        with pytest.raises(DomainError, match=r"got nan$"):
+            check_master_inequalities(float("nan"), 0.0)
+
+    def test_names_the_first_bad_point(self):
+        """Among several points outside the domain, the first is named,
+        under the rule it breaks."""
+        with pytest.raises(DomainError, match=r"^x must lie in \(0, 1/2\], got 0\.7$"):
+            check_master_inequalities([0.2, 0.7, 0.3, 0.9], [0.0, 0.0, -1.0, 0.0])
+        with pytest.raises(DomainError, match=r"^need 0 <= alpha\*x <= 1, got alpha=-1\.0$"):
+            check_master_inequalities([0.2, 0.3, 0.7], [0.0, -1.0, 0.0])
+
+    def test_reports_interleave_in_point_order(self):
+        """One `ineq_I` and one `ineq_II` report per point, in point order,
+        each the report of that point checked alone."""
+        x, alpha = [0.25, 1.0 / 3.0, 0.4, 0.5], [0.0, 0.5, 1.0, 1.0]
+        reports = check_master_inequalities(x, alpha)
+        assert [r.name for r in reports] == ["ineq_I", "ineq_II"] * 4
+        assert reports[4].parameters == "x=0.4,alpha=1.0"
+        assert reports[5].parameters == "x=0.4,alpha=1.0,beta=1.0"
+        assert reports == [r for xi, ai in zip(x, alpha) for r in check_master_inequalities(xi, ai)]
 
 
 class TestCheckReport:
@@ -203,24 +226,31 @@ class TestFConvexMax:
         with pytest.raises(DomainError, match=r"^y grid must lie in \[0, 1/2\]$"):
             check_F_convex_max(2.0, 0.0, [0.25, math.nan])
 
+    @pytest.mark.parametrize("grid", [[0.1, 0.25, 0.25, 0.4], [0.0, 0.0, 0.25], [0.5, 0.25, 0.5]])
+    def test_rejects_a_repeated_grid_point(self, grid):
+        """A repeated point used to give NaN slopes, which compare False,
+        so the convexity condition held vacuously and the check passed."""
+        with pytest.raises(DomainError, match=r"^y grid points must be distinct$"):
+            check_F_convex_max(2.0, 0.0, grid)
+
 
 def _sides(x: float, alpha: float) -> list[tuple[float, float]]:
     """(value, estimate) of lhs_I, rhs_I, lhs_II and rhs_II at one point, read
     from the library's `_sides`: I at (x, 1-x, alpha), II at (1-x, x, beta)."""
-    xs, xbar = np.array([x]), np.array([1.0 - x])
-    first = _library_sides(xs, xbar, np.array([alpha]))
-    second = _library_sides(xbar, xs, np.array([ProofCase(x, alpha).beta]))
+    xs, alphas, beta = _master_points(x, alpha)
+    first = _library_sides(xs, 1.0 - xs, alphas)
+    second = _library_sides(1.0 - xs, xs, beta)
     return [(float(side[0][0]), float(side[1][0])) for side in (*first, *second)]
 
 
 def ineq_I_lhs(x: float, alpha: float) -> float:
-    """lhs_I at one point, read through `check_ineq_I`."""
-    return check_ineq_I(ProofCase(x, alpha)).lhs
+    """lhs_I at one point, read through `check_master_inequalities`."""
+    return check_master_inequalities(x, alpha)[0].lhs
 
 
 def ineq_II_lhs(x: float, alpha: float) -> float:
-    """lhs_II at one point, read through `check_ineq_II`."""
-    return check_ineq_II(ProofCase(x, alpha)).lhs
+    """lhs_II at one point, read through `check_master_inequalities`."""
+    return check_master_inequalities(x, alpha)[1].lhs
 
 
 class TestMasterInequalities:
@@ -236,9 +266,8 @@ class TestMasterInequalities:
 
     @pytest.mark.parametrize("key", sorted(INEQ_FROZEN))
     def test_checks_pass(self, key):
-        case = ProofCase(*key)
-        assert check_ineq_I(case).passed
-        assert check_ineq_II(case).passed
+        first, second = check_master_inequalities(*key)
+        assert first.passed and second.passed
 
     @pytest.mark.parametrize("side", [ineq_I_lhs, ineq_II_lhs])
     @pytest.mark.parametrize("x, alpha", [(0.3, 1e3), (0.7, 0.0), (0.0, 1.0)])
@@ -250,7 +279,7 @@ class TestMasterInequalities:
 
     def test_tightest_point_still_clears(self):
         # x = 0.4 under alpha = 1 has the smallest margin in the whole sweep
-        rep = check_ineq_I(ProofCase(0.4, 1.0))
+        rep = check_master_inequalities(0.4, 1.0)[0]
         assert 0.0 < rep.margin < 0.01
         assert rep.passed
 
@@ -326,8 +355,7 @@ def _six_families(xs):
     points = [(x, alpha_schedule(x)) for x in xs]
     points += [(1.0 / 3.0, 0.0), (1.0 / 3.0, 0.5), (0.4, 0.5), (0.4, 1.0)]
     lanes = []
-    for x, alpha in points:
-        beta = ProofCase(x, alpha).beta
+    for x, alpha, beta in zip(*(a.tolist() for a in _master_points(*zip(*points)))):
         if alpha != 0.0:
             lanes.append((x, 1.0 - alpha, 2.0))
         lanes += [(x, 1.0, 2.0), (1.0 - x, 1.0, 0.5), (1.0 - x, 1.0 - beta, 2.0),
@@ -501,16 +529,6 @@ class TestBatchedSeries:
         with pytest.raises(DomainError, match=r"^series at x=0\.5, s=-100000\.0, z=2\.0 "
                                               r"needs more than 65536 terms$"):
             _power_integral(np.linspace(0.5, 0.6, n), np.full(n, -1e5), np.full(n, 2.0))
-
-    def test_sweep_equals_the_per_point_checks(self):
-        reports = [r for r in default_sweep(x_points=300)
-                   if r.name in ("ineq_I", "ineq_II")]
-        cases = [ProofCase(k / 600.0, alpha_schedule(k / 600.0)) for k in range(1, 301)]
-        cases += [ProofCase(1.0 / 3.0, 0.0), ProofCase(1.0 / 3.0, 0.5),
-                  ProofCase(0.4, 0.5), ProofCase(0.4, 1.0)]
-        expected = [r for case in cases for r in (check_ineq_I(case), check_ineq_II(case))]
-        assert reports == expected
-        assert max(r.terms for r in reports) > 0
 
     @pytest.mark.parametrize("bad, lane", [(517, (-0.25, 1.0, 2.0)),
                                            (3, (0.5, 1.75, -0.5)),
