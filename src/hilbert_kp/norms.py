@@ -11,15 +11,18 @@ Two estimators:
 * alternating Hölder-alignment ascent on an N x N truncation, a lower bound
   through feasible unit vectors. Both of its products are Hankel
   correlations done by FFT, O(N log N) per matvec and O(N) memory, and the
-  reported bound is the final pair's ratio certified by `kernels._ratio`. At
-  p = 1.5, on one core of a 2.1 GHz Xeon VM, N = 2^16 took 0.3-0.4 s and
-  N = 2^18 1.4-1.9 s, with traced peaks of 8 and 32 MB.
+  reported bound is the final pair's ratio certified by `kernels._ratio`.
+  Every positive start reaches the same maximizer (Boyd), so a ladder of
+  sections warm-starts each from the one before, and only the final pair is
+  certified, whatever the start. At p = 1.5, on one core of a 2.1 GHz Xeon
+  VM, N = 2^16 took 0.3-0.4 s and N = 2^18 1.4-1.9 s from the constant
+  vector, with traced peaks of 8 and 32 MB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +52,11 @@ class NormEstimate:
     # What the certified bound subtracts from the ascent's form ratio: tests
     # hold exact - lower_bound to twice it, and a Schur upper bound would report it.
     rounding_budget: float
+    # The final unit pair, ||a||_p = ||b||_q = 1: a warm-starts the next
+    # section size, and b is the Schur test's other weight. Arrays do not
+    # compare with ==, so equality and hashing leave them out.
+    a: np.ndarray = field(compare=False, repr=False)
+    b: np.ndarray = field(compare=False, repr=False)
 
 
 def epsilon_family(eps: float, p: float, M: int) -> tuple[Sequence, Sequence]:
@@ -110,26 +118,52 @@ def epsilon_family_ratio(eps: float, p: float) -> float:
     return (eps_I - estimate) / (1.0 + eps * phi_upper)
 
 
-def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000) -> NormEstimate:
+def _stretched_start(start, N: int, p: float) -> np.ndarray:
+    """A positive vector of any length N0 as a unit l^p vector of length N:
+    log a sampled at m N0/N, m = 1..N, linear in log m between the entries
+    and extended below index 1 by m^(-1/p). The kernels are homogeneous of
+    degree -1 up to O(1/m) shifts, so the maximizer of a section is close
+    to N^(-1/p) phi(m/N) for one shape phi, and the stretch keeps that
+    shape. An entry that underflowed to 0 is read as the smallest normal
+    float, and the largest entry is scaled to 1 before the exponential, so
+    no logarithm, power or norm meets a 0."""
+    s = np.asarray(start, dtype=float)
+    if s.ndim != 1 or len(s) == 0 or not np.all((s >= 0.0) & (s < math.inf)) or not s.any():
+        raise ParameterError("start must be a nonempty 1-D array of finite entries >= 0, "
+                             "not all 0")
+    at = np.log(np.arange(1.0, N + 1.0) * (len(s) / N))
+    log_a = np.interp(at, np.log(np.arange(1.0, len(s) + 1.0)),
+                      np.log(np.maximum(s, np.finfo(float).tiny)))
+    log_a -= np.minimum(at, 0.0) / p
+    a = np.exp(log_a - log_a.max())
+    return a / float(np.sum(a ** p)) ** (1.0 / p)
+
+
+def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
+                       start=None) -> NormEstimate:
     """Alternating maximization of the bilinear form over the unit balls of
-    the N x N truncation from the constant unit vector: the power method for
-    l^p norms of a nonnegative matrix (Boyd, Linear Algebra Appl. 9, 1974),
-    in which every positive start reaches the same maximizer. Each half step
-    is an exact one-ball maximization, so the objective trace is
+    the N x N truncation: the power method for l^p norms of a nonnegative
+    matrix (Boyd, Linear Algebra Appl. 9, 1974), in which every positive
+    start reaches the same maximizer. So `start`, normally the final `a` of
+    a smaller section, may be any positive vector of any length: it is
+    stretched to length N (`_stretched_start`) and only saves iterations.
+    Without it the ascent starts from the constant unit vector. Each half
+    step is an exact one-ball maximization, so the objective trace is
     nondecreasing up to rounding. It stops once an objective is within a
     relative 1e-12 of the one two half steps before; `iters` is a safety
-    cap that no measured run reached (at most 18 iterations for p in
-    [1.05, 40] and N <= 2^16).
+    cap that no measured run reached (for p in [1.05, 40], at most 18
+    iterations from the constant vector and 13 from the previous size of
+    the ladder 16, 64, ..., 2^16).
 
     Both products are Hankel correlations, K^T a = v (h corr wa) and
     K b = w (h corr vb), so one zero-padded FFT of the symbol h serves every
     iteration: each product is one rfft and one irfft of length
     L >= 2N - 1, O(N log N) time and O(N) memory.
 
-    `lower_bound` is certified: `kernels._ratio` pairs the final a and b
-    once more, and `rounding_budget` is its budget. Each half step's norm
-    is the one `_dual_align_vec` divided by, so the trace costs no power
-    sum of its own.
+    `lower_bound` is certified, whatever the start: `kernels._ratio` pairs
+    the final a and b once more, and `rounding_budget` is its budget. Each
+    half step's norm is the one `_dual_align_vec` divided by, so the trace
+    costs no power sum of its own.
     """
     if N < 1 or iters < 1:
         raise ParameterError(f"need N >= 1 and iters >= 1, got N={N}, iters={iters}")
@@ -138,7 +172,10 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000) ->
     w, v, h = _hankel(spec, idx, idx, np.arange(2.0, 2.0 * N + 1.0))
     L = 1 << max(1, (2 * N - 2).bit_length())     # a power of two >= 2N - 1
     spectrum = np.fft.rfft(h, L)
-    a = np.full(N, 1.0 / N ** (1.0 / pq.p))        # the unit vector of equal entries
+    if start is None:
+        a = np.full(N, 1.0 / N ** (1.0 / pq.p))    # the unit vector of equal entries
+    else:
+        a = _stretched_start(start, N, pq.p)
     trace: list[float] = []
     for _ in range(iters):
         c = v * _correlate(spectrum, w * a)     # K^T a, pairs against b in l^q
@@ -151,7 +188,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000) ->
             break
     del w, v, h, spectrum, c, d     # `_ratio` makes its own: half the peak again if kept
     ratio, budget = _ratio(spec, Sequence(1, a), Sequence(1, b), p)
-    return NormEstimate(ratio - budget, tuple(trace), budget)
+    return NormEstimate(ratio - budget, tuple(trace), budget, a, b)
 
 
 def kp_ratio(f: TaylorFunction, p: float, n_max: int) -> float:

@@ -199,15 +199,20 @@ def _check_x(x: float) -> None:
 
 def _master_points(x, alpha) -> tuple:
     """(x, alpha, beta) as 1-D float arrays from scalars or arrays that
-    broadcast, beta = (1 - alpha x)/(1 - x). Every point must have
-    0 < x <= 1/2 and 0 <= alpha x <= 1, with alpha >= 0; the first that
-    does not is named in a `DomainError`."""
+    broadcast, beta = (1 - alpha x)/(1 - x). There must be at least one
+    point, and every point must have 0 < x <= 1/2 and 0 <= alpha x <= 1,
+    with alpha >= 0; the first that does not is named in a `DomainError`.
+    An alpha of -0.0 becomes 0.0, so that its text does not depend on
+    which zero came first."""
     x, alpha = np.broadcast_arrays(*(np.asarray(v, dtype=float).ravel() for v in (x, alpha)))
+    if x.size == 0:
+        raise DomainError("need at least one point (x, alpha)")
     bad = ~((0.0 < x) & (x <= 0.5) & (0.0 <= alpha) & (alpha * x <= 1.0))   # NaN too
     if bad.any():
         i = int(bad.argmax())
         _check_x(float(x[i]))
         raise DomainError(f"need 0 <= alpha*x <= 1, got alpha={float(alpha[i])}")
+    alpha = alpha + 0.0     # -0.0 + 0.0 is 0.0
     return x, alpha, (1.0 - alpha * x) / (1.0 - x)
 
 

@@ -297,7 +297,8 @@ class TestConfigurationLine:
          "# p=2.0 eps_grid=0.5 ascent_sizes=4,8"),
     ])
     def test_header_records_the_effective_flags(self, argv, config, capsys):
-        """verify-inequality adds one summary line after its configuration."""
+        """verify-inequality adds one summary line after its configuration,
+        and norm-bounds one line of half-step counts."""
         _, out = run_cli(argv, capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
         assert comments[0].startswith("# generated ")
@@ -306,6 +307,9 @@ class TestConfigurationLine:
             assert len(comments) == 3
             assert re.fullmatch(r"# forms=3 fft_forms=0 worst_budget=\S+ "
                                 r"worst_ratio_plus_budget_minus_bound=-\S+", comments[2])
+        elif argv[0] == "norm-bounds":
+            assert len(comments) == 3
+            assert re.fullmatch(r"# ascent half_steps=\d+,\d+", comments[2])
         else:
             assert len(comments) == 2
 
@@ -486,6 +490,26 @@ class TestNormBounds:
         _, out1 = run_cli(argv, capsys)
         _, out2 = run_cli(argv, capsys)
         assert csv_body(out1) == csv_body(out2)
+
+    def test_each_size_warm_starts_the_next(self, monkeypatch, capsys):
+        """Every ascent after the first starts from the final `a` of the one
+        before it, in flag order, and the header counts each one's half
+        steps in that order."""
+        ascent = cli.norms.ascent_lower_bound
+        calls = []
+
+        def recording(spec, p, N, *, start):
+            est = ascent(spec, p, N, start=start)
+            calls.append((N, start, est))
+            return est
+
+        monkeypatch.setattr(cli.norms, "ascent_lower_bound", recording)
+        _, out = run_cli(["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "64,16,16,17"],
+                         capsys)
+        assert calls[0][1] is None
+        assert all(start is prev.a for (_, start, _), (_, _, prev) in zip(calls[1:], calls))
+        counts = ",".join(str(len(est.trace)) for _, _, est in calls)
+        assert f"# ascent half_steps={counts}" in out.splitlines()
 
 
 class TestKpApply:

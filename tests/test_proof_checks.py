@@ -76,6 +76,20 @@ class TestMasterPoints:
         assert reports[5].parameters == "x=0.4,alpha=1.0,beta=1.0"
         assert reports == [r for xi, ai in zip(x, alpha) for r in check_master_inequalities(xi, ai)]
 
+    @pytest.mark.parametrize("x,alpha", [([], []), (0.2, []), ([], 0.5)])
+    def test_refuses_an_empty_point_set(self, x, alpha):
+        """No points would give no reports, a check that passes vacuously."""
+        with pytest.raises(DomainError, match=r"^need at least one point \(x, alpha\)$"):
+            check_master_inequalities(x, alpha)
+
+    @pytest.mark.parametrize("alpha", [[0.0, -0.0], [-0.0, 0.0]])
+    def test_signed_zero_alpha_prints_the_same_in_either_order(self, alpha):
+        """0.0 and -0.0 are one alpha; each prints as 0.0, whichever comes first."""
+        texts = [r.parameters for r in check_master_inequalities([0.2, 0.3], alpha)]
+        assert texts == ["x=0.2,alpha=0.0", "x=0.2,alpha=0.0,beta=1.25",
+                         "x=0.3,alpha=0.0", "x=0.3,alpha=0.0,beta=" + repr(1.0 / 0.7)]
+        assert [r.parameters for r in check_master_inequalities(0.2, -0.0)] == texts[:2]
+
 
 class TestCheckReport:
     def test_pass_fail_margin(self):
