@@ -142,9 +142,11 @@ def cmd_proof_check(args: argparse.Namespace) -> int:
 
 
 def cmd_norm_bounds(args: argparse.Namespace) -> int:
-    """Each ascent after the first starts from the final `a` of the one
-    before it, in `--ascent-sizes` order; a line after the configuration
-    counts each ascent's half steps, one FFT matvec each."""
+    """Each ascent after the first starts from the final `a` of the
+    largest section ascended before it, the latest of equal sizes, so a
+    ladder that never drops starts each size from the one before it; a line
+    after the configuration counts each ascent's half steps, one FFT matvec
+    each, in `--ascent-sizes` order."""
     theoretical = norms.theoretical_norm(args.p)
     rows = []
     for eps in args.eps_grid:
@@ -152,11 +154,12 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
         rows.append("EpsilonFamily,%s,eps=%s,%.12g,%.12g,%.12g\n" % (
             args.p, eps, ratio, theoretical, theoretical - ratio))
     spec = kernels.KernelSpec(kernels.Variant.WEIGHTED_MAIN, p=args.p)
-    start = None
+    start, largest = None, 0
     half_steps = []
     for N in args.ascent_sizes:
         est = norms.ascent_lower_bound(spec, args.p, N, start=start)
-        start = est.a
+        if N >= largest:
+            start, largest = est.a, N
         half_steps.append(len(est.trace))
         rows.append("Ascent,%s,N=%d,%.12g,%.12g,%.12g\n" % (
             args.p, N, est.lower_bound, theoretical, theoretical - est.lower_bound))

@@ -20,6 +20,7 @@ truncated, and no integrand is sampled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,6 +271,10 @@ def _binomial_integral(y, x, alpha: float, p: float):
     bound, y from about 2000 at p = 2) raises `DomainError`; no public path
     gets there, as F(y) has y <= 1/2 and the row-sum tail and midpoint
     bounds x = 1/m.
+
+    Each point's tail (the recurrence, the coefficients (alpha)_j/j! x^j,
+    the products and their `math.fsum`) runs on Python floats; only the
+    powers (1+y)^(-j) are one numpy power over j = 1..J.
     """
     _check_exponents(p, alpha)
     u, r = _UNIT_ROUNDOFF, 1.0 / p
@@ -284,8 +289,8 @@ def _binomial_integral(y, x, alpha: float, p: float):
         else:
             lanes += [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, yi)]
         plans.append((yi, xi, rho, J))
-    value, estimate, terms = _power_integral(*zip(*lanes))
-    out, at = [], 0
+    value, estimate, terms = (a.tolist() for a in _power_integral(*zip(*lanes)))
+    values, estimates, counts, at = [], [], [], 0
     for yi, xi, rho, J in plans:
         log_y = abs(math.log(yi)) if yi > 0.0 else 0.0
         if yi >= _NEAR:
@@ -297,21 +302,23 @@ def _binomial_integral(y, x, alpha: float, p: float):
             g = value[at] + value[at + 1] - power * value[at + 2]
             size = value[at] + value[at + 1] + power * value[at + 2]
             error = estimate[at] + estimate[at + 1] + power * estimate[at + 2]
-        if not g >= np.finfo(float).tiny:
+        if not g >= sys.float_info.min:
             raise DomainError(f"G_J underflows at y={yi}, x={xi}")
         relative = (error + (J + 5 + log_y) * u * size) / g + (11 * J + 6 + log_y) * u
-        j = np.arange(1.0, J + 1.0)
-        steps = (yi ** (1.0 - r) * (1.0 + yi) ** -j).tolist()
-        G = [float(g)]   # the recurrence in Python floats, same roundings
+        steps = (yi ** (1.0 - r) * (1.0 + yi) ** -np.arange(1.0, J + 1.0)).tolist()
+        G = [g]
         for k in range(J, 0, -1):
             G.append((k * G[-1] + steps[k - 1]) / (k - 1 + r))
-        coef = np.multiply.accumulate(np.concatenate([[1.0], (alpha + j - 1.0) / j * xi]))
-        T = coef * np.array(G[::-1])
-        H = math.fsum(T.tolist())
-        tail = T[-1] * (1.0 + relative) * rho / (1.0 - rho)
-        out.append((H, relative * H + tail, int(terms[at:at + used].max())))
+        coef, T = 1.0, [G[J]]
+        for k in range(1, J + 1):
+            coef *= (alpha + k - 1.0) / k * xi
+            T.append(coef * G[J - k])
+        H = math.fsum(T)
+        values.append(H)
+        estimates.append(relative * H + T[-1] * (1.0 + relative) * rho / (1.0 - rho))
+        counts.append(max(terms[at:at + used]))
         at += used
-    return tuple(np.array(v) for v in zip(*out))
+    return np.array(values), np.array(estimates), np.array(counts)
 
 
 def _unit_pair(c1: float, c2: float) -> tuple[float, float, int]:

@@ -491,10 +491,10 @@ class TestNormBounds:
         _, out2 = run_cli(argv, capsys)
         assert csv_body(out1) == csv_body(out2)
 
-    def test_each_size_warm_starts_the_next(self, monkeypatch, capsys):
-        """Every ascent after the first starts from the final `a` of the one
-        before it, in flag order, and the header counts each one's half
-        steps in that order."""
+    @staticmethod
+    def ascents(monkeypatch, capsys, sizes):
+        """(N, start, estimate) of each ascent of a norm-bounds run over
+        `sizes`, and the run's output."""
         ascent = cli.norms.ascent_lower_bound
         calls = []
 
@@ -504,12 +504,25 @@ class TestNormBounds:
             return est
 
         monkeypatch.setattr(cli.norms, "ascent_lower_bound", recording)
-        _, out = run_cli(["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", "64,16,16,17"],
-                         capsys)
+        _, out = run_cli(["norm-bounds", "--eps-grid", "0.5", "--ascent-sizes", sizes], capsys)
+        return calls, out
+
+    def test_each_size_warm_starts_the_next(self, monkeypatch, capsys):
+        """In a ladder that never drops, every ascent after the first starts
+        from the final `a` of the one before it, in flag order, and the
+        header counts each one's half steps in that order."""
+        calls, out = self.ascents(monkeypatch, capsys, "16,16,17,64")
         assert calls[0][1] is None
         assert all(start is prev.a for (_, start, _), (_, _, prev) in zip(calls[1:], calls))
         counts = ",".join(str(len(est.trace)) for _, _, est in calls)
         assert f"# ascent half_steps={counts}" in out.splitlines()
+
+    def test_a_drop_starts_from_the_largest_section(self, monkeypatch, capsys):
+        """After a drop, every size starts from the maximizer of the largest
+        section so far, not from the smaller one just before it."""
+        calls, _ = self.ascents(monkeypatch, capsys, "64,16,16,17")
+        assert [N for N, _, _ in calls] == [64, 16, 16, 17]
+        assert all(start is calls[0][2].a for _, start, _ in calls[1:])
 
 
 class TestKpApply:

@@ -611,12 +611,16 @@ def row_sum_reference(m, p, alpha, N0=64):
         return head + mpmath.sumem(f, [N0, mpmath.inf], integral=integral)
 
 
-# p x m crossed, alpha and tol cycling through their values.
+# p x m crossed, alpha and tol cycling through their values; then tol = 1e-13
+# where the certified width, about 1e-13 of the value, is below it.
 ROW_SUM_ORACLE_CASES = [
     (p, m, (0.0, 0.5, 1.0)[k % 3], (1e-8, 1e-10, 1e-12)[k % 3])
     for k, (p, m) in enumerate(itertools.product((1.05, 2.0, 3.0, 10.0, 12.0),
                                                  (1, 7, 1000, 10 ** 6)))
-]
+] + [
+    (p, m, (0.0, 0.5, 1.0)[k % 3], 1e-13)
+    for k, (p, m) in enumerate(itertools.product((1.05, 2.0, 3.0), (1, 7)))
+] + [(1.05, 1000, 0.5, 1e-13)]
 
 
 class TestRowSumAlpha:
@@ -646,8 +650,9 @@ class TestRowSumAlpha:
         assert abs(res.value - tight.value) <= res.error_estimate + 1e-9
 
     def test_domain(self):
-        with pytest.raises(InvalidInputError):
-            row_sum_alpha(0, 2.0, 0.0)
+        for m in (0, 2.5, "3"):
+            with pytest.raises(InvalidInputError, match=r"^m must be"):
+                row_sum_alpha(m, 2.0, 0.0)
         with pytest.raises(DomainError):
             row_sum_alpha(1, 2.0, 2.0)
         # width <= tol cannot hold for a NaN tol, and says nothing for an infinite one
@@ -664,15 +669,20 @@ class TestRowSumAlpha:
     @pytest.mark.parametrize("p", [10.0, 12.0])
     def test_large_p_below_constant(self, p):
         """Summing until a summand drops below the default tol takes about
-        tol^(-p/(p+1)) summands, more than 2^26 from p near 7 on; the
-        Euler-Maclaurin head stays at most 16384 long here."""
+        tol^(-p/(p+1)) summands, more than 2^26 from p near 7 on."""
         res = row_sum_alpha(1, p, 0.0)
         assert res.error_estimate <= 1e-9
         assert res.value + res.error_estimate < theoretical_norm(p)
 
-    @pytest.mark.parametrize("tol", [1e-30, 1e-14])
+    @pytest.mark.parametrize("tol", [1e-30, 1e-15])
     def test_unreachable_tol_raises(self, tol):
-        # 1e-30 needs more than ROW_SUM_MAX_HEAD terms, 1e-14 is below twice
-        # the rounding term of a sum near 1.86 (about 1.1e-14 at N = 2^19)
-        with pytest.raises(ParameterError, match=f"tol={tol}"):
+        # The certified width of this sum near 1.86 is about 6.6e-15.
+        with pytest.raises(ParameterError, match=f"tol={tol}: its certified width is"):
             row_sum_alpha(1, 2.0, 0.0, tol=tol)
+
+    @pytest.mark.parametrize("m,p,alpha", [(1, 2.0, 0.0), (7, 1.05, 0.5), (1000, 3.0, 1.0),
+                                           (10 ** 6, 12.0, 0.5)])
+    def test_tol_does_not_change_the_result(self, m, p, alpha):
+        loose, tight = row_sum_alpha(m, p, alpha, 1e-6), row_sum_alpha(m, p, alpha, 1e-12)
+        assert (loose.value, loose.error_estimate, loose.terms) == (
+            tight.value, tight.error_estimate, tight.terms)

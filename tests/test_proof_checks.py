@@ -469,16 +469,18 @@ class TestBatchedSeries:
         for lane, v, e, k in zip(lanes, value.tolist(), estimate.tolist(), terms.tolist()):
             assert (v, e, k) == _power_integral_reference(*lane), lane
 
-    # Row sums frozen from the code that summed a long lane again from term 0.
-    # The last two have a G_J lane of 187 and 277 terms.
+    # The tails H(N/m, 1/m) of three row sums, at (y, x, alpha, p), frozen
+    # from the code that summed a long lane again from term 0; the last two
+    # have a G_J lane of 187 and 277 terms.
     @pytest.mark.parametrize("args, expected", [
-        ((10 ** 5, 6.0, 0.5, 1e-8), (6.283143766775855, 1.4858637117028138e-09, 62)),
-        ((10 ** 5, 6.0, 0.5, 1e-10), (6.28314376677586, 1.8983607363590108e-11, 187)),
-        ((10 ** 4, 12.0, 0.5, 1e-8), (12.138106635751939, 1.5753937419432673e-09, 277)),
+        ((0.00256, 1e-5, 0.5, 6.0), (6.274894355525352, 3.016246496060967e-13, 62)),
+        ((0.16384, 1e-5, 0.5, 6.0), (6.0353243178294775, 7.877071797884636e-13, 187)),
+        ((0.1024, 1e-4, 0.5, 12.0), (12.009356143540854, 2.2885764617111426e-12, 277)),
     ])
     def test_row_sums_keep_their_bits(self, args, expected):
-        result = row_sum_alpha(*args)
-        assert (result.value, result.error_estimate, result.terms) == expected
+        y, x, alpha, p = args
+        value, estimate, terms = quadrature._binomial_integral([y], [x], alpha, p)
+        assert (value[0], estimate[0], terms[0]) == expected
 
     def test_all_euler_batches_equal_the_scalar_loop(self):
         """Euler's lanes divide by exactly 1 in the array loop: summed

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from hilbert_kp import (
@@ -245,3 +246,72 @@ class TestBinomialSeriesOracle:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=rf"G_J underflows at y={y}, x="):
                 _binomial_integral([y], [2.0 * (1.0 + y) / 3.0], 0.5, 2.0)
+
+
+def _binomial_integral_reference(y, x, alpha, p):
+    """`_binomial_integral` as it ran its per-point tail on numpy arrays: the
+    G_J lanes by `_power_integral`, then the recurrence, the binomial
+    coefficients (`np.multiply.accumulate`), the products and the sum."""
+    u, r = 2.0 ** -53, 1.0 / p
+    plans, lanes = [], []
+    for yi, xi in zip(y, x):
+        rho = 0.0 if alpha == 0.0 else xi / (1.0 + yi)
+        J = 0 if rho == 0.0 else max(0, math.ceil(math.log(u * (1.0 - rho)) / math.log(rho)) - 1)
+        if yi >= 0.1:
+            lanes.append((J + r, 1.0 + J, 1.0 / yi))
+        else:
+            lanes += [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, yi)]
+        plans.append((yi, xi, rho, J))
+    value, estimate, terms = _power_integral(*zip(*lanes))
+    out, at = [], 0
+    for yi, xi, rho, J in plans:
+        log_y = abs(math.log(yi)) if yi > 0.0 else 0.0
+        if yi >= 0.1:
+            power, used = yi ** -r * yi ** -J, 1
+            g = size = power * value[at]
+            error = power * estimate[at]
+        else:
+            power, used = yi ** (1.0 - r), 3
+            g = value[at] + value[at + 1] - power * value[at + 2]
+            size = value[at] + value[at + 1] + power * value[at + 2]
+            error = estimate[at] + estimate[at + 1] + power * estimate[at + 2]
+        relative = (error + (J + 5 + log_y) * u * size) / g + (11 * J + 6 + log_y) * u
+        j = np.arange(1.0, J + 1.0)
+        steps = (yi ** (1.0 - r) * (1.0 + yi) ** -j).tolist()
+        G = [float(g)]
+        for k in range(J, 0, -1):
+            G.append((k * G[-1] + steps[k - 1]) / (k - 1 + r))
+        coef = np.multiply.accumulate(np.concatenate([[1.0], (alpha + j - 1.0) / j * xi]))
+        T = coef * np.array(G[::-1])
+        H = math.fsum(T.tolist())
+        tail = T[-1] * (1.0 + relative) * rho / (1.0 - rho)
+        out.append((H, relative * H + tail, int(terms[at:at + used].max())))
+        at += used
+    return tuple(np.array(v) for v in zip(*out))
+
+
+class TestBinomialTail:
+    def test_equals_the_array_tail(self):
+        """On 320 random batches of one to five points (every sixteenth of
+        40, whose G_J lanes go through the array engine), with y on both
+        sides of the 0.1 split, x up to its bound 2(1+y)/3 (J up to about
+        90), alpha in {0, 1/2, 1} or random and p in [1.05, 20], every
+        value, estimate and term count has the bits of the array tail's,
+        and each returned array its dtype."""
+        rng = np.random.default_rng(30)
+        longest = 0
+        for batch in range(320):
+            size = 40 if batch % 16 == 15 else int(rng.integers(1, 6))
+            near = rng.random(size) < 0.5
+            y = np.where(near, 0.1 * rng.random(size), 0.1 + 20.0 * rng.random(size) ** 3)
+            x = 2.0 * (1.0 + y) / 3.0 * rng.random(size) ** rng.choice([0.1, 1.0, 10.0])
+            alpha = (0.0, 0.5, 1.0, float(rng.random()))[batch % 4]
+            p = 1.05 + 18.95 * float(rng.random())
+            expected = _binomial_integral_reference(y.tolist(), x.tolist(), alpha, p)
+            got = _binomial_integral(y, x, alpha, p)
+            for e, g in zip(expected, got):
+                assert g.dtype == e.dtype and g.tolist() == e.tolist(), (y, x, alpha, p)
+            if alpha:
+                rho = x / (1.0 + y)
+                longest = max(longest, int(np.max(np.log(2.0 ** -53 * (1.0 - rho)) / np.log(rho))))
+        assert longest >= 85
