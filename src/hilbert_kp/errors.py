@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the argument rules that several modules share."""
+
+import math
+import operator
 
 
 class InvalidInputError(ValueError):
@@ -16,3 +19,24 @@ class DegenerateInputError(ValueError):
 
 class ParameterError(ValueError):
     """A tuning parameter (tolerance, truncation size, ...) is out of range."""
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """value as an int; `ParameterError` naming it unless it is an integer >= least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _check_p(p: float) -> None:
+    if not (math.isfinite(p) and p > 1.0):
+        raise DomainError(f"p must lie in (1, inf), got {p}")
+
+
+def _check_positive(value: float, name: str, error=DomainError) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise error(f"{name} must be finite and > 0, got {value}")

@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError, _check_count, _check_positive
 from .quadrature import QuadratureResult, _binomial_integral, _check_exponents
 from .sequences import Sequence, _sum2, conjugate, lp_norm
 
@@ -197,18 +197,6 @@ def _blocks(size: int, n_max: int) -> tuple[int, int]:
     return min(plans, key=lambda plan: (2 * plan[1] + 1) * plan[0] * (plan[0].bit_length() - 1))
 
 
-def _check_n_max(n_max, least: int) -> int:
-    """n_max as an int; `ParameterError` unless it is an integer (numpy's
-    included) >= least."""
-    try:
-        n_max = operator.index(n_max)
-    except TypeError:
-        raise ParameterError(f"n_max must be an integer, got {n_max!r}") from None
-    if n_max < least:
-        raise ParameterError(f"n_max must be >= {least}, got {n_max}")
-    return n_max
-
-
 def _image(spec: KernelSpec, av: np.ndarray,
            n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(v, y, fft_error) with K^T a = v y on 1..n_max, for the nonnegative
@@ -323,7 +311,7 @@ def bilinear_form(spec: KernelSpec, a: Sequence, b: Sequence) -> float:
 
 def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
     """c_n = sum_m k(m,n) a_m for 1 <= n <= n_max, as v(n) times the
-    correlation of the Hankel symbol with wa (`_image`). n_max is an integer.
+    correlation of the Hankel symbol with wa (`_image`); n_max is a count >= 1.
 
     Below `_FFT_CROSSOVER` products len(a) n_max, or for len(a) under
     `_FFT_MIN_SUPPORT`, every entry keeps a small relative error. Otherwise
@@ -332,7 +320,7 @@ def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
     a few tens of u per entry. Entries far below the largest, such as the
     image of a spike at distant n, then lose relative accuracy.
     """
-    n_max = _check_n_max(n_max, 1)
+    n_max = _check_count(n_max, "n_max", 1)
     if a.start_index != 1:
         raise InvalidInputError("apply_operator expects a 1-based sequence")
     av = a.require_nonnegative("a")
@@ -349,7 +337,7 @@ _EM_WEIGHTS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
 
 def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> QuadratureResult:
     """The infinite row sum  sum_n f(n),  f(n) = (m/n)^(1/p) (m+n)^(alpha-1) (m+n-1)^(-alpha),
-    with a certified error estimate; m is an integer >= 1.
+    with a certified error estimate; m is a count >= 1.
 
     f is a product of three completely monotone functions of n, so it is
     completely monotone, and Euler-Maclaurin with six Bernoulli terms leaves
@@ -383,15 +371,9 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
     it raises `ParameterError`. For p <= 12 and m <= 10^6 the estimate is at
     most 2e-13 of the value.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise InvalidInputError(f"m must be an integer, got {m!r}") from None
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
+    m = _check_count(m, "m", 1)
     _check_exponents(p, alpha)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"tol must be finite and > 0, got {tol}")
+    _check_positive(tol, "tol", ParameterError)
     u, r = 2.0 ** -53, 1.0 / p
     N = min(max(32, -(-m // 2)), 1024)
     n = np.arange(1.0, N + 1.0)

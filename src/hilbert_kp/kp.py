@@ -12,13 +12,12 @@ isometry onto l^p that carries the Hilbert matrix 1/(m+n+1) to WEIGHTED_MAIN,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .kernels import KernelSpec, Variant, _check_n_max, apply_operator
+from .errors import DomainError, _check_count, _check_positive
+from .kernels import KernelSpec, Variant, apply_operator
 from .sequences import Sequence, _sum2
 
 
@@ -41,8 +40,7 @@ class TaylorFunction:
 def kp_norm(f: TaylorFunction, p: float) -> float:
     """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`; a term or sum
     past the float range raises `OverflowError`, as `_sum2` does."""
-    if not (math.isfinite(p) and p > 0.0):
-        raise DomainError(f"p must be finite and > 0, got {p}")
+    _check_positive(p, "p")
     a = f.coeffs.values
     with np.errstate(over="ignore"):
         terms = np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p
@@ -53,8 +51,8 @@ def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:
     """Coefficients c_n = sum_m a_m/(m+n+1) of the Hilbert matrix image,
     0 <= n <= n_max: the classical operator 1/(m+n-1) on the 1-based
     indices m+1 and n+1, applied to a trimmed to its last nonzero
-    coefficient. n_max is an integer."""
-    n_max = _check_n_max(n_max, 0)
+    coefficient. n_max is a count >= 0."""
+    n_max = _check_count(n_max, "n_max", 0)
     a = f.coeffs.values
     nz = np.flatnonzero(a)
     a = a[:nz[-1] + 1] if len(nz) else a[:0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ParameterError
+from .errors import DegenerateInputError, ParameterError, _check_count, _check_positive
 from .kernels import KernelSpec, _correlate, _hankel, _ratio
 # bench/test_bench.py checks that the benchmark's tracing patches this name here.
 from .kernels import kernel_matrix  # noqa: F401
@@ -60,11 +60,9 @@ class NormEstimate:
 
 
 def epsilon_family(eps: float, p: float, M: int) -> tuple[Sequence, Sequence]:
-    """Truncations of the extremal pair on indices 1..M."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eps must be finite and > 0, got {eps}")
-    if M < 1:
-        raise ParameterError(f"M must be >= 1, got {M}")
+    """Truncations of the extremal pair on indices 1..M, a count >= 1."""
+    _check_positive(eps, "eps")
+    M = _check_count(M, "M", 1)
     pq = conjugate(p)
     m = np.arange(1, M + 1, dtype=float)
     a = m ** (-(1.0 + eps) / pq.p)
@@ -153,7 +151,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
     relative 1e-12 of the one two half steps before; `iters` is a safety
     cap that no measured run reached (for p in [1.05, 40], at most 18
     iterations from the constant vector and 13 from the previous size of
-    the ladder 16, 64, ..., 2^16).
+    the ladder 16, 64, ..., 2^16). N and iters are counts >= 1.
 
     Both products are Hankel correlations, K^T a = v (h corr wa) and
     K b = w (h corr vb), so one zero-padded FFT of the symbol h serves every
@@ -165,8 +163,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
     half step's norm is the one `_dual_align_vec` divided by, so the trace
     costs no power sum of its own.
     """
-    if N < 1 or iters < 1:
-        raise ParameterError(f"need N >= 1 and iters >= 1, got N={N}, iters={iters}")
+    N, iters = _check_count(N, "N", 1), _check_count(iters, "iters", 1)
     pq = conjugate(p)
     idx = np.arange(1.0, N + 1.0)
     w, v, h = _hankel(spec, idx, idx, np.arange(2.0, 2.0 * N + 1.0))

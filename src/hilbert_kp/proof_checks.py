@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, _check_count
 from .quadrature import _binomial_integral, _check_exponents, _power_integral
 
 
@@ -63,6 +63,16 @@ def _three_power(a, b, c, p: float, alpha: float):
     return value, a ** -2.0 / p + b ** -2.0 + alpha * (c ** -2.0 - b ** -2.0)
 
 
+def _sorted_grid(values, ok, message: str) -> np.ndarray:
+    """values sorted, as floats; `DomainError` if empty, or with message if a point fails ok."""
+    grid = np.sort(np.asarray(values, dtype=float), axis=None)
+    if not grid.size:
+        raise DomainError("need at least one grid point")
+    if not np.all(ok(grid)):
+        raise DomainError(message)
+    return grid
+
+
 def _logconvexity(name: str, parameters: str, bases, p: float, alpha: float,
                   grid, inner, h) -> CheckReport:
     """(log)'' > 0 on the grid, with the sign of a central second difference
@@ -82,27 +92,25 @@ def _logconvexity(name: str, parameters: str, bases, p: float, alpha: float,
 
 def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
     """(log f)'' > 0 for f(t) = t^(-1/p) (m+t)^(alpha-1) (m+t-1)^(-alpha),
-    m >= 1, at every grid point t > 0; the second difference steps by
-    1e-4 max(1, t).
+    count m >= 1, at every point t > 0 of a nonempty grid; the second
+    difference steps by 1e-4 max(1, t).
 
     The sign holds at every t > 0, not only on the grid:
     (log f)'' = t^-2/p + (1-alpha) (m+t)^-2 + alpha (m+t-1)^-2, the bases
     t, m+t and m+t-1 are positive, and `_check_exponents` enforces
     0 <= alpha <= 1, so every term is >= 0 and t^-2/p > 0. The grid
     values and second differences are a cross-check of that argument."""
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    t = np.asarray(sorted(t_grid), dtype=float)
-    if not np.all((t > 0.0) & (t < np.inf)):
-        raise DomainError("grid points must be positive and finite")
+    m = _check_count(m, "m", 1)
+    t = _sorted_grid(t_grid, lambda v: (v > 0.0) & (v < np.inf),
+                     "grid points must be positive and finite")
     return _logconvexity("logconvexity_f", f"m={m}", lambda v: (v, m + v, m + v - 1.0),
                          p, alpha, t, slice(None), 1e-4 * np.maximum(1.0, t))
 
 
 def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckReport:
     """(log g_t)'' > 0 for g_t(y) = (t+y)^(-1/p) (t+1+y)^(alpha-1) (t+1-y)^(-alpha),
-    t > 0, at every grid point y in [0, 1/2]; the second difference steps
-    by 1e-4 at the grid points at least that far inside.
+    t > 0, at every point y in [0, 1/2] of a nonempty grid; the second
+    difference steps by 1e-4 at the grid points at least that far inside.
 
     The sign holds at every y in [0, 1/2], not only on the grid:
     (log g_t)'' = (t+y)^-2/p + (1-alpha) (t+1+y)^-2 + alpha (t+1-y)^-2,
@@ -112,9 +120,7 @@ def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckRepor
     argument."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
-    y = np.asarray(sorted(y_grid), dtype=float)
-    if not np.all((y >= 0.0) & (y <= 0.5)):
-        raise DomainError("y grid must lie in [0, 1/2]")
+    y = _sorted_grid(y_grid, lambda v: (v >= 0.0) & (v <= 0.5), "y grid must lie in [0, 1/2]")
     return _logconvexity("logconvexity_g", f"t={t}", lambda v: (t + v, t + 1.0 + v, t + 1.0 - v),
                          p, alpha, y, (y - 1e-4 >= 0.0) & (y + 1e-4 <= 0.5), 1e-4)
 
@@ -123,7 +129,7 @@ def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckRepor
 # midpoint bound and the F-maximum reduction
 
 def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckReport:
-    """f(n) < int_{n-1/2}^{n+1/2} f(t) dt for 1 <= n <= n_max, m >= 1.
+    """f(n) < int_{n-1/2}^{n+1/2} f(t) dt for 1 <= n <= n_max, counts m, n_max >= 1.
 
     With t = m s, int_a^inf f = m^(-1/p) H(a/m, 1/m) (`_binomial_integral`),
     so each integral is a difference of H at (n -+ 1/2)/m; H is summed at
@@ -136,10 +142,7 @@ def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckRep
     (log f)'^2) > 0 and f is strictly convex there, and Hermite-Hadamard
     gives f(n) < int_{n-1/2}^{n+1/2} f on [n-1/2, n+1/2], which lies in
     t > 0. The summed integrals are a cross-check of that argument."""
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    m, n_max = _check_count(m, "m", 1), _check_count(n_max, "n_max", 1)
     ends = (np.arange(n_max + 1.0) + 0.5) / m
     value, estimate, terms = _binomial_integral(ends, np.full(n_max + 1, 1.0 / m), alpha, p)
     scale = m ** (-1.0 / p)
@@ -167,9 +170,7 @@ def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
     so is their integral F, and a strictly convex F on [0, 1/2] has
     F(y) < max(F(0), F(1/2)) inside. The sampled values are a cross-check
     of that argument."""
-    y = np.asarray(sorted(y_grid), dtype=float)
-    if not np.all((y >= 0.0) & (y <= 0.5)):
-        raise DomainError("y grid must lie in [0, 1/2]")
+    y = _sorted_grid(y_grid, lambda v: (v >= 0.0) & (v <= 0.5), "y grid must lie in [0, 1/2]")
     if np.any(np.diff(y) == 0.0):
         raise DomainError("y grid points must be distinct")
     inside = (y > 0.0) & (y < 0.5)
@@ -321,7 +322,7 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
     """The three power-majorization steps used in the endpoint cases:
     (1+2/t)^(1/(1-x)) <= (1+2/t)(1 + (x/(1-x)) 2/t),
     (1+2/t)^(1/2)     <= 1 + 1/t,
-    (1+2/t)^(4/3)     <= 1 + (4/(3 t^2))(2t+1).
+    (1+2/t)^(4/3)     <= 1 + (4/(3 t^2))(2t+1),  at every t >= 1 of a nonempty grid.
 
     At x = 1/2 the first step is the identity (1+2/t)^2 = (1+2/t)^2: its
     margin is exactly 0, and no positive budget can certify it. So the
@@ -340,9 +341,7 @@ def check_bernoulli_steps(x: float, t_grid) -> CheckReport:
     values are a cross-check of that argument.
     """
     _check_x(x)
-    t = np.asarray(sorted(t_grid), dtype=float)
-    if not np.all(t >= 1.0):   # NaN too
-        raise DomainError("grid points must be >= 1")
+    t = _sorted_grid(t_grid, lambda v: v >= 1.0, "grid points must be >= 1")
     u = 2.0 / t
     ratio = x / (1.0 - x)
     sides = [((1.0 + u) * (1.0 + ratio * u), (1.0 + u) ** (1.0 / (1.0 - x))),
@@ -384,7 +383,7 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     """The full certification run: scalar constants, both master inequalities
     along the alpha schedule (boundary points under both adjacent weights),
     convexity grids, midpoint bounds, F-maximum reductions, monotonicity and
-    the power-majorization steps. Deterministic report order.
+    the power-majorization steps, on x_points >= 1 grid points of x, in a fixed order.
 
     The master inequalities are one `check_master_inequalities` call for
     all grid points, one series batch per inequality.
@@ -398,6 +397,7 @@ def default_sweep(x_points: int = 300) -> list[CheckReport]:
     falls, and a pass at its right end covers it. Under alpha = 0, on
     (0, 1/3], lhs_I is identically 0.
     """
+    x_points = _check_count(x_points, "x_points", 1)
     reports = list(check_scalar_constants())
     x = [k / (2.0 * x_points) for k in range(1, x_points + 1)]
     alpha = [alpha_schedule(xi) for xi in x] + [0.0, 0.5, 0.5, 1.0]

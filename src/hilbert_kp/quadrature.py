@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _check_p, _check_positive
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,7 @@ _NEAR = 0.1
 
 def _check_exponents(p: float, alpha: float) -> None:
     """1 < p < inf and 0 <= alpha <= 1, where `_binomial_integral` holds."""
-    if not (math.isfinite(p) and p > 1.0):
-        raise DomainError(f"p must lie in (1, inf), got {p}")
+    _check_p(p)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
 
@@ -359,8 +358,7 @@ def _scaled_I_of_epsilon(eps: float, p: float) -> tuple[float, float, int]:
     y -> 1/y, P(1/p + eps/q, 1, 1) + P(1 - (1-eps)/p, 1, 1) by `_unit_pair`.
     Returns value, error estimate and term count; free of the factor 1/eps,
     it stays finite for every positive eps."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eps must be finite and > 0, got {eps}")
-    _check_exponents(p, 0.0)   # I(eps) has no alpha
+    _check_positive(eps, "eps")
+    _check_p(p)
     invp = 1.0 / p
     return _unit_pair(invp + eps * (1.0 - invp), 1.0 - invp * (1.0 - eps))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, _check_p
 
 class _Values(np.ndarray):
     """The array type of `Sequence.values`. Iterating it yields Python
@@ -98,16 +98,14 @@ class ExponentPair:
     q: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and 1.0 < self.p):
-            raise DomainError(f"p must lie in (1, inf), got {self.p}")
+        _check_p(self.p)
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-14:
             raise DomainError(f"({self.p}, {self.q}) are not conjugate")
 
 
 def conjugate(p: float) -> ExponentPair:
-    """Conjugate exponent pair (p, p/(p-1))."""
-    if not math.isfinite(p) or p <= 1.0:
-        raise DomainError(f"p must lie in (1, inf), got {p}")
+    """Conjugate exponent pair (p, p/(p-1)), 1 < p < inf."""
+    _check_p(p)
     return ExponentPair(p, p / (p - 1.0))
 
 
@@ -151,9 +149,10 @@ def lp_norm(s: Sequence, p: float) -> float:
 def _dual_align_vec(c: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """(b, ||c||_p): the Hölder alignment of a nonnegative, nonzero array c,
     b = (c/||c||_p)^(p-1), the unit l^q vector with sum c_n b_n = ||c||_p,
-    and the norm it divided by."""
-    norm = float(np.sum(c ** p)) ** (1.0 / p)
-    return (c / norm) ** (p - 1.0), norm
+    and the norm it divided by; the powers are of c/max(c), which cannot overflow."""
+    top = float(c.max())
+    norm = float(np.sum((c / top) ** p)) ** (1.0 / p)
+    return (c / (top * norm)) ** (p - 1.0), top * norm
 
 
 def kp_to_lp_isometry(a: Sequence, p: float) -> Sequence:

@@ -221,6 +221,15 @@ class TestAscent:
         est = ascent_lower_bound(KernelSpec(Variant.WEIGHTED_MAIN, p=p), p, N)
         assert len(est.trace) <= 40
 
+    @pytest.mark.parametrize("p", [1.001, 1000.0])
+    def test_extreme_p_stays_finite(self, p):
+        """At p = 1000, and at p = 1.001 where q = 1001, the ascent's images
+        raised to the power p used to overflow, and a NaN entry ended the run."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = ascent_lower_bound(KernelSpec(Variant.WEIGHTED_MAIN, p=p), p, 4096)
+        assert 1.0 < est.lower_bound < theoretical_norm(p)
+
     def test_grows_with_n(self):
         spec = KernelSpec(Variant.CLASSICAL)
         vals = [ascent_lower_bound(spec, 2.0, N, 2000).lower_bound

@@ -8,7 +8,7 @@ import pytest
 from hilbert_kp import (
     CheckReport,
     DomainError,
-    InvalidInputError,
+    ParameterError,
     alpha_schedule,
     check_bernoulli_steps,
     check_F_convex_max,
@@ -174,7 +174,7 @@ class TestLogConvexity:
 
     def test_rejects_row_zero(self):
         """m = 0 used to give rhs = inf with numpy warnings."""
-        with pytest.raises(InvalidInputError, match=r"^m must be >= 1, got 0$"):
+        with pytest.raises(ParameterError, match=r"^m must be >= 1, got 0$"):
             check_logconvexity_f(0, 2.0, 0.5, [1.0])
 
 
@@ -189,7 +189,7 @@ class TestMidpoint:
         assert check_midpoint_bound(2, 3.0, 0.5, n_max=40).passed
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match=r"^n_max must be >= 1, got 0$"):
             check_midpoint_bound(1, 2.0, 0.0, n_max=0)
 
     @pytest.mark.parametrize("m, p, alpha, n_max", [(1, 2.0, -0.5, 3), (2, 2.0, 1.5, 4),
@@ -202,7 +202,7 @@ class TestMidpoint:
 
     def test_rejects_row_zero(self):
         """m = 0 used to raise ZeroDivisionError."""
-        with pytest.raises(InvalidInputError, match=r"^m must be >= 1, got 0$"):
+        with pytest.raises(ParameterError, match=r"^m must be >= 1, got 0$"):
             check_midpoint_bound(0, 2.0, 0.5, 3)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 1000, 10 ** 6])
@@ -632,6 +632,21 @@ class TestBernoulliAndScalars:
         assert reports["scalar_alpha1_x_1_2"].margin > 0.31
         assert reports["scalar_sinc_2pi_5"].margin > 1.0e-3
         assert reports["scalar_alphahalf_x_2_5"].margin > 0.09
+
+
+class TestGrids:
+    @pytest.mark.parametrize("check", [
+        lambda grid: check_logconvexity_f(1, 2.0, 0.5, grid),
+        lambda grid: check_logconvexity_g(1.0, 2.0, 0.5, grid),
+        lambda grid: check_F_convex_max(2.0, 0.5, grid),
+        lambda grid: check_bernoulli_steps(0.3, grid),
+    ], ids=["logconvexity_f", "logconvexity_g", "F_convex_max", "bernoulli_steps"])
+    @pytest.mark.parametrize("grid", [[], np.array([])])
+    def test_refuses_an_empty_grid(self, check, grid):
+        """Three of these used to fail inside numpy on a zero-size
+        reduction; an empty grid checks nothing."""
+        with pytest.raises(DomainError, match=r"^need at least one grid point$"):
+            check(grid)
 
 
 class TestDefaultSweep:

@@ -160,6 +160,14 @@ class TestDualAlign:
         assert math.fsum([2.0 * b[0], b[1]]) == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-12)
         assert norm == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("p", [1000.0, 1001.0])
+    def test_no_power_overflows(self, p):
+        """3^1000 is past the float range; the powers are taken of c/max(c)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            b, norm = self.align(3, 1, p=p)
+        assert b.tolist() == [1.0, 0.0] and norm == 3.0
+
     @given(nonneg_values, exponents)
     @settings(max_examples=200)
     def test_attains_equality(self, vals, p):
