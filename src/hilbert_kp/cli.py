@@ -196,6 +196,11 @@ def cmd_beta_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# `positive_int` and `positive_floats` spell the count and eps rules apart from
+# `errors._check_count` and `errors._check_positive` on purpose: argparse shows
+# only an ArgumentTypeError's text after the flag, and the text quotes the
+# flag as typed (`1e-400`, not the 0.0 it parses to), which the library rules
+# never see. Sharing them would make the library rules branch on their caller.
 def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1, so that no run can
     pass with nothing checked."""

@@ -60,6 +60,8 @@ class KernelSpec:
     p: float = 2.0
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise InvalidInputError(f"variant must be a Variant member, got {self.variant!r}")
         if self.variant is not Variant.CLASSICAL:
             conjugate(self.p)
 
@@ -94,9 +96,7 @@ def kernel_matrix(spec: KernelSpec, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         return _pow_ratio(n, m, spec.weight_exponent()) / (m + n - 1.0)
     if spec.variant is Variant.YANG_SHIFT:
         return _pow_ratio(n, m, spec.weight_exponent()) / (m + n)
-    if spec.variant is Variant.YANG_HALF_SHIFT:
-        return _pow_ratio(n - 0.5, m - 0.5, spec.weight_exponent()) / (m + n - 1.0)
-    raise AssertionError(spec.variant)
+    return _pow_ratio(n - 0.5, m - 0.5, spec.weight_exponent()) / (m + n - 1.0)   # YANG_HALF_SHIFT
 
 
 def _hankel(spec: KernelSpec, m: np.ndarray, n: np.ndarray,
@@ -261,8 +261,8 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     product can err by more than its 2 ln(len(a) + len(b)) u part
     (`YANG_HALF_SHIFT`, p = 40, a = e_3, b = e_1: 3.6 u against 2.8 u).
     """
-    if a.start_index != 1 or b.start_index != 1:
-        raise InvalidInputError("bilinear form expects 1-based sequences")
+    a.require_start(1, "a")
+    b.require_start(1, "b")
     av = a.require_nonnegative("a")
     bv = b.require_nonnegative("b")
     if not av.any() or not bv.any():
@@ -321,8 +321,7 @@ def apply_operator(spec: KernelSpec, a: Sequence, n_max: int) -> Sequence:
     image of a spike at distant n, then lose relative accuracy.
     """
     n_max = _check_count(n_max, "n_max", 1)
-    if a.start_index != 1:
-        raise InvalidInputError("apply_operator expects a 1-based sequence")
+    a.require_start(1, "a")
     av = a.require_nonnegative("a")
     if not av.any():
         return Sequence(1, np.zeros(n_max))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_positive
+from .errors import _check_count, _check_positive
 from .kernels import KernelSpec, Variant, apply_operator
 from .sequences import Sequence, _sum2
 
@@ -28,8 +28,7 @@ class TaylorFunction:
     coeffs: Sequence
 
     def __post_init__(self):
-        if self.coeffs.start_index != 0:
-            raise DomainError("Taylor coefficients must be 0-based")
+        self.coeffs.require_start(0, "Taylor coefficients")
         self.coeffs.require_nonnegative("Taylor coefficients")
 
     @staticmethod

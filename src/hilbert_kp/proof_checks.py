@@ -274,6 +274,10 @@ def check_master_inequalities(x, alpha) -> list[CheckReport]:
     alpha. lhs_II does not decrease (u^(-x) rises, and beta' =
     (1-alpha)/(1-x)^2 >= 0) and rhs_II does not increase (u^(x-1) falls);
     so a pass of II at x settles it on (x', x] for every smaller x'.
+
+    Each inequality is a drop of F(y) (`F_of_y`) from y = 0 to y = 1/2:
+    F(0) - F(1/2) = 2^x (rhs_I - lhs_I) with p = 1/x, and mirrored,
+    G(0) - G(1/2) = 2^(1-x) (rhs_II - lhs_II), where G is F at (q, beta).
     """
     x, alpha, beta = _master_points(x, alpha)
     xs, alphas = x.tolist(), alpha.tolist()

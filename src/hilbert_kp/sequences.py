@@ -2,7 +2,11 @@
 
 Two indexing conventions coexist: the bilinear-form world is 1-based and the
 Taylor-coefficient world is 0-based. A `Sequence` carries its start index
-explicitly; `kp_to_lp_isometry` is the only operation that re-indexes.
+explicitly, an int that is 0 or 1. Two operations re-index:
+`kp_to_lp_isometry` (and its inverse) re-weights a_(m-1) into A_m, and
+`kp.hilbert_apply` reads the 0-based coefficients as the 1-based classical
+kernel's input and its image back. Every consumer that needs one start says
+so through `Sequence.require_start`, the one check of a wrong start.
 
 `Sequence.values` is a read-only float64 array, copied from what the caller
 passed, so every layer computes on it without converting. Two sequences are
@@ -16,6 +20,7 @@ which is exactly 0.0 at p = 2, so there they are the identity bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +56,20 @@ class Sequence:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.start_index not in (0, 1):
-            raise InvalidInputError(f"start_index must be 0 or 1, got {self.start_index}")
+        try:
+            start = operator.index(self.start_index)
+        except TypeError:
+            start = self.start_index
+        if type(start) is not int or start not in (0, 1):
+            raise InvalidInputError(f"start_index must be 0 or 1, got {start!r}")
+        object.__setattr__(self, "start_index", start)
         x = np.array(self.values, dtype=float)
         if x.ndim != 1:
             raise InvalidInputError(f"values must be one-dimensional, got shape {x.shape}")
         bad = np.flatnonzero(~np.isfinite(x))
         if len(bad):
             k = int(bad[0])
-            raise InvalidInputError(
-                f"non-finite entry {float(x[k])!r} at index {self.start_index + k}")
+            raise InvalidInputError(f"non-finite entry {float(x[k])!r} at index {start + k}")
         x.setflags(write=False)
         object.__setattr__(self, "values", x.view(_Values))
 
@@ -78,6 +87,12 @@ class Sequence:
 
     def indices(self) -> range:
         return range(self.start_index, self.start_index + len(self.values))
+
+    def require_start(self, start: int, what: str) -> None:
+        """Raise unless the sequence starts at index `start`; `what` names it
+        in the message. The only check of a consumer's start index."""
+        if self.start_index != start:
+            raise InvalidInputError(f"{what} must be {start}-based, got start_index={self.start_index}")
 
     def require_nonnegative(self, what: str = "sequence") -> np.ndarray:
         """Raise on a negative entry; otherwise return the values."""
@@ -160,8 +175,7 @@ def kp_to_lp_isometry(a: Sequence, p: float) -> Sequence:
     A_m = a_m (m+1)^((p-2)/p), so that the l^p norm of the output equals the
     K^p norm of the input term by term."""
     conjugate(p)
-    if a.start_index != 0:
-        raise InvalidInputError("isometry input must be 0-based")
+    a.require_start(0, "a")
     return Sequence(1, a.values * np.arange(1.0, len(a) + 1.0) ** ((p - 2.0) / p))
 
 
@@ -169,8 +183,7 @@ def lp_to_kp_isometry(A: Sequence, p: float) -> Sequence:
     """Inverse of `kp_to_lp_isometry`: 1-based l^p sequence back to 0-based
     Taylor coefficients."""
     conjugate(p)
-    if A.start_index != 1:
-        raise InvalidInputError("inverse isometry input must be 1-based")
+    A.require_start(1, "A")
     return Sequence(0, A.values / np.arange(1.0, len(A) + 1.0) ** ((p - 2.0) / p))
 
 

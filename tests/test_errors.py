@@ -1,11 +1,13 @@
 """The argument rules: every public count argument is refused, with a
 `ParameterError` that names it, unless it is an integer at least its least
-value; numpy integers are counts too."""
+value; numpy integers are counts too. A sequence given where another start
+index is needed is refused with an `InvalidInputError` that names it."""
 
 import numpy as np
 import pytest
 
 from hilbert_kp import (
+    InvalidInputError,
     KernelSpec,
     ParameterError,
     Sequence,
@@ -13,12 +15,15 @@ from hilbert_kp import (
     Variant,
     apply_operator,
     ascent_lower_bound,
+    bilinear_form,
     check_logconvexity_f,
     check_midpoint_bound,
     default_sweep,
     epsilon_family,
     hilbert_apply,
     kp_ratio,
+    kp_to_lp_isometry,
+    lp_to_kp_isometry,
     pushed_epsilon_family,
     row_sum_alpha,
 )
@@ -66,3 +71,37 @@ def test_refuses_a_count_that_is_not_an_integer(name, least, call, value):
 @pytest.mark.parametrize("name, least, call", COUNTS)
 def test_accepts_a_numpy_integer(name, least, call):
     call(np.int64(max(least, 1)))
+
+
+# The start-index rule: each consumer states the start it needs, and
+# `Sequence.require_start` alone refuses another, naming the argument.
+WRONG_STARTS = [
+    pytest.param("Taylor coefficients", 0, 1, lambda s: TaylorFunction(s), id="TaylorFunction"),
+    pytest.param("a", 0, 1, lambda s: kp_to_lp_isometry(s, 3.0), id="kp_to_lp_isometry"),
+    pytest.param("A", 1, 0, lambda s: lp_to_kp_isometry(s, 3.0), id="lp_to_kp_isometry"),
+    pytest.param("a", 1, 0, lambda s: apply_operator(SPEC, s, 3), id="apply_operator"),
+    pytest.param("a", 1, 0, lambda s: bilinear_form(SPEC, s, Sequence(1, [1.0])),
+                 id="bilinear_form.a"),
+    pytest.param("b", 1, 0, lambda s: bilinear_form(SPEC, Sequence(1, [1.0]), s),
+                 id="bilinear_form.b"),
+]
+
+
+@pytest.mark.parametrize("what, start, wrong, call", WRONG_STARTS)
+def test_refuses_a_wrong_start(what, start, wrong, call):
+    with pytest.raises(InvalidInputError,
+                       match=rf"^{what} must be {start}-based, got start_index={wrong}$"):
+        call(Sequence(wrong, [1.0, 0.5]))
+
+
+@pytest.mark.parametrize("start", [1.0, "1"])
+def test_a_start_index_must_be_an_integer(start):
+    with pytest.raises(InvalidInputError, match=rf"^start_index must be 0 or 1, got {start!r}$"):
+        Sequence(start, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("start", [np.int64(1), True])
+def test_an_integer_start_index_is_stored_as_int(start):
+    s = Sequence(start, [1.0, 0.5])
+    assert s.start_index == 1 and type(s.start_index) is int
+    assert s == Sequence(1, [1.0, 0.5])

@@ -129,6 +129,18 @@ class TestKernelValues:
         with pytest.raises(DomainError):
             KernelSpec(Variant.WEIGHTED_MAIN, p=1.0)
 
+    @pytest.mark.parametrize("variant", ["YangShift", "nonsense"])
+    def test_refuses_a_variant_that_is_not_a_member(self, variant):
+        """A string used to pass, and `_hankel` read any non-member as
+        WEIGHTED_MAIN: "YangShift" gave 1.2137009797867384 on the pair below."""
+        with pytest.raises(InvalidInputError,
+                           match=rf"^variant must be a Variant member, got {variant!r}$"):
+            KernelSpec(variant, p=3.0)
+
+    def test_the_member_gives_its_own_kernel(self):
+        form = bilinear_form(KernelSpec(Variant.YANG_SHIFT, p=3.0), seq(1, 0.5, 0.2), seq(0.3, 1))
+        assert form == pytest.approx(0.7800023473022075, rel=1e-14)
+
 
 class TestBilinearForm:
     def test_single_pair(self):

@@ -49,7 +49,7 @@ class TestKpNorm:
         for p in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError, match=r"^p must be finite and > 0"):
                 kp_norm(tf(1, 2), p)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             TaylorFunction(Sequence(1, (1.0,)))
 
     def test_rejects_negative_coefficients(self):

@@ -20,7 +20,7 @@ from hilbert_kp import (
     check_scalar_constants,
     default_sweep,
 )
-from hilbert_kp import F_of_y, beta_integral, proof_checks, quadrature, row_sum_alpha
+from hilbert_kp import F_of_y, beta_integral, conjugate, proof_checks, quadrature, row_sum_alpha
 from hilbert_kp.proof_checks import _master_points
 from hilbert_kp.proof_checks import _sides as _library_sides
 from hilbert_kp.quadrature import _power_integral, _scaled_I_of_epsilon
@@ -296,6 +296,42 @@ class TestMasterInequalities:
         rep = check_master_inequalities(0.4, 1.0)[0]
         assert 0.0 < rep.margin < 0.01
         assert rep.passed
+
+
+def _identity_points(alpha=None) -> list[tuple[float, float]]:
+    """40 seeded points (x, alpha), x in [0.02, 1/2] taken as 1/p so that
+    `F_of_y` raises to exactly -x, and alpha in [0, 1] unless given."""
+    rng = np.random.default_rng(20231)
+    p = 1.0 / rng.uniform(0.02, 0.5, 40)
+    alphas = rng.uniform(0.0, 1.0, 40) if alpha is None else np.full(40, alpha)
+    return [(1.0 / pi, ai) for pi, ai in zip(p.tolist(), alphas.tolist())]
+
+
+class TestMasterIdentities:
+    """Each master inequality is a drop of F(y) (`F_of_y`) from y = 0 to
+    y = 1/2: F(0) - F(1/2) = 2^x (rhs_I - lhs_I) at p = 1/x, and mirrored,
+    G(0) - G(1/2) = 2^(1-x) (rhs_II - lhs_II), G being F at (q, beta). Both
+    sides agree within the summed estimates of `F_of_y` and `_sides`, the
+    latter scaled as the identity scales them."""
+
+    @pytest.mark.parametrize("x, alpha", _identity_points())
+    def test_first(self, x, alpha):
+        F0, F_half = F_of_y(0.0, 1.0 / x, alpha), F_of_y(0.5, 1.0 / x, alpha)
+        (lhs, lhs_est), (rhs, rhs_est) = _sides(x, alpha)[:2]
+        scale = 2.0 ** x
+        assert abs(F0.value - F_half.value - scale * (rhs - lhs)) <= (
+            F0.error_estimate + F_half.error_estimate + scale * (lhs_est + rhs_est))
+
+    @pytest.mark.parametrize("x, alpha", _identity_points(alpha=1.0))
+    def test_second(self, x, alpha):
+        """Only at alpha = 1, where beta = 1: any other alpha gives beta > 1,
+        outside the exponents `F_of_y` takes."""
+        q = conjugate(1.0 / x).q
+        G0, G_half = F_of_y(0.0, q, 1.0), F_of_y(0.5, q, 1.0)
+        (lhs, lhs_est), (rhs, rhs_est) = _sides(x, alpha)[2:]
+        scale = 2.0 ** (1.0 - x)
+        assert abs(G0.value - G_half.value - scale * (rhs - lhs)) <= (
+            G0.error_estimate + G_half.error_estimate + scale * (lhs_est + rhs_est))
 
 
 def _sides_reference(x: float, alpha: float) -> tuple:
