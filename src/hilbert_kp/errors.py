@@ -32,9 +32,9 @@ def _check_count(value, name: str, least: int) -> int:
     return value
 
 
-def _check_p(p: float) -> None:
+def _check_p(p: float, name: str = "p") -> None:
     if not (math.isfinite(p) and p > 1.0):
-        raise DomainError(f"p must lie in (1, inf), got {p}")
+        raise DomainError(f"{name} must lie in (1, inf), got {p}")
 
 
 def _check_positive(value: float, name: str, error=DomainError) -> None:

@@ -114,6 +114,7 @@ class ExponentPair:
 
     def __post_init__(self):
         _check_p(self.p)
+        _check_p(self.q, "q")
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-14:
             raise DomainError(f"({self.p}, {self.q}) are not conjugate")
 
@@ -198,9 +199,9 @@ def write_sequence(path, s: Sequence) -> None:
 
 def read_sequence(path) -> Sequence:
     """Read the format written by `write_sequence`. A line that does not
-    parse, a second start_index header, a start_index other than 0 or 1, an
-    index outside int64 or a value that is not finite raises
-    `InvalidInputError` naming the file and line."""
+    parse, a second start_index header, a start_index that `Sequence`
+    refuses, an index outside int64 or a value that is not finite raises
+    `InvalidInputError` naming the file and line, the first such line."""
     start = None
     entries = {}
     with open(path) as fh:
@@ -213,14 +214,15 @@ def read_sequence(path) -> Sequence:
                     body = line.lstrip("#").strip()
                     if body.startswith("start_index="):
                         if start is not None:
-                            raise InvalidInputError(f"{path}: line {lineno}: a second "
-                                                    f"'# start_index=' header, after line {start_line}")
-                        start, start_line = int(body.split("=", 1)[1]), lineno
+                            raise InvalidInputError(f"a second '# start_index=' header, "
+                                                    f"after line {start_line}")
+                        start = Sequence(int(body.split("=", 1)[1]), ()).start_index
+                        start_line = lineno
                     continue
                 idx_text, val_text = line.split(",", 1)
                 idx, value = int(idx_text), float(val_text)
-            except InvalidInputError:
-                raise
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
             except ValueError:
                 raise InvalidInputError(f"{path}: line {lineno}: cannot parse {line!r}") from None
             if not -2 ** 63 <= idx < 2 ** 63:
@@ -232,8 +234,6 @@ def read_sequence(path) -> Sequence:
             entries[idx] = value
     if start is None:
         raise InvalidInputError(f"{path}: missing '# start_index=' header")
-    if start not in (0, 1):
-        raise InvalidInputError(f"{path}: line {start_line}: start_index must be 0 or 1, got {start}")
     if not entries:
         return Sequence(start, ())
     top = max(entries)

@@ -26,6 +26,14 @@ def csv_body(text: str) -> list[str]:
     return [line for line in text.splitlines() if not line.startswith("#")]
 
 
+def manifest(text: str) -> dict[str, tuple[int, int, float]]:
+    """The `# check` lines of a report, in order: family name ->
+    (passed, failed, worst_margin_minus_budget)."""
+    checks = re.findall(r"^# check (\S+) passed=(\d+) failed=(\d+) "
+                        r"worst_margin_minus_budget=(\S+)$", text, re.M)
+    return {name: (int(ok), int(bad), float(worst)) for name, ok, bad, worst in checks}
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -130,6 +138,10 @@ class TestBadInput:
         (["kp-apply", "--input", "{start_minus}"], "start_minus.txt: line 1: start_index must be 0 or 1, got -1"),
         (["kp-apply", "--input", "{two_starts}"],
          "two_starts.txt: line 4: a second '# start_index=' header, after line 1"),
+        (["kp-apply", "--input", "{start_then_bad}"],
+         "start_then_bad.txt: line 1: start_index must be 0 or 1, got 2"),
+        (["norm-bounds", "--p", "1e16", "--eps-grid", "0.5", "--ascent-sizes", "16"],
+         "q must lie in (1, inf), got 1.0"),
     ])
     def test_exit_2_with_one_line(self, argv, needle, tmp_path, capsys):
         files = {
@@ -154,6 +166,9 @@ class TestBadInput:
             # a later header would shift every entry
             "two_starts": self.write(tmp_path / "two_starts.txt",
                                      "# start_index=1\n1,1.0\n2,0.5\n# start_index=0\n"),
+            # the header is refused where it stands, before the bad line after it
+            "start_then_bad": self.write(tmp_path / "start_then_bad.txt",
+                                         "# start_index=2\n2,1.0\nbad\n"),
         }
         argv = [a.format(**files) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -232,7 +247,8 @@ class TestVerifyInequality:
 
     def test_summary_counts_the_fft_forms(self, capsys):
         """Supports up to 20000 cross the form's FFT crossover; the summary
-        line counts those forms and bounds every row's excess."""
+        line counts those forms, and each kernel's manifest line bounds its
+        rows' distance below the float bound."""
         code, out = run_cli(["verify-inequality", "--p", "6", "--max-support", "20000",
                              "--trials", "10"], capsys)
         assert code == 0
@@ -243,8 +259,13 @@ class TestVerifyInequality:
                   for r in rows)
         assert int(summary["fft_forms"]) == fft > 0
         assert 0.0 < float(summary["worst_budget"]) < 1e-10
-        excess = float(summary["worst_ratio_plus_budget_minus_bound"])
-        assert max(float(r["ratio"]) - float(r["bound"]) for r in rows) <= excess < 0.0
+        checks = manifest(out)
+        assert list(checks) == ["WeightedMain", "YangShift", "YangHalfShift"]
+        for name, (passed, failed, worst) in checks.items():
+            assert (passed, failed) == (10, 0)
+            # the line rounds to 6 digits, and rounding keeps the order
+            assert 0.0 < worst <= float("%.6g" % min(float(r["bound"]) - float(r["ratio"])
+                                                     for r in rows if r["kernel"] == name))
 
     def test_budget_enters_the_verdict(self, capsys, monkeypatch):
         argv = ["verify-inequality", "--trials", "3"]
@@ -255,6 +276,7 @@ class TestVerifyInequality:
         assert code == 1
         rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
         assert [r["ok"] for r in rows] == ["0"] * 9
+        assert [c[:2] for c in manifest(out).values()] == [(0, 3)] * 3
         plain_rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(plain)))))
         assert [r["ratio"] for r in rows] == [r["ratio"] for r in plain_rows]
 
@@ -280,8 +302,9 @@ class TestVerifyInequality:
         rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
         assert [r["ok"] for r in rows] == ["1", "0", "1"] * 2
         assert float(rows[1]["ratio"]) < float(rows[1]["bound"])
-        summary = dict(field.split("=") for field in out.splitlines()[2][2:].split())
-        assert float(summary["worst_ratio_plus_budget_minus_bound"]) > 0.0
+        checks = manifest(out)
+        assert [c[:2] for c in checks.values()] == [(2, 0), (0, 2), (2, 0)]
+        assert checks["YangShift"][2] < 0.0 < checks["WeightedMain"][2]
 
 
 class TestConfigurationLine:
@@ -297,16 +320,19 @@ class TestConfigurationLine:
          "# p=2.0 eps_grid=0.5 ascent_sizes=4,8"),
     ])
     def test_header_records_the_effective_flags(self, argv, config, capsys):
-        """verify-inequality adds one summary line after its configuration,
-        and norm-bounds one line of half-step counts."""
+        """verify-inequality adds one summary line after its configuration
+        and one manifest line per kernel, and norm-bounds one line of
+        half-step counts."""
         _, out = run_cli(argv, capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
         assert comments[0].startswith("# generated ")
         assert comments[1] == config
         if argv[0] == "verify-inequality":
-            assert len(comments) == 3
-            assert re.fullmatch(r"# forms=3 fft_forms=0 worst_budget=\S+ "
-                                r"worst_ratio_plus_budget_minus_bound=-\S+", comments[2])
+            assert len(comments) == 6
+            assert re.fullmatch(r"# forms=3 fft_forms=0 worst_budget=\S+", comments[2])
+            for line, name in zip(comments[3:], ["WeightedMain", "YangShift", "YangHalfShift"]):
+                assert re.fullmatch(rf"# check {name} passed=1 failed=0 "
+                                    r"worst_margin_minus_budget=[0-9]\S*", line)
         elif argv[0] == "norm-bounds":
             assert len(comments) == 3
             assert re.fullmatch(r"# ascent half_steps=\d+,\d+", comments[2])

@@ -309,7 +309,7 @@ class TestWarmStart:
         assert a == pytest.approx(shape / lp_norm(Sequence(1, shape), p), rel=1e-14)
         assert lp_norm(Sequence(1, a), p) == pytest.approx(1.0, rel=1e-15)
 
-    def test_an_underflowed_start_entry_keeps_the_iterates_positive(self, monkeypatch):
+    def test_an_underflowed_start_entry_keeps_the_iterates_positive(self):
         """A 0.0 in the start, where a previous size's entry underflowed,
         takes no logarithm of 0: under RuntimeWarning as an error, the
         iterates stay finite and positive, up to the final pair."""
@@ -317,9 +317,9 @@ class TestWarmStart:
         start[[0, 7, 31]] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est, a, b = ascent_with_final_pair(
-                monkeypatch, KernelSpec(Variant.WEIGHTED_MAIN, p=1.5), 1.5, 256, start=start)
-        assert all(np.all(np.isfinite(x) & (x > 0.0)) for x in (a, b))
+            est = ascent_lower_bound(KernelSpec(Variant.WEIGHTED_MAIN, p=1.5), 1.5, 256,
+                                     start=start)
+        assert all(np.all(np.isfinite(x) & (x > 0.0)) for x in (est.a, est.b))
         assert all(math.isfinite(t) and t > 0.0 for t in est.trace)
         assert 0.0 < est.lower_bound < theoretical_norm(1.5)
 
@@ -380,24 +380,25 @@ class TestCertifiedAscent:
         KernelSpec(Variant.YANG_HALF_SHIFT, p=6.0),
     ], ids=lambda s: s.variant.value)
     @pytest.mark.parametrize("N", [1, 2, 17, 64])
-    def test_below_exact_ratio_of_final_pair(self, monkeypatch, spec, N):
+    def test_below_exact_ratio_of_final_pair(self, spec, N):
         p = 2.0 if spec.variant is Variant.CLASSICAL else spec.p
-        est, a, b = ascent_with_final_pair(monkeypatch, spec, p, N, 300)
-        exact = float(exact_ratio(spec, p, a, b))
+        est = ascent_lower_bound(spec, p, N, 300)
+        exact = float(exact_ratio(spec, p, est.a, est.b))
         assert est.lower_bound <= exact
         assert exact - est.lower_bound <= 2.0 * est.rounding_budget
         assert est.lower_bound <= est.trace[-1]
 
-    def test_bound_is_the_certified_ratio_of_the_final_pair(self, monkeypatch):
+    def test_bound_is_the_certified_ratio_of_the_final_pair(self):
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
-        est, a, b = ascent_with_final_pair(monkeypatch, spec, 1.5, 256)
-        ratio, budget = kernels._ratio(spec, Sequence(1, a), Sequence(1, b), 1.5)
+        est = ascent_lower_bound(spec, 1.5, 256)
+        ratio, budget = kernels._ratio(spec, Sequence(1, est.a), Sequence(1, est.b), 1.5)
         assert est.rounding_budget == budget
         assert est.lower_bound == ratio - budget
 
     def test_below_direct_convolution_at_4096(self, monkeypatch):
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
-        est, a, b = ascent_with_final_pair(monkeypatch, spec, 1.5, 4096, 2000)
+        est = ascent_lower_bound(spec, 1.5, 4096, 2000)
+        a, b = est.a, est.b
         # 4096^2 products would cross to the form's FFT path, which shares
         # `_correlate` and `_fft_rounding` with the ascent; keep it direct
         monkeypatch.setattr(kernels, "_FFT_CROSSOVER", 1 << 25)

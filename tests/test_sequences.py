@@ -21,7 +21,7 @@ from hilbert_kp import (
     read_sequence,
     write_sequence,
 )
-from hilbert_kp.sequences import _dual_align_vec, _sum2
+from hilbert_kp.sequences import ExponentPair, _dual_align_vec, _sum2
 
 # zero or a comfortably normal magnitude; extreme denormals underflow in any
 # double-precision p-th power and are out of scope
@@ -116,6 +116,14 @@ class TestConjugate:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             conjugate(bad)
+
+    def test_q_outside_the_domain(self):
+        """Past 2^53 the float p/(p - 1) rounds to 1.0, an l^1 pairing; a
+        pair is refused unless q, too, lies in (1, inf)."""
+        with pytest.raises(DomainError, match=r"^q must lie in \(1, inf\), got 1\.0$"):
+            conjugate(1e16)
+        with pytest.raises(DomainError, match=r"^q must lie in \(1, inf\), got nan$"):
+            ExponentPair(2.0, float("nan"))
 
     @given(exponents)
     def test_invariant(self, p):
