@@ -21,12 +21,12 @@ from .sequences import Sequence, conjugate, read_sequence, write_sequence
 def _emit(out: str | None, header: list[str], rows: list[str],
           comments: list[str] | None = None) -> None:
     """Write a report: the timestamp with the package version, and
-    `comments`, as `#` lines, then the header joined with commas, then
-    `rows`, each a finished body line with its newline. A command formats
-    each row with one `%` string and passes any free-text field through
-    `_csv_field`."""
+    `comments`, each kept to one `#` line by `_one_line`, then the header
+    joined with commas, then `rows`, each a finished body line with its
+    newline. A command formats each row with one `%` string and passes any
+    free-text field through `_csv_field`."""
     parts = [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')} hilbert-kp {__version__}\n"]
-    parts += [f"# {line}\n" for line in comments or []]
+    parts += [f"# {_one_line(line)}\n" for line in comments or []]
     parts.append(",".join(header) + "\n")
     parts += rows
     text = "".join(parts)
@@ -35,6 +35,13 @@ def _emit(out: str | None, header: list[str], rows: list[str],
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _one_line(text: str) -> str:
+    """`text` with each carriage return and line feed written as `\\r` and
+    `\\n`, so that outside text, such as an input path, cannot split a `#`
+    line or `main`'s error line."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _csv_field(text: str) -> str:
@@ -285,12 +292,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Exit status: 0 when every check passes, 1 when a
     check fails, 2 for bad input or a crash (argparse's usage errors, and
     any `ValueError`, `OSError`, `OverflowError`, such as a norm that is not
-    finite, or `MemoryError` that a command raises, reported on one line)."""
+    finite, or `MemoryError` that a command raises, reported on one line by
+    `_one_line`)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
-        print(f"hilbert-kp {args.command}: error: {exc}", file=sys.stderr)
+        print(f"hilbert-kp {args.command}: error: {_one_line(str(exc))}", file=sys.stderr)
         raise SystemExit(2) from None
 
 

@@ -10,14 +10,18 @@ Variants:
 Each form has norm pi/sin(pi/p) on l^p x l^q, all kernel values are
 strictly positive for m, n >= 1, and every weighted variant collapses to
 the classical kernel at p = 2. Each variant factors as w(m) v(n) h(m+n), a
-row weight, a column weight and a Hankel symbol. The operator K^T a is one
-correlation of the symbol with wa (`_image`), the form is b paired with that
+row weight, a column weight and a Hankel symbol, and `_hankel(spec, M, N)`
+builds the M x N section of that product: the one place its index ranges
+are written. The operator K^T a is one correlation of the symbol with wa
+(`_image`, on the len(a) x n_max section), the form is b paired with that
 image (`_form`), and `_ratio` normalizes it with a certified budget for the
-norm ascent and `verify-inequality`. Every FFT correlation goes through
-`_correlate`, O(L log L) for a transform length L, with an explicit rounding
-bound (`_fft_rounding`). A lopsided shape, a short a onto a long image, is
-cut into overlap-save blocks (`_blocks`), which one batched `_correlate`
-runs together.
+norm ascent and `verify-inequality`; the ascent (`norms`) correlates on the
+N x N section. Every FFT correlation goes through `_correlate`,
+O(L log L) for a transform length L, with an explicit rounding bound
+(`_fft_rounding`), and every L is a power of two set by `_blocks`. A
+lopsided shape, a short a onto a long image, is cut into overlap-save
+blocks, which one batched `_correlate` runs together; a square section is
+always one block.
 
 Accuracy contract of the form and the operator. Below `_FFT_CROSSOVER`
 products (support of a times the image length), or for a support of a
@@ -99,13 +103,15 @@ def kernel_matrix(spec: KernelSpec, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return _pow_ratio(n - 0.5, m - 0.5, spec.weight_exponent()) / (m + n - 1.0)   # YANG_HALF_SHIFT
 
 
-def _hankel(spec: KernelSpec, m: np.ndarray, n: np.ndarray,
-            s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row weights w(m), column weights v(n) and Hankel symbol h(s) of the
-    kernel, k(m, n) = w(m) v(n) h(m + n), on float index arrays."""
+def _hankel(spec: KernelSpec, M: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, v, h), the M x N section of the kernel as k(m, n) = w(m) v(n) h(m + n):
+    row weights w on m = 1..M, column weights v on n = 1..N and the Hankel
+    symbol h on s = 2..M+N, so that entry [i, j] of the section is
+    w[i] v[j] h[i + j]. No other code builds these index ranges."""
     e = 0.0 if spec.variant is Variant.CLASSICAL else spec.weight_exponent()
     shift = 0.5 if spec.variant is Variant.YANG_HALF_SHIFT else 0.0
     h_shift = 0.0 if spec.variant is Variant.YANG_SHIFT else 1.0
+    m, n, s = np.arange(1.0, M + 1.0), np.arange(1.0, N + 1.0), np.arange(2.0, M + N + 1.0)
     return (m - shift) ** -e, (n - shift) ** e, 1.0 / (s - h_shift)
 
 
@@ -181,14 +187,16 @@ def _by_fft(size: int, n_max: int) -> bool:
 
 
 def _blocks(size: int, n_max: int) -> tuple[int, int]:
-    """(B, K): `_image`'s FFT path correlates a support of `size` entries
-    onto n_max image entries with K transforms of length B, each giving
-    P = B - size + 1 image entries (overlap-save). The plan is the one of
-    least transform work, (2K + 1) B log2 B for the K blocks' transforms,
-    wa's and the K inverses: either one transform of the power of two
-    L >= size + n_max - 1 (K = 1, kept on ties), or a power of two
-    B >= 2 size below L with K = ceil(n_max / P)."""
-    L = 1 << (size + n_max - 2).bit_length()
+    """(B, K): a support of `size` entries is correlated onto n_max image
+    entries with K transforms of length B, each giving P = B - size + 1
+    image entries (overlap-save). It is the one rule for transform lengths.
+    The plan is the one of least transform work, (2K + 1) B log2 B for the
+    K blocks' transforms, wa's and the K inverses: either one transform of
+    L, the least power of two >= max(2, size + n_max - 1) (K = 1, kept on
+    ties), or a power of two B >= 2 size below L with K = ceil(n_max / P).
+    A square section, the ascent's, is always one block of length L: the
+    first candidate B, the least power of two >= 2N, is never below L."""
+    L = 1 << max(1, (size + n_max - 2).bit_length())
     plans = [(L, 1)]
     B = 1 << (2 * size - 1).bit_length()
     while B < L:
@@ -213,8 +221,7 @@ def _image(spec: KernelSpec, av: np.ndarray,
     `_fft_rounding(B)` max(|h_k|_2 |wa|_1, |h_k|_1 |wa|_2), bounds the
     2-norm of the rounding error of y. With K = 1 the one block is h padded
     to length B, and the norms are h's own."""
-    w, v, h = _hankel(spec, np.arange(1.0, len(av) + 1.0), np.arange(1.0, n_max + 1.0),
-                      np.arange(2.0, len(av) + n_max + 1.0))
+    w, v, h = _hankel(spec, len(av), n_max)
     wa = w * av
     if not _by_fft(len(av), n_max):
         return v, np.correlate(h, wa, "valid"), 0.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, _check_count, _check_positive
-from .kernels import KernelSpec, _correlate, _hankel, _ratio
+from .kernels import KernelSpec, _blocks, _correlate, _hankel, _ratio
 # bench/test_bench.py checks that the benchmark's tracing patches this name here.
 from .kernels import kernel_matrix  # noqa: F401
 from .kp import TaylorFunction, hilbert_apply, kp_norm
@@ -154,9 +154,11 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
     the ladder 16, 64, ..., 2^16). N and iters are counts >= 1.
 
     Both products are Hankel correlations, K^T a = v (h corr wa) and
-    K b = w (h corr vb), so one zero-padded FFT of the symbol h serves every
-    iteration: each product is one rfft and one irfft of length
-    L >= 2N - 1, O(N log N) time and O(N) memory.
+    K b = w (h corr vb), on the N x N section of `kernels._hankel`, so one
+    zero-padded FFT of the symbol h serves every iteration: each product is
+    one rfft and one irfft of the length L that `kernels._blocks` gives the
+    square section, its one block (the least power of two >= 2N - 1, and
+    2 at N = 1), O(N log N) time and O(N) memory.
 
     `lower_bound` is certified, whatever the start: `kernels._ratio` pairs
     the final a and b once more, and `rounding_budget` is its budget. Each
@@ -165,10 +167,8 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
     """
     N, iters = _check_count(N, "N", 1), _check_count(iters, "iters", 1)
     pq = conjugate(p)
-    idx = np.arange(1.0, N + 1.0)
-    w, v, h = _hankel(spec, idx, idx, np.arange(2.0, 2.0 * N + 1.0))
-    L = 1 << max(1, (2 * N - 2).bit_length())     # a power of two >= 2N - 1
-    spectrum = np.fft.rfft(h, L)
+    w, v, h = _hankel(spec, N, N)
+    spectrum = np.fft.rfft(h, _blocks(N, N)[0])
     if start is None:
         a = np.full(N, 1.0 / N ** (1.0 / pq.p))    # the unit vector of equal entries
     else:

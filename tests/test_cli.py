@@ -181,6 +181,20 @@ class TestBadInput:
         assert err[0].startswith(f"hilbert-kp {argv[0]}: error: ")
         assert needle in err[0]
 
+    @pytest.mark.parametrize("name, shown", [("a\nb.txt", "a\\nb.txt"), ("a\rb.txt", "a\\rb.txt")])
+    def test_a_line_break_in_the_path_stays_on_the_error_line(self, name, shown, tmp_path,
+                                                             capsys):
+        """The reader's message quotes the path as given; its carriage
+        return or line feed is written as `\\r` or `\\n`, so the message
+        is still one line."""
+        path = self.write(tmp_path / name, "0,1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["kp-apply", "--input", path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"hilbert-kp kp-apply: error: {tmp_path}/{shown}: "
+                       "missing '# start_index=' header"]
+
     def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         """A `MemoryError` is a crash, not a failed check: exit 2, one line."""
         def refuse(f, n_max):
@@ -566,6 +580,21 @@ class TestKpApply:
         image = read_sequence(img)
         assert image.start_index == 0
         assert image.values[0] == pytest.approx(1.0 + 0.5 / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("name, shown", [("a\nb.txt", "a\\nb.txt"), ("a\rb.txt", "a\\rb.txt")])
+    def test_a_line_break_in_the_input_path_stays_on_its_comment_line(self, name, shown,
+                                                                     tmp_path, capsys):
+        """`# input=` records the path as given, with a carriage return or
+        line feed written as `\\r` or `\\n`: the report still reads back as
+        one CSV table with the header `quantity,value`."""
+        src = tmp_path / name
+        write_sequence(src, Sequence(0, (1.0,)))
+        code, out = run_cli(["kp-apply", "--input", str(src), "--n-max", "3"], capsys)
+        assert code == 0
+        comments = [line for line in out.splitlines() if line.startswith("#")]
+        assert comments[1:] == [f"# input={tmp_path}/{shown} n_max=3 p=2.0"]
+        rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
+        assert [row["quantity"] for row in rows] == ["input_kp_norm", "image_kp_norm_truncated"]
 
     def test_output_file(self, tmp_path, capsys):
         src = tmp_path / "f.txt"

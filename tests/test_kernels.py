@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -15,6 +16,7 @@ from hilbert_kp import (
     Sequence,
     Variant,
     apply_operator,
+    ascent_lower_bound,
     bilinear_form,
     conjugate,
     lp_norm,
@@ -257,10 +259,11 @@ class TestHankelCore:
     def test_factorisation(self, spec):
         """k(m, n) = w(m) v(n) h(m+n) on a grid out to index 2000."""
         idx = np.unique(np.geomspace(1, 2000, 60).round())
-        m, n = idx[:, None], idx[None, :]
-        w, v, h = _hankel(spec, m, n, m + n)
+        i = idx.astype(int) - 1
+        w, v, h = _hankel(spec, 2000, 2000)
         K = kernel_matrix(spec, idx, idx)
-        np.testing.assert_allclose(w * v * h, K, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(w[i][:, None] * v[i][None, :] * h[i[:, None] + i[None, :]], K,
+                                   rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
     @pytest.mark.parametrize("size_a,size_b,lead,trail", [
@@ -326,9 +329,9 @@ class TestFftCorrelation:
     @pytest.mark.parametrize("N", [1, 2, 3, 17, 1000, 2048])
     def test_matches_dense_grid(self, spec, N):
         rng = np.random.default_rng([N, 11])
-        idx = np.arange(1.0, N + 1.0)
-        w, v, h = _hankel(spec, idx, idx, np.arange(2.0, 2.0 * N + 1.0))
-        L = 1 << max(1, (2 * N - 2).bit_length())
+        idx = np.arange(1, N + 1)
+        w, v, h = _hankel(spec, N, N)
+        L = _blocks(N, N)[0]
         spectrum = np.fft.rfft(h, L)
         K = kernel_matrix(spec, idx, idx).astype(np.longdouble)
         a, b = rng.random(N) + 0.5, rng.random(N)
@@ -467,8 +470,7 @@ class TestOverlapSave:
         a = sparse_support(rng, self.SIZE)
         a[-1] = 1.0
         v, y, fft_error = _image(spec, a, n_max)
-        w, _, h = _hankel(spec, np.arange(1.0, self.SIZE + 1.0), np.arange(1.0, n_max + 1.0),
-                          np.arange(2.0, self.SIZE + n_max + 1.0))
+        w, _, h = _hankel(spec, self.SIZE, n_max)
         ref = np.correlate(h, w * a, "valid")
         assert len(y) == n_max
         # the direct sums of 600 nonnegative terms err by at most gamma_600
@@ -497,15 +499,24 @@ class TestOverlapSave:
         rng = np.random.default_rng([size, 41])
         a = rng.random(size)
         v, y, fft_error = _image(spec, a, n_max)
-        w, _, h = _hankel(spec, np.arange(1.0, size + 1.0), np.arange(1.0, n_max + 1.0),
-                          np.arange(2.0, size + n_max + 1.0))
+        w, _, h = _hankel(spec, size, n_max)
         wa = w * a
-        L = 1 << (len(h) - 1).bit_length()
-        assert _blocks(size, n_max) == (L, 1)
+        L, K = _blocks(size, n_max)
+        assert K == 1 and L >= len(h)
         assert y.tolist() == _correlate(np.fft.rfft(h, L), wa, n_max).tolist()
         assert fft_error == _fft_rounding(L) * max(
             math.sqrt(float(np.sum(h * h))) * float(np.sum(wa)),
             float(np.sum(h)) * math.sqrt(float(np.sum(wa * wa))))
+
+    def test_square_sections_are_one_block(self):
+        """The ascent's N x N section takes one transform of the least power
+        of two >= 2N - 1, and 2 at N = 1: `ascent_lower_bound` takes its
+        length from `_blocks` and uses only one block."""
+        for N in range(1, 5001):
+            L = 2
+            while L < 2 * N - 1:
+                L *= 2
+            assert _blocks(N, N) == (L, 1), N
 
     def test_blocks_cut_the_budget_and_the_work(self):
         """1826 x 18416, a shape of the never-exceed suite, takes three
@@ -514,12 +525,108 @@ class TestOverlapSave:
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
         a = np.random.default_rng(43).random(1826)
         _, _, fft_error = _image(spec, a, 18416)
-        w, _, h = _hankel(spec, np.arange(1.0, 1827.0), np.arange(1.0, 18417.0),
-                          np.arange(2.0, 1826.0 + 18417.0))
+        w, _, h = _hankel(spec, 1826, 18416)
         wa = w * a
         single = _fft_rounding(32768) * max(np.linalg.norm(h) * wa.sum(),
                                             h.sum() * np.linalg.norm(wa))
         assert fft_error < single
+
+
+def _primitive_bits() -> str:
+    """A digest of the floating-point primitives under the Hankel layer.
+    numpy chooses its power, exp and log kernels, its FFT code paths and
+    its BLAS by CPU, so the same code can round differently on another
+    machine; `TestFrozenBits` compares only where these give the bits they
+    gave when its values were recorded."""
+    x = np.arange(1.0, 4097.0) / 7.0
+    spectrum = np.fft.rfft(x, 8192) * np.fft.rfft(x[::-1], 8192)
+    parts = [x ** -0.3, x ** 1.7, np.exp(-x / 100.0), np.log(x), np.fft.irfft(spectrum, 8192),
+             np.correlate(x, x[:600], "valid"), np.array([np.dot(x, x), np.sum(x)])]
+    return hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()[:16]
+
+
+class TestFrozenBits:
+    """The Hankel layer's results as hex, recorded before `_hankel` took
+    counts: refactors of the section, the transform length or the
+    correlation must keep them bit for bit. The ascent is at p = 1.5 for
+    N = 1, 2, 3, 17, 2048 and 4096 (from 2048 on `_ratio` pairs by FFT):
+    (lower_bound, rounding_budget, half steps). The form is on one seeded
+    shape per path of `_image`, 600 x 600 direct, 4096 x 4096 one
+    transform and 600 x 8695 overlap-save in 7 blocks: (value, budget)."""
+
+    PRIMITIVES = "632ff137ae0b5710"
+
+    ASCENT = {
+        Variant.CLASSICAL: {
+            1: ('0x1.fffffffffffd4p-1', '0x1.6317217f7d1cfp-48', 4),
+            2: ('0x1.493839f858e03p+0', '0x1.e39429e37bbccp-48', 8),
+            3: ('0x1.70e9a6131ced9p+0', '0x1.1a28b231632ecp-47', 10),
+            17: ('0x1.fa150cec7b508p+0', '0x1.08e41bf0ca141p-46', 12),
+            2048: ('0x1.61731f62a6a6ap+1', '0x1.740a8e4198a11p-41', 24),
+            4096: ('0x1.69fdd836f0765p+1', '0x1.fde070027515ep-41', 24),
+        },
+        Variant.WEIGHTED_MAIN: {
+            1: ('0x1.fffffffffffd4p-1', '0x1.6317217f7d1cfp-48', 4),
+            2: ('0x1.448ff9b9ec1c9p+0', '0x1.dcbce8d550852p-48', 8),
+            3: ('0x1.68cc416432ccbp+0', '0x1.13f3d2e32e079p-47', 10),
+            17: ('0x1.e47feaff39439p+0', '0x1.fb3057e460480p-47', 14),
+            2048: ('0x1.55066e9770986p+1', '0x1.40c7389ec11edp-39', 24),
+            4096: ('0x1.5e3da3f17ddf0p+1', '0x1.f52b2de0ce380p-39', 24),
+        },
+        Variant.YANG_SHIFT: {
+            1: ('0x1.fffffffffffd4p-2', '0x1.6317217f7d1cfp-49', 4),
+            2: ('0x1.7863175010b67p-1', '0x1.146e3f321b85cp-48', 8),
+            3: ('0x1.c4a006fcb04d2p-1', '0x1.5a2f7e92e9d03p-48', 8),
+            17: ('0x1.800ee2bfdac05p+0', '0x1.920b2ae81c518p-47', 10),
+            2048: ('0x1.456345e5e7ee8p+1', '0x1.b9da2fdbab777p-40', 20),
+            4096: ('0x1.50d6ef938b569p+1', '0x1.54b6b62c23d2dp-39', 20),
+        },
+        Variant.YANG_HALF_SHIFT: {
+            1: ('0x1.fffffffffffd4p-1', '0x1.6317217f7d1cfp-48', 4),
+            2: ('0x1.4778daeccaf5bp+0', '0x1.e103094584611p-48', 8),
+            3: ('0x1.6e17a436d4468p+0', '0x1.180079f84667fp-47', 8),
+            17: ('0x1.f45571cb02e5dp+0', '0x1.05e1d933195bfp-46', 12),
+            2048: ('0x1.5ef5f9e3d966fp+1', '0x1.6163185d8acd1p-39', 22),
+            4096: ('0x1.67ab76f600c06p+1', '0x1.11c06ea239d8dp-38', 24),
+        },
+    }
+
+    FORM = {
+        (Variant.CLASSICAL, 600, 600): ('0x1.99d330241074fp+7', '0x1.029d30158e794p-36'),
+        (Variant.CLASSICAL, 4096, 4096): ('0x1.6052ff90eb864p+10', '0x1.e3001bbcf6131p-29'),
+        (Variant.CLASSICAL, 600, 8695): ('0x1.1a5f4909efa64p+9', '0x1.6bf64c76e95bdp-31'),
+        (Variant.WEIGHTED_MAIN, 600, 600): ('0x1.cc6c783f904bdp+7', '0x1.228b2a781ad88p-36'),
+        (Variant.WEIGHTED_MAIN, 4096, 4096): ('0x1.9bb4e82105725p+10', '0x1.33c278855753ep-28'),
+        (Variant.WEIGHTED_MAIN, 600, 8695): ('0x1.90cf409618d49p+8', '0x1.771cec86e456bp-32'),
+        (Variant.YANG_SHIFT, 600, 600): ('0x1.c8dbe8a9aade6p+7', '0x1.204b4ec95d75ap-36'),
+        (Variant.YANG_SHIFT, 4096, 4096): ('0x1.9b27ea2021639p+10', '0x1.81dba44003518p-29'),
+        (Variant.YANG_SHIFT, 600, 8695): ('0x1.8f3628a796b77p+8', '0x1.d830c0bfdfceap-33'),
+        (Variant.YANG_HALF_SHIFT, 600, 600): ('0x1.cf9ef5e744962p+7', '0x1.248fa99a778cbp-36'),
+        (Variant.YANG_HALF_SHIFT, 4096, 4096): ('0x1.9cd4685f03000p+10', '0x1.355162c784f2ep-28'),
+        (Variant.YANG_HALF_SHIFT, 600, 8695): ('0x1.923d57e29056dp+8', '0x1.785b3511ae176p-32'),
+    }
+
+    @pytest.fixture(autouse=True)
+    def same_primitives(self):
+        if _primitive_bits() != self.PRIMITIVES:
+            pytest.skip("numpy's floating-point primitives round differently here "
+                        "than where the values were recorded")
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_ascent(self, variant):
+        spec = KernelSpec(variant, p=1.5)
+        for N, (bound, budget, half_steps) in self.ASCENT[variant].items():
+            est = ascent_lower_bound(spec, 1.5, N)
+            assert (est.lower_bound.hex(), est.rounding_budget.hex(), len(est.trace)) == (
+                bound, budget, half_steps), N
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("M,N", [(600, 600), (4096, 4096), (600, 8695)])
+    def test_form(self, variant, M, N):
+        rng = np.random.default_rng([M, N, 53])
+        a, b = rng.random(M), rng.random(N)
+        value, budget = _form(KernelSpec(variant, p=1.5), Sequence(1, a), Sequence(1, b))
+        assert (value.hex(), budget.hex()) == self.FORM[variant, M, N]
 
 
 class TestFormBudgetTerms:
