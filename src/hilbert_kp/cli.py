@@ -38,10 +38,11 @@ def _emit(out: str | None, header: list[str], rows: list[str],
 
 
 def _one_line(text: str) -> str:
-    """`text` with each carriage return and line feed written as `\\r` and
-    `\\n`, so that outside text, such as an input path, cannot split a `#`
-    line or `main`'s error line."""
-    return text.replace("\r", "\\r").replace("\n", "\\n")
+    """`text` with each backslash written as `\\\\`, then each carriage
+    return and line feed as `\\r` and `\\n`, so that outside text, such as
+    an input path, cannot split a `#` line or `main`'s error line, and two
+    texts never give the same line: the escape reads back."""
+    return text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _csv_field(text: str) -> str:
@@ -105,8 +106,7 @@ def cmd_verify_inequality(args: argparse.Namespace) -> int:
     bound = norms.theoretical_norm(args.p)
     certified = quadrature.beta_integral(1.0 / args.p)
     certified_bound = certified.value - certified.error_estimate
-    specs = [kernels.KernelSpec(v, p=args.p)
-             for v in kernels.Variant if v is not kernels.Variant.CLASSICAL]
+    specs = [kernels.KernelSpec(v, p=args.p) for v in kernels.Variant if kernels._SHAPES[v][0]]
     rows, reports, fft_forms = [], [], 0
     for trial in range(args.trials):
         a, b = random_pair(rng, args.p, args.max_support)
@@ -151,14 +151,17 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
     largest section ascended before it, the latest of equal sizes, so a
     ladder that never drops starts each size from the one before it; a line
     after the configuration counts each ascent's half steps, one FFT matvec
-    each, in `--ascent-sizes` order."""
+    each, in `--ascent-sizes` order. The stages line after it times the
+    eps-family rows and the ascents, in seconds."""
     theoretical = norms.theoretical_norm(args.p)
     rows = []
+    began = time.perf_counter()
     for eps in args.eps_grid:
         ratio = norms.epsilon_family_ratio(eps, args.p)
         rows.append("EpsilonFamily,%s,eps=%s,%.12g,%.12g,%.12g\n" % (
             args.p, eps, ratio, theoretical, theoretical - ratio))
     spec = kernels.KernelSpec(kernels.Variant.WEIGHTED_MAIN, p=args.p)
+    swept = time.perf_counter()
     start, largest = None, 0
     half_steps = []
     for N in args.ascent_sizes:
@@ -171,20 +174,27 @@ def cmd_norm_bounds(args: argparse.Namespace) -> int:
     _emit(args.out, ["method", "p", "params", "lower_bound", "theoretical", "gap"], rows,
           [f"p={args.p} eps_grid={_joined(args.eps_grid)} "
            f"ascent_sizes={_joined(args.ascent_sizes)}",
-           f"ascent half_steps={_joined(half_steps)}"])
+           f"ascent half_steps={_joined(half_steps)}",
+           f"stages eps_s={swept - began:.3g} ascent_s={time.perf_counter() - swept:.3g}"])
     return 0
 
 
 def cmd_kp_apply(args: argparse.Namespace) -> int:
+    """The stages line after the configuration times, in seconds, reading
+    the input and the rest: the image, its `--image-out` file and the two
+    norms."""
     conjugate(args.p)
+    start = time.perf_counter()
     f = TaylorFunction(read_sequence(args.input))
+    read = time.perf_counter()
     image = hilbert_apply(f, args.n_max)
     if args.image_out:
         write_sequence(args.image_out, image.coeffs)
     rows = ["input_kp_norm,%.15g\n" % kp_norm(f, args.p),
             "image_kp_norm_truncated,%.15g\n" % kp_norm(image, args.p)]
     _emit(args.out, ["quantity", "value"], rows,
-          [f"input={args.input} n_max={args.n_max} p={args.p}"])
+          [f"input={args.input} n_max={args.n_max} p={args.p}",
+           f"stages read_s={read - start:.3g} apply_s={time.perf_counter() - read:.3g}"])
     return 0
 
 

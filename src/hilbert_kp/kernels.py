@@ -1,18 +1,31 @@
 """Hilbert-type kernels, bilinear forms and operator application.
 
-Variants:
+Every kernel in scope is, for m, n >= 1,
 
-* ``CLASSICAL``        1/(m+n-1)
-* ``WEIGHTED_MAIN``    (n/m)^(1/q-1/p) / (m+n-1)
-* ``YANG_SHIFT``       (n/m)^(1/q-1/p) / (m+n)
-* ``YANG_HALF_SHIFT``  ((n-1/2)/(m-1/2))^(1/q-1/p) / (m+n-1)
+    k(m, n) = (m - shift)^(-e) (n - shift)^e / (m + n - symbol_shift),
+
+with e = 1/q - 1/p where the weights carry it and e = 0 where they do not.
+Each `Variant` is a row of three numbers in the table `_SHAPES`:
+
+    variant          weights carry e  shift  symbol_shift  k(m, n)
+    CLASSICAL        no               0      1             1/(m+n-1)
+    WEIGHTED_MAIN    yes              0      1             (n/m)^e / (m+n-1)
+    YANG_SHIFT       yes              0      0             (n/m)^e / (m+n)
+    YANG_HALF_SHIFT  yes              1/2    1             ((n-1/2)/(m-1/2))^e / (m+n-1)
+
+The K^p Hilbert matrix 1/(m+n+1) on 0-based indices is the CLASSICAL row
+on m+1, n+1 (`kp.hilbert_apply`). `KernelSpec.shape()` is the one place
+where a variant's shape is read: it gives (e, shift, symbol_shift), and
+`_hankel` and `kernel_matrix` build every variant by one path from it.
 
 Each form has norm pi/sin(pi/p) on l^p x l^q, all kernel values are
 strictly positive for m, n >= 1, and every weighted variant collapses to
-the classical kernel at p = 2. Each variant factors as w(m) v(n) h(m+n), a
-row weight, a column weight and a Hankel symbol, and `_hankel(spec, M, N)`
-builds the M x N section of that product: the one place its index ranges
-are written. The operator K^T a is one correlation of the symbol with wa
+its unweighted shape 1/(m+n-symbol_shift) at p = 2, where e is exactly
+0.0. Each variant factors as w(m) v(n) h(m+n), a row weight
+w(m) = (m - shift)^(-e), a column weight v(n) = (n - shift)^e and a Hankel
+symbol h(s) = 1/(s - symbol_shift), and `_hankel(spec, M, N)` builds the
+M x N section of that product: the one place its index ranges are
+written. The operator K^T a is one correlation of the symbol with wa
 (`_image`, on the len(a) x n_max section), the form is b paired with that
 image (`_form`), and `_ratio` normalizes it with a certified budget for the
 norm ascent and `verify-inequality`; the ascent (`norms`) correlates on the
@@ -58,6 +71,14 @@ class Variant(Enum):
     YANG_HALF_SHIFT = "YangHalfShift"
 
 
+# The kernel table (see the module docstring); `KernelSpec.shape()` reads it.
+#           variant                  weights carry e, shift, symbol_shift
+_SHAPES = {Variant.CLASSICAL:       (False, 0.0, 1.0),
+           Variant.WEIGHTED_MAIN:   (True, 0.0, 1.0),
+           Variant.YANG_SHIFT:      (True, 0.0, 0.0),
+           Variant.YANG_HALF_SHIFT: (True, 0.5, 1.0)}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     variant: Variant
@@ -66,14 +87,18 @@ class KernelSpec:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             raise InvalidInputError(f"variant must be a Variant member, got {self.variant!r}")
-        if self.variant is not Variant.CLASSICAL:
-            conjugate(self.p)
+        self.shape()        # checks p where the weights carry e
 
-    def weight_exponent(self) -> float:
-        """1/q - 1/p as computed: exactly 0.0 at p = 2, where q = 2.0 too,
-        and small but not 0 at a p one ulp from 2."""
-        pq = conjugate(self.p)
-        return 1.0 / pq.q - 1.0 / pq.p
+    def shape(self) -> tuple[float, float, float]:
+        """(e, shift, symbol_shift), the variant's row of `_SHAPES` with e
+        the weights' exponent: 0.0 where they carry none, whatever p is, and
+        1/q - 1/p as computed otherwise, which is exactly 0.0 at p = 2, where
+        q = 2.0 too, and small but not 0 at a p one ulp from 2. The one place
+        where a variant's shape is read."""
+        weighted, shift, symbol_shift = _SHAPES[self.variant]
+        pq = conjugate(self.p) if weighted else None
+        e = 1.0 / pq.q - 1.0 / pq.p if weighted else 0.0
+        return e, shift, symbol_shift
 
 
 def _pow_ratio(num: np.ndarray, den: np.ndarray, e: float) -> np.ndarray:
@@ -94,13 +119,8 @@ def kernel_matrix(spec: KernelSpec, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=float)[None, :]
     if np.any(m < 1) or np.any(n < 1):
         raise InvalidInputError("kernel indices must be >= 1")
-    if spec.variant is Variant.CLASSICAL:
-        return 1.0 / (m + n - 1.0)
-    if spec.variant is Variant.WEIGHTED_MAIN:
-        return _pow_ratio(n, m, spec.weight_exponent()) / (m + n - 1.0)
-    if spec.variant is Variant.YANG_SHIFT:
-        return _pow_ratio(n, m, spec.weight_exponent()) / (m + n)
-    return _pow_ratio(n - 0.5, m - 0.5, spec.weight_exponent()) / (m + n - 1.0)   # YANG_HALF_SHIFT
+    e, shift, symbol_shift = spec.shape()
+    return _pow_ratio(n - shift, m - shift, e) / (m + n - symbol_shift)
 
 
 def _hankel(spec: KernelSpec, M: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,11 +128,9 @@ def _hankel(spec: KernelSpec, M: int, N: int) -> tuple[np.ndarray, np.ndarray, n
     row weights w on m = 1..M, column weights v on n = 1..N and the Hankel
     symbol h on s = 2..M+N, so that entry [i, j] of the section is
     w[i] v[j] h[i + j]. No other code builds these index ranges."""
-    e = 0.0 if spec.variant is Variant.CLASSICAL else spec.weight_exponent()
-    shift = 0.5 if spec.variant is Variant.YANG_HALF_SHIFT else 0.0
-    h_shift = 0.0 if spec.variant is Variant.YANG_SHIFT else 1.0
+    e, shift, symbol_shift = spec.shape()
     m, n, s = np.arange(1.0, M + 1.0), np.arange(1.0, N + 1.0), np.arange(2.0, M + N + 1.0)
-    return (m - shift) ** -e, (n - shift) ** e, 1.0 / (s - h_shift)
+    return (m - shift) ** -e, (n - shift) ** e, 1.0 / (s - symbol_shift)
 
 
 def _correlate(spectrum: np.ndarray, x: np.ndarray, n_out: int | None = None) -> np.ndarray:
@@ -127,10 +145,8 @@ def _correlate(spectrum: np.ndarray, x: np.ndarray, n_out: int | None = None) ->
     n, L = len(x), 2 * (spectrum.shape[-1] - 1)
     n_out = n if n_out is None else n_out
     product = np.fft.rfft(x[::-1], L)
-    if spectrum.ndim == 1:
-        product *= spectrum         # in place: one transform-sized array less
-    else:
-        product = product * spectrum
+    # In place where the shapes allow: one transform-sized array less.
+    product = np.multiply(product, spectrum, out=product if spectrum.ndim == 1 else None)
     return np.fft.irfft(product, L)[..., n - 1:n + n_out - 1]
 
 

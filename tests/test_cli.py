@@ -336,7 +336,7 @@ class TestConfigurationLine:
     def test_header_records_the_effective_flags(self, argv, config, capsys):
         """verify-inequality adds one summary line after its configuration
         and one manifest line per kernel, and norm-bounds one line of
-        half-step counts."""
+        half-step counts and its stages line."""
         _, out = run_cli(argv, capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
         assert comments[0].startswith("# generated ")
@@ -348,8 +348,10 @@ class TestConfigurationLine:
                 assert re.fullmatch(rf"# check {name} passed=1 failed=0 "
                                     r"worst_margin_minus_budget=[0-9]\S*", line)
         elif argv[0] == "norm-bounds":
-            assert len(comments) == 3
+            assert len(comments) == 4
             assert re.fullmatch(r"# ascent half_steps=\d+,\d+", comments[2])
+            match = re.fullmatch(r"# stages eps_s=(\S+) ascent_s=(\S+)", comments[3])
+            assert match and all(float(t) >= 0.0 for t in match.groups()), comments[3]
         else:
             assert len(comments) == 2
 
@@ -359,7 +361,10 @@ class TestConfigurationLine:
         _, out = run_cli(["kp-apply", "--input", str(src), "--n-max", "5", "--p", "3"],
                          capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
-        assert comments[1:] == [f"# input={src} n_max=5 p=3.0"]
+        assert comments[1] == f"# input={src} n_max=5 p=3.0"
+        match = re.fullmatch(r"# stages read_s=(\S+) apply_s=(\S+)", comments[2])
+        assert match and all(float(t) >= 0.0 for t in match.groups()), comments[2]
+        assert len(comments) == 3
         assert [row.split(",")[0] for row in csv_body(out)] == [
             "quantity", "input_kp_norm", "image_kp_norm_truncated"]
 
@@ -592,9 +597,28 @@ class TestKpApply:
         code, out = run_cli(["kp-apply", "--input", str(src), "--n-max", "3"], capsys)
         assert code == 0
         comments = [line for line in out.splitlines() if line.startswith("#")]
-        assert comments[1:] == [f"# input={tmp_path}/{shown} n_max=3 p=2.0"]
+        assert comments[1] == f"# input={tmp_path}/{shown} n_max=3 p=2.0"
         rows = list(csv.DictReader(io.StringIO("\n".join(csv_body(out)))))
         assert [row["quantity"] for row in rows] == ["input_kp_norm", "image_kp_norm_truncated"]
+
+    def test_a_backslash_and_a_line_break_give_two_input_lines(self, tmp_path, capsys):
+        """`a\\nb.txt` (a backslash and n) and `a`, a line feed, `b.txt` are
+        two files, so they give two `# input=` lines, and each line reads
+        back to its path: the backslash is escaped first."""
+        def unescape(text):
+            return re.sub(r"\\(.)", lambda m: {"\\": "\\", "r": "\r", "n": "\n"}[m[1]], text)
+
+        paths = [tmp_path / "a\\nb.txt", tmp_path / "a\nb.txt"]
+        lines = []
+        for src in paths:
+            write_sequence(src, Sequence(0, (1.0,)))
+            code, out = run_cli(["kp-apply", "--input", str(src), "--n-max", "3"], capsys)
+            assert code == 0
+            lines.append(out.splitlines()[1])
+        assert lines[0] != lines[1]
+        for src, line in zip(paths, lines):
+            match = re.fullmatch(r"# input=(.*) n_max=3 p=2\.0", line)
+            assert match and unescape(match[1]) == str(src), line
 
     def test_output_file(self, tmp_path, capsys):
         src = tmp_path / "f.txt"

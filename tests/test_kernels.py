@@ -92,10 +92,10 @@ class TestKernelValues:
         """0.0 at p = 2 (2.0 + 1e-16 is 2.0 too); one ulp either side it is
         the plain 1/q - 1/p, not 0."""
         assert 2.0 + 1e-16 == 2.0
-        assert KernelSpec(Variant.WEIGHTED_MAIN, p=2.0).weight_exponent() == 0.0
+        assert KernelSpec(Variant.WEIGHTED_MAIN, p=2.0).shape()[0] == 0.0
         for p in (float(np.nextafter(2.0, 3.0)), float(np.nextafter(2.0, 1.0))):
             pq = conjugate(p)
-            e = KernelSpec(Variant.WEIGHTED_MAIN, p=p).weight_exponent()
+            e = KernelSpec(Variant.WEIGHTED_MAIN, p=p).shape()[0]
             assert e == 1.0 / pq.q - 1.0 / pq.p
             assert e != 0.0
 
@@ -142,6 +142,17 @@ class TestKernelValues:
     def test_the_member_gives_its_own_kernel(self):
         form = bilinear_form(KernelSpec(Variant.YANG_SHIFT, p=3.0), seq(1, 0.5, 0.2), seq(0.3, 1))
         assert form == pytest.approx(0.7800023473022075, rel=1e-14)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("p", [1.05, 2.0, float(np.nextafter(2.0, 3.0)), 6.0])
+    def test_every_variant_has_a_table_row(self, variant, p):
+        """`shape()` reads the variant's row of `_SHAPES`, with e = 0.0 for
+        the classical kernel at any p and 1/q - 1/p for the weighted ones."""
+        weighted, shift, symbol_shift = kernels._SHAPES[variant]
+        pq = conjugate(p)
+        e = 1.0 / pq.q - 1.0 / pq.p if weighted else 0.0
+        assert KernelSpec(variant, p=p).shape() == (e, shift, symbol_shift)
+        assert weighted is (variant is not Variant.CLASSICAL)
 
 
 class TestBilinearForm:
@@ -254,10 +265,18 @@ def exact_kernel(spec, m, n):
         raise AssertionError(spec.variant)
 
 
+# Each weighted variant where e is exactly 0.0 and where it is tiny but not 0.
+BESIDE_P2 = [pytest.param(KernelSpec(v, p=p), id=f"{v.value}-{p!r}")
+             for v in Variant if v is not Variant.CLASSICAL
+             for p in (2.0, math.nextafter(2.0, 3.0))]
+
+
 class TestHankelCore:
-    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
+    @pytest.mark.parametrize("spec", ONE_OF_EACH + BESIDE_P2, ids=lambda s: s.variant.value)
     def test_factorisation(self, spec):
-        """k(m, n) = w(m) v(n) h(m+n) on a grid out to index 2000."""
+        """k(m, n) = w(m) v(n) h(m+n) on a grid out to index 2000, also at
+        p = 2 and one ulp above, where `_hankel`'s weights are exactly 1 and
+        where they are not."""
         idx = np.unique(np.geomspace(1, 2000, 60).round())
         i = idx.astype(int) - 1
         w, v, h = _hankel(spec, 2000, 2000)
@@ -608,9 +627,11 @@ class TestFrozenBits:
 
     @pytest.fixture(autouse=True)
     def same_primitives(self):
-        if _primitive_bits() != self.PRIMITIVES:
+        digest = _primitive_bits()
+        if digest != self.PRIMITIVES:
             pytest.skip("numpy's floating-point primitives round differently here "
-                        "than where the values were recorded")
+                        f"(digest {digest}) than where the values were recorded "
+                        f"(digest {self.PRIMITIVES})")
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_ascent(self, variant):
