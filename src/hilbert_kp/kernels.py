@@ -46,8 +46,13 @@ squares over the blocks, which `_form` reports. A small entry far from the
 mass of the product, such as the pairing of two spikes far apart, then
 loses relative accuracy.
 
-The dense `kernel_matrix` is the tests' reference for all of them; no
-library path builds it.
+The dense `kernel_matrix` builds the kernel entry by entry; no library path
+calls it. It reads `shape()` as `_hankel` does, so it is independent of
+`_hankel` only in its exp/log route (`_pow_ratio`): the tests use it to check
+the factorisation and the correlations, and their arbitrary-precision
+references, spelled from the paper's formulas, live in `tests/oracles.py`.
+It stays here because the benchmark's self-test checks that its tracing
+patches it where `norms` imports it.
 """
 
 from __future__ import annotations
@@ -101,13 +106,23 @@ class KernelSpec:
         return e, shift, symbol_shift
 
 
+def _check_norm_p(spec: KernelSpec, p: float) -> None:
+    """Refuse a weighted spec whose p is not the norm's p: its weights carry
+    the e of spec.p, and its ratio on l^p x l^q for another p is no bound on
+    the kernel the paper norms there. The classical kernel carries no
+    weights and pairs with any p."""
+    if _SHAPES[spec.variant][0] and spec.p != p:
+        raise InvalidInputError(
+            f"a {spec.variant.value} kernel must carry the norm's p={p}, got p={spec.p}")
+
+
 def _pow_ratio(num: np.ndarray, den: np.ndarray, e: float) -> np.ndarray:
     """(num/den)^e as exp(e (log num - log den)), with no overflow for large
     indices. The relative error is not uniform: it grows with
     |e log(num/den)| and reaches 1.7e-15 against 40-digit mpmath at indices
-    up to 20000, where (num/den)**e stays within 2e-16. It stays because it
-    computes the kernel by another route than `_hankel`'s powers, which
-    keeps the dense grid an independent reference."""
+    up to 20000, where (num/den)**e stays within 2e-16. It takes e, shift
+    and symbol_shift from `shape()` as `_hankel` does, so the dense grid
+    differs from `_hankel`'s powers only in this exp/log route."""
     if e == 0.0:
         return np.ones(np.broadcast_shapes(num.shape, den.shape))
     return np.exp(e * (np.log(num) - np.log(den)))
@@ -313,9 +328,11 @@ def _ratio(spec: KernelSpec, a: Sequence, b: Sequence, p: float) -> tuple[float,
     ||b||_q by 2 u |ln ||b||_q|, and q (off by u) moves the sum S of b^q by
     u |ln S - H| <= u (q |ln ||b||_q| + ln(len(b))), H the entropy of the
     weights b^q/S, and the root 1/q divides that by q. So even unit vectors
-    pay u ln(len(b))/q.
+    pay u ln(len(b))/q. A weighted spec must carry the norm's p
+    (`_check_norm_p`).
     """
     pq = conjugate(p)
+    _check_norm_p(spec, p)
     value, budget = _form(spec, a, b)
     norm_a, norm_b = lp_norm(a, pq.p), lp_norm(b, pq.q)
     ratio = value / (norm_a * norm_b)

@@ -35,6 +35,8 @@ from hilbert_kp.kernels import (
 )
 from hilbert_kp.sequences import _sum2
 
+import oracles
+
 ROW_SUM_M1_P2_A0 = 1.8600250792  # frozen independent evaluation
 
 nonneg_entry = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
@@ -143,16 +145,22 @@ class TestKernelValues:
         form = bilinear_form(KernelSpec(Variant.YANG_SHIFT, p=3.0), seq(1, 0.5, 0.2), seq(0.3, 1))
         assert form == pytest.approx(0.7800023473022075, rel=1e-14)
 
+    # The paper's four kernels as (weights carry e, shift, symbol_shift),
+    # written out here rather than read from `_SHAPES`, so a wrong row fails.
+    ROWS = {Variant.CLASSICAL: (False, 0.0, 1.0),
+            Variant.WEIGHTED_MAIN: (True, 0.0, 1.0),
+            Variant.YANG_SHIFT: (True, 0.0, 0.0),
+            Variant.YANG_HALF_SHIFT: (True, 0.5, 1.0)}
+
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     @pytest.mark.parametrize("p", [1.05, 2.0, float(np.nextafter(2.0, 3.0)), 6.0])
     def test_every_variant_has_a_table_row(self, variant, p):
-        """`shape()` reads the variant's row of `_SHAPES`, with e = 0.0 for
-        the classical kernel at any p and 1/q - 1/p for the weighted ones."""
-        weighted, shift, symbol_shift = kernels._SHAPES[variant]
+        """`shape()` gives the variant's row, with e = 0.0 for the classical
+        kernel at any p and 1/q - 1/p for the weighted ones."""
+        weighted, shift, symbol_shift = self.ROWS[variant]
         pq = conjugate(p)
         e = 1.0 / pq.q - 1.0 / pq.p if weighted else 0.0
         assert KernelSpec(variant, p=p).shape() == (e, shift, symbol_shift)
-        assert weighted is (variant is not Variant.CLASSICAL)
 
 
 class TestBilinearForm:
@@ -241,28 +249,17 @@ def sparse_support(rng, size, lead=0, trail=0):
     return x
 
 
+def dense(entries):
+    """A sparse {index: entry} map as dense entries on 1..max(index)."""
+    x = np.zeros(max(entries))
+    x[np.array(list(entries)) - 1] = list(entries.values())
+    return x
+
+
 def dense_form(spec, a, b):
     """The form from the dense kernel grid, the independent reference."""
     K = kernel_matrix(spec, np.arange(1, len(a) + 1), np.arange(1, len(b) + 1))
     return math.fsum(np.asarray(a) * (K @ np.asarray(b)))
-
-
-def exact_kernel(spec, m, n):
-    """The kernel formula in mpmath at 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        m, n, p = mpmath.mpf(m), mpmath.mpf(n), mpmath.mpf(spec.p)
-        e = 1 - 2 / p                     # 1/q - 1/p
-        s = m + n
-        if spec.variant is Variant.CLASSICAL:
-            return 1 / (s - 1)
-        if spec.variant is Variant.WEIGHTED_MAIN:
-            return (n / m) ** e / (s - 1)
-        if spec.variant is Variant.YANG_SHIFT:
-            return (n / m) ** e / s
-        if spec.variant is Variant.YANG_HALF_SHIFT:
-            return ((2 * n - 1) / (2 * m - 1)) ** e / (s - 1)
-        raise AssertionError(spec.variant)
 
 
 # Each weighted variant where e is exactly 0.0 and where it is tiny but not 0.
@@ -310,15 +307,9 @@ class TestHankelCore:
         cases = [({1: 1.0}, {1: 1.0}), ({2000: 0.3}, {1: 1.7}), ({1: 2.5}, {1999: 0.25}),
                  ({1: 1.0, 2000: 2.0}, {1: 3.0, 2000: 0.5})]
         for a_entries, b_entries in cases:
-            a = np.zeros(max(a_entries))
-            b = np.zeros(max(b_entries))
-            for m, x in a_entries.items():
-                a[m - 1] = x
-            for n, y in b_entries.items():
-                b[n - 1] = y
+            a, b = dense(a_entries), dense(b_entries)
             got = bilinear_form(spec, Sequence(1, tuple(a)), Sequence(1, tuple(b)))
-            ref = float(sum(exact_kernel(spec, m, n) * x * y
-                            for m, x in a_entries.items() for n, y in b_entries.items()))
+            ref = float(oracles.exact_form(spec, a_entries, b_entries))
             assert abs(got - ref) <= 2e-15 * ref, (a_entries, b_entries)
 
     @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.variant.value)
@@ -418,16 +409,10 @@ class TestFftPath:
         """Against the 40-digit kernel formula. Relative accuracy is lost
         here, and the budget bounds the loss."""
         for a_entries, b_entries in self.FAR_SPIKES:
-            a = np.zeros(max(a_entries))
-            b = np.zeros(max(b_entries))
-            for m, x in a_entries.items():
-                a[m - 1] = x
-            for n, y in b_entries.items():
-                b[n - 1] = y
+            a, b = dense(a_entries), dense(b_entries)
             assert len(a) * len(b) >= kernels._FFT_CROSSOVER
             got, budget = _form(spec, Sequence(1, a), Sequence(1, b))
-            ref = float(sum(exact_kernel(spec, m, n) * x * y
-                            for m, x in a_entries.items() for n, y in b_entries.items()))
+            ref = float(oracles.exact_form(spec, a_entries, b_entries))
             assert abs(got - ref) <= budget <= 1e-8 * ref, (a_entries, b_entries)
 
     def test_direct_below_the_crossover(self):
@@ -664,7 +649,7 @@ class TestFormBudgetTerms:
         a, b = np.zeros(M), np.zeros(n)
         a[-1] = b[-1] = 1.0
         got, budget = _form(spec, Sequence(1, a), Sequence(1, b))
-        ref = float(exact_kernel(spec, M, n))
+        ref = float(oracles.kernel(spec, M, n))
         relative = (32.0 + n + 2.0 * math.log(M + n)) * 2.0 ** -53 * got
         assert relative < abs(got - ref) <= budget
 
@@ -677,7 +662,7 @@ class TestFormBudgetTerms:
         a = np.zeros(m)
         a[-1] = 1.0
         got, budget = _form(spec, Sequence(1, a), seq(1))
-        ref = exact_kernel(spec, m, 1)
+        ref = oracles.kernel(spec, m, 1)
         err = float(abs(got - ref))
         assert _image(spec, a, 1)[2] == 0.0
         assert 0.0 < err <= budget
@@ -686,20 +671,6 @@ class TestFormBudgetTerms:
 class TestRatioBudget:
     """`_ratio`'s budget against the 40-digit ratio with the exact conjugate
     exponent q = p/(p - 1)."""
-
-    @staticmethod
-    def exact_ratio(spec, p, a, b):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            P = mpmath.mpf(p)
-            Q = P / (P - 1)
-            A = [mpmath.mpf(float(x)) for x in a]
-            B = [mpmath.mpf(float(y)) for y in b]
-            form = mpmath.fsum(exact_kernel(spec, m, n) * x * y
-                               for m, x in enumerate(A, 1) for n, y in enumerate(B, 1))
-            norm_a = mpmath.fsum(x ** P for x in A) ** (1 / P)
-            norm_b = mpmath.fsum(y ** Q for y in B) ** (1 / Q)
-            return float(form / (norm_a * norm_b))
 
     @pytest.mark.parametrize("variant", [Variant.WEIGHTED_MAIN, Variant.YANG_HALF_SHIFT])
     @pytest.mark.parametrize("p,scale_a,scale_b", [(1.996, 1e120, 1.0), (1.996, 1e-120, 1.0),
@@ -714,8 +685,21 @@ class TestRatioBudget:
         b = Sequence(1, scale_b * np.array([0.75, 1.5, 1.0]))
         ratio, budget = kernels._ratio(spec, a, b, p)
         value, form_budget = _form(spec, a, b)
-        err = abs(ratio - self.exact_ratio(spec, p, a.values, b.values))
+        err = abs(ratio - oracles.exact_ratio(spec, p, a.values, b.values))
         assert form_budget * ratio / value + 10.0 * 2.0 ** -53 * ratio < err <= budget
+
+    @pytest.mark.parametrize("variant", [Variant.WEIGHTED_MAIN, Variant.YANG_SHIFT,
+                                         Variant.YANG_HALF_SHIFT], ids=lambda v: v.value)
+    def test_a_weighted_kernel_must_carry_the_norms_p(self, variant):
+        """Its weights are those of its own p; the classical kernel pairs
+        with any p."""
+        a, b = seq(1.0, 0.5), seq(0.3, 1.0)
+        with pytest.raises(InvalidInputError,
+                           match=r"kernel must carry the norm's p=1\.5, got p=3\.0$"):
+            kernels._ratio(KernelSpec(variant, p=3.0), a, b, 1.5)
+        ratio, _ = kernels._ratio(KernelSpec(Variant.CLASSICAL), a, b, 1.5)
+        assert ratio == _form(KernelSpec(Variant.CLASSICAL), a, b)[0] / (
+            lp_norm(a, 1.5) * lp_norm(b, 3.0))
 
     def test_is_the_form_over_the_norms(self):
         spec = KernelSpec(Variant.YANG_SHIFT, p=3.0)
@@ -730,25 +714,6 @@ class TestRatioBudget:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError, match="not finite"):
                 kernels._ratio(spec, seq(1e200), seq(1.0), 3.0)
-
-
-def row_sum_reference(m, p, alpha, N0=64):
-    """The row sum in mpmath at 30 digits: the head n < N0 summed directly,
-    the tail by mpmath's Euler-Maclaurin `sumem` with the integral over
-    [N0, inf) passed in. That integral is taken after t = N0 u^(-p), which
-    leaves a bounded integrand, split where t = m."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        m, p, alpha = mpmath.mpf(m), mpmath.mpf(p), mpmath.mpf(alpha)
-
-        def f(n):
-            return (m / n) ** (1 / p) * (m + n) ** (alpha - 1) * (m + n - 1) ** -alpha
-
-        head = mpmath.fsum(f(mpmath.mpf(n)) for n in range(1, N0))
-        knee = (N0 / m) ** (1 / p)
-        integral = mpmath.quad(lambda u: f(N0 * u ** -p) * p * N0 * u ** (-p - 1),
-                               [0, knee, 1] if knee < 1 else [0, 1])
-        return head + mpmath.sumem(f, [N0, mpmath.inf], integral=integral)
 
 
 # p x m crossed, alpha and tol cycling through their values; then tol = 1e-13
@@ -788,7 +753,7 @@ class TestRowSumAlpha:
         """The certified width brackets the mpmath sum at a point off the
         oracle grid: p = 2.5 and m = 50 are in no `ROW_SUM_ORACLE_CASES` case."""
         res = row_sum_alpha(50, 2.5, 0.5, tol=1e-12)
-        assert abs(res.value - float(row_sum_reference(50, 2.5, 0.5))) <= res.error_estimate
+        assert abs(res.value - float(oracles.row_sum(50, 2.5, 0.5))) <= res.error_estimate
 
     def test_domain(self):
         for m in (0, 2.5, "3"):
@@ -804,7 +769,7 @@ class TestRowSumAlpha:
     @pytest.mark.parametrize("p,m,alpha,tol", ROW_SUM_ORACLE_CASES)
     def test_bracket_holds_against_mpmath(self, p, m, alpha, tol):
         res = row_sum_alpha(m, p, alpha, tol)
-        ref = float(row_sum_reference(m, p, alpha))
+        ref = float(oracles.row_sum(m, p, alpha))
         assert abs(res.value - ref) <= res.error_estimate <= tol
 
     @pytest.mark.parametrize("p", [10.0, 12.0])

@@ -2,7 +2,6 @@ import math
 import tracemalloc
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from hilbert_kp import (
     DegenerateInputError,
     DomainError,
+    InvalidInputError,
     KernelSpec,
     ParameterError,
     Sequence,
@@ -27,6 +27,8 @@ from hilbert_kp import (
     theoretical_norm,
 )
 from hilbert_kp import kernels, norms
+
+import oracles
 
 # Frozen chain-bound ratios from an independent high-precision evaluation.
 RATIOS_P2 = {
@@ -153,15 +155,10 @@ class TestEpsilonFamilyRatio:
         eps I(eps) / (1 + eps phi), both at 40 digits. Small eps is where a
         tail written as M^(1-s)/(s-1) - 1/eps, s = fl(1 + eps), cancels:
         1/(s - 1) is not 1/eps after rounding."""
-        with mpmath.workdps(40):
-            mp = mpmath.mpf(p)
-            for eps in (1e-12, 1e-9, 1e-7, 1e-3, 0.01, 0.5, 2.0, 20.0):
-                me = mpmath.mpf(eps)
-                phi = mpmath.zeta(1 + me) - 1 / me
-                eps_I = (mpmath.lerchphi(-1, 1, 1 / mp + me * (1 - 1 / mp))
-                         + mpmath.lerchphi(-1, 1, 1 - (1 - me) / mp))
-                assert phi_clipped(eps) >= phi, eps
-                assert epsilon_family_ratio(eps, p) <= eps_I / (1 + me * phi), eps
+        for eps in (1e-12, 1e-9, 1e-7, 1e-3, 0.01, 0.5, 2.0, 20.0):
+            phi = oracles.phi(eps)
+            assert phi_clipped(eps) >= phi, eps
+            assert epsilon_family_ratio(eps, p) <= oracles.eps_I(eps, p) / (1 + eps * phi), eps
 
     def test_reaches_tiny_eps(self):
         """The tail is summed as expm1(-eps ln(N - 1/2))/eps, in which
@@ -242,6 +239,17 @@ class TestAscent:
             ascent_lower_bound(spec, 2.0, 0, 10)
         with pytest.raises(ParameterError):
             ascent_lower_bound(spec, 2.0, 4, 0)
+
+    def test_a_weighted_kernel_must_carry_the_norms_p(self):
+        """A WeightedMain kernel of p = 3 ascended on l^1.5 used to report a
+        certified lower bound of 4.1436, above pi/sin(pi/1.5) = 3.6276. The
+        classical kernel has no weights and is ascended at any p."""
+        with pytest.raises(InvalidInputError,
+                           match=r"^a WeightedMain kernel must carry the norm's p=1\.5, "
+                                 r"got p=3\.0$"):
+            ascent_lower_bound(KernelSpec(Variant.WEIGHTED_MAIN, p=3.0), 1.5, 256)
+        est = ascent_lower_bound(KernelSpec(Variant.CLASSICAL), 1.5, 256)
+        assert est.lower_bound < theoretical_norm(1.5)
 
     @pytest.mark.parametrize("start", [[], [[1.0, 2.0]], [1.0, -1.0], [1.0, math.nan],
                                        [math.inf, 1.0], [0.0, 0.0]])
@@ -340,35 +348,6 @@ def ascent_with_final_pair(monkeypatch, *args, **kwargs):
     return est, seen[-1], seen[-2]
 
 
-def exact_ratio(spec, p, a, b):
-    """B(a, b)/(||a||_p ||b||_q) for the exact kernel, in mpmath at 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        P, r = mpmath.mpf(p), mpmath.mpf(spec.p)
-        e = 1 - 2 / r       # 1/q - 1/p
-
-        def k(m, n):
-            s = m + n
-            if spec.variant is Variant.CLASSICAL:
-                return 1 / mpmath.mpf(s - 1)
-            if spec.variant is Variant.WEIGHTED_MAIN:
-                return mpmath.mpf(n) ** e / mpmath.mpf(m) ** e / (s - 1)
-            if spec.variant is Variant.YANG_SHIFT:
-                return mpmath.mpf(n) ** e / mpmath.mpf(m) ** e / s
-            if spec.variant is Variant.YANG_HALF_SHIFT:
-                return mpmath.mpf(2 * n - 1) ** e / mpmath.mpf(2 * m - 1) ** e / (s - 1)
-            raise AssertionError(spec.variant)
-
-        A = [mpmath.mpf(float(x)) for x in a]
-        B = [mpmath.mpf(float(y)) for y in b]
-        form = mpmath.fsum(k(m, n) * A[m - 1] * B[n - 1]
-                           for m in range(1, len(A) + 1) for n in range(1, len(B) + 1))
-        norm_a = mpmath.fsum(x ** P for x in A) ** (1 / P)
-        Q = P / (P - 1)
-        norm_b = mpmath.fsum(y ** Q for y in B) ** (1 / Q)
-        return form / (norm_a * norm_b)
-
-
 class TestCertifiedAscent:
     """`lower_bound` is the final form minus an explicit rounding budget for
     the FFT correlations and every other rounding."""
@@ -383,7 +362,7 @@ class TestCertifiedAscent:
     def test_below_exact_ratio_of_final_pair(self, spec, N):
         p = 2.0 if spec.variant is Variant.CLASSICAL else spec.p
         est = ascent_lower_bound(spec, p, N, 300)
-        exact = float(exact_ratio(spec, p, est.a, est.b))
+        exact = oracles.exact_ratio(spec, p, est.a, est.b)
         assert est.lower_bound <= exact
         assert exact - est.lower_bound <= 2.0 * est.rounding_budget
         assert est.lower_bound <= est.trace[-1]
@@ -421,14 +400,11 @@ class TestCertifiedAscent:
 
     def test_numpy_power_within_two_units(self):
         """The budget takes each power to within 2u = 2^-52 relative."""
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(17)
         x = np.concatenate([np.arange(0.5, 2.0 ** 18, 997.0), rng.random(300) + 0.5])
         for e in (-2.0 / 3.0, 1.0 / 3.0, 0.4, 1.5, 1.0 / 6.0, -0.6):
-            got = x ** e
-            with mpmath.workdps(30):
-                ref = [mpmath.mpf(float(t)) ** mpmath.mpf(e) for t in x]
-                worst = max(abs(mpmath.mpf(float(g)) / r - 1) for g, r in zip(got, ref))
+            ref = oracles.power(x.tolist(), e)
+            worst = max(abs(g - r) / r for g, r in zip((x ** e).tolist(), ref))
             assert worst <= 2.0 ** -52, e
 
 

@@ -25,6 +25,8 @@ from hilbert_kp.proof_checks import _master_points
 from hilbert_kp.proof_checks import _sides as _library_sides
 from hilbert_kp.quadrature import _power_integral, _scaled_I_of_epsilon
 
+import oracles
+
 # Frozen two-sided values from an independent high-precision evaluation.
 INEQ_FROZEN = {
     # (x, alpha): (lhs_I, rhs_I, lhs_II, rhs_II); lhs_I None means identically 0
@@ -210,16 +212,12 @@ class TestMidpoint:
         """The integral at the reported worst n, against 40-digit
         quadrature, is within the check's budget; n = 1 puts both ends of
         the integral below 0.1 from m = 15 on."""
-        mpmath = pytest.importorskip("mpmath")
         for p in (1.05, 2.0, 12.0):
             for alpha in (0.0, 0.5, 1.0):
                 for n_max in (1, 25):
                     rep = check_midpoint_bound(m, p, alpha, n_max)
                     n = int(rep.parameters.rsplit("worst_n=", 1)[1])
-                    with mpmath.workdps(40):
-                        exact = mpmath.quad(
-                            lambda t: t ** (-1 / mpmath.mpf(p)) * (m + t) ** (alpha - 1)
-                            * (m + t - 1) ** -alpha, [n - 0.5, n + 0.5])
+                    exact = oracles.midpoint_integral(m, p, alpha, n)
                     assert 0.0 < rep.error_budget
                     assert abs(rep.rhs - exact) <= rep.error_budget, (p, alpha, n_max)
 
@@ -335,20 +333,14 @@ class TestMasterIdentities:
 
 
 def _sides_reference(x: float, alpha: float) -> tuple:
-    """(lhs_I, rhs_I, lhs_II, rhs_II) from 40-digit `mpmath.hyp2f1`, with
-    int_0^1 u^(c-1) (1+zu)^(-s) du = (1/c) 2F1(s, c; c+1; -z) and 1-x and
-    beta taken exactly."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        x, alpha = mpmath.mpf(x), mpmath.mpf(alpha)
-        c = 1 - x
-        beta = (1 - alpha * x) / (1 - x)
-
-        def power(c, s, z):
-            return mpmath.hyp2f1(s, c, c + 1, -z) / c
-
-        return (power(x, 1 - alpha, 2) - power(x, 1, 2), power(c, 1, 0.5) / 2,
-                power(c, 1 - beta, 2) - power(c, 1, 2), power(x, 1, 0.5) / 2)
+    """(lhs_I, rhs_I, lhs_II, rhs_II) from the 40-digit P(c, s, z) of
+    `oracles.power_integral`, with 1-x and beta taken exactly."""
+    x, alpha = Fraction(x), Fraction(alpha)
+    c = 1 - x
+    beta = (1 - alpha * x) / c
+    power = oracles.power_integral
+    return (power(x, 1 - alpha, 2) - power(x, 1, 2), power(c, 1, 0.5) / 2,
+            power(c, 1 - beta, 2) - power(c, 1, 2), power(x, 1, 0.5) / 2)
 
 
 _ORACLE_CASES = [(x, alpha_schedule(x))
@@ -553,14 +545,11 @@ class TestBatchedSeries:
 
     def test_euler_lanes_within_their_estimates(self):
         """On the lanes with c+1-s <= 0 each estimate is positive and bounds
-        the error against 40-digit `hyp2f1`: P = 2F1(s, c; c+1; -z)/c."""
-        mpmath = pytest.importorskip("mpmath")
+        the error against the 40-digit P = 2F1(s, c; c+1; -z)/c."""
         value, estimate, _ = _power_integral(*np.array(_EULER_LANES).T)
         for (c, s, z), v, e in zip(_EULER_LANES, value.tolist(), estimate.tolist()):
-            with mpmath.workdps(40):
-                exact = mpmath.hyp2f1(s, c, c + 1, -z) / c
-                assert 0.0 < e
-                assert abs(v - exact) <= e, (c, s, z)
+            assert 0.0 < e
+            assert abs(v - oracles.power_integral(c, s, z)) <= e, (c, s, z)
 
     def test_series_length_is_capped(self):
         """A series that needs more than 2^16 terms (its value overflows long

@@ -13,6 +13,8 @@ from hilbert_kp import (
 )
 from hilbert_kp.quadrature import _binomial_integral, _power_integral, _scaled_I_of_epsilon
 
+import oracles
+
 # Reference values frozen from an independent high-precision evaluation
 # (mpmath at 30 significant digits).
 F_QUARTER_P3_A05 = 3.30511586410639
@@ -129,69 +131,34 @@ class TestIofEpsilon:
             assert value == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
 
 
-mpmath = pytest.importorskip("mpmath")
-
-
 class TestIndependentOracle:
-    """Live cross-checks against arbitrary-precision quadrature; the same
-    oracle produced the frozen module-level constants."""
+    """Live cross-checks against the arbitrary-precision `oracles`, of the
+    kind that produced the frozen module-level constants."""
 
     def test_beta_integral(self):
         # the closed form at 40 digits; the error estimate must bound the error
-        with mpmath.workdps(40):
-            for k in range(1, 200):
-                x = k / 200.0
-                res = beta_integral(x)
-                exact = mpmath.pi / mpmath.sin(mpmath.pi * mpmath.mpf(x))
-                assert abs(res.value - exact) <= res.error_estimate, x
+        for k in range(1, 200):
+            x = k / 200.0
+            res = beta_integral(x)
+            assert abs(res.value - oracles.pi_over_sin(x)) <= res.error_estimate, x
 
     def test_F_of_y(self):
         y, p, alpha = 0.3, 2.5, 0.7
-        with mpmath.workdps(30):
-            exact = mpmath.quad(
-                lambda t: (t + y) ** (-1.0 / p) * (t + 1.0 + y) ** (alpha - 1.0)
-                * (t + 1.0 - y) ** -alpha,
-                [0, 1, mpmath.inf])
+        exact = oracles.H(y, 2 * y, alpha, 1 / p)
         assert F_of_y(y, p, alpha).value == pytest.approx(float(exact), abs=1e-9)
 
     def test_I_of_epsilon(self):
         # eps I(eps), the two integrals without the factor 1/eps
         eps, p = 0.25, 3.0
-        q = p / (p - 1.0)
-        with mpmath.workdps(30):
-            eps_exact = (mpmath.quad(lambda y: y ** (-(1.0 / p + eps / q)) / (1.0 + y),
-                                     [1, mpmath.inf])
-                         + mpmath.quad(lambda x: x ** (-(1.0 - eps) / p) / (1.0 + x),
-                                       [0, 1]))
         value, _, _ = _scaled_I_of_epsilon(eps, p)
-        assert value == pytest.approx(float(eps_exact), rel=1e-9)
+        assert value == pytest.approx(float(oracles.eps_I(eps, p)), rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 6.0, 12.0])
     def test_I_of_epsilon_estimate_bounds_error(self, p):
-        # int_0^1 u^(c-1)/(1+u) du = Phi(-1, 1, c) at 40 digits; the error
-        # estimate must bound the error of eps I(eps), the certified value
-        with mpmath.workdps(40):
-            mp = mpmath.mpf(p)
-            for eps in (2.0, 1.0, 0.5, 0.1, 0.05, 0.01, 0.001):
-                me = mpmath.mpf(eps)
-                exact = (mpmath.lerchphi(-1, 1, 1 / mp + me * (1 - 1 / mp))
-                         + mpmath.lerchphi(-1, 1, 1 - (1 - me) / mp)) / me
-                value, estimate, _ = _scaled_I_of_epsilon(eps, p)
-                assert abs(value - me * exact) <= estimate, eps
-
-
-def _H_reference(y, x, alpha, r):
-    """int_y^inf s^(-r) (1+s)^(-1) (1 - x/(1+s))^(-alpha) ds at 40 digits,
-    with y, x and r taken exactly, after s = e^v: the integrand then decays
-    exponentially at both ends."""
-    with mpmath.workdps(40):
-        def f(v):
-            s = mpmath.exp(v)
-            return s ** (1 - r) / (1 + s) * (1 - x / (1 + s)) ** -alpha
-
-        lo = mpmath.log(y) if y else -mpmath.inf
-        return mpmath.quad(f, [lo] + [v for v in (-8, -2, 0, 2, 8, 30) if v > lo]
-                           + [mpmath.inf])
+        # the error estimate must bound the error of eps I(eps), the certified value
+        for eps in (2.0, 1.0, 0.5, 0.1, 0.05, 0.01, 0.001):
+            value, estimate, _ = _scaled_I_of_epsilon(eps, p)
+            assert abs(value - oracles.eps_I(eps, p)) <= estimate, eps
 
 
 class TestBinomialSeriesOracle:
@@ -204,7 +171,7 @@ class TestBinomialSeriesOracle:
         for alpha in (0.0, 0.5, 1.0):
             for y in (0.0, 0.01, 0.0999, 0.1, 0.25, 0.5):
                 res = F_of_y(y, p, alpha)
-                exact = _H_reference(mpmath.mpf(y), 2 * mpmath.mpf(y), alpha, 1 / mpmath.mpf(p))
+                exact = oracles.H(y, 2 * y, alpha, 1 / p)
                 assert abs(res.value - exact) <= res.error_estimate, (alpha, y)
 
     @pytest.mark.parametrize("p", [1.05, 2.0, 12.0])
@@ -215,8 +182,7 @@ class TestBinomialSeriesOracle:
             for m in (1, 7, 1000, 10 ** 6):
                 for N in (64, 4096):
                     value, estimate, _ = _binomial_integral([N / m], [1.0 / m], alpha, p)
-                    exact = _H_reference(mpmath.mpf(N) / m, 1 / mpmath.mpf(m), alpha,
-                                         1 / mpmath.mpf(p))
+                    exact = oracles.H(N / m, 1 / m, alpha, 1 / p)
                     assert abs(value[0] - exact) <= estimate[0], (alpha, m, N)
 
     def test_estimate_counts_the_recurrence_rounding(self):
@@ -233,7 +199,7 @@ class TestBinomialSeriesOracle:
         assert J == 73
         for alpha in (0.5, 1.0):
             value, estimate, terms = _binomial_integral([y], [x], alpha, p)
-            exact = _H_reference(mpmath.mpf(y), mpmath.mpf(x), alpha, 1 / mpmath.mpf(p))
+            exact = oracles.H(y, x, alpha, 1 / p)
             assert abs(value[0] - exact) <= estimate[0], alpha
             assert estimate[0] >= (11 * J + 6 + math.log(y)) * u * value[0], alpha
             assert terms[0] == 5
