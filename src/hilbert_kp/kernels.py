@@ -14,9 +14,10 @@ Each `Variant` is a row of three numbers in the table `_SHAPES`:
     YANG_HALF_SHIFT  yes              1/2    1             ((n-1/2)/(m-1/2))^e / (m+n-1)
 
 The K^p Hilbert matrix 1/(m+n+1) on 0-based indices is the CLASSICAL row
-on m+1, n+1 (`kp.hilbert_apply`). `KernelSpec.shape()` is the one place
-where a variant's shape is read: it gives (e, shift, symbol_shift), and
-`_hankel` and `kernel_matrix` build every variant by one path from it.
+on m+1, n+1 (`kp.hilbert_apply`). `KernelSpec` is where this module
+reads the table: `shape()` gives (e, shift, symbol_shift), from which
+`_hankel` and `kernel_matrix` build every variant by one path, and
+`check_norm_p` refuses a weighted spec paired with another p.
 
 Each form has norm pi/sin(pi/p) on l^p x l^q, all kernel values are
 strictly positive for m, n >= 1, and every weighted variant collapses to
@@ -98,38 +99,39 @@ class KernelSpec:
         """(e, shift, symbol_shift), the variant's row of `_SHAPES` with e
         the weights' exponent: 0.0 where they carry none, whatever p is, and
         1/q - 1/p as computed otherwise, which is exactly 0.0 at p = 2, where
-        q = 2.0 too, and small but not 0 at a p one ulp from 2. The one place
-        where a variant's shape is read."""
+        q = 2.0 too, and small but not 0 at a p one ulp from 2. With
+        `check_norm_p`, which reads only whether the weights carry e, the
+        one place in this module where a variant's row is read."""
         weighted, shift, symbol_shift = _SHAPES[self.variant]
         pq = conjugate(self.p) if weighted else None
         e = 1.0 / pq.q - 1.0 / pq.p if weighted else 0.0
         return e, shift, symbol_shift
 
-
-def _check_norm_p(spec: KernelSpec, p: float) -> None:
-    """Refuse a weighted spec whose p is not the norm's p: its weights carry
-    the e of spec.p, and its ratio on l^p x l^q for another p is no bound on
-    the kernel the paper norms there. The classical kernel carries no
-    weights and pairs with any p."""
-    if _SHAPES[spec.variant][0] and spec.p != p:
-        raise InvalidInputError(
-            f"a {spec.variant.value} kernel must carry the norm's p={p}, got p={spec.p}")
+    def check_norm_p(self, p: float) -> None:
+        """Refuse a weighted spec whose p is not the norm's p: its weights
+        carry the e of self.p, and its ratio on l^p x l^q for another p is no
+        bound on the kernel the paper norms there. The classical kernel
+        carries no weights and pairs with any p."""
+        if _SHAPES[self.variant][0] and self.p != p:
+            raise InvalidInputError(
+                f"a {self.variant.value} kernel must carry the norm's p={p}, got p={self.p}")
 
 
 def _pow_ratio(num: np.ndarray, den: np.ndarray, e: float) -> np.ndarray:
     """(num/den)^e as exp(e (log num - log den)), with no overflow for large
     indices. The relative error is not uniform: it grows with
     |e log(num/den)| and reaches 1.7e-15 against 40-digit mpmath at indices
-    up to 20000, where (num/den)**e stays within 2e-16. It takes e, shift
-    and symbol_shift from `shape()` as `_hankel` does, so the dense grid
-    differs from `_hankel`'s powers only in this exp/log route."""
+    up to 20000, where (num/den)**e stays within 2e-16."""
     if e == 0.0:
         return np.ones(np.broadcast_shapes(num.shape, den.shape))
     return np.exp(e * (np.log(num) - np.log(den)))
 
 
 def kernel_matrix(spec: KernelSpec, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Kernel values on the index grid m[:, None] x n[None, :]."""
+    """Kernel values on the index grid m[:, None] x n[None, :]. It takes e,
+    shift and symbol_shift from `shape()` as `_hankel` does, so the dense
+    grid differs from `_hankel`'s powers only in `_pow_ratio`'s exp/log
+    route."""
     m = np.asarray(m, dtype=float)[:, None]
     n = np.asarray(n, dtype=float)[None, :]
     if np.any(m < 1) or np.any(n < 1):
@@ -329,10 +331,10 @@ def _ratio(spec: KernelSpec, a: Sequence, b: Sequence, p: float) -> tuple[float,
     u |ln S - H| <= u (q |ln ||b||_q| + ln(len(b))), H the entropy of the
     weights b^q/S, and the root 1/q divides that by q. So even unit vectors
     pay u ln(len(b))/q. A weighted spec must carry the norm's p
-    (`_check_norm_p`).
+    (`KernelSpec.check_norm_p`).
     """
     pq = conjugate(p)
-    _check_norm_p(spec, p)
+    spec.check_norm_p(p)
     value, budget = _form(spec, a, b)
     norm_a, norm_b = lp_norm(a, pq.p), lp_norm(b, pq.q)
     ratio = value / (norm_a * norm_b)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, _check_count, _check_positive
-from .kernels import KernelSpec, _blocks, _check_norm_p, _correlate, _hankel, _ratio
+from .kernels import KernelSpec, _blocks, _correlate, _hankel, _ratio
 # bench/test_bench.py checks that the benchmark's tracing patches this name here.
 from .kernels import kernel_matrix  # noqa: F401
 from .kp import TaylorFunction, hilbert_apply, kp_norm
@@ -155,7 +155,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
 
     p is the norm's exponent. A weighted spec must carry the same p: its
     weights are those of spec.p, so another p raises `InvalidInputError`
-    (`kernels._check_norm_p`) before the first iteration. The classical
+    (`KernelSpec.check_norm_p`) before the first iteration. The classical
     kernel carries no weights and is ascended at any p.
 
     Both products are Hankel correlations, K^T a = v (h corr wa) and
@@ -172,7 +172,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
     """
     N, iters = _check_count(N, "N", 1), _check_count(iters, "iters", 1)
     pq = conjugate(p)
-    _check_norm_p(spec, p)
+    spec.check_norm_p(p)
     w, v, h = _hankel(spec, N, N)
     spectrum = np.fft.rfft(h, _blocks(N, N)[0])
     if start is None:

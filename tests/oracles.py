@@ -1,10 +1,12 @@
 """The tests' arbitrary-precision references, the only code under tests/ that
 uses mpmath. One function per quantity: each converts its floats, ints or
-`Fraction`s itself and returns mpmath numbers (`exact_ratio` a float); the
-default 53 bits round a difference of such numbers relative to itself. Each
-imports mpmath by `pytest.importorskip`, so without it exactly the tests that
-call one skip. None reads the library: kernels follow the paper's formulas
-per `Variant`, not `kernels._SHAPES` or `KernelSpec.shape()`.
+`Fraction`s itself and returns mpmath numbers (`exact_ratio` a float). A
+test only rounds one to a float, compares it with one, subtracts it from
+one, or divides that difference by it; mpmath's default 53 bits round each such step relative to
+its result, so any other combination of references is formed here at 40
+digits. Each imports mpmath by `pytest.importorskip`, so without it exactly
+the tests that call one skip. None reads the library: kernels follow the
+paper's formulas per `Variant`, not `kernels._SHAPES` or `KernelSpec.shape()`.
 """
 
 from fractions import Fraction
@@ -12,6 +14,12 @@ from fractions import Fraction
 import pytest
 
 from hilbert_kp import Variant
+
+
+def _mpf(mp, v):
+    """A float, int or `Fraction` as an mpf, rounded at most once."""
+    v = Fraction(v)
+    return mp.mpf(v.numerator) / v.denominator
 
 
 def kernel(spec, m, n):
@@ -57,16 +65,30 @@ def power_integral(c, s, z):
     """P(c, s, z) = int_0^1 u^(c-1) (1 + z u)^(-s) du = 2F1(s, c; c+1; -z)/c at 40 digits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        c, s, z = (mp.mpf(v.numerator) / v.denominator for v in map(Fraction, (c, s, z)))
+        c, s, z = (_mpf(mp, v) for v in (c, s, z))
         return mp.hyp2f1(s, c, c + 1, -z) / c
 
 
-def H(y, x, alpha, r):
-    """int_y^inf s^(-r) (1+s)^(-1) (1 - x/(1+s))^(-alpha) ds at 40 digits after
-    s = e^v, which decays exponentially at both ends; F(y) is H(y, 2y, alpha, 1/p)."""
+def master_sides(x, alpha):
+    """(lhs_I, rhs_I, lhs_II, rhs_II) of the master inequalities I and II from
+    P(c, s, z), all at 40 digits, with 1-x and beta = (1 - alpha x)/(1-x) exact."""
+    mp = pytest.importorskip("mpmath")
+    x, alpha = Fraction(x), Fraction(alpha)
+    c, beta = 1 - x, (1 - alpha * x) / (1 - x)
+    P = power_integral
+    with mp.workdps(40):
+        return (P(x, 1 - alpha, 2) - P(x, 1, 2), P(c, 1, 0.5) / 2,
+                P(c, 1 - beta, 2) - P(c, 1, 2), P(x, 1, 0.5) / 2)
+
+
+def H(y, x, alpha, p):
+    """int_y^inf s^(-r) (1+s)^(-1) (1 - x/(1+s))^(-alpha) ds, r = 1/p, at 40
+    digits after s = e^v, which decays exponentially at both ends; F(y) is
+    H(y, 2y, alpha, p). y and x may be `Fraction`s, taken exactly."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        y, x, alpha, r = (mp.mpf(v) for v in (y, x, alpha, r))
+        y, x, alpha = (_mpf(mp, v) for v in (y, x, alpha))
+        r = 1 / _mpf(mp, p)
 
         def f(v):
             s = mp.exp(v)
@@ -107,6 +129,13 @@ def phi(eps):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         return mp.zeta(1 + mp.mpf(eps)) - 1 / mp.mpf(eps)
+
+
+def epsilon_bound(eps, p):
+    """eps I(eps) / (1 + eps phi(eps)), the eps-family ratio's bound, at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return eps_I(eps, p) / (1 + mp.mpf(eps) * phi(eps))
 
 
 def pi_over_sin(x):

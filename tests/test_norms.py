@@ -156,9 +156,8 @@ class TestEpsilonFamilyRatio:
         tail written as M^(1-s)/(s-1) - 1/eps, s = fl(1 + eps), cancels:
         1/(s - 1) is not 1/eps after rounding."""
         for eps in (1e-12, 1e-9, 1e-7, 1e-3, 0.01, 0.5, 2.0, 20.0):
-            phi = oracles.phi(eps)
-            assert phi_clipped(eps) >= phi, eps
-            assert epsilon_family_ratio(eps, p) <= oracles.eps_I(eps, p) / (1 + eps * phi), eps
+            assert phi_clipped(eps) >= oracles.phi(eps), eps
+            assert epsilon_family_ratio(eps, p) <= oracles.epsilon_bound(eps, p), eps
 
     def test_reaches_tiny_eps(self):
         """The tail is summed as expm1(-eps ln(N - 1/2))/eps, in which

@@ -332,17 +332,6 @@ class TestMasterIdentities:
             G0.error_estimate + G_half.error_estimate + scale * (lhs_est + rhs_est))
 
 
-def _sides_reference(x: float, alpha: float) -> tuple:
-    """(lhs_I, rhs_I, lhs_II, rhs_II) from the 40-digit P(c, s, z) of
-    `oracles.power_integral`, with 1-x and beta taken exactly."""
-    x, alpha = Fraction(x), Fraction(alpha)
-    c = 1 - x
-    beta = (1 - alpha * x) / c
-    power = oracles.power_integral
-    return (power(x, 1 - alpha, 2) - power(x, 1, 2), power(c, 1, 0.5) / 2,
-            power(c, 1 - beta, 2) - power(c, 1, 2), power(x, 1, 0.5) / 2)
-
-
 _ORACLE_CASES = [(x, alpha_schedule(x))
                  for x in (1.0 / 6000.0, 1e-3, 0.1, 0.2, 0.35, 0.45, 0.5)]
 _ORACLE_CASES += [(1.0 / 3.0, 0.0), (1.0 / 3.0, 0.5), (0.4, 0.5), (0.4, 1.0)]
@@ -353,7 +342,7 @@ class TestMasterInequalitySeries:
     def test_sides_within_their_estimates(self, x, alpha):
         """Each side's error estimate bounds its actual error and is positive;
         at x = 1/6000 the rhs of the second inequality is about 3000."""
-        for (value, estimate), ref in zip(_sides(x, alpha), _sides_reference(x, alpha)):
+        for (value, estimate), ref in zip(_sides(x, alpha), oracles.master_sides(x, alpha)):
             if estimate == 0.0:   # lhs_I under alpha = 0
                 assert alpha == 0.0 and value == ref == 0
                 continue

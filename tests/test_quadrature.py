@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ class TestIndependentOracle:
 
     def test_F_of_y(self):
         y, p, alpha = 0.3, 2.5, 0.7
-        exact = oracles.H(y, 2 * y, alpha, 1 / p)
+        exact = oracles.H(y, 2 * y, alpha, p)
         assert F_of_y(y, p, alpha).value == pytest.approx(float(exact), abs=1e-9)
 
     def test_I_of_epsilon(self):
@@ -171,7 +172,7 @@ class TestBinomialSeriesOracle:
         for alpha in (0.0, 0.5, 1.0):
             for y in (0.0, 0.01, 0.0999, 0.1, 0.25, 0.5):
                 res = F_of_y(y, p, alpha)
-                exact = oracles.H(y, 2 * y, alpha, 1 / p)
+                exact = oracles.H(y, 2 * y, alpha, p)
                 assert abs(res.value - exact) <= res.error_estimate, (alpha, y)
 
     @pytest.mark.parametrize("p", [1.05, 2.0, 12.0])
@@ -182,7 +183,7 @@ class TestBinomialSeriesOracle:
             for m in (1, 7, 1000, 10 ** 6):
                 for N in (64, 4096):
                     value, estimate, _ = _binomial_integral([N / m], [1.0 / m], alpha, p)
-                    exact = oracles.H(N / m, 1 / m, alpha, 1 / p)
+                    exact = oracles.H(Fraction(N, m), Fraction(1, m), alpha, p)
                     assert abs(value[0] - exact) <= estimate[0], (alpha, m, N)
 
     def test_estimate_counts_the_recurrence_rounding(self):
@@ -199,7 +200,7 @@ class TestBinomialSeriesOracle:
         assert J == 73
         for alpha in (0.5, 1.0):
             value, estimate, terms = _binomial_integral([y], [x], alpha, p)
-            exact = oracles.H(y, x, alpha, 1 / p)
+            exact = oracles.H(y, x, alpha, p)
             assert abs(value[0] - exact) <= estimate[0], alpha
             assert estimate[0] >= (11 * J + 6 + math.log(y)) * u * value[0], alpha
             assert terms[0] == 5
