@@ -14,10 +14,13 @@ Each `Variant` is a row of three numbers in the table `_SHAPES`:
     YANG_HALF_SHIFT  yes              1/2    1             ((n-1/2)/(m-1/2))^e / (m+n-1)
 
 The K^p Hilbert matrix 1/(m+n+1) on 0-based indices is the CLASSICAL row
-on m+1, n+1 (`kp.hilbert_apply`). `KernelSpec` is where this module
-reads the table: `shape()` gives (e, shift, symbol_shift), from which
-`_hankel` and `kernel_matrix` build every variant by one path, and
-`check_norm_p` refuses a weighted spec paired with another p.
+on m+1, n+1 (`kp.hilbert_apply`). Only `KernelSpec` reads the table:
+`shape()` gives (e, shift, symbol_shift), from which `_hankel` and
+`kernel_matrix` build every variant by one path, and `weighted` says
+whether the weights carry e. A spec's p is also the exponent of the
+l^p x l^q norm that measures it, for every variant, the classical one
+included: `_ratio` and the ascent norm at spec.p, so a kernel and its norm
+cannot be paired at two exponents.
 
 Each form has norm pi/sin(pi/p) on l^p x l^q, all kernel values are
 strictly positive for m, n >= 1, and every weighted variant collapses to
@@ -77,7 +80,7 @@ class Variant(Enum):
     YANG_HALF_SHIFT = "YangHalfShift"
 
 
-# The kernel table (see the module docstring); `KernelSpec.shape()` reads it.
+# The kernel table (see the module docstring); only `KernelSpec` reads it.
 #           variant                  weights carry e, shift, symbol_shift
 _SHAPES = {Variant.CLASSICAL:       (False, 0.0, 1.0),
            Variant.WEIGHTED_MAIN:   (True, 0.0, 1.0),
@@ -93,28 +96,23 @@ class KernelSpec:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             raise InvalidInputError(f"variant must be a Variant member, got {self.variant!r}")
-        self.shape()        # checks p where the weights carry e
+        conjugate(self.p)   # the norm's p, so in (1, inf) for every variant
+
+    @property
+    def weighted(self) -> bool:
+        """Whether the variant's weights carry e, its row's first entry."""
+        return _SHAPES[self.variant][0]
 
     def shape(self) -> tuple[float, float, float]:
         """(e, shift, symbol_shift), the variant's row of `_SHAPES` with e
-        the weights' exponent: 0.0 where they carry none, whatever p is, and
-        1/q - 1/p as computed otherwise, which is exactly 0.0 at p = 2, where
-        q = 2.0 too, and small but not 0 at a p one ulp from 2. With
-        `check_norm_p`, which reads only whether the weights carry e, the
-        one place in this module where a variant's row is read."""
+        the weights' exponent: 0.0 where they carry none, and 1/q - 1/p as
+        computed otherwise, which is exactly 0.0 at p = 2, where q = 2.0
+        too, and small but not 0 at a p one ulp from 2. With `weighted`, the
+        one place where a variant's row is read. The p that sets e is the
+        p that `_ratio` and the ascent norm at."""
         weighted, shift, symbol_shift = _SHAPES[self.variant]
-        pq = conjugate(self.p) if weighted else None
-        e = 1.0 / pq.q - 1.0 / pq.p if weighted else 0.0
-        return e, shift, symbol_shift
-
-    def check_norm_p(self, p: float) -> None:
-        """Refuse a weighted spec whose p is not the norm's p: its weights
-        carry the e of self.p, and its ratio on l^p x l^q for another p is no
-        bound on the kernel the paper norms there. The classical kernel
-        carries no weights and pairs with any p."""
-        if _SHAPES[self.variant][0] and self.p != p:
-            raise InvalidInputError(
-                f"a {self.variant.value} kernel must carry the norm's p={p}, got p={self.p}")
+        pq = conjugate(self.p)
+        return (1.0 / pq.q - 1.0 / pq.p if weighted else 0.0), shift, symbol_shift
 
 
 def _pow_ratio(num: np.ndarray, den: np.ndarray, e: float) -> np.ndarray:
@@ -317,10 +315,11 @@ def _form(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     return value, absolute + (32.0 + n + 2.0 * math.log(len(av) + len(bv))) * 2.0 ** -53 * value
 
 
-def _ratio(spec: KernelSpec, a: Sequence, b: Sequence, p: float) -> tuple[float, float]:
-    """(ratio, budget): `_form`'s value over ||a||_p ||b||_q (`lp_norm`), a
-    and b nonzero, and a bound on its error: `_form`'s budget over the norms
-    plus (10 + |ln ||a||_p| + 3 |ln ||b||_q| + ln(len(b))/q) u ratio.
+def _ratio(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
+    """(ratio, budget): `_form`'s value over ||a||_p ||b||_q (`lp_norm`) at
+    p = spec.p, the one exponent of the kernel and its norm, a and b
+    nonzero, and a bound on its error: `_form`'s budget over the norms plus
+    (10 + |ln ||a||_p| + 3 |ln ||b||_q| + ln(len(b))/q) u ratio.
 
     The 10 u, u = 2^-53: the powers (2 u) and `_sum2` (u + gamma_(n-1)^2
     <= 3u/2 for n <= 2^26) move each power sum by 3.5 u, which the roots 1/p
@@ -330,11 +329,9 @@ def _ratio(spec: KernelSpec, a: Sequence, b: Sequence, p: float) -> tuple[float,
     ||b||_q by 2 u |ln ||b||_q|, and q (off by u) moves the sum S of b^q by
     u |ln S - H| <= u (q |ln ||b||_q| + ln(len(b))), H the entropy of the
     weights b^q/S, and the root 1/q divides that by q. So even unit vectors
-    pay u ln(len(b))/q. A weighted spec must carry the norm's p
-    (`KernelSpec.check_norm_p`).
+    pay u ln(len(b))/q.
     """
-    pq = conjugate(p)
-    spec.check_norm_p(p)
+    pq = conjugate(spec.p)
     value, budget = _form(spec, a, b)
     norm_a, norm_b = lp_norm(a, pq.p), lp_norm(b, pq.q)
     ratio = value / (norm_a * norm_b)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, _check_count, _check_positive
+from .errors import (DegenerateInputError, InvalidInputError, ParameterError, _check_count,
+                     _check_positive)
 from .kernels import KernelSpec, _blocks, _correlate, _hankel, _ratio
 # bench/test_bench.py checks that the benchmark's tracing patches this name here.
 from .kernels import kernel_matrix  # noqa: F401
@@ -153,10 +154,10 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
     iterations from the constant vector and 13 from the previous size of
     the ladder 16, 64, ..., 2^16). N and iters are counts >= 1.
 
-    p is the norm's exponent. A weighted spec must carry the same p: its
-    weights are those of spec.p, so another p raises `InvalidInputError`
-    (`KernelSpec.check_norm_p`) before the first iteration. The classical
-    kernel carries no weights and is ascended at any p.
+    The norm's exponent is spec.p, as in `kernels._ratio`, for every
+    variant. `p` repeats it only because callers pass (spec, p, N, iters)
+    positionally, the benchmark's self-test among them; a p other than
+    spec.p raises `InvalidInputError` before the first iteration.
 
     Both products are Hankel correlations, K^T a = v (h corr wa) and
     K b = w (h corr vb), on the N x N section of `kernels._hankel`, so one
@@ -172,7 +173,9 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
     """
     N, iters = _check_count(N, "N", 1), _check_count(iters, "iters", 1)
     pq = conjugate(p)
-    spec.check_norm_p(p)
+    if p != spec.p:
+        raise InvalidInputError(
+            f"a {spec.variant.value} kernel must carry the norm's p={p}, got p={spec.p}")
     w, v, h = _hankel(spec, N, N)
     spectrum = np.fft.rfft(h, _blocks(N, N)[0])
     if start is None:
@@ -190,7 +193,7 @@ def ascent_lower_bound(spec: KernelSpec, p: float, N: int, iters: int = 2000, *,
         if len(trace) >= 4 and abs(trace[-1] - trace[-3]) <= 1e-12 * trace[-1]:
             break
     del w, v, h, spectrum, c, d     # `_ratio` makes its own: half the peak again if kept
-    ratio, budget = _ratio(spec, Sequence(1, a), Sequence(1, b), p)
+    ratio, budget = _ratio(spec, Sequence(1, a), Sequence(1, b))
     return NormEstimate(ratio - budget, tuple(trace), budget, a, b)
 
 

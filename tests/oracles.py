@@ -50,11 +50,12 @@ def exact_form(spec, a, b):
         return mp.fsum(kernel(spec, m, n) * x * y for m, x in A for n, y in B)
 
 
-def exact_ratio(spec, p, a, b) -> float:
-    """The form over ||a||_p ||b||_q at 40 digits, q = p/(p - 1) exact, as a float."""
+def exact_ratio(spec, a, b) -> float:
+    """The form over ||a||_p ||b||_q at 40 digits, p = spec.p and q = p/(p - 1)
+    exact, as a float."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        P = mp.mpf(p)
+        P = mp.mpf(spec.p)
         Q = P / (P - 1)
         norm_a = mp.fsum(mp.mpf(x) ** P for _, x in _entries(a)) ** (1 / P)
         norm_b = mp.fsum(mp.mpf(y) ** Q for _, y in _entries(b)) ** (1 / Q)

@@ -63,6 +63,17 @@ class TestParser:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].endswith(f"must be >= 1, got {argv[-1].split(',')[-1]}")
 
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_rejects_a_negative_seed(self, seed, capsys):
+        """numpy refused it with "expected non-negative integer", which
+        named no flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-inequality", "--seed", seed, "--trials", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == ("hilbert-kp verify-inequality: error: argument --seed: "
+                           f"must be >= 0, got {seed}")
+
     @pytest.mark.parametrize("argv", [["norm-bounds", "--eps-grid", "-0.5"],
                                       ["norm-bounds", "--eps-grid", "-1"],
                                       ["norm-bounds", "--eps-grid", "0.5,0"],
@@ -336,24 +347,27 @@ class TestConfigurationLine:
     def test_header_records_the_effective_flags(self, argv, config, capsys):
         """verify-inequality adds one summary line after its configuration
         and one manifest line per kernel, and norm-bounds one line of
-        half-step counts and its stages line."""
+        half-step counts; each ends with its stages line."""
         _, out = run_cli(argv, capsys)
         comments = [line for line in out.splitlines() if line.startswith("#")]
         assert comments[0].startswith("# generated ")
         assert comments[1] == config
         if argv[0] == "verify-inequality":
-            assert len(comments) == 6
+            assert len(comments) == 7
             assert re.fullmatch(r"# forms=3 fft_forms=0 worst_budget=\S+", comments[2])
             for line, name in zip(comments[3:], ["WeightedMain", "YangShift", "YangHalfShift"]):
                 assert re.fullmatch(rf"# check {name} passed=1 failed=0 "
                                     r"worst_margin_minus_budget=[0-9]\S*", line)
+            stages = r"# stages bound_s=(\S+) forms_s=(\S+)"
         elif argv[0] == "norm-bounds":
             assert len(comments) == 4
             assert re.fullmatch(r"# ascent half_steps=\d+,\d+", comments[2])
-            match = re.fullmatch(r"# stages eps_s=(\S+) ascent_s=(\S+)", comments[3])
-            assert match and all(float(t) >= 0.0 for t in match.groups()), comments[3]
+            stages = r"# stages eps_s=(\S+) ascent_s=(\S+)"
         else:
-            assert len(comments) == 2
+            assert len(comments) == 3
+            stages = r"# stages integrals_s=(\S+)"
+        match = re.fullmatch(stages, comments[-1])
+        assert match and all(float(t) >= 0.0 for t in match.groups()), comments[-1]
 
     def test_kp_apply_records_n_max_and_p(self, tmp_path, capsys):
         src = tmp_path / "f.txt"

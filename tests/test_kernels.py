@@ -160,7 +160,18 @@ class TestKernelValues:
         weighted, shift, symbol_shift = self.ROWS[variant]
         pq = conjugate(p)
         e = 1.0 / pq.q - 1.0 / pq.p if weighted else 0.0
-        assert KernelSpec(variant, p=p).shape() == (e, shift, symbol_shift)
+        spec = KernelSpec(variant, p=p)
+        assert spec.shape() == (e, shift, symbol_shift)
+        assert spec.weighted is weighted
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("p", [1.0, 0.5, -5.0, math.nan, math.inf])
+    def test_every_variant_refuses_a_p_outside_the_domain(self, variant, p):
+        """A spec's p is its norm's p, so it lies in (1, inf) whether or not
+        the weights carry it: a classical spec at p = nan used to pass, and
+        its ascent at p = 3 certified 2.2714 with the nan ignored."""
+        with pytest.raises(DomainError, match=rf"^p must lie in \(1, inf\), got {p}$"):
+            KernelSpec(variant, p=p)
 
 
 class TestBilinearForm:
@@ -683,28 +694,27 @@ class TestRatioBudget:
         spec = KernelSpec(variant, p=p)
         a = Sequence(1, scale_a * np.array([1.0, 0.5, 2.0, 0.25]))
         b = Sequence(1, scale_b * np.array([0.75, 1.5, 1.0]))
-        ratio, budget = kernels._ratio(spec, a, b, p)
+        ratio, budget = kernels._ratio(spec, a, b)
         value, form_budget = _form(spec, a, b)
-        err = abs(ratio - oracles.exact_ratio(spec, p, a.values, b.values))
+        err = abs(ratio - oracles.exact_ratio(spec, a.values, b.values))
         assert form_budget * ratio / value + 10.0 * 2.0 ** -53 * ratio < err <= budget
 
     @pytest.mark.parametrize("variant", [Variant.WEIGHTED_MAIN, Variant.YANG_SHIFT,
                                          Variant.YANG_HALF_SHIFT], ids=lambda v: v.value)
     def test_a_weighted_kernel_must_carry_the_norms_p(self, variant):
-        """Its weights are those of its own p; the classical kernel pairs
-        with any p."""
+        """`_ratio` norms at the spec's own p, the one its weights carry, so
+        no other p can be paired with it; the classical kernel is normed at
+        its p too."""
         a, b = seq(1.0, 0.5), seq(0.3, 1.0)
-        with pytest.raises(InvalidInputError,
-                           match=r"kernel must carry the norm's p=1\.5, got p=3\.0$"):
-            kernels._ratio(KernelSpec(variant, p=3.0), a, b, 1.5)
-        ratio, _ = kernels._ratio(KernelSpec(Variant.CLASSICAL), a, b, 1.5)
-        assert ratio == _form(KernelSpec(Variant.CLASSICAL), a, b)[0] / (
-            lp_norm(a, 1.5) * lp_norm(b, 3.0))
+        for p, q in ((1.5, 3.0), (3.0, 1.5)):
+            for spec in (KernelSpec(variant, p=p), KernelSpec(Variant.CLASSICAL, p=p)):
+                ratio, _ = kernels._ratio(spec, a, b)
+                assert ratio == _form(spec, a, b)[0] / (lp_norm(a, p) * lp_norm(b, q))
 
     def test_is_the_form_over_the_norms(self):
         spec = KernelSpec(Variant.YANG_SHIFT, p=3.0)
         a, b = seq(1.0, 0.0, 2.5, 0.3), seq(0.5, 1.5, 4.0)
-        ratio, _ = kernels._ratio(spec, a, b, 3.0)
+        ratio, _ = kernels._ratio(spec, a, b)
         assert ratio == _form(spec, a, b)[0] / (lp_norm(a, 3.0) * lp_norm(b, 1.5))
 
     def test_a_norm_past_the_float_range_raises(self):
@@ -713,7 +723,7 @@ class TestRatioBudget:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError, match="not finite"):
-                kernels._ratio(spec, seq(1e200), seq(1.0), 3.0)
+                kernels._ratio(spec, seq(1e200), seq(1.0))
 
 
 # p x m crossed, alpha and tol cycling through their values; then tol = 1e-13

@@ -242,12 +242,16 @@ class TestAscent:
     def test_a_weighted_kernel_must_carry_the_norms_p(self):
         """A WeightedMain kernel of p = 3 ascended on l^1.5 used to report a
         certified lower bound of 4.1436, above pi/sin(pi/1.5) = 3.6276. The
-        classical kernel has no weights and is ascended at any p."""
+        classical kernel is ascended at its own p too."""
         with pytest.raises(InvalidInputError,
                            match=r"^a WeightedMain kernel must carry the norm's p=1\.5, "
                                  r"got p=3\.0$"):
             ascent_lower_bound(KernelSpec(Variant.WEIGHTED_MAIN, p=3.0), 1.5, 256)
-        est = ascent_lower_bound(KernelSpec(Variant.CLASSICAL), 1.5, 256)
+        with pytest.raises(InvalidInputError,
+                           match=r"^a Classical kernel must carry the norm's p=1\.5, "
+                                 r"got p=2\.0$"):
+            ascent_lower_bound(KernelSpec(Variant.CLASSICAL), 1.5, 256)
+        est = ascent_lower_bound(KernelSpec(Variant.CLASSICAL, p=1.5), 1.5, 256)
         assert est.lower_bound < theoretical_norm(1.5)
 
     @pytest.mark.parametrize("start", [[], [[1.0, 2.0]], [1.0, -1.0], [1.0, math.nan],
@@ -295,7 +299,7 @@ class TestWarmStart:
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
         est, a, b = ascent_with_final_pair(monkeypatch, spec, 1.5, 256, start=start)
         assert est.a is a and est.b is b
-        ratio, budget = kernels._ratio(spec, Sequence(1, a), Sequence(1, b), 1.5)
+        ratio, budget = kernels._ratio(spec, Sequence(1, a), Sequence(1, b))
         assert est.lower_bound == ratio - budget
 
     def test_a_repeated_size_starts_at_its_maximizer(self):
@@ -359,9 +363,8 @@ class TestCertifiedAscent:
     ], ids=lambda s: s.variant.value)
     @pytest.mark.parametrize("N", [1, 2, 17, 64])
     def test_below_exact_ratio_of_final_pair(self, spec, N):
-        p = 2.0 if spec.variant is Variant.CLASSICAL else spec.p
-        est = ascent_lower_bound(spec, p, N, 300)
-        exact = oracles.exact_ratio(spec, p, est.a, est.b)
+        est = ascent_lower_bound(spec, spec.p, N, 300)
+        exact = oracles.exact_ratio(spec, est.a, est.b)
         assert est.lower_bound <= exact
         assert exact - est.lower_bound <= 2.0 * est.rounding_budget
         assert est.lower_bound <= est.trace[-1]
@@ -369,7 +372,7 @@ class TestCertifiedAscent:
     def test_bound_is_the_certified_ratio_of_the_final_pair(self):
         spec = KernelSpec(Variant.WEIGHTED_MAIN, p=1.5)
         est = ascent_lower_bound(spec, 1.5, 256)
-        ratio, budget = kernels._ratio(spec, Sequence(1, est.a), Sequence(1, est.b), 1.5)
+        ratio, budget = kernels._ratio(spec, Sequence(1, est.a), Sequence(1, est.b))
         assert est.rounding_budget == budget
         assert est.lower_bound == ratio - budget
 
