@@ -404,12 +404,15 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
     Bernoulli terms. Those carry f(N)'s error and at most
     ((j^2 + 13j)/2 + 2) u more from the powers of 1/N, 1/(m+N) and
     1/(m+N-1), the recurrence and the weights (171 u at j = 13), under
-    1024 u for every m < 2^53, where m + N is exact. Neither value nor
+    1024 u. The argument needs m + N exact, so m is at most 2^53 - 1024
+    (N = 1024 there) and a larger m raises `ParameterError`. Neither value nor
     estimate depends on tol: tol only accepts the estimate, and a tol below
     it raises `ParameterError`. For p <= 12 and m <= 10^6 the estimate is at
     most 2e-13 of the value.
     """
     m = _check_count(m, "m", 1)
+    if m > 2 ** 53 - 1024:
+        raise ParameterError(f"m must be <= 2**53 - 1024, so that m + N is exact, got {m}")
     _check_exponents(p, alpha)
     _check_positive(tol, "tol", ParameterError)
     u, r = 2.0 ** -53, 1.0 / p

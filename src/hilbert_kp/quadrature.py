@@ -10,9 +10,11 @@ geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
 F(y), the row-sum tail and the midpoint integrals are binomial series in P
 (`_binomial_integral`).
 Every series runs one term recurrence: a small batch, as every
-single-point integral is, lane by lane on Python floats; a larger one on
-arrays of its live lanes, one term per step, until few are live. Both do
-the same float operations, so a lane's result has the same bits on either.
+single-point integral is, lane by lane on Python floats from end to end
+(`_sum_lanes`, which takes and returns lists, with no array built); a
+larger one on arrays of its live lanes, one term per step, until few are
+live. Both do the same float operations, so a lane's result has the same
+bits on either.
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -35,7 +37,7 @@ class QuadratureResult:
     terms: int
 
     def __post_init__(self):
-        if self.error_estimate < 0.0:
+        if not self.error_estimate >= 0.0:   # NaN fails this too
             raise ParameterError("error_estimate must be >= 0")
 
 
@@ -43,10 +45,11 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # No series with a finite value comes near this: its terms peak near k = 2a,
 # and (1+z)^a overflows for a above about 650 at z = 2.
 _MAX_TERMS = 2 ** 16
-# Batches of at most this many lanes, and the last lanes of a larger batch,
-# are summed on Python floats. A numpy step costs about a term on each of 64
-# lanes (some 20 us on a 2.1 GHz x86 core), but 32 ran the proof sweep as fast
-# as 64 and left its peak RSS 0.2-0.7 MB lower.
+# Batches of at most this many lanes go to `_sum_lanes` as Python floats,
+# with no array built; so do the last lanes of a larger batch, from where the
+# array loop left them. A numpy step costs about a term on each of 64 lanes
+# (some 20 us on a 2.1 GHz x86 core), but 32 ran the proof sweep as fast as 64
+# and left its peak RSS 0.2-0.7 MB lower.
 _SCALAR_LANES = 32
 
 
@@ -80,34 +83,47 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     needing more than 2^16 terms, or one whose value or estimate is not finite.
 
     Every lane runs one term recurrence, `_run_lane`. A batch of at most
-    `_SCALAR_LANES` lanes runs it lane by lane on Python floats
-    (`_sum_scalar`); a larger one runs its statements on arrays of the live
-    lanes, one term per step, until no more than `_SCALAR_LANES` are live
-    and `_run_lane` carries those on (`_sum_arrays`). Both do the same
-    float operations in the same order and finish a lane by the one
-    `_finish`, so each lane's value, estimate and term count are the same
+    `_SCALAR_LANES` lanes is handed to `_sum_lanes`, which runs it lane by
+    lane on Python floats; the callers that build their lanes as floats
+    (`_binomial_integral` and `_unit_pair`) call `_sum_lanes` themselves
+    and build no array. A larger batch runs the recurrence's statements on
+    arrays of the live lanes, one term per step, until no more than
+    `_SCALAR_LANES` are live and `_run_lane` carries those on
+    (`_sum_arrays`). Both do the same float operations in the same order,
+    finish a lane by the one `_finish` and raise the same errors in the
+    same order, so each lane's value, estimate and term count are the same
     bits whichever path sums it.
     """
     xsz = np.empty((3, np.broadcast(x, s, z).size))
     xsz[0], xsz[1], xsz[2] = x, s, z
+    if xsz.shape[1] <= _SCALAR_LANES:
+        value, estimate, terms = _sum_lanes(list(zip(*xsz.tolist())))
+        return np.array(value), np.array(estimate), np.array(terms, dtype=int)
     x, s, z = xsz
     ok = np.isfinite(xsz).all(axis=0) & (x > 0.0) & (z >= 0.0)
     if not ok.all():
-        i = int(np.argmin(ok))
-        raise DomainError(f"need finite x > 0, s and z >= 0, got {_lane(x, s, z, i)}")
-    value, estimate, terms = (_sum_scalar if len(x) <= _SCALAR_LANES else _sum_arrays)(x, s, z)
+        raise _outside(*xsz[:, int(np.argmin(ok))])
+    value, estimate, terms = _sum_arrays(x, s, z)
     finite = np.isfinite(estimate)   # and so is every value
     if not finite.all():
-        raise DomainError(f"series at {_lane(x, s, z, int(np.argmin(finite)))} is not finite")
+        raise _not_finite(*xsz[:, int(np.argmin(finite))])
     return value, estimate, terms
 
 
-def _lane(x, s, z, i: int) -> str:
-    return f"x={float(x[i])}, s={float(s[i])}, z={float(z[i])}"
+def _lane(x, s, z) -> str:
+    return f"x={float(x)}, s={float(s)}, z={float(z)}"
 
 
-def _capped(x, s, z, i: int) -> DomainError:
-    return DomainError(f"series at {_lane(x, s, z, i)} needs more than {_MAX_TERMS} terms")
+def _outside(x, s, z) -> DomainError:
+    return DomainError(f"need finite x > 0, s and z >= 0, got {_lane(x, s, z)}")
+
+
+def _capped(x, s, z) -> DomainError:
+    return DomainError(f"series at {_lane(x, s, z)} needs more than {_MAX_TERMS} terms")
+
+
+def _not_finite(x, s, z) -> DomainError:
+    return DomainError(f"series at {_lane(x, s, z)} is not finite")
 
 
 def _run_lane(num, den, w, euler, x, coeff, S, comp, k):
@@ -118,7 +134,8 @@ def _run_lane(num, den, w, euler, x, coeff, S, comp, k):
     term t, or None if it does not stop within `_MAX_TERMS` terms. The
     coefficients follow coeff *= ((num+k)/(den+k)) w; a term is its
     coefficient over x + k, or the coefficient itself on Euler's lanes."""
-    while k < _MAX_TERMS:
+    u, cap = _UNIT_ROUNDOFF, _MAX_TERMS   # locals: read once per lane, not per term
+    while k < cap:
         factor = (num + k) / (den + k) * w
         r = w if w > factor else factor   # max(factor, w) without the cost of a call
         t = coeff if euler else coeff / (x + k)
@@ -127,7 +144,7 @@ def _run_lane(num, den, w, euler, x, coeff, S, comp, k):
         bb = partial - S
         comp += (S - (partial - bb)) + (t - bb)   # TwoSum error of S + t
         S = partial
-        if r < 1.0 and t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S:
+        if r < 1.0 and t * r <= (1.0 - r) * u * S:
             return S, comp, r, t, k
         k += 1.0
     return None
@@ -138,7 +155,7 @@ def _finish(scale, e, z, S, comp, r, t, K):
     the scale (1+z)^(-e), over x on Euler's lanes, the exponent e (s, or
     x), z, the partial sum S, its compensation, the ratio bound r, the last
     term t and its index K. The same plain float operations serve Python
-    floats (`_sum_scalar`) and arrays (`_sum_arrays`), so both round alike."""
+    floats (`_sum_lanes`) and arrays (`_sum_arrays`), so both round alike."""
     base = 1.0 + z
     zb = base - 1.0
     d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
@@ -148,22 +165,32 @@ def _finish(scale, e, z, S, comp, r, t, K):
     return value, scale * (t * r / (1.0 - r)) + relative * value
 
 
-def _sum_scalar(x, s, z):
-    """The lanes of `_power_integral` (1-D arrays), one at a time, by
-    `_run_lane` from term 0 and `_finish` on Python floats. Returns value,
-    estimate and term count arrays."""
-    value, estimate, terms = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=int)
-    for i, (xi, si, zi) in enumerate(zip(x.tolist(), s.tolist(), z.tolist())):
-        euler = (1.0 - si) + xi <= 0.0
-        num, den = (si, xi + 1.0) if euler else ((1.0 - si) + xi, 1.0)
-        base = 1.0 + zi
-        stop = _run_lane(num, den, zi / base, euler, xi, 1.0, 0.0, 0.0, 0.0)
+def _sum_lanes(lanes):
+    """The lanes of `_power_integral`, a list of (x, s, z) Python floats,
+    one at a time, by `_run_lane` from term 0 and `_finish`: returns value,
+    estimate and term count lists. As on arrays, every lane is checked
+    before any is summed, and a value that is not finite is named only once
+    every lane has stopped."""
+    for x, s, z in lanes:
+        if not (0.0 < x < math.inf and -math.inf < s < math.inf and 0.0 <= z < math.inf):
+            raise _outside(x, s, z)
+    values, estimates, terms = [], [], []
+    for x, s, z in lanes:
+        euler = (1.0 - s) + x <= 0.0
+        num, den = (s, x + 1.0) if euler else ((1.0 - s) + x, 1.0)
+        base = 1.0 + z
+        stop = _run_lane(num, den, z / base, euler, x, 1.0, 0.0, 0.0, 0.0)
         if stop is None:
-            raise _capped(x, s, z, i)
-        e, over = (si, xi) if euler else (xi, 1.0)
-        value[i], estimate[i] = _finish(base ** -e / over, e, zi, *stop)
-        terms[i] = int(stop[4]) + 1
-    return value, estimate, terms
+            raise _capped(x, s, z)
+        e, over = (s, x) if euler else (x, 1.0)
+        value, estimate = _finish(base ** -e / over, e, z, *stop)
+        values.append(value)
+        estimates.append(estimate)
+        terms.append(int(stop[4]) + 1)
+    for lane, estimate in zip(lanes, estimates):
+        if not math.isfinite(estimate):   # and so is every value
+            raise _not_finite(*lane)
+    return values, estimates, terms
 
 
 # Python's float power (libm `pow`) as a ufunc on object arrays; see `_sum_arrays`.
@@ -182,7 +209,7 @@ def _sum_arrays(x, s, z):
     overflow runs on to the term cap, or stops with a sum that
     `_power_integral` rejects.
 
-    The scale is `math.pow`, element by element, as `_sum_scalar`'s `**`:
+    The scale is `math.pow`, element by element, as `_sum_lanes`' `**`:
     `np.power` can take a SIMD kernel that rounds some powers otherwise,
     and the two paths must give a lane the same bits."""
     euler = (1.0 - s) + x <= 0.0
@@ -195,7 +222,7 @@ def _sum_arrays(x, s, z):
     with np.errstate(over="ignore", invalid="ignore"):
         while len(live) > _SCALAR_LANES:
             if k == _MAX_TERMS:
-                raise _capped(x, s, z, live[0])
+                raise _capped(x[live[0]], s[live[0]], z[live[0]])
             factor = (num + k) / (den + k) * w
             r = np.maximum(factor, w)
             t = coeff / (k * pfaff + div)
@@ -217,7 +244,7 @@ def _sum_arrays(x, s, z):
         for i, lane in zip(live.tolist(), lanes):
             stop = _run_lane(*lane, k)
             if stop is None:
-                raise _capped(x, s, z, i)
+                raise _capped(x[i], s[i], z[i])
             stopped[:, i] = stop
         e = np.where(euler, s, x)
         scale = _pow(base, -e).astype(float) / np.where(euler, x, 1.0)
@@ -271,9 +298,11 @@ def _binomial_integral(y, x, alpha: float, p: float):
     gets there, as F(y) has y <= 1/2 and the row-sum tail and midpoint
     bounds x = 1/m.
 
-    Each point's tail (the recurrence, the coefficients (alpha)_j/j! x^j,
-    the products and their `math.fsum`) runs on Python floats; only the
-    powers (1+y)^(-j) are one numpy power over j = 1..J.
+    A batch of at most `_SCALAR_LANES` G_J lanes goes to `_sum_lanes` as
+    the floats it was built from. Each point's tail (the recurrence, the
+    coefficients (alpha)_j/j! x^j, the products and their `math.fsum`) runs
+    on Python floats; only the powers (1+y)^(-j) are one numpy power over
+    j = 1..J.
     """
     _check_exponents(p, alpha)
     u, r = _UNIT_ROUNDOFF, 1.0 / p
@@ -288,7 +317,8 @@ def _binomial_integral(y, x, alpha: float, p: float):
         else:
             lanes += [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, yi)]
         plans.append((yi, xi, rho, J))
-    value, estimate, terms = (a.tolist() for a in _power_integral(*zip(*lanes)))
+    value, estimate, terms = (_sum_lanes(lanes) if len(lanes) <= _SCALAR_LANES else
+                              (a.tolist() for a in _power_integral(*zip(*lanes))))
     values, estimates, counts, at = [], [], [], 0
     for yi, xi, rho, J in plans:
         log_y = abs(math.log(yi)) if yi > 0.0 else 0.0
@@ -321,10 +351,11 @@ def _binomial_integral(y, x, alpha: float, p: float):
 
 
 def _unit_pair(c1: float, c2: float) -> tuple[float, float, int]:
-    """P(c1, 1, 1) + P(c2, 1, 1) by `_power_integral`: the value, the error
+    """P(c1, 1, 1) + P(c2, 1, 1) by `_sum_lanes`: the value, the error
     estimate and the longer series' term count."""
-    value, estimate, terms = _power_integral([c1, c2], [1.0, 1.0], [1.0, 1.0])
-    return math.fsum(value.tolist()), math.fsum(estimate.tolist()), max(terms.tolist())
+    # float(): a numpy scalar would take numpy's power for the scale, not libm's
+    value, estimate, terms = _sum_lanes([(float(c1), 1.0, 1.0), (float(c2), 1.0, 1.0)])
+    return math.fsum(value), math.fsum(estimate), max(terms)
 
 
 def beta_integral(x: float) -> QuadratureResult:

@@ -17,6 +17,7 @@ from hilbert_kp import (
     Variant,
     apply_operator,
     ascent_lower_bound,
+    beta_integral,
     bilinear_form,
     conjugate,
     lp_norm,
@@ -775,6 +776,18 @@ class TestRowSumAlpha:
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ParameterError, match=r"^tol must be finite and > 0"):
                 row_sum_alpha(1, 2.0, 0.0, tol=tol)
+
+    def test_m_keeps_its_index_sums_exact(self):
+        """m + N is exact up to m = 2^53 - 1024, where the sum is still
+        certified below pi; one more, or 2^53 + 1 (which rounds to 2^53 and
+        used to return its row bit for bit), raises naming m."""
+        top = 2 ** 53 - 1024
+        beta = beta_integral(0.5)
+        res = row_sum_alpha(top, 2.0, 1.0)
+        assert res.value + res.error_estimate < beta.value - beta.error_estimate
+        for m in (top + 1, 2 ** 53, 2 ** 53 + 1):
+            with pytest.raises(ParameterError, match=rf"^m must be <= 2\*\*53 - 1024.*got {m}$"):
+                row_sum_alpha(m, 2.0, 1.0)
 
     @pytest.mark.parametrize("p,m,alpha,tol", ROW_SUM_ORACLE_CASES)
     def test_bracket_holds_against_mpmath(self, p, m, alpha, tol):

@@ -445,11 +445,12 @@ class TestBatchedSeries:
             assert (alone[0][0], alone[1][0], alone[2][0]) == expected, lane
 
     def test_small_batches_equal_the_scalar_loop(self):
-        """Every lane of this class, summed in batches of one, two and three
-        lanes, has the value, estimate and term count of the scalar loop."""
+        """Every lane of this class, summed in batches of one, two, three,
+        `_SCALAR_LANES` - 1 and `_SCALAR_LANES` lanes, has the value,
+        estimate and term count of the scalar loop."""
         lanes = _MIXED_LANES + list(self.STOP_LANES.values())
         expected = [_power_integral_reference(*lane) for lane in lanes]
-        for size in (1, 2, 3):
+        for size in (1, 2, 3, quadrature._SCALAR_LANES - 1, quadrature._SCALAR_LANES):
             summed = []
             for lo in range(0, len(lanes), size):
                 value, estimate, terms = _power_integral(*np.array(lanes[lo:lo + size]).T)
@@ -458,7 +459,9 @@ class TestBatchedSeries:
 
     def test_small_batches_skip_the_batch_engine(self, monkeypatch):
         """Up to `_SCALAR_LANES` lanes never reach `_sum_arrays`, nor do the
-        single-point integrals; one lane more does."""
+        single-point integrals; one lane more does. The single-point
+        integrals hand their float lanes to `_sum_lanes` and never enter
+        `_power_integral`, so they build no array for their series."""
         def engine(*args):
             raise AssertionError("entered _sum_arrays")
 
@@ -466,13 +469,18 @@ class TestBatchedSeries:
         lanes = [(k / 100.0, 1.0, 2.0) for k in range(1, quadrature._SCALAR_LANES + 2)]
         for size in (1, 2, 3, quadrature._SCALAR_LANES):
             _power_integral(*np.array(lanes[:size]).T)
+        with pytest.raises(AssertionError, match="entered _sum_arrays"):
+            _power_integral(*np.array(lanes).T)
+
+        def wrapper(*args):
+            raise AssertionError("entered _power_integral")
+
+        monkeypatch.setattr(quadrature, "_power_integral", wrapper)
         beta_integral(0.3)
         F_of_y(0.05, 2.0, 0.5)   # three lanes: G_J below y = 0.1
         F_of_y(0.5, 3.0, 1.0)
         _scaled_I_of_epsilon(1e-3, 2.0)
         row_sum_alpha(1000, 3.0, 1.0, 1e-8)
-        with pytest.raises(AssertionError, match="entered _sum_arrays"):
-            _power_integral(*np.array(lanes).T)
 
     def test_a_long_lane_is_handed_to_the_scalar_loop(self):
         """In a batch of `_SCALAR_LANES` + 1 lanes, P(500.5, 1, 1) outlives
@@ -502,14 +510,14 @@ class TestBatchedSeries:
     def test_all_euler_batches_equal_the_scalar_loop(self):
         """Euler's lanes divide by exactly 1 in the array loop: summed
         together (100 lanes, and the first `_SCALAR_LANES` + 1 alone), each
-        has the bits of `_sum_scalar` on that lane."""
+        has the bits of `_sum_lanes` on that lane."""
         for lanes in (_EULER_LANES, _EULER_LANES[:quadrature._SCALAR_LANES + 1]):
             x, s, z = np.array(lanes).T
             assert ((1.0 - s) + x <= 0.0).all()
             value, estimate, terms = _power_integral(x, s, z)
-            for i in range(len(lanes)):
-                alone = quadrature._sum_scalar(x[i:i + 1], s[i:i + 1], z[i:i + 1])
-                assert (value[i], estimate[i], terms[i]) == tuple(a[0] for a in alone), lanes[i]
+            for i, lane in enumerate(lanes):
+                alone = quadrature._sum_lanes([lane])
+                assert (value[i], estimate[i], terms[i]) == tuple(a[0] for a in alone), lane
 
     def test_batch_scale_is_pythons_power(self, monkeypatch):
         """`_sum_arrays` raises 1 + z to -x (Pfaff's lanes) or -s (Euler's)

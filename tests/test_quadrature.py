@@ -31,8 +31,9 @@ I_VALUES_P2 = {
 
 class TestQuadratureResult:
     def test_result_validates(self):
-        with pytest.raises(ParameterError):
-            QuadratureResult(1.0, -1e-3, 1)
+        for estimate in (-1e-3, math.nan):
+            with pytest.raises(ParameterError):
+                QuadratureResult(1.0, estimate, 1)
 
 
 class TestSeries:
