@@ -330,6 +330,11 @@ def _ratio(spec: KernelSpec, a: Sequence, b: Sequence) -> tuple[float, float]:
     u |ln S - H| <= u (q |ln ||b||_q| + ln(len(b))), H the entropy of the
     weights b^q/S, and the root 1/q divides that by q. So even unit vectors
     pay u ln(len(b))/q.
+
+    The budget does not cover `lp_norm`'s rescaled sum of the powers of
+    x/max(x), taken only below a power sum of 2^-969; no caller's pair gets
+    there: the ascent's pair is unit-norm, and `verify-inequality`'s
+    entries are at least 1.
     """
     pq = conjugate(spec.p)
     value, budget = _form(spec, a, b)

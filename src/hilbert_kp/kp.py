@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import _check_count, _check_positive
 from .kernels import KernelSpec, Variant, apply_operator
-from .sequences import Sequence, _sum2
+from .sequences import Sequence, _root_sum
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,14 @@ class TaylorFunction:
 
 
 def kp_norm(f: TaylorFunction, p: float) -> float:
-    """(sum (m+1)^(p-2) a_m^p)^(1/p), the sum by `_sum2`; a term or sum
-    past the float range raises `OverflowError`, as `_sum2` does."""
+    """(sum (m+1)^(p-2) a_m^p)^(1/p) by `_root_sum`, the sum by `_sum2`; a
+    term or sum past the float range raises `OverflowError`, and a nonzero
+    f's norm is never 0."""
     _check_positive(p, "p")
     a = f.coeffs.values
     with np.errstate(over="ignore"):
-        terms = np.arange(1.0, len(a) + 1.0) ** (p - 2.0) * a ** p
-    return _sum2(terms) ** (1.0 / p)
+        weight = np.arange(1.0, len(a) + 1.0) ** (p - 2.0)
+    return _root_sum(a, p, weight)
 
 
 def hilbert_apply(f: TaylorFunction, n_max: int) -> TaylorFunction:

@@ -6,8 +6,10 @@ Two estimators:
   whose normalized form value is bounded below through the reduced
   one-dimensional integral I(eps) and an upper bound on its norm sum: the
   terms m < 1024 summed, the rest bounded by the midpoint step of the proof
-  chain. No truncation is a parameter, and eps may be any finite positive
-  float;
+  chain. No truncation is a parameter. eps may be any positive float
+  whose two series parameters, 1/p + eps/q and 1 + (eps - 1)/p, stay
+  below about 1030, where the series overflow: eps up to about 2061 at
+  p = 2, 1082 at p = 1.05 and 1237 at p = 6;
 * alternating Hölder-alignment ascent on an N x N truncation, a lower bound
   through feasible unit vectors. Both of its products are Hankel
   correlations done by FFT, O(N log N) per matvec and O(N) memory, and the
@@ -105,7 +107,11 @@ def epsilon_family_ratio(eps: float, p: float) -> float:
     upper bound `_phi_upper`, so the reported ratio never overshoots the
     supremum it approaches. phi lies in (0, 1), as 1/eps < zeta(1 + eps) <
     1/eps + 1, so the bound is clipped to [0, 1]. eps I(eps) is summed
-    without the factor 1/eps, so eps may be any finite positive float.
+    without the factor 1/eps, so eps may be as small as any positive float.
+    It is P(1/p + eps/q, 1, 1) + P(1 + (eps - 1)/p, 1, 1), and a series
+    whose parameter passes about 1030 overflows and raises `DomainError`
+    ("series at x=..., s=1.0, z=1.0 is not finite"): eps up to about 2061
+    at p = 2, 1082 at p = 1.05 and 1237 at p = 6 works.
 
     The same value bounds the K^p operator norm from below: the K^p -> l^p
     re-weighting preserves norms, so the bound carries over unchanged.

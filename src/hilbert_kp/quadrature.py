@@ -9,12 +9,12 @@ geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
 (`_scaled_I_of_epsilon`) and the master inequalities are sums of a few P;
 F(y), the row-sum tail and the midpoint integrals are binomial series in P
 (`_binomial_integral`).
-Every series runs one term recurrence: a small batch, as every
-single-point integral is, lane by lane on Python floats from end to end
-(`_sum_lanes`, which takes and returns lists, with no array built); a
-larger one on arrays of its live lanes, one term per step, until few are
-live. Both do the same float operations, so a lane's result has the same
-bits on either.
+Every series runs one term recurrence, and the intake alone picks its
+loop: lanes built as Python floats (`_binomial_integral`, `_unit_pair`) run
+lane by lane from end to end (`_sum_lanes`, which takes and returns lists,
+with no array built); array batches run on arrays of their live lanes, one
+term per step, until few are live (`_power_integral`). Both do the same
+float operations, so a lane's result has the same bits on either.
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -45,12 +45,13 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # No series with a finite value comes near this: its terms peak near k = 2a,
 # and (1+z)^a overflows for a above about 650 at z = 2.
 _MAX_TERMS = 2 ** 16
-# Batches of at most this many lanes go to `_sum_lanes` as Python floats,
-# with no array built; so do the last lanes of a larger batch, from where the
-# array loop left them. A numpy step costs about a term on each of 64 lanes
-# (some 20 us on a 2.1 GHz x86 core), but 32 ran the proof sweep as fast as 64
-# and left its peak RSS 0.2-0.7 MB lower.
+# The array loop hands its lanes to `_run_lane` once at most this many are
+# live, from where it left them. A numpy step costs about a term on each of 64
+# lanes (some 20 us on a 2.1 GHz x86 core), but 32 ran the proof sweep as fast
+# as 64 and left its peak RSS 0.2-0.7 MB lower.
 _SCALAR_LANES = 32
+# Python's float power (libm `pow`) as a ufunc on object arrays; see `_power_integral`.
+_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,32 +83,71 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = 1/2, 1 and 2. `DomainError` names a lane outside that domain, one
     needing more than 2^16 terms, or one whose value or estimate is not finite.
 
-    Every lane runs one term recurrence, `_run_lane`. A batch of at most
-    `_SCALAR_LANES` lanes is handed to `_sum_lanes`, which runs it lane by
-    lane on Python floats; the callers that build their lanes as floats
-    (`_binomial_integral` and `_unit_pair`) call `_sum_lanes` themselves
-    and build no array. A larger batch runs the recurrence's statements on
-    arrays of the live lanes, one term per step, until no more than
-    `_SCALAR_LANES` are live and `_run_lane` carries those on
-    (`_sum_arrays`). Both do the same float operations in the same order,
-    finish a lane by the one `_finish` and raise the same errors in the
-    same order, so each lane's value, estimate and term count are the same
-    bits whichever path sums it.
+    Every lane runs one term recurrence, `_run_lane`; the callers that
+    build their lanes as Python floats (`_binomial_integral` and
+    `_unit_pair`) hand them to `_sum_lanes` and build no array. Here every
+    batch runs the recurrence's statements on arrays of its live lanes, one
+    term per step, with `np.maximum` for the ratio bound and the term
+    coeff / (k pfaff + div): div is x on Pfaff's lanes, so the divisor
+    rounds as x + k, and 1 on Euler's, where it is exactly 1. The lanes
+    that stop at k leave the arrays with their (S, comp, r, t, k); once at
+    most `_SCALAR_LANES` are live (from term 0 in a batch that small),
+    `_run_lane` carries each on from where the arrays left it. A lane whose
+    terms overflow runs on to the term cap, or stops with a sum that is
+    named as not finite. The scale is `math.pow`, element by element, as
+    `_sum_lanes`' `**`: `np.power` can take a SIMD kernel that rounds some
+    powers otherwise. Both loops do the same float operations in the same
+    order, finish a lane by the one `_finish` and raise the same errors in
+    the same order, so each lane's value, estimate and term count are the
+    same bits whichever loop sums it.
     """
     xsz = np.empty((3, np.broadcast(x, s, z).size))
     xsz[0], xsz[1], xsz[2] = x, s, z
-    if xsz.shape[1] <= _SCALAR_LANES:
-        value, estimate, terms = _sum_lanes(list(zip(*xsz.tolist())))
-        return np.array(value), np.array(estimate), np.array(terms, dtype=int)
     x, s, z = xsz
     ok = np.isfinite(xsz).all(axis=0) & (x > 0.0) & (z >= 0.0)
     if not ok.all():
         raise _outside(*xsz[:, int(np.argmin(ok))])
-    value, estimate, terms = _sum_arrays(x, s, z)
+    euler = (1.0 - s) + x <= 0.0
+    base = 1.0 + z
+    stopped = np.empty((5, len(x)))   # S, comp, r, t, K of each lane
+    live = np.arange(len(x))
+    num, den = np.where(euler, s, (1.0 - s) + x), np.where(euler, x + 1.0, 1.0)
+    w, pfaff, div = z / base, np.where(euler, 0.0, 1.0), np.where(euler, 1.0, x)
+    coeff, S, comp, k = np.ones(len(x)), np.zeros(len(x)), np.zeros(len(x)), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(live) > _SCALAR_LANES:
+            if k == _MAX_TERMS:
+                raise _capped(x[live[0]], s[live[0]], z[live[0]])
+            factor = (num + k) / (den + k) * w
+            r = np.maximum(factor, w)
+            t = coeff / (k * pfaff + div)
+            coeff *= factor
+            partial = S + t
+            bb = partial - S
+            comp += (S - (partial - bb)) + (t - bb)
+            S = partial
+            stop = (r < 1.0) & (t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S)
+            if stop.any():
+                stopped[:4, live[stop]] = S[stop], comp[stop], r[stop], t[stop]
+                stopped[4, live[stop]] = k
+                go = ~stop
+                live, num, den, w, pfaff, div, coeff, S, comp = (
+                    a[go] for a in (live, num, den, w, pfaff, div, coeff, S, comp))
+            k += 1.0
+        lanes = zip(num.tolist(), den.tolist(), w.tolist(), euler[live].tolist(),
+                    x[live].tolist(), coeff.tolist(), S.tolist(), comp.tolist())
+        for i, lane in zip(live.tolist(), lanes):
+            stop = _run_lane(*lane, k)
+            if stop is None:
+                raise _capped(x[i], s[i], z[i])
+            stopped[:, i] = stop
+        e = np.where(euler, s, x)
+        scale = _pow(base, -e).astype(float) / np.where(euler, x, 1.0)
+        value, estimate = _finish(scale, e, z, *stopped)
     finite = np.isfinite(estimate)   # and so is every value
     if not finite.all():
         raise _not_finite(*xsz[:, int(np.argmin(finite))])
-    return value, estimate, terms
+    return value, estimate, (stopped[4] + 1).astype(int)
 
 
 def _lane(x, s, z) -> str:
@@ -155,7 +195,7 @@ def _finish(scale, e, z, S, comp, r, t, K):
     the scale (1+z)^(-e), over x on Euler's lanes, the exponent e (s, or
     x), z, the partial sum S, its compensation, the ratio bound r, the last
     term t and its index K. The same plain float operations serve Python
-    floats (`_sum_lanes`) and arrays (`_sum_arrays`), so both round alike."""
+    floats (`_sum_lanes`) and arrays (`_power_integral`), so both round alike."""
     base = 1.0 + z
     zb = base - 1.0
     d = (1.0 - (base - zb)) + (z - zb)   # 1 + z = base + d, exactly (TwoSum)
@@ -193,65 +233,6 @@ def _sum_lanes(lanes):
     return values, estimates, terms
 
 
-# Python's float power (libm `pow`) as a ufunc on object arrays; see `_sum_arrays`.
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _sum_arrays(x, s, z):
-    """The lanes of `_power_integral` (1-D arrays) summed together: value,
-    estimate and term count arrays. Each step runs the statements of
-    `_run_lane` for one term k on arrays of the live lanes, with
-    `np.maximum` for the ratio bound and the term coeff / (k pfaff + div):
-    div is x on Pfaff's lanes, so the divisor rounds as x + k, and 1 on
-    Euler's, where it is exactly 1. The lanes that stop at k leave the
-    arrays with their (S, comp, r, t, k); once at most `_SCALAR_LANES` are
-    live, `_run_lane` carries each on from term k + 1. A lane whose terms
-    overflow runs on to the term cap, or stops with a sum that
-    `_power_integral` rejects.
-
-    The scale is `math.pow`, element by element, as `_sum_lanes`' `**`:
-    `np.power` can take a SIMD kernel that rounds some powers otherwise,
-    and the two paths must give a lane the same bits."""
-    euler = (1.0 - s) + x <= 0.0
-    base = 1.0 + z
-    stopped = np.empty((5, len(x)))   # S, comp, r, t, K of each lane
-    live = np.arange(len(x))
-    num, den = np.where(euler, s, (1.0 - s) + x), np.where(euler, x + 1.0, 1.0)
-    w, pfaff, div = z / base, np.where(euler, 0.0, 1.0), np.where(euler, 1.0, x)
-    coeff, S, comp, k = np.ones(len(x)), np.zeros(len(x)), np.zeros(len(x)), 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(live) > _SCALAR_LANES:
-            if k == _MAX_TERMS:
-                raise _capped(x[live[0]], s[live[0]], z[live[0]])
-            factor = (num + k) / (den + k) * w
-            r = np.maximum(factor, w)
-            t = coeff / (k * pfaff + div)
-            coeff *= factor
-            partial = S + t
-            bb = partial - S
-            comp += (S - (partial - bb)) + (t - bb)
-            S = partial
-            stop = (r < 1.0) & (t * r <= (1.0 - r) * _UNIT_ROUNDOFF * S)
-            if stop.any():
-                stopped[:4, live[stop]] = S[stop], comp[stop], r[stop], t[stop]
-                stopped[4, live[stop]] = k
-                go = ~stop
-                live, num, den, w, pfaff, div, coeff, S, comp = (
-                    a[go] for a in (live, num, den, w, pfaff, div, coeff, S, comp))
-            k += 1.0
-        lanes = zip(num.tolist(), den.tolist(), w.tolist(), euler[live].tolist(),
-                    x[live].tolist(), coeff.tolist(), S.tolist(), comp.tolist())
-        for i, lane in zip(live.tolist(), lanes):
-            stop = _run_lane(*lane, k)
-            if stop is None:
-                raise _capped(x[i], s[i], z[i])
-            stopped[:, i] = stop
-        e = np.where(euler, s, x)
-        scale = _pow(base, -e).astype(float) / np.where(euler, x, 1.0)
-        value, estimate = _finish(scale, e, z, *stopped)
-    return value, estimate, (stopped[4] + 1).astype(int)
-
-
 # Below this y, `_binomial_integral` sums G_J(y) as int_0^inf - int_0^y; from
 # it on, where that difference cancels, as a series in 1/y.
 _NEAR = 0.1
@@ -278,7 +259,8 @@ def _binomial_integral(y, x, alpha: float, p: float):
     times the one before. The sum stops at the first J with
     rho^(J+1)/(1-rho) <= u, u = 2^-53, and its tail is bounded by
     T_J rho/(1-rho); alpha = 0 leaves one term and no tail. G_J is summed by
-    `_power_integral`, the top lanes of all points in one batch:
+    the series of `_power_integral`, the top lanes of all points in one
+    `_sum_lanes` batch:
 
         G_J = y^(-r-J) P(J+r, 1+J, 1/y)                                 (s = y/v), y >= 0.1,
         G_J = P(1-r, 1+J, 1) + P(J+r, 1+J, 1) - y^(1-r) P(1-r, 1+J, y)  (split at s = 1, s = yv), y < 0.1,
@@ -298,8 +280,8 @@ def _binomial_integral(y, x, alpha: float, p: float):
     gets there, as F(y) has y <= 1/2 and the row-sum tail and midpoint
     bounds x = 1/m.
 
-    A batch of at most `_SCALAR_LANES` G_J lanes goes to `_sum_lanes` as
-    the floats it was built from. Each point's tail (the recurrence, the
+    The G_J lanes go to `_sum_lanes` as the floats they were built from,
+    whatever the number of points. Each point's tail (the recurrence, the
     coefficients (alpha)_j/j! x^j, the products and their `math.fsum`) runs
     on Python floats; only the powers (1+y)^(-j) are one numpy power over
     j = 1..J.
@@ -317,8 +299,7 @@ def _binomial_integral(y, x, alpha: float, p: float):
         else:
             lanes += [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, yi)]
         plans.append((yi, xi, rho, J))
-    value, estimate, terms = (_sum_lanes(lanes) if len(lanes) <= _SCALAR_LANES else
-                              (a.tolist() for a in _power_integral(*zip(*lanes))))
+    value, estimate, terms = _sum_lanes(lanes)
     values, estimates, counts, at = [], [], [], 0
     for yi, xi, rho, J in plans:
         log_y = abs(math.log(yi)) if yi > 0.0 else 0.0

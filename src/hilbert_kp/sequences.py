@@ -152,14 +152,37 @@ def _sum2(t: np.ndarray) -> float:
     return total
 
 
+# 2^53 times the least normal float. The powers that round as subnormals err
+# by at most 2^-1075 each, so for up to 2^26 entries they move a power sum at
+# or above this by under 2^-80 of itself.
+_TINY_SUM = 2.0 ** -969
+
+
+def _root_sum(x: np.ndarray, p: float, weight=None) -> float:
+    """(sum weight x^p)^(1/p) for x >= 0, the sum by `_sum2`; a power or sum
+    past the float range raises `OverflowError`. A nonzero x whose power sum
+    falls below `_TINY_SUM` is summed again as max(x) times the root of the
+    sum of the powers of x/max(x), which cannot underflow to 0; that adds
+    the rounding of x/max(x), p u per power, and that of the product."""
+    def power_sum(x):
+        return _sum2(x ** p if weight is None else weight * x ** p)
+
+    with np.errstate(over="ignore"):
+        total = power_sum(x)
+    top = float(x.max(initial=0.0)) if total < _TINY_SUM else 0.0
+    if top == 0.0:
+        return total ** (1.0 / p)
+    return top * power_sum(x / top) ** (1.0 / p)
+
+
 def lp_norm(s: Sequence, p: float) -> float:
-    """(sum |s_m|^p)^(1/p). The sum is `_sum2`'s: for n entries it errs by
-    at most (u + gamma_(n-1)^2) of itself, beyond the rounding of each
-    power; a power or sum past the float range raises `OverflowError`."""
+    """(sum |s_m|^p)^(1/p) by `_root_sum`. The sum is `_sum2`'s: for n
+    entries it errs by at most (u + gamma_(n-1)^2) of itself, beyond the
+    rounding of each power; a power or sum past the float range raises
+    `OverflowError`, and a nonzero s is never 0."""
     if not math.isfinite(p) or p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
-    with np.errstate(over="ignore"):
-        return _sum2(np.abs(s.values) ** p) ** (1.0 / p)
+    return _root_sum(np.abs(s.values), p)
 
 
 def _dual_align_vec(c: np.ndarray, p: float) -> tuple[np.ndarray, float]:

@@ -382,6 +382,16 @@ class TestConfigurationLine:
         assert [row.split(",")[0] for row in csv_body(out)] == [
             "quantity", "input_kp_norm", "image_kp_norm_truncated"]
 
+    def test_kp_apply_reports_tiny_norms(self, tmp_path, capsys):
+        """A coefficient whose cube underflows is its own K^3 norm, and the
+        image's norm is not 0."""
+        src = tmp_path / "tiny.txt"
+        src.write_text("# start_index=0\n0,1e-300\n")
+        code, out = run_cli(["kp-apply", "--input", str(src), "--p", "3"], capsys)
+        rows = dict(row.split(",") for row in csv_body(out)[1:])
+        assert code == 0 and rows["input_kp_norm"] == "1e-300"
+        assert 1e-300 < float(rows["image_kp_norm_truncated"]) < 2e-300
+
     @pytest.mark.parametrize("argv", [
         ["proof-check", "--x-grid-size", "4"],
         ["verify-inequality", "--trials", "1"],

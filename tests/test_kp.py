@@ -59,6 +59,17 @@ class TestKpNorm:
             tf(1, -2)
 
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_tiny_coefficients_keep_their_norm(self, p):
+        """Coefficients whose p-th powers underflow: times 2^-1000 the norm
+        is exactly 2^-1000 times the plain one, and a lone 1e-300 is its
+        own norm."""
+        values = (1.0, 0.5, 0.0, 0.25, 0.75)
+        tiny = tf(*(2.0 ** -1000 * v for v in values))
+        assert kp_norm(tiny, p) == 2.0 ** -1000 * kp_norm(tf(*values), p)
+        assert kp_norm(tf(1e-300), p) == 1e-300
+
+
 class TestAgainstCoefficientLoops:
     """The array form of `kp_norm` against the sum written one coefficient
     at a time. Only `**` may round differently in numpy and in Python, by

@@ -427,6 +427,14 @@ class TestKpSide:
                 f = TaylorFunction.from_values(vals)
                 assert kp_ratio(f, p, 400) <= cap + 1e-9
 
+    def test_kp_ratio_of_tiny_coefficients(self):
+        """Coefficients whose cubes underflow are not the zero function: the
+        ratio is that of the coefficients scaled to 1."""
+        one = kp_ratio(TaylorFunction.from_values((1.0,)), 3.0, 200)
+        assert kp_ratio(TaylorFunction.from_values((2.0 ** -400,)), 3.0, 200) == one
+        assert kp_ratio(TaylorFunction.from_values((1e-120,)), 3.0, 200) == pytest.approx(
+            one, rel=1e-14)
+
     def test_kp_ratio_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             kp_ratio(TaylorFunction.from_values((0.0,)), 2.0, 10)

@@ -457,21 +457,16 @@ class TestBatchedSeries:
                 summed += zip(value.tolist(), estimate.tolist(), terms.tolist())
             assert summed == expected, size
 
-    def test_small_batches_skip_the_batch_engine(self, monkeypatch):
-        """Up to `_SCALAR_LANES` lanes never reach `_sum_arrays`, nor do the
-        single-point integrals; one lane more does. The single-point
-        integrals hand their float lanes to `_sum_lanes` and never enter
-        `_power_integral`, so they build no array for their series."""
-        def engine(*args):
-            raise AssertionError("entered _sum_arrays")
+    # 100 points of `_binomial_integral` on both sides of the 0.1 split, x
+    # from 0 to 95 % of its bound 2(1+y)/3: 214 G_J lanes in one batch.
+    HUNDRED_Y = np.geomspace(1e-4, 20.0, 100)
+    HUNDRED_POINTS = (HUNDRED_Y, 2.0 * (1.0 + HUNDRED_Y) / 3.0 * np.linspace(0.0, 0.95, 100))
 
-        monkeypatch.setattr(quadrature, "_sum_arrays", engine)
-        lanes = [(k / 100.0, 1.0, 2.0) for k in range(1, quadrature._SCALAR_LANES + 2)]
-        for size in (1, 2, 3, quadrature._SCALAR_LANES):
-            _power_integral(*np.array(lanes[:size]).T)
-        with pytest.raises(AssertionError, match="entered _sum_arrays"):
-            _power_integral(*np.array(lanes).T)
-
+    def test_float_lanes_never_enter_the_array_loop(self, monkeypatch):
+        """The integrals that build their lanes as Python floats hand them to
+        `_sum_lanes` and never enter `_power_integral`, whatever their
+        number: the single-point integrals, the midpoint and convexity
+        checks (26 and 23 points) and a 100-point binomial batch."""
         def wrapper(*args):
             raise AssertionError("entered _power_integral")
 
@@ -481,6 +476,19 @@ class TestBatchedSeries:
         F_of_y(0.5, 3.0, 1.0)
         _scaled_I_of_epsilon(1e-3, 2.0)
         row_sum_alpha(1000, 3.0, 1.0, 1e-8)
+        assert check_midpoint_bound(7, 2.0, 0.5, n_max=25).passed
+        assert check_F_convex_max(3.0, 0.5, np.linspace(0.02, 0.48, 21)).passed
+        quadrature._binomial_integral(*self.HUNDRED_POINTS, 0.5, 3.0)
+
+    def test_a_binomial_batch_keeps_each_points_bits(self):
+        """Every point of `HUNDRED_POINTS`, summed in one batch, has the
+        value, estimate and term count of that point summed alone."""
+        y, x = self.HUNDRED_POINTS
+        batch = quadrature._binomial_integral(y, x, 0.5, 3.0)
+        assert (y < 0.1).any() and (y >= 0.1).any() and batch[2].max() > 30
+        for i in range(len(y)):
+            alone = quadrature._binomial_integral(y[i:i + 1], x[i:i + 1], 0.5, 3.0)
+            assert tuple(a[i] for a in batch) == tuple(a[0] for a in alone), (y[i], x[i])
 
     def test_a_long_lane_is_handed_to_the_scalar_loop(self):
         """In a batch of `_SCALAR_LANES` + 1 lanes, P(500.5, 1, 1) outlives
@@ -520,7 +528,7 @@ class TestBatchedSeries:
                 assert (value[i], estimate[i], terms[i]) == tuple(a[0] for a in alone), lane
 
     def test_batch_scale_is_pythons_power(self, monkeypatch):
-        """`_sum_arrays` raises 1 + z to -x (Pfaff's lanes) or -s (Euler's)
+        """`_power_integral` raises 1 + z to -x (Pfaff's lanes) or -s (Euler's)
         with the bits of Python's `**` on every lane of `_MIXED_LANES`."""
         powers = []
 

@@ -261,11 +261,12 @@ def _binomial_integral_reference(y, x, alpha, p):
 class TestBinomialTail:
     def test_equals_the_array_tail(self):
         """On 320 random batches of one to five points (every sixteenth of
-        40, whose G_J lanes go through the array engine), with y on both
-        sides of the 0.1 split, x up to its bound 2(1+y)/3 (J up to about
-        90), alpha in {0, 1/2, 1} or random and p in [1.05, 20], every
-        value, estimate and term count has the bits of the array tail's,
-        and each returned array its dtype."""
+        40, whose G_J lanes the reference sums in the array loop and
+        `_binomial_integral` by `_sum_lanes`), with y on both sides of the
+        0.1 split, x up to its bound 2(1+y)/3 (J up to about 90), alpha in
+        {0, 1/2, 1} or random and p in [1.05, 20], every value, estimate
+        and term count has the bits of the array tail's, and each returned
+        array its dtype."""
         rng = np.random.default_rng(30)
         longest = 0
         for batch in range(320):

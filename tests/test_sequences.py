@@ -23,8 +23,8 @@ from hilbert_kp import (
 )
 from hilbert_kp.sequences import ExponentPair, _dual_align_vec, _sum2
 
-# zero or a comfortably normal magnitude; extreme denormals underflow in any
-# double-precision p-th power and are out of scope
+# zero or a comfortably normal magnitude; the norms of entries whose powers
+# underflow are summed rescaled, which TestTinyEntries checks
 nonneg_entry = st.one_of(st.just(0.0), st.floats(1e-6, 100.0))
 nonneg_values = st.lists(nonneg_entry, min_size=1, max_size=30)
 exponents = st.floats(1.05, 20.0, allow_nan=False)
@@ -61,6 +61,35 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
             lp_norm(seq(1), 0.5)
+
+
+class TestTinyEntries:
+    """Entries whose p-th powers underflow: below a power sum of 2^-969 the
+    norm is max|s| times the root of the sum of the powers of s/max|s|, so a
+    nonzero sequence never has norm 0."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 12.0])
+    def test_a_power_of_two_scales_the_norm_exactly(self, p):
+        """Entries times 2^-1000 (normal floats, but their powers underflow)
+        have exactly 2^-1000 times the norm: the scaled entries are the
+        unscaled ones, bit for bit, as the largest is 1."""
+        values = (1.0, -0.5, 0.3, 0.0, 0.7)
+        tiny = seq(*(2.0 ** -1000 * v for v in values))
+        assert lp_norm(tiny, p) == 2.0 ** -1000 * lp_norm(seq(*values), p)
+
+    def test_underflowing_powers(self):
+        assert lp_norm(seq(1e-110, 1e-110), 3.0) == pytest.approx(2.0 ** (1.0 / 3.0) * 1e-110,
+                                                                  rel=1e-15)
+        assert lp_norm(seq(0.0, -1e-300), 3.0) == 1e-300
+        assert lp_norm(seq(5e-324), 2.0) == 5e-324
+
+    def test_sums_above_the_threshold_are_not_rescaled(self):
+        """A power sum just above 2^-969 keeps the plain sum's root; empty
+        and zero sequences have norm 0."""
+        s = seq(*[3.0 * 2.0 ** -486] * 3)
+        assert float(np.sum(np.abs(s.values) ** 2.0)) > 2.0 ** -969
+        assert lp_norm(s, 2.0) == math.fsum([9.0 * 2.0 ** -972] * 3) ** 0.5
+        assert lp_norm(seq(), 2.0) == lp_norm(seq(0.0, 0.0), 2.0) == 0.0
 
 
 class TestSum2:
