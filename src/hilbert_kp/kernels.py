@@ -432,13 +432,13 @@ def row_sum_alpha(m: int, p: float, alpha: float, tol: float = 1e-9) -> Quadratu
         d.append(r * p0 + (1.0 - alpha) * p1 + alpha * p2)
         a.append(sum(map(operator.mul, d, reversed(a))) / j)
     bernoulli = [w * c for w, c in zip(_EM_WEIGHTS, a[1::2])]
-    tail, tail_estimate, terms = _binomial_integral([N / m], [1.0 / m], alpha, p)
-    value = math.fsum(f[:-1] + [float(tail[0]), 0.5 * f[-1]] + bernoulli[:-1])
-    estimate = (bernoulli[-1] + float(tail_estimate[0])
+    tail, tail_estimate, terms = _binomial_integral(N / m, 1.0 / m, alpha, p)
+    value = math.fsum(f[:-1] + [tail, 0.5 * f[-1]] + bernoulli[:-1])
+    estimate = (bernoulli[-1] + tail_estimate
                 + (10.0 + 2.0 * math.log(m + N)) * u * value
                 + 1024.0 * u * math.fsum(abs(b) for b in bernoulli))
     if estimate > tol:
         raise ParameterError(
             f"row sum for m={m}, p={p} cannot reach tol={tol}: "
             f"its certified width is {estimate:.1e}")
-    return QuadratureResult(value, estimate, int(terms[0]))
+    return QuadratureResult(value, estimate, terms)

@@ -109,20 +109,26 @@ def check_logconvexity_f(m: int, p: float, alpha: float, t_grid) -> CheckReport:
 
 def check_logconvexity_g(t: float, p: float, alpha: float, y_grid) -> CheckReport:
     """(log g_t)'' > 0 for g_t(y) = (t+y)^(-1/p) (t+1+y)^(alpha-1) (t+1-y)^(-alpha),
-    t > 0, at every point y in [0, 1/2] of a nonempty grid; the second
-    difference steps by 1e-4 at the grid points at least that far inside.
+    0 < t <= 1000, at every point y in [0, 1/2] of a nonempty grid; the
+    second difference steps by h = 1e-4 at the grid points at least that far
+    inside, and a grid with no such point raises `DomainError`.
 
     The sign holds at every y in [0, 1/2], not only on the grid:
     (log g_t)'' = (t+y)^-2/p + (1-alpha) (t+1+y)^-2 + alpha (t+1-y)^-2,
     the bases are positive (t+1-y >= t+1/2), and `_check_exponents`
     enforces 0 <= alpha <= 1, so every term is >= 0 and (t+y)^-2/p > 0.
     The grid values and second differences are a cross-check of that
-    argument."""
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
+    argument. That cross-check is why t stops at 1000: the second
+    difference is about g h^2/t^2, some 90 roundings of g at t = 1000 but
+    fewer than 6 at t = 4000, where g's own rounding can flip its sign."""
+    if not 0.0 < t <= 1000.0:
+        raise DomainError(f"t must lie in (0, 1000], got {t}")
     y = _sorted_grid(y_grid, lambda v: (v >= 0.0) & (v <= 0.5), "y grid must lie in [0, 1/2]")
+    inner = (y - 1e-4 >= 0.0) & (y + 1e-4 <= 0.5)
+    if not inner.any():
+        raise DomainError("y grid needs a point at least 1e-4 inside [0, 1/2]")
     return _logconvexity("logconvexity_g", f"t={t}", lambda v: (t + v, t + 1.0 + v, t + 1.0 - v),
-                         p, alpha, y, (y - 1e-4 >= 0.0) & (y + 1e-4 <= 0.5), 1e-4)
+                         p, alpha, y, inner, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,7 @@ def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckRep
 
     With t = m s, int_a^inf f = m^(-1/p) H(a/m, 1/m) (`_binomial_integral`),
     so each integral is a difference of H at (n -+ 1/2)/m; H is summed at
-    all n_max + 1 ends in one batch. The budget is the largest sum of two
+    each of the n_max + 1 ends. The budget is the largest sum of two
     ends' estimates, scaled by m^(-1/p), plus (3 + log m) u times the
     integral for the rounding of that factor.
 
@@ -144,7 +150,8 @@ def check_midpoint_bound(m: int, p: float, alpha: float, n_max: int) -> CheckRep
     t > 0. The summed integrals are a cross-check of that argument."""
     m, n_max = _check_count(m, "m", 1), _check_count(n_max, "n_max", 1)
     ends = (np.arange(n_max + 1.0) + 0.5) / m
-    value, estimate, terms = _binomial_integral(ends, np.full(n_max + 1, 1.0 / m), alpha, p)
+    value, estimate, terms = map(np.array, zip(*(
+        _binomial_integral(v, 1.0 / m, alpha, p) for v in ends.tolist())))
     scale = m ** (-1.0 / p)
     integral = scale * (value[:-1] - value[1:])
     budget = scale * (estimate[:-1] + estimate[1:]) + (3.0 + math.log(m)) * 2.0 ** -53 * integral
@@ -160,7 +167,7 @@ def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
     """F(y) < max(F(0), F(1/2)) at the grid points inside (0, 1/2), plus
     discrete convexity of the sampled values; the grid points must be
     distinct. F(y) = H(y, 2y) (`_binomial_integral`) is summed at both ends
-    and the grid in one batch; the budget is the ends' estimates plus the
+    and at each grid point; the budget is the ends' estimates plus the
     largest estimate inside.
 
     The bound holds at every y in (0, 1/2), not only on the grid: each
@@ -177,7 +184,8 @@ def check_F_convex_max(p: float, alpha: float, y_grid) -> CheckReport:
     if not inside.any():
         raise DomainError("y grid needs a point inside (0, 1/2)")
     ends_and_grid = np.concatenate([[0.0, 0.5], y])
-    value, estimate, terms = _binomial_integral(ends_and_grid, 2.0 * ends_and_grid, alpha, p)
+    value, estimate, terms = map(np.array, zip(*(
+        _binomial_integral(v, 2.0 * v, alpha, p) for v in ends_and_grid.tolist())))
     vals, errs = value[2:], estimate[2:]
     # divided second differences must not be significantly negative
     slopes = np.diff(vals) / np.diff(y)

@@ -8,13 +8,14 @@ summed lane-wise by a hypergeometric series of positive terms with a
 geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
 (`_scaled_I_of_epsilon`) and the master inequalities are sums of a few P;
 F(y), the row-sum tail and the midpoint integrals are binomial series in P
-(`_binomial_integral`).
+(`_binomial_integral`), one point per call.
 Every series runs one term recurrence, and the intake alone picks its
-loop: lanes built as Python floats (`_binomial_integral`, `_unit_pair`) run
-lane by lane from end to end (`_sum_lanes`, which takes and returns lists,
-with no array built); array batches run on arrays of their live lanes, one
-term per step, until few are live (`_power_integral`). Both do the same
-float operations, so a lane's result has the same bits on either.
+loop: lanes built as Python floats (each binomial point's one or three,
+`_unit_pair`'s two) run lane by lane from end to end (`_sum_lanes`, which
+takes and returns lists, with no array built); array batches run on arrays
+of their live lanes, one term per step, until few are live
+(`_power_integral`). Both do the same float operations, so a lane's result
+has the same bits on either.
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -245,11 +246,11 @@ def _check_exponents(p: float, alpha: float) -> None:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _binomial_integral(y, x, alpha: float, p: float):
+def _binomial_integral(y: float, x: float, alpha: float, p: float) -> tuple[float, float, int]:
     """H(y, x) = int_y^inf s^(-r) (1+s)^(-1) (1 - x/(1+s))^(-alpha) ds,
-    r = 1/p, for 1 < p < inf and 0 <= alpha <= 1 (`_check_exponents`),
-    lane-wise over 1-D arrays y >= 0 and 0 <= x <= 2(1+y)/3: returns value,
-    error estimate and term count arrays.
+    r = 1/p, for 1 < p < inf and 0 <= alpha <= 1 (`_check_exponents`), at
+    one point y >= 0, 0 <= x <= 2(1+y)/3: returns value, error estimate and
+    the longest series' term count.
 
     The binomial series of the last factor has positive terms,
 
@@ -259,8 +260,7 @@ def _binomial_integral(y, x, alpha: float, p: float):
     times the one before. The sum stops at the first J with
     rho^(J+1)/(1-rho) <= u, u = 2^-53, and its tail is bounded by
     T_J rho/(1-rho); alpha = 0 leaves one term and no tail. G_J is summed by
-    the series of `_power_integral`, the top lanes of all points in one
-    `_sum_lanes` batch:
+    the series of `_power_integral`, its one or three lanes by `_sum_lanes`:
 
         G_J = y^(-r-J) P(J+r, 1+J, 1/y)                                 (s = y/v), y >= 0.1,
         G_J = P(1-r, 1+J, 1) + P(J+r, 1+J, 1) - y^(1-r) P(1-r, 1+J, y)  (split at s = 1, s = yv), y < 0.1,
@@ -280,55 +280,44 @@ def _binomial_integral(y, x, alpha: float, p: float):
     gets there, as F(y) has y <= 1/2 and the row-sum tail and midpoint
     bounds x = 1/m.
 
-    The G_J lanes go to `_sum_lanes` as the floats they were built from,
-    whatever the number of points. Each point's tail (the recurrence, the
-    coefficients (alpha)_j/j! x^j, the products and their `math.fsum`) runs
-    on Python floats; only the powers (1+y)^(-j) are one numpy power over
-    j = 1..J.
+    Everything runs on Python floats (the recurrence, the coefficients
+    (alpha)_j/j! x^j, the products and their `math.fsum`) except the powers
+    (1+y)^(-j), one numpy power over j = 1..J.
     """
     _check_exponents(p, alpha)
+    # float(): a numpy scalar would take numpy's power, not libm's
+    y, x = float(y), float(x)
+    if not (y >= 0.0 and 0.0 <= x <= 2.0 * (1.0 + y) / 3.0):
+        raise DomainError(f"need y >= 0 and 0 <= x <= 2(1+y)/3, got y={y}, x={x}")
     u, r = _UNIT_ROUNDOFF, 1.0 / p
-    plans, lanes = [], []
-    for yi, xi in zip(np.asarray(y, dtype=float).tolist(), np.asarray(x, dtype=float).tolist()):
-        if not (yi >= 0.0 and 0.0 <= xi <= 2.0 * (1.0 + yi) / 3.0):
-            raise DomainError(f"need y >= 0 and 0 <= x <= 2(1+y)/3, got y={yi}, x={xi}")
-        rho = 0.0 if alpha == 0.0 else xi / (1.0 + yi)
-        J = 0 if rho == 0.0 else max(0, math.ceil(math.log(u * (1.0 - rho)) / math.log(rho)) - 1)
-        if yi >= _NEAR:
-            lanes.append((J + r, 1.0 + J, 1.0 / yi))
-        else:
-            lanes += [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, yi)]
-        plans.append((yi, xi, rho, J))
-    value, estimate, terms = _sum_lanes(lanes)
-    values, estimates, counts, at = [], [], [], 0
-    for yi, xi, rho, J in plans:
-        log_y = abs(math.log(yi)) if yi > 0.0 else 0.0
-        if yi >= _NEAR:
-            power, used = yi ** -r * yi ** -J, 1
-            g = size = power * value[at]
-            error = power * estimate[at]
-        else:
-            power, used = yi ** (1.0 - r), 3
-            g = value[at] + value[at + 1] - power * value[at + 2]
-            size = value[at] + value[at + 1] + power * value[at + 2]
-            error = estimate[at] + estimate[at + 1] + power * estimate[at + 2]
-        if not g >= sys.float_info.min:
-            raise DomainError(f"G_J underflows at y={yi}, x={xi}")
-        relative = (error + (J + 5 + log_y) * u * size) / g + (11 * J + 6 + log_y) * u
-        steps = (yi ** (1.0 - r) * (1.0 + yi) ** -np.arange(1.0, J + 1.0)).tolist()
-        G = [g]
-        for k in range(J, 0, -1):
-            G.append((k * G[-1] + steps[k - 1]) / (k - 1 + r))
-        coef, T = 1.0, [G[J]]
-        for k in range(1, J + 1):
-            coef *= (alpha + k - 1.0) / k * xi
-            T.append(coef * G[J - k])
-        H = math.fsum(T)
-        values.append(H)
-        estimates.append(relative * H + T[-1] * (1.0 + relative) * rho / (1.0 - rho))
-        counts.append(max(terms[at:at + used]))
-        at += used
-    return np.array(values), np.array(estimates), np.array(counts)
+    rho = 0.0 if alpha == 0.0 else x / (1.0 + y)
+    J = 0 if rho == 0.0 else max(0, math.ceil(math.log(u * (1.0 - rho)) / math.log(rho)) - 1)
+    log_y = abs(math.log(y)) if y > 0.0 else 0.0
+    if y >= _NEAR:
+        power = y ** -r * y ** -J
+        (value,), (estimate,), terms = _sum_lanes([(J + r, 1.0 + J, 1.0 / y)])
+        g = size = power * value
+        error = power * estimate
+    else:
+        power = y ** (1.0 - r)
+        value, estimate, terms = _sum_lanes(
+            [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, y)])
+        g = value[0] + value[1] - power * value[2]
+        size = value[0] + value[1] + power * value[2]
+        error = estimate[0] + estimate[1] + power * estimate[2]
+    if not g >= sys.float_info.min:
+        raise DomainError(f"G_J underflows at y={y}, x={x}")
+    relative = (error + (J + 5 + log_y) * u * size) / g + (11 * J + 6 + log_y) * u
+    steps = (y ** (1.0 - r) * (1.0 + y) ** -np.arange(1.0, J + 1.0)).tolist()
+    G = [g]
+    for k in range(J, 0, -1):
+        G.append((k * G[-1] + steps[k - 1]) / (k - 1 + r))
+    coef, T = 1.0, [G[J]]
+    for k in range(1, J + 1):
+        coef *= (alpha + k - 1.0) / k * x
+        T.append(coef * G[J - k])
+    H = math.fsum(T)
+    return H, relative * H + T[-1] * (1.0 + relative) * rho / (1.0 - rho), max(terms)
 
 
 def _unit_pair(c1: float, c2: float) -> tuple[float, float, int]:
@@ -360,8 +349,7 @@ def F_of_y(y: float, p: float, alpha: float) -> QuadratureResult:
     """
     if not 0.0 <= y <= 0.5:
         raise DomainError(f"y must lie in [0, 1/2], got {y}")
-    value, estimate, terms = _binomial_integral([y], [2.0 * y], alpha, p)
-    return QuadratureResult(float(value[0]), float(estimate[0]), int(terms[0]))
+    return QuadratureResult(*_binomial_integral(y, 2.0 * y, alpha, p))
 
 
 def _scaled_I_of_epsilon(eps: float, p: float) -> tuple[float, float, int]:

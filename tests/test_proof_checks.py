@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ class TestLogConvexity:
     def test_g_passes(self):
         grid = np.linspace(0.0, 0.5, 150)
         assert check_logconvexity_g(0.5, 2.0, 1.0, grid).passed
+
+    @pytest.mark.parametrize("t", [1000.0000000000001, 4000.0, 1e8])
+    def test_g_refuses_t_above_1000(self, t):
+        """From t = 4000 on, the second difference (about g h^2/t^2) sinks
+        below g's rounding; these used to give a failed report for a true
+        inequality."""
+        with pytest.raises(DomainError, match=rf"^t must lie in \(0, 1000\], got {t}$"):
+            check_logconvexity_g(t, 2.0, 0.5, np.linspace(0.0, 0.5, 100))
+
+    def test_g_passes_up_to_t_1000(self):
+        for p, alpha, points in product((1.05, 2.0, 40.0), (0.0, 0.25, 0.5, 1.0), (11, 100, 1000)):
+            grid = np.linspace(0.0, 0.5, points)
+            assert check_logconvexity_g(1000.0, p, alpha, grid).passed, (p, alpha, points)
+
+    def test_g_refuses_a_grid_with_no_inner_point(self):
+        """No point of [0, 1/2] lies 1e-4 inside it, so no second difference
+        was taken; this used to pass."""
+        with pytest.raises(DomainError, match=r"^y grid needs a point at least 1e-4 inside"):
+            check_logconvexity_g(1.0, 2.0, 0.5, [0.0, 0.5])
 
     def test_rejects_bad_grids(self):
         with pytest.raises(DomainError):
@@ -458,15 +478,15 @@ class TestBatchedSeries:
             assert summed == expected, size
 
     # 100 points of `_binomial_integral` on both sides of the 0.1 split, x
-    # from 0 to 95 % of its bound 2(1+y)/3: 214 G_J lanes in one batch.
+    # from 0 to 95 % of its bound 2(1+y)/3: 214 G_J lanes in all.
     HUNDRED_Y = np.geomspace(1e-4, 20.0, 100)
     HUNDRED_POINTS = (HUNDRED_Y, 2.0 * (1.0 + HUNDRED_Y) / 3.0 * np.linspace(0.0, 0.95, 100))
 
     def test_float_lanes_never_enter_the_array_loop(self, monkeypatch):
         """The integrals that build their lanes as Python floats hand them to
-        `_sum_lanes` and never enter `_power_integral`, whatever their
-        number: the single-point integrals, the midpoint and convexity
-        checks (26 and 23 points) and a 100-point binomial batch."""
+        `_sum_lanes` and never enter `_power_integral`: the single-point
+        integrals, the midpoint and convexity checks (26 and 23 points) and
+        100 binomial points."""
         def wrapper(*args):
             raise AssertionError("entered _power_integral")
 
@@ -478,17 +498,8 @@ class TestBatchedSeries:
         row_sum_alpha(1000, 3.0, 1.0, 1e-8)
         assert check_midpoint_bound(7, 2.0, 0.5, n_max=25).passed
         assert check_F_convex_max(3.0, 0.5, np.linspace(0.02, 0.48, 21)).passed
-        quadrature._binomial_integral(*self.HUNDRED_POINTS, 0.5, 3.0)
-
-    def test_a_binomial_batch_keeps_each_points_bits(self):
-        """Every point of `HUNDRED_POINTS`, summed in one batch, has the
-        value, estimate and term count of that point summed alone."""
-        y, x = self.HUNDRED_POINTS
-        batch = quadrature._binomial_integral(y, x, 0.5, 3.0)
-        assert (y < 0.1).any() and (y >= 0.1).any() and batch[2].max() > 30
-        for i in range(len(y)):
-            alone = quadrature._binomial_integral(y[i:i + 1], x[i:i + 1], 0.5, 3.0)
-            assert tuple(a[i] for a in batch) == tuple(a[0] for a in alone), (y[i], x[i])
+        for y, x in zip(*(a.tolist() for a in self.HUNDRED_POINTS)):
+            quadrature._binomial_integral(y, x, 0.5, 3.0)
 
     def test_a_long_lane_is_handed_to_the_scalar_loop(self):
         """In a batch of `_SCALAR_LANES` + 1 lanes, P(500.5, 1, 1) outlives
@@ -512,8 +523,7 @@ class TestBatchedSeries:
     ])
     def test_row_sums_keep_their_bits(self, args, expected):
         y, x, alpha, p = args
-        value, estimate, terms = quadrature._binomial_integral([y], [x], alpha, p)
-        assert (value[0], estimate[0], terms[0]) == expected
+        assert quadrature._binomial_integral(y, x, alpha, p) == expected
 
     def test_all_euler_batches_equal_the_scalar_loop(self):
         """Euler's lanes divide by exactly 1 in the array loop: summed

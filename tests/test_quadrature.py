@@ -183,9 +183,9 @@ class TestBinomialSeriesOracle:
         for alpha in (0.0, 0.5, 1.0):
             for m in (1, 7, 1000, 10 ** 6):
                 for N in (64, 4096):
-                    value, estimate, _ = _binomial_integral([N / m], [1.0 / m], alpha, p)
+                    value, estimate, _ = _binomial_integral(N / m, 1.0 / m, alpha, p)
                     exact = oracles.H(Fraction(N, m), Fraction(1, m), alpha, p)
-                    assert abs(value[0] - exact) <= estimate[0], (alpha, m, N)
+                    assert abs(value - exact) <= estimate, (alpha, m, N)
 
     def test_estimate_counts_the_recurrence_rounding(self):
         """Far out (y = 1000) with x at 90 % of its bound 2(1+y)/3, J = 73
@@ -200,11 +200,11 @@ class TestBinomialSeriesOracle:
         J = math.ceil(math.log(u * (1.0 - rho)) / math.log(rho)) - 1
         assert J == 73
         for alpha in (0.5, 1.0):
-            value, estimate, terms = _binomial_integral([y], [x], alpha, p)
+            value, estimate, terms = _binomial_integral(y, x, alpha, p)
             exact = oracles.H(y, x, alpha, p)
-            assert abs(value[0] - exact) <= estimate[0], alpha
-            assert estimate[0] >= (11 * J + 6 + math.log(y)) * u * value[0], alpha
-            assert terms[0] == 5
+            assert abs(value - exact) <= estimate, alpha
+            assert estimate >= (11 * J + 6 + math.log(y)) * u * value, alpha
+            assert terms == 5
 
     @pytest.mark.parametrize("y", [3000.0, 1e4, 1e6])
     def test_underflowing_top_term_raises(self, y):
@@ -213,7 +213,7 @@ class TestBinomialSeriesOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=rf"G_J underflows at y={y}, x="):
-                _binomial_integral([y], [2.0 * (1.0 + y) / 3.0], 0.5, 2.0)
+                _binomial_integral(y, 2.0 * (1.0 + y) / 3.0, 0.5, 2.0)
 
 
 def _binomial_integral_reference(y, x, alpha, p):
@@ -264,9 +264,9 @@ class TestBinomialTail:
         40, whose G_J lanes the reference sums in the array loop and
         `_binomial_integral` by `_sum_lanes`), with y on both sides of the
         0.1 split, x up to its bound 2(1+y)/3 (J up to about 90), alpha in
-        {0, 1/2, 1} or random and p in [1.05, 20], every value, estimate
-        and term count has the bits of the array tail's, and each returned
-        array its dtype."""
+        {0, 1/2, 1} or random and p in [1.05, 20], every point's value,
+        estimate and term count has the bits of the array tail's, and comes
+        back as a (float, float, int)."""
         rng = np.random.default_rng(30)
         longest = 0
         for batch in range(320):
@@ -277,9 +277,10 @@ class TestBinomialTail:
             alpha = (0.0, 0.5, 1.0, float(rng.random()))[batch % 4]
             p = 1.05 + 18.95 * float(rng.random())
             expected = _binomial_integral_reference(y.tolist(), x.tolist(), alpha, p)
-            got = _binomial_integral(y, x, alpha, p)
-            for e, g in zip(expected, got):
-                assert g.dtype == e.dtype and g.tolist() == e.tolist(), (y, x, alpha, p)
+            for i, (yi, xi) in enumerate(zip(y.tolist(), x.tolist())):
+                got = _binomial_integral(yi, xi, alpha, p)
+                assert tuple(map(type, got)) == (float, float, int), (yi, xi, alpha, p)
+                assert got == tuple(e[i].item() for e in expected), (yi, xi, alpha, p)
             if alpha:
                 rho = x / (1.0 + y)
                 longest = max(longest, int(np.max(np.log(2.0 ** -53 * (1.0 - rho)) / np.log(rho))))
