@@ -39,11 +39,17 @@ class TaylorFunction:
 def kp_norm(f: TaylorFunction, p: float) -> float:
     """(sum (m+1)^(p-2) a_m^p)^(1/p) by `_root_sum`, the sum by `_sum2`; a
     term or sum past the float range raises `OverflowError`, and a nonzero
-    f's norm is never 0."""
+    f's norm is never 0. Where a weight overflows (p > 2, as at p = 200
+    from m = 36) while a_m^p may underflow, the weight goes inside the
+    power, the l^p norm of a_m (m+1)^((p-2)/p) (`kp_to_lp_isometry`'s
+    arithmetic)."""
     _check_positive(p, "p")
     a = f.coeffs.values
+    index = np.arange(1.0, len(a) + 1.0)   # m + 1
     with np.errstate(over="ignore"):
-        weight = np.arange(1.0, len(a) + 1.0) ** (p - 2.0)
+        weight = index ** (p - 2.0)
+    if not np.isfinite(weight).all():
+        return _root_sum(a * index ** ((p - 2.0) / p), p)
     return _root_sum(a, p, weight)
 
 

@@ -24,10 +24,10 @@ from .quadrature import _binomial_integral, _check_exponents, _power_integral
 @dataclass(slots=True)
 class CheckReport:
     """One check's sides, budget and side condition `holds`; `terms` is the
-    longest series (`_power_integral`) it summed, 0 if none. The verdict is
-    derived, never stored: `margin` is rhs - lhs, and a check has `passed`
-    when its side condition holds and its margin clears its budget, read
-    from the fields each time.
+    longest series (`_power_integral` or `_sum_lanes`) it summed, 0 if
+    none. The verdict is derived, never stored: `margin` is rhs - lhs, and a
+    check has `passed` when its side condition holds and its margin clears
+    its budget, read from the fields each time.
 
     Slotted, not frozen: a frozen dataclass sets each field through
     `object.__setattr__`, several times the cost of a slotted one's plain
@@ -239,7 +239,8 @@ def _sides(c: np.ndarray, cbar: np.ndarray, e: np.ndarray) -> tuple:
 
     so I is `_sides(x, 1-x, alpha)` and II is `_sides(1-x, x, beta)`. lhs is
     0, with estimate 0 and no terms, where e = 0. All three series of all
-    points are one `_power_integral` batch."""
+    points are one `_power_integral` batch, all of Pfaff's series: every
+    lane has c + 1 - s = c + e > 0, as e (alpha or beta) is >= 0."""
     live = e != 0.0
     n, size = int(live.sum()), len(c)
     value, estimate, terms = _power_integral(

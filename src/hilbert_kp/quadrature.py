@@ -5,17 +5,18 @@ Every integral of the library is built from
     P(c, s, z) = int_0^1 u^(c-1) (1 + z u)^(-s) du = (1/c) 2F1(s, c; c+1; -z),
 
 summed lane-wise by a hypergeometric series of positive terms with a
-geometric tail bound (`_power_integral`). `beta_integral`, eps I(eps)
-(`_scaled_I_of_epsilon`) and the master inequalities are sums of a few P;
-F(y), the row-sum tail and the midpoint integrals are binomial series in P
-(`_binomial_integral`), one point per call.
+geometric tail bound. `beta_integral`, eps I(eps) (`_scaled_I_of_epsilon`)
+and the master inequalities are sums of a few P; F(y), the row-sum tail and
+the midpoint integrals are binomial series in P (`_binomial_integral`), one
+point per call.
 Every series runs one term recurrence, and the intake alone picks its
 loop: lanes built as Python floats (each binomial point's one or three,
 `_unit_pair`'s two) run lane by lane from end to end (`_sum_lanes`, which
-takes and returns lists, with no array built); array batches run on arrays
-of their live lanes, one term per step, until few are live
-(`_power_integral`). Both do the same float operations, so a lane's result
-has the same bits on either.
+takes and returns lists, with no array built, and picks Pfaff's series or
+Euler's per lane); the master inequalities' array batches, Pfaff lanes
+only, run on arrays of their live lanes, one term per step, until few are
+live (`_power_integral`). Both do the same float operations, so a lane's
+result has the same bits on either.
 Semi-infinite ranges are mapped onto (0, 1] exactly (t -> 1/t), never
 truncated, and no integrand is sampled.
 """
@@ -56,43 +57,38 @@ _pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du for finite x > 0,
-    z >= 0 and s, lane-wise over its three arguments broadcast to 1-D
-    arrays: returns value, error estimate and term count arrays.
+    """P(x, s, z) = int_0^1 u^(x-1) (1 + z u)^(-s) du lane-wise over three
+    1-D float arrays of equal length, each lane with finite x > 0, z >= 0
+    and a = x+1-s > 0: returns value, error estimate and term count arrays.
 
     P is (1/x) 2F1(s, x; x+1; -z), and Pfaff's transformation (DLMF 15.8.1)
-    on either upper parameter turns it into a series of positive terms in
-    w = z/(1+z): where a = x+1-s > 0,
+    on the upper parameter x turns it into a series of positive terms in
+    w = z/(1+z),
 
-        P = (1+z)^(-x) sum_k (a)_k / k! * w^k / (x+k),
-
-    and elsewhere (with 8.17.8), where s >= x+1 > 0,
-
-        P = (1+z)^(-s)/x sum_k (s)_k/(x+1)_k w^k.
+        P = (1+z)^(-x) sum_k (a)_k / k! * w^k / (x+k).
 
     From term K on, every term ratio is at most r = max(1, (a+K)/(K+1)) w,
-    or max(1, (s+K)/(x+1+K)) w, so once r < 1 the terms after t_K sum to at
-    most t_K r/(1-r). A lane stops once that bound is below double rounding
-    of its partial sum S and adds the sum of S's TwoSum errors (Sum2: Ogita,
-    Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005): within (u + g^2) S of
-    the exact sum, g = K u/(1 - K u), u = 2^-53. The estimate is the tail
-    bound, scaled as the sum is, plus ((6K + 8) u + g^2) P: six roundings
-    per recurrence step (a's and w's included), two per term, and those of
-    the sum, the power and the product. It is always positive. The power
-    also raises the rounding d of 1 + z to its exponent e (x, or s), so
-    e |d|/(1+z) P is added; d is exact (TwoSum) and 0 where 1 + z is, as at
-    z = 1/2, 1 and 2. `DomainError` names a lane outside that domain, one
-    needing more than 2^16 terms, or one whose value or estimate is not finite.
+    so once r < 1 the terms after t_K sum to at most t_K r/(1-r). A lane
+    stops once that bound is below double rounding of its partial sum S
+    and adds the sum of S's TwoSum errors (Sum2: Ogita, Rump & Oishi, SIAM
+    J. Sci. Comput. 26(6), 2005): within (u + g^2) S of the exact sum,
+    g = K u/(1 - K u), u = 2^-53. The estimate is the tail bound, scaled as
+    the sum is, plus ((6K + 8) u + g^2) P: six roundings per recurrence step
+    (a's and w's included), two per term, and those of the sum, the power
+    and the product. It is always positive. The power also raises the
+    rounding d of 1 + z to its exponent x, so x |d|/(1+z) P is added; d is
+    exact (TwoSum) and 0 where 1 + z is, as at z = 1/2, 1 and 2.
+    `DomainError` names a lane outside that domain before any term is
+    summed, a lane needing more than 2^16 terms, or one whose value or
+    estimate is not finite.
 
-    Every lane runs one term recurrence, `_run_lane`; the callers that
-    build their lanes as Python floats (`_binomial_integral` and
-    `_unit_pair`) hand them to `_sum_lanes` and build no array. Here every
-    batch runs the recurrence's statements on arrays of its live lanes, one
-    term per step, with `np.maximum` for the ratio bound and the term
-    coeff / (k pfaff + div): div is x on Pfaff's lanes, so the divisor
-    rounds as x + k, and 1 on Euler's, where it is exactly 1. The lanes
-    that stop at k leave the arrays with their (S, comp, r, t, k); once at
-    most `_SCALAR_LANES` are live (from term 0 in a batch that small),
+    Its one caller, the master inequalities (`proof_checks._sides`), builds
+    only such lanes; `_sum_lanes` sums lanes built as Python floats, by
+    this series or, where a <= 0, by Euler's. Here every batch runs the
+    term recurrence of `_run_lane` on arrays of its live lanes, one term
+    per step, with `np.maximum` for the ratio bound. The lanes that stop at
+    k leave the arrays with their (S, comp, r, t, k); once at most
+    `_SCALAR_LANES` are live (from term 0 in a batch that small),
     `_run_lane` carries each on from where the arrays left it. A lane whose
     terms overflow runs on to the term cap, or stops with a sum that is
     named as not finite. The scale is `math.pow`, element by element, as
@@ -102,26 +98,23 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the same order, so each lane's value, estimate and term count are the
     same bits whichever loop sums it.
     """
-    xsz = np.empty((3, np.broadcast(x, s, z).size))
-    xsz[0], xsz[1], xsz[2] = x, s, z
-    x, s, z = xsz
-    ok = np.isfinite(xsz).all(axis=0) & (x > 0.0) & (z >= 0.0)
+    x, s, z = xsz = np.array([x, s, z], dtype=float)
+    ok = np.isfinite(xsz).all(axis=0) & (x > 0.0) & (z >= 0.0) & ((1.0 - s) + x > 0.0)
     if not ok.all():
-        raise _outside(*xsz[:, int(np.argmin(ok))])
-    euler = (1.0 - s) + x <= 0.0
+        lane = _lane(*xsz[:, int(np.argmin(ok))])
+        raise DomainError(f"need finite x > 0, s and z >= 0 with x + 1 - s > 0, got {lane}")
     base = 1.0 + z
     stopped = np.empty((5, len(x)))   # S, comp, r, t, K of each lane
     live = np.arange(len(x))
-    num, den = np.where(euler, s, (1.0 - s) + x), np.where(euler, x + 1.0, 1.0)
-    w, pfaff, div = z / base, np.where(euler, 0.0, 1.0), np.where(euler, 1.0, x)
+    num, w, c = (1.0 - s) + x, z / base, x
     coeff, S, comp, k = np.ones(len(x)), np.zeros(len(x)), np.zeros(len(x)), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         while len(live) > _SCALAR_LANES:
             if k == _MAX_TERMS:
                 raise _capped(x[live[0]], s[live[0]], z[live[0]])
-            factor = (num + k) / (den + k) * w
+            factor = (num + k) / (1.0 + k) * w
             r = np.maximum(factor, w)
-            t = coeff / (k * pfaff + div)
+            t = coeff / (c + k)
             coeff *= factor
             partial = S + t
             bb = partial - S
@@ -132,19 +125,17 @@ def _power_integral(x, s, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 stopped[:4, live[stop]] = S[stop], comp[stop], r[stop], t[stop]
                 stopped[4, live[stop]] = k
                 go = ~stop
-                live, num, den, w, pfaff, div, coeff, S, comp = (
-                    a[go] for a in (live, num, den, w, pfaff, div, coeff, S, comp))
+                live, num, w, c, coeff, S, comp = (
+                    a[go] for a in (live, num, w, c, coeff, S, comp))
             k += 1.0
-        lanes = zip(num.tolist(), den.tolist(), w.tolist(), euler[live].tolist(),
-                    x[live].tolist(), coeff.tolist(), S.tolist(), comp.tolist())
-        for i, lane in zip(live.tolist(), lanes):
-            stop = _run_lane(*lane, k)
+        lanes = zip(live.tolist(), num.tolist(), w.tolist(), c.tolist(),
+                    coeff.tolist(), S.tolist(), comp.tolist())
+        for i, num, w, c, coeff, S, comp in lanes:
+            stop = _run_lane(num, 1.0, w, False, c, coeff, S, comp, k)
             if stop is None:
                 raise _capped(x[i], s[i], z[i])
             stopped[:, i] = stop
-        e = np.where(euler, s, x)
-        scale = _pow(base, -e).astype(float) / np.where(euler, x, 1.0)
-        value, estimate = _finish(scale, e, z, *stopped)
+        value, estimate = _finish(_pow(base, -x).astype(float), x, z, *stopped)
     finite = np.isfinite(estimate)   # and so is every value
     if not finite.all():
         raise _not_finite(*xsz[:, int(np.argmin(finite))])
@@ -168,13 +159,14 @@ def _not_finite(x, s, z) -> DomainError:
 
 
 def _run_lane(num, den, w, euler, x, coeff, S, comp, k):
-    """One lane of `_power_integral` on Python floats, from term k (a float
-    index), the coefficient coeff of that term, the sum S of the terms
-    before it and S's compensation, up to the term K at which the lane
-    stops: returns (S, comp, r, t, K) with the ratio bound r and the last
-    term t, or None if it does not stop within `_MAX_TERMS` terms. The
-    coefficients follow coeff *= ((num+k)/(den+k)) w; a term is its
-    coefficient over x + k, or the coefficient itself on Euler's lanes."""
+    """One lane of `_sum_lanes` or `_power_integral` on Python floats, from
+    term k (a float index), the coefficient coeff of that term, the sum S
+    of the terms before it and S's compensation, up to the term K at which
+    the lane stops: returns (S, comp, r, t, K) with the ratio bound r and
+    the last term t, or None if it does not stop within `_MAX_TERMS` terms.
+    The coefficients follow coeff *= ((num+k)/(den+k)) w; a term is its
+    coefficient over x + k on Pfaff's lanes (num = x+1-s, den = 1), or the
+    coefficient itself on Euler's (num = s, den = x+1)."""
     u, cap = _UNIT_ROUNDOFF, _MAX_TERMS   # locals: read once per lane, not per term
     while k < cap:
         factor = (num + k) / (den + k) * w
@@ -207,11 +199,22 @@ def _finish(scale, e, z, S, comp, r, t, K):
 
 
 def _sum_lanes(lanes):
-    """The lanes of `_power_integral`, a list of (x, s, z) Python floats,
-    one at a time, by `_run_lane` from term 0 and `_finish`: returns value,
-    estimate and term count lists. As on arrays, every lane is checked
-    before any is summed, and a value that is not finite is named only once
-    every lane has stopped."""
+    """P(x, s, z) on a list of (x, s, z) Python floats with finite x > 0,
+    s and z >= 0, one lane at a time, by `_run_lane` from term 0 and
+    `_finish`: returns value, estimate and term count lists.
+
+    Where a = x+1-s > 0 a lane sums Pfaff's series of `_power_integral`;
+    elsewhere, where s >= x+1 > 0, it sums Euler's: Pfaff's transformation
+    on the other upper parameter s (DLMF 15.8.1 with 8.17.8) gives
+
+        P = (1+z)^(-s)/x sum_k (s)_k/(x+1)_k w^k,   w = z/(1+z),
+
+    whose term ratios from K on are at most r = max(1, (s+K)/(x+1+K)) w.
+    The stop rule and the estimate are `_power_integral`'s, with the
+    exponent s for x in the rounding of the power. This is the only place
+    that picks the series. As on arrays, every lane is checked before any
+    is summed, and a value that is not finite is named only once every
+    lane has stopped."""
     for x, s, z in lanes:
         if not (0.0 < x < math.inf and -math.inf < s < math.inf and 0.0 <= z < math.inf):
             raise _outside(x, s, z)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestKpNorm:
         tiny = tf(*(2.0 ** -1000 * v for v in values))
         assert kp_norm(tiny, p) == 2.0 ** -1000 * kp_norm(tf(*values), p)
         assert kp_norm(tf(1e-300), p) == 1e-300
+
+    @pytest.mark.parametrize("p, n_max", [(200.0, 200), (400.0, 200), (100.0, 2000)])
+    def test_overflowing_weights_keep_the_norm(self, p, n_max):
+        """Past m = 36 at p = 200 the weight (m+1)^(p-2) overflows while
+        a_m^p underflows: the image of f = 1, c_m = 1/(m+1), still has the
+        norm (sum_(k <= n_max+1) k^-2)^(1/p), with no warning, and a lone 1
+        ahead of 200 zeros has norm 1."""
+        image = hilbert_apply(tf(1), n_max)
+        exact = math.fsum(k ** -2.0 for k in range(1, n_max + 2)) ** (1.0 / p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kp_norm(image, p) == pytest.approx(exact, rel=1e-14)
+            assert kp_norm(tf(1, *[0] * 200), p) == 1.0
 
 
 class TestAgainstCoefficientLoops:

@@ -415,30 +415,27 @@ def _six_families(xs):
 
 
 # The lanes (1-r, 1+J, 1) and (1-r, 1+J, y) of G_J at y < 0.1 in
-# `_binomial_integral`, r = 1/p: c+1-s = 1-r-J <= 0, so `_power_integral`
-# sums them by the series on s.
+# `_binomial_integral`, r = 1/p: c+1-s = 1-r-J <= 0, so `_sum_lanes` sums
+# them by the series on s, and `_power_integral` refuses them.
 _EULER_LANES = [(1.0 - 1.0 / p, 1.0 + J, z) for p in (1.05, 2.0, 3.0, 12.0)
                 for J in (1, 2, 7, 30, 90) for z in (1.0, 0.0, 1e-6, 0.05, 0.0999)]
 
 
-# The six families on a 1001-point grid from x = 1/6000, two long lanes (743
-# and 268 terms), and the Euler lanes.
+# The six families on a 1001-point grid from x = 1/6000 and two long lanes
+# (743 and 268 terms): Pfaff lanes only.
 _MIXED_LANES = (_six_families([k / 6000.0 for k in range(1, 3001, 3)] + [0.5])
-                + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)] + _EULER_LANES)
+                + [(0.5, -200.0, 2.0), (0.3, -40.0, 2.0)])
 
 
 class TestBatchedSeries:
     def test_lanes_equal_the_scalar_loop(self):
-        """Summed together, in steps that mix families and both series,
-        every lane has the value, estimate and term count of its series
-        summed alone; so do the long lanes (743 and 268 terms, and the
-        J = 90 lanes at z = 1)."""
+        """Summed together, in steps that mix families, every lane has the
+        value, estimate and term count of its series summed alone; so do
+        the long lanes (743 and 268 terms)."""
         lanes = _MIXED_LANES
         assert lanes[0][0] == 1.0 / 6000.0
         value, estimate, terms = _power_integral(*np.array(lanes).T)
-        euler = len(_EULER_LANES)
-        assert terms[-euler - 2:-euler].tolist() == [743, 268]
-        assert terms[-euler:].max() > 128
+        assert terms[-2:].tolist() == [743, 268]
         for lane, v, e, k in zip(lanes, value.tolist(), estimate.tolist(), terms.tolist()):
             assert (v, e, k) == _power_integral_reference(*lane), lane
 
@@ -461,7 +458,7 @@ class TestBatchedSeries:
             expected = _power_integral_reference(*lane)
             assert expected[2] == K + 1
             assert (value[i], estimate[i], terms[i]) == expected, lane
-            alone = _power_integral(*lane)
+            alone = _power_integral(*([v] for v in lane))
             assert (alone[0][0], alone[1][0], alone[2][0]) == expected, lane
 
     def test_small_batches_equal_the_scalar_loop(self):
@@ -525,21 +522,21 @@ class TestBatchedSeries:
         y, x, alpha, p = args
         assert quadrature._binomial_integral(y, x, alpha, p) == expected
 
-    def test_all_euler_batches_equal_the_scalar_loop(self):
-        """Euler's lanes divide by exactly 1 in the array loop: summed
-        together (100 lanes, and the first `_SCALAR_LANES` + 1 alone), each
-        has the bits of `_sum_lanes` on that lane."""
-        for lanes in (_EULER_LANES, _EULER_LANES[:quadrature._SCALAR_LANES + 1]):
-            x, s, z = np.array(lanes).T
-            assert ((1.0 - s) + x <= 0.0).all()
-            value, estimate, terms = _power_integral(x, s, z)
-            for i, lane in enumerate(lanes):
-                alone = quadrature._sum_lanes([lane])
-                assert (value[i], estimate[i], terms[i]) == tuple(a[0] for a in alone), lane
+    def test_float_lanes_equal_the_scalar_loop(self):
+        """`_sum_lanes`, which picks the series per lane, gives every Euler
+        lane (c+1-s <= 0, some of more than 128 terms) and every lane of
+        this class the value, estimate and term count of the scalar loop."""
+        lanes = _EULER_LANES + _MIXED_LANES + list(self.STOP_LANES.values())
+        x, s, _ = np.array(_EULER_LANES).T
+        assert ((1.0 - s) + x <= 0.0).all()
+        value, estimate, terms = quadrature._sum_lanes(lanes)
+        assert max(terms[:len(_EULER_LANES)]) > 128
+        for lane, v, e, k in zip(lanes, value, estimate, terms):
+            assert (v, e, k) == _power_integral_reference(*lane), lane
 
     def test_batch_scale_is_pythons_power(self, monkeypatch):
-        """`_power_integral` raises 1 + z to -x (Pfaff's lanes) or -s (Euler's)
-        with the bits of Python's `**` on every lane of `_MIXED_LANES`."""
+        """`_power_integral` raises 1 + z to -x with the bits of Python's
+        `**` on every lane of `_MIXED_LANES`."""
         powers = []
 
         def spy(base, exponent):
@@ -552,17 +549,16 @@ class TestBatchedSeries:
         x, s, z = np.array(_MIXED_LANES).T
         _power_integral(x, s, z)
         (base, exponent, scale), = powers
-        euler = ((1.0 - s) + x <= 0.0).tolist()
-        assert any(euler) and not all(euler)
         assert base == (1.0 + z).tolist()
-        assert exponent == [-si if e else -xi for xi, si, e in zip(x.tolist(), s.tolist(), euler)]
+        assert exponent == [-xi for xi in x.tolist()]
         assert scale == [b ** e for b, e in zip(base, exponent)]
 
     def test_euler_lanes_within_their_estimates(self):
-        """On the lanes with c+1-s <= 0 each estimate is positive and bounds
-        the error against the 40-digit P = 2F1(s, c; c+1; -z)/c."""
-        value, estimate, _ = _power_integral(*np.array(_EULER_LANES).T)
-        for (c, s, z), v, e in zip(_EULER_LANES, value.tolist(), estimate.tolist()):
+        """On the lanes with c+1-s <= 0, summed by `_sum_lanes`, each
+        estimate is positive and bounds the error against the 40-digit
+        P = 2F1(s, c; c+1; -z)/c."""
+        value, estimate, _ = quadrature._sum_lanes(_EULER_LANES)
+        for (c, s, z), v, e in zip(_EULER_LANES, value, estimate):
             assert 0.0 < e
             assert abs(v - oracles.power_integral(c, s, z)) <= e, (c, s, z)
 
@@ -607,8 +603,28 @@ class TestBatchedSeries:
         assert str(exc.value).endswith(f"got x={lane[0]}, s={lane[1]}, z={lane[2]}")
         assert "terms" not in str(exc.value)
         with pytest.raises(DomainError) as alone:
-            _power_integral(*lane)
+            _power_integral(*([v] for v in lane))
         assert str(alone.value) == str(exc.value)
+
+    @pytest.mark.parametrize("bad", [0, 350, 699])
+    @pytest.mark.parametrize("lane", [(0.5, 2.0, 1.0), (0.5, 1.5, 2.0), (0.25, 90.0, 0.0)])
+    def test_an_euler_lane_is_refused(self, monkeypatch, bad, lane):
+        """A lane with x + 1 - s <= 0 (the boundary 0.5 + 1 - 1.5 = 0 too),
+        at any position of a 700-lane batch, raises DomainError naming it
+        before any term is summed: no array step and no scalar lane runs."""
+        def summed(*args):
+            raise AssertionError("summed a term")
+
+        monkeypatch.setattr(np, "maximum", summed)
+        monkeypatch.setattr(quadrature, "_run_lane", summed)
+        x = np.linspace(0.01, 0.5, 700)
+        s = np.ones(700)
+        z = np.full(700, 2.0)
+        x[bad], s[bad], z[bad] = lane
+        with pytest.raises(DomainError) as exc:
+            _power_integral(x, s, z)
+        assert str(exc.value) == ("need finite x > 0, s and z >= 0 with x + 1 - s > 0, "
+                                  f"got x={lane[0]}, s={lane[1]}, z={lane[2]}")
 
 
 class TestMonotoneAndSchedule:

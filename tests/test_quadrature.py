@@ -12,7 +12,12 @@ from hilbert_kp import (
     QuadratureResult,
     beta_integral,
 )
-from hilbert_kp.quadrature import _binomial_integral, _power_integral, _scaled_I_of_epsilon
+from hilbert_kp.quadrature import (
+    _binomial_integral,
+    _power_integral,
+    _scaled_I_of_epsilon,
+    _sum_lanes,
+)
 
 import oracles
 
@@ -218,8 +223,10 @@ class TestBinomialSeriesOracle:
 
 def _binomial_integral_reference(y, x, alpha, p):
     """`_binomial_integral` as it ran its per-point tail on numpy arrays: the
-    G_J lanes by `_power_integral`, then the recurrence, the binomial
-    coefficients (`np.multiply.accumulate`), the products and the sum."""
+    G_J lanes of all points by one `_sum_lanes` call (its lanes are pinned
+    to the scalar loop in `test_proof_checks.py`), then the recurrence, the
+    binomial coefficients (`np.multiply.accumulate`), the products and the
+    sum."""
     u, r = 2.0 ** -53, 1.0 / p
     plans, lanes = [], []
     for yi, xi in zip(y, x):
@@ -230,7 +237,7 @@ def _binomial_integral_reference(y, x, alpha, p):
         else:
             lanes += [(1.0 - r, 1.0 + J, 1.0), (J + r, 1.0 + J, 1.0), (1.0 - r, 1.0 + J, yi)]
         plans.append((yi, xi, rho, J))
-    value, estimate, terms = _power_integral(*zip(*lanes))
+    value, estimate, terms = _sum_lanes(lanes)
     out, at = [], 0
     for yi, xi, rho, J in plans:
         log_y = abs(math.log(yi)) if yi > 0.0 else 0.0
@@ -253,7 +260,7 @@ def _binomial_integral_reference(y, x, alpha, p):
         T = coef * np.array(G[::-1])
         H = math.fsum(T.tolist())
         tail = T[-1] * (1.0 + relative) * rho / (1.0 - rho)
-        out.append((H, relative * H + tail, int(terms[at:at + used].max())))
+        out.append((H, relative * H + tail, max(terms[at:at + used])))
         at += used
     return tuple(np.array(v) for v in zip(*out))
 
@@ -261,8 +268,8 @@ def _binomial_integral_reference(y, x, alpha, p):
 class TestBinomialTail:
     def test_equals_the_array_tail(self):
         """On 320 random batches of one to five points (every sixteenth of
-        40, whose G_J lanes the reference sums in the array loop and
-        `_binomial_integral` by `_sum_lanes`), with y on both sides of the
+        40, whose G_J lanes the reference sums in one `_sum_lanes` call and
+        `_binomial_integral` point by point), with y on both sides of the
         0.1 split, x up to its bound 2(1+y)/3 (J up to about 90), alpha in
         {0, 1/2, 1} or random and p in [1.05, 20], every point's value,
         estimate and term count has the bits of the array tail's, and comes
